@@ -19,6 +19,8 @@ other.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .charts import BerSection, Chart, ChartError, Morphism, pull_ber
@@ -383,12 +385,25 @@ def _gr(sign: int):
     return GaussianRational.of(sign)
 
 
+@contextmanager
+def _charged(elapsed: dict, name: str):
+    """Add the wall time of the enclosed block to ``elapsed[name]``, in ms."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        elapsed[name] += (time.perf_counter() - start) * 1000
+
+
 def check_bv_axioms(chart: Chart, delta_apply, samples, dbar_apply=dbar):
     """Evaluate the BV axioms on sample triples, exactly.
 
     ``samples`` is a sequence of dicts with keys alpha, beta, gamma (homogeneous
     MultiVectorForms), their bidegrees/parities, and a sample seed.  Returns a
-    list of dicts {check, sample_seed, status, counterexample}.
+    list of dicts {check, elapsed_ms, status, sample_seed, counterexample}.
+    Each check is timed on its own; work two checks share, such as the
+    BV bracket of alpha and beta, is done and charged once, by the first open
+    check that needs it.
     """
     checks = {
         "bv_derivation": None,
@@ -397,58 +412,63 @@ def check_bv_axioms(chart: Chart, delta_apply, samples, dbar_apply=dbar):
         "dbar_anticommute": None,
         "gbv_bracket_identity": None,
     }
+    elapsed = dict.fromkeys(checks, 0.0)
     for sample in samples:
         alpha, beta, gamma = sample["alpha"], sample["beta"], sample["gamma"]
         da, pa = sample["alpha_deg"], sample["alpha_parity"]
         db, pb = sample["beta_deg"], sample["beta_parity"]
         seed = sample.get("seed")
-
-        delta_alpha = bv_bracket(delta_apply, alpha, beta, da)
+        delta_alpha = None
 
         if checks["bv_derivation"] is None:
-            lhs = bv_bracket(delta_apply, alpha, wedge(beta, gamma), da)
-            second = wedge(beta, bv_bracket(delta_apply, alpha, gamma, da))
-            if ((da + 1) * db + pa * pb) % 2:
-                second = -second
-            rhs = wedge(delta_alpha, gamma) + second
-            if not lhs.agrees_with(rhs):
-                checks["bv_derivation"] = (seed, lhs - rhs)
+            with _charged(elapsed, "bv_derivation"):
+                delta_alpha = bv_bracket(delta_apply, alpha, beta, da)
+                lhs = bv_bracket(delta_apply, alpha, wedge(beta, gamma), da)
+                second = wedge(beta, bv_bracket(delta_apply, alpha, gamma, da))
+                if ((da + 1) * db + pa * pb) % 2:
+                    second = -second
+                rhs = wedge(delta_alpha, gamma) + second
+                if not lhs.agrees_with(rhs):
+                    checks["bv_derivation"] = (seed, lhs - rhs)
 
         if checks["bracket_compatibility"] is None:
-            if not schouten(alpha, beta).agrees_with(-delta_alpha):
-                checks["bracket_compatibility"] = (seed, schouten(alpha, beta) + delta_alpha)
+            with _charged(elapsed, "bracket_compatibility"):
+                if delta_alpha is None:
+                    delta_alpha = bv_bracket(delta_apply, alpha, beta, da)
+                if not schouten(alpha, beta).agrees_with(-delta_alpha):
+                    checks["bracket_compatibility"] = (seed, schouten(alpha, beta) + delta_alpha)
 
         if checks["delta_squared"] is None:
-            squared = delta_apply(delta_apply(alpha))
-            if not squared.is_zero():
-                checks["delta_squared"] = (seed, squared)
+            with _charged(elapsed, "delta_squared"):
+                squared = delta_apply(delta_apply(alpha))
+                if not squared.is_zero():
+                    checks["delta_squared"] = (seed, squared)
 
         if checks["dbar_anticommute"] is None:
-            anti = dbar_apply(delta_apply(alpha)) + delta_apply(dbar_apply(alpha))
-            if not anti.is_zero():
-                checks["dbar_anticommute"] = (seed, anti)
+            with _charged(elapsed, "dbar_anticommute"):
+                anti = dbar_apply(delta_apply(alpha)) + delta_apply(dbar_apply(alpha))
+                if not anti.is_zero():
+                    checks["dbar_anticommute"] = (seed, anti)
 
         if checks["gbv_bracket_identity"] is None:
-            lhs = -delta_apply(schouten(alpha, beta))
-            second = schouten(alpha, delta_apply(beta))
-            if da % 2:
-                second = -second
-            rhs = -schouten(delta_apply(alpha), beta) + second
-            if not lhs.agrees_with(rhs):
-                checks["gbv_bracket_identity"] = (seed, lhs - rhs)
+            with _charged(elapsed, "gbv_bracket_identity"):
+                lhs = -delta_apply(schouten(alpha, beta))
+                second = schouten(alpha, delta_apply(beta))
+                if da % 2:
+                    second = -second
+                rhs = -schouten(delta_apply(alpha), beta) + second
+                if not lhs.agrees_with(rhs):
+                    checks["gbv_bracket_identity"] = (seed, lhs - rhs)
 
     report = []
     for name, failure in checks.items():
+        item = {"check": name, "elapsed_ms": elapsed[name]}
         if failure is None:
-            report.append({"check": name, "status": "pass"})
+            item["status"] = "pass"
         else:
             seed, witness = failure
-            report.append({
-                "check": name,
-                "status": "fail",
-                "sample_seed": seed,
-                "counterexample": witness.render(),
-            })
+            item.update(status="fail", sample_seed=seed, counterexample=witness.render())
+        report.append(item)
     return report
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jetring import GR_ZERO, JetError, JetSuperFunction, RingSignature
+from .jetring import GR_ZERO, JetError, JetSuperFunction, RingSignature, substitute_many
 from .supermatrix import SuperMatrix
 
 
@@ -121,12 +121,19 @@ class Morphism:
     ``pullbacks[i]`` is the source-ring superfunction that the i-th target
     coordinate pulls back to.  Barred target generators pull back to the
     conjugates of these images.
+
+    A morphism is immutable, so its image table, differentials, the inverse
+    differential and the inverse morphism are computed once, on first use,
+    and shared by every caller.  Shared matrices are values: never edit
+    their rows in place.
     """
+
+    __slots__ = ("source", "target", "pullbacks", "_memo")
 
     def __init__(self, source: Chart, target: Chart, pullbacks):
         if source.dim != target.dim or source.sig.n != target.sig.n or source.sig.m != target.sig.m:
             raise ChartError("source and target must share the same graded dimension")
-        pullbacks = list(pullbacks)
+        pullbacks = tuple(pullbacks)
         if len(pullbacks) != target.dim:
             raise ChartError("need one pullback per target coordinate")
         for i, image in enumerate(pullbacks):
@@ -138,6 +145,13 @@ class Morphism:
         self.source = source
         self.target = target
         self.pullbacks = pullbacks
+        self._memo = {}
+
+    def _cached(self, key: str, build):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     @staticmethod
     def identity(chart: Chart) -> "Morphism":
@@ -148,17 +162,15 @@ class Morphism:
 
     def _images(self):
         """Full generator-image table for substitution, conjugates included."""
+        return self._cached("images", self._build_images)
+
+    def _build_images(self):
         sig = self.target.sig
         images = [None] * sig.gen_count()
         for k in range(self.target.dim):
             image = self.pullbacks[k]
-            if self.target.parity(k) == 0:
-                images[sig.z(k)] = image
-                images[sig.zb(k)] = image.conjugate()
-            else:
-                j = k - self.target.sig.n
-                images[sig.th(j)] = image
-                images[sig.thb(j)] = image.conjugate()
+            images[self.target.gen_id(k)] = image
+            images[self.target.bar_gen_id(k)] = image.conjugate()
         return images
 
     def apply(self, f: JetSuperFunction) -> JetSuperFunction:
@@ -167,50 +179,49 @@ class Morphism:
             raise ChartError("function lives in the wrong ring for this morphism")
         return f.substitute(self._images(), self.source.sig)
 
+    def apply_many(self, functions) -> list:
+        """Pullbacks of several target-ring superfunctions, in one substitution walk."""
+        functions = list(functions)
+        if any(f.sig != self.target.sig for f in functions):
+            raise ChartError("function lives in the wrong ring for this morphism")
+        return substitute_many(functions, self._images(), self.source.sig)
+
     def differential(self) -> SuperMatrix:
         """The graded Jacobian with rows indexed by target directions.
 
         Entry (i, k) is (-1)^((|k| + |i|) |i|) d(pullback of coordinate i)/d xi^k,
         a matrix over the source ring.
         """
-        dim = self.source.dim
-        n, m = self.source.sig.n, self.source.sig.m
-        rows = []
-        for i in range(dim):
-            row = []
-            pi = self.target.parity(i)
-            for k in range(dim):
-                pk = self.source.parity(k)
-                entry = self.source.d(self.pullbacks[i], k)
-                if ((pk + pi) * pi) % 2:
-                    entry = -entry
-                row.append(entry)
-            rows.append(row)
-        return SuperMatrix(self.source.sig, n, m, rows)
+        return self._cached("differential", lambda: self._jacobian(self.pullbacks, self.source.d))
 
     def differential_bar(self) -> SuperMatrix:
         """Mirror Jacobian of the conjugated pullbacks along barred directions."""
+        return self._cached("differential_bar", lambda: self._jacobian(
+            [image.conjugate() for image in self.pullbacks], self.source.dbar))
+
+    def differential_inverse(self) -> SuperMatrix:
+        """Inverse of the graded Jacobian."""
+        return self._cached("differential_inverse", lambda: self.differential().inverse())
+
+    def _jacobian(self, images, derivative) -> SuperMatrix:
         dim = self.source.dim
-        n, m = self.source.sig.n, self.source.sig.m
         rows = []
         for i in range(dim):
             row = []
             pi = self.target.parity(i)
-            conj = self.pullbacks[i].conjugate()
             for k in range(dim):
-                pk = self.source.parity(k)
-                entry = self.source.dbar(conj, k)
-                if ((pk + pi) * pi) % 2:
+                entry = derivative(images[i], k)
+                if ((self.source.parity(k) + pi) * pi) % 2:
                     entry = -entry
                 row.append(entry)
             rows.append(row)
-        return SuperMatrix(self.source.sig, n, m, rows)
+        return SuperMatrix(self.source.sig, self.source.sig.n, self.source.sig.m, rows)
 
     def compose(self, other: "Morphism") -> "Morphism":
         """Composite self o other, where other: M -> N and self: N -> P."""
         if other.target is not self.source and other.target != self.source:
             raise ChartError("chart mismatch in composition")
-        return Morphism(other.source, self.target, [other.apply(g) for g in self.pullbacks])
+        return Morphism(other.source, self.target, other.apply_many(self.pullbacks))
 
     def linear_parts(self):
         """Constant matrices of the linear terms, (even block, odd block)."""
@@ -228,6 +239,9 @@ class Morphism:
         Requires vanishing constant terms and an invertible linear part; the
         iteration terminates because every correction raises the total order.
         """
+        return self._cached("invert", self._build_inverse)
+
+    def _build_inverse(self) -> "Morphism":
         from .supermatrix import _invert_scalar_matrix
 
         source, target = self.source, self.target
@@ -277,7 +291,7 @@ class Morphism:
                 gid = source.gen_id(k)
                 images[gid] = guesses[k]
                 images[source.bar_gen_id(k)] = guesses[k].conjugate()
-            corrections = [nl.substitute(images, target.sig) for nl in nonlinear]
+            corrections = substitute_many(nonlinear, images, target.sig)
             new_guesses = linear_solve(
                 [target.coordinate(k) - corrections[k] for k in range(target.dim)]
             )
@@ -328,32 +342,25 @@ def pull_vector(phi: Morphism, column):
     """
     if len(column) != phi.target.dim:
         raise ChartError("component column has the wrong length")
-    d_inv = phi.differential().inverse()
-    out = []
-    for mrow in range(phi.source.dim):
-        acc = phi.source.zero()
-        for k in range(phi.target.dim):
-            comp = column[k]
-            if comp.is_zero():
-                continue
-            acc = acc + d_inv.rows[mrow][k] * phi.apply(comp)
-        out.append(acc)
-    return out
+    return _transport(phi, phi.differential_inverse(), column)
 
 
 def pull_covector(phi: Morphism, row):
     """Transport a coefficient row via the supertranspose of the differential."""
     if len(row) != phi.target.dim:
         raise ChartError("component row has the wrong length")
-    d_st = phi.differential().supertranspose()
+    return _transport(phi, phi.differential().supertranspose(), row)
+
+
+def _transport(phi: Morphism, matrix: SuperMatrix, components):
+    """Entries sum_k matrix[m][k] phi#(components[k]); each phi# is taken once."""
+    nonzero = [k for k, comp in enumerate(components) if not comp.is_zero()]
+    pulled = phi.apply_many(components[k] for k in nonzero)
     out = []
     for mrow in range(phi.source.dim):
         acc = phi.source.zero()
-        for j in range(phi.target.dim):
-            comp = row[j]
-            if comp.is_zero():
-                continue
-            acc = acc + d_st.rows[mrow][j] * phi.apply(comp)
+        for k, comp in zip(nonzero, pulled):
+            acc = acc + matrix.rows[mrow][k] * comp
         out.append(acc)
     return out
 

@@ -30,7 +30,8 @@ def load_scenario(path: str):
     try:
         return parse(source)
     except ScenarioError as error:
-        print(f"error: {path}:{error}", file=sys.stderr)
+        where = f"{path}:" if error.line else f"{path}: "
+        print(f"error: {where}{error}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -92,6 +93,16 @@ def cmd_transform(args) -> int:
     return EXIT_PASS
 
 
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superbv",
@@ -105,7 +116,7 @@ def build_argparser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", action="append",
                         help="suite name (repeatable); defaults to the scenario's list")
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--trials", type=int, default=None)
+    verify.add_argument("--trials", type=_trial_count, default=None)
     verify.add_argument("--json", help="write the JSON report to this path")
     verify.set_defaults(func=cmd_verify)
 

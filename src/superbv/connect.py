@@ -174,54 +174,79 @@ def transform_christoffel(phi: Morphism, gamma: Christoffel) -> Christoffel:
 
     Implements the displayed transformation law with its parity signs; the
     independent oracle in the tests transports nabla_X Y componentwise
-    through the pullbacks instead.
+    through the pullbacks instead.  The law is evaluated as three
+    contractions, each over one summed index:
+
+        inner[m,q,l] = sum_n (-1)^(|q||n|) Gamma^q_(m n) dinv[n][l] + (-1)^|q| d_m dinv[q][l]
+        right[m,p,l] = sum_q (-1)^(|q||l| + |p|(|p|+|q|)) inner[m,q,l] d[p][q]
+        acc[p,k,l]   = sum_m (-1)^(|m|(|m|+|k|)) dinv[m][k] right[m,p,l]
+
+    A summand whose factor ``inner`` or ``dinv[m][k]`` has no terms is left
+    out, so its precision never lowers the sum; a contraction with no
+    summands at all is left out of the next one in the same way.
     """
     if gamma.chart != phi.source:
         raise ConnectionError("symbols live on the wrong chart for this morphism")
     source, target = phi.source, phi.target
     d = phi.differential()
-    d_inv = d.inverse()
-    psi = phi.invert()
+    d_inv = phi.differential_inverse()
     dim = source.dim
-    symbols = {}
-    for p_idx in range(dim):
-        pp = target.parity(p_idx)
-        for k_idx in range(dim):
-            pk = target.parity(k_idx)
-            for l_idx in range(dim):
-                pl = target.parity(l_idx)
+    accs = {}
+    for l_idx in range(dim):
+        pl = target.parity(l_idx)
+        inner = [[_christoffel_inner(source, gamma, d_inv, m_idx, q_idx, l_idx)
+                  for q_idx in range(dim)] for m_idx in range(dim)]
+        for p_idx in range(dim):
+            pp = target.parity(p_idx)
+            right = []
+            for m_idx in range(dim):
+                total = None
+                for q_idx in range(dim):
+                    value = inner[m_idx][q_idx]
+                    if value is None:
+                        continue
+                    pq = source.parity(q_idx)
+                    term = value * d.rows[p_idx][q_idx]
+                    if (pq * pl + pp * (pp + pq)) % 2:
+                        term = -term
+                    total = term if total is None else total + term
+                right.append(total)
+            for k_idx in range(dim):
+                pk = target.parity(k_idx)
                 acc = source.zero()
                 for m_idx in range(dim):
-                    pm = source.parity(m_idx)
                     left = d_inv.rows[m_idx][k_idx]
-                    if left.is_zero():
+                    if right[m_idx] is None or left.is_zero():
                         continue
-                    for q_idx in range(dim):
-                        pq = source.parity(q_idx)
-                        inner = source.zero()
-                        for n_idx in range(dim):
-                            pn = source.parity(n_idx)
-                            sym = gamma.left(q_idx, m_idx, n_idx)
-                            if sym.is_zero():
-                                continue
-                            term = sym * d_inv.rows[n_idx][l_idx]
-                            if (pq * pn) % 2:
-                                term = -term
-                            inner = inner + term
-                        hessian = source.d(d_inv.rows[q_idx][l_idx], m_idx)
-                        if pq % 2:
-                            hessian = -hessian
-                        inner = inner + hessian
-                        if inner.is_zero():
-                            continue
-                        term = left * inner * d.rows[p_idx][q_idx]
-                        exponent = pm * (pm + pk) + pq * pl + pp * (pp + pq)
-                        if exponent % 2:
-                            term = -term
-                        acc = acc + term
+                    pm = source.parity(m_idx)
+                    term = left * right[m_idx]
+                    if (pm * (pm + pk)) % 2:
+                        term = -term
+                    acc = acc + term
                 if not acc.is_zero():
-                    symbols[(p_idx, k_idx, l_idx)] = psi.apply(acc)
-    return Christoffel(target, symbols)
+                    accs[(p_idx, k_idx, l_idx)] = acc
+    keys = sorted(accs)
+    pulled = phi.invert().apply_many(accs[key] for key in keys)
+    return Christoffel(target, dict(zip(keys, pulled)))
+
+
+def _christoffel_inner(source, gamma, d_inv, m_idx, q_idx, l_idx):
+    """First contraction of the Christoffel law; None when it has no terms."""
+    pq = source.parity(q_idx)
+    inner = source.zero()
+    for n_idx in range(source.dim):
+        sym = gamma.left(q_idx, m_idx, n_idx)
+        if sym.is_zero():
+            continue
+        term = sym * d_inv.rows[n_idx][l_idx]
+        if (pq * source.parity(n_idx)) % 2:
+            term = -term
+        inner = inner + term
+    hessian = source.d(d_inv.rows[q_idx][l_idx], m_idx)
+    if pq % 2:
+        hessian = -hessian
+    inner = inner + hessian
+    return None if inner.is_zero() else inner
 
 
 def curvature_ber(conn: BerConnection):

@@ -38,6 +38,13 @@ from .jetring import (
 from .mvforms import MultiVectorForm, wedge
 
 
+# ^ with an integer exponent: the largest exponent accepted, and the largest
+# bit size a scalar power's coefficients may reach, so that a literal power
+# evaluates in bounded time
+MAX_EXPONENT = 1024
+MAX_POWER_BITS = 1 << 16
+
+
 class ScenarioError(Exception):
     """Parse or validation failure, with source position."""
 
@@ -168,10 +175,14 @@ class Parser:
         n = self.expect_int()
         self.expect("|")
         m = self.expect_int()
-        cap = default_cap()
         if self.peek().text == "cap":
             self.advance()
             cap = self.expect_int()
+        else:
+            try:
+                cap = default_cap()
+            except ValueError as error:
+                raise ScenarioError(str(error)) from None
         self.expect(";")
         sig = RingSignature(n=n, m=m, cap=cap)
         self.scenario = Scenario(signature=sig, chart=Chart(sig))
@@ -369,7 +380,11 @@ class Parser:
 
     def trials_stmt(self) -> None:
         self._optional_equals()
-        self.scenario.trials = self.expect_int()
+        token = self.peek()
+        trials = self.expect_int()
+        if trials < 1:
+            raise ScenarioError("trials must be at least 1", token.line, token.column)
+        self.scenario.trials = trials
         self.expect(";")
 
     def order_stmt(self) -> None:
@@ -646,26 +661,48 @@ def _apply_mul(scenario, left, right, token, env):
 
 
 def _apply_power(scenario, base, exponent, token, env):
+    if exponent > MAX_EXPONENT:
+        raise ScenarioError(f"exponents above {MAX_EXPONENT} are not supported",
+                            token.line, token.column)
     if isinstance(base, GaussianRational):
-        out = GaussianRational.of(1)
-        for _ in range(exponent):
-            out = out * base
-        return out
+        if _scalar_bits(base) * exponent > MAX_POWER_BITS:
+            raise ScenarioError("the power is too large to compute exactly",
+                                token.line, token.column)
+        return _power(GaussianRational.of(1), base, exponent)
     if isinstance(base, JetSuperFunction):
         if base.even_degree() * exponent > base.sig.cap:
             raise ScenarioError(
                 f"literal power exceeds the ring degree cap {base.sig.cap}",
                 token.line, token.column)
-        out = JetSuperFunction.one(base.sig)
-        for _ in range(exponent):
-            out = out * base
-        return out
+        bits = max((_scalar_bits(c) for c in base.terms.values()), default=0)
+        if (bits + len(base.terms).bit_length()) * exponent > MAX_POWER_BITS:
+            raise ScenarioError("the power is too large to compute exactly",
+                                token.line, token.column)
+        return _power(JetSuperFunction.one(base.sig), base, exponent)
     if isinstance(base, MultiVectorForm):
         out = MultiVectorForm.from_function(scenario.chart, scenario.chart.one())
         for _ in range(exponent):
             out = wedge(out, base)
         return out
     raise ScenarioError("cannot raise this value to a power", token.line, token.column)
+
+
+def _power(one, base, exponent):
+    """base^exponent by square-and-multiply; exact, so equal to repeated products."""
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return out
+
+
+def _scalar_bits(value: GaussianRational) -> int:
+    """Bit size of the largest numerator or denominator of a scalar."""
+    return max(max(abs(part.numerator).bit_length(), part.denominator.bit_length())
+               for part in (value.re, value.im))
 
 
 def _scale(value, scalar, token):

@@ -32,9 +32,12 @@ def default_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
     if cap < 0:
-        raise ValueError(f"{CAP_ENV_VAR} must be >= 0, got {cap}")
+        raise ValueError(f"{CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
     return cap
 
 
@@ -257,9 +260,6 @@ class JetSuperFunction:
             return 0
         return None
 
-    def is_homogeneous(self) -> bool:
-        return self.parity() is not None
-
     def homogeneous_parts(self):
         """Return (even_part, odd_part)."""
         even_terms, odd_terms = {}, {}
@@ -457,6 +457,10 @@ class JetSuperFunction:
         result by m, since high even-degree truncation noise can land in low
         even degree through them.
         """
+        return substitute_many([self], images, target_sig)[0]
+
+    def _substitution_prec(self, images: list, target_sig: RingSignature) -> int:
+        """Validate the images this element uses; return the result precision."""
         used = [False] * self.sig.gen_count()
         even_count = self.sig.even_count
         for (exps, odd) in self.terms:
@@ -488,21 +492,7 @@ class JetSuperFunction:
                     deficit = max(deficit, min_prec)
                 elif any(sum(e) == 0 for (e, _) in image.terms):
                     deficit = max(deficit, self.sig.m)
-        result_prec = max(0, min_prec - deficit)
-        result = JetSuperFunction.zero(target_sig, result_prec)
-        for (exps, odd), coeff in self.terms.items():
-            factor = JetSuperFunction.scalar(target_sig, coeff, result_prec)
-            for gid, e in enumerate(exps):
-                for _ in range(e):
-                    factor = factor * images[gid]
-                    if factor.is_zero():
-                        break
-            for o in odd:
-                factor = factor * images[even_count + o]
-                if factor.is_zero():
-                    break
-            result = result + factor
-        return result
+        return max(0, min_prec - deficit)
 
     # -- rendering -------------------------------------------------------
 
@@ -538,6 +528,89 @@ class JetSuperFunction:
 
     def __repr__(self) -> str:
         return f"<jet {self.render()} (prec {self.prec})>"
+
+
+def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
+    """Substitute the same generator images into several elements at once.
+
+    Each monomial is read as the word of generator ids it multiplies, in
+    written order (even generators by id with multiplicity, then the odd
+    ones).  The words of all functions are visited in sorted order, which
+    walks their prefix trie depth first, so the image of every shared prefix
+    is one product of its parent with one generator image and only the
+    current path is held.  A prefix image is truncated at the largest result
+    precision among the words below it; a word that ends at a leaf and is
+    used once is scaled before its last product.  Every result equals
+    ``f.substitute(images, target_sig)`` term for term and in ``prec``.
+    """
+    precs = [f._substitution_prec(images, target_sig) for f in functions]
+    users: dict = {}
+    for index, f in enumerate(functions):
+        even_count = f.sig.even_count
+        for (exps, odd), coeff in f.terms.items():
+            word = [gid for gid, e in enumerate(exps) for _ in range(e)]
+            word.extend(even_count + o for o in odd)
+            users.setdefault(tuple(word), []).append((index, coeff))
+    # need[w]: precision the image of prefix w is computed at
+    need: dict = {}
+    proper_prefixes: set = set()
+    for word, uses in users.items():
+        top = max(precs[index] for index, _ in uses)
+        for size in range(1, len(word) + 1):
+            prefix = word[:size]
+            if need.get(prefix, -1) < top:
+                need[prefix] = top
+            if size < len(word):
+                proper_prefixes.add(prefix)
+    sums = [{} for _ in functions]
+    path: list = []  # path[i] is the image of word[:i + 1] of the last word
+    last: tuple = ()
+    for word in sorted(users):
+        common = 0
+        while common < min(len(path), len(word)) and last[common] == word[common]:
+            common += 1
+        del path[common:]
+        uses = users[word]
+        single = len(uses) == 1 and word not in proper_prefixes
+        stop = len(word) - 1 if single else len(word)
+        for size in range(len(path) + 1, stop + 1):
+            path.append(_prefix_image(path, word[:size], images, need))
+        last = word
+        for index, coeff in uses:
+            prec = precs[index]
+            if not word:
+                value = JetSuperFunction.scalar(target_sig, coeff, prec)
+            elif not single:
+                value = _at_prec(path[-1], prec).scale(coeff)
+            elif len(word) == 1:
+                value = _at_prec(images[word[0]], prec).scale(coeff)
+            else:
+                value = _at_prec(path[-1], prec).scale(coeff) * images[word[-1]]
+            _accumulate(sums[index], value.terms)
+    return [JetSuperFunction(target_sig, terms, prec) for terms, prec in zip(sums, precs)]
+
+
+def _prefix_image(path, prefix, images, need):
+    """Image of ``prefix`` from the image of its parent, the tail of ``path``."""
+    image = images[prefix[-1]]
+    if not path:
+        return _at_prec(image, need[prefix])
+    return _at_prec(path[-1], need[prefix]) * image
+
+
+def _at_prec(jet: JetSuperFunction, prec: int) -> JetSuperFunction:
+    return jet if jet.prec <= prec else jet.truncate(prec)
+
+
+def _accumulate(acc: dict, terms: dict) -> None:
+    """Add ``terms`` into ``acc`` in place, dropping keys that cancel."""
+    for key, coeff in terms.items():
+        prev = acc.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            acc[key] = total
+        elif prev is not None:
+            del acc[key]
 
 
 def _render_scalar(value: GaussianRational, as_factor: bool):

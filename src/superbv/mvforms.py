@@ -210,14 +210,6 @@ class MultiVectorForm:
             return degs.pop()
         return None
 
-    def cohom_degree(self):
-        degs = {len(i) + len(j) for (i, j) in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        if not degs:
-            return 0
-        return None
-
     def parity(self):
         parities = set()
         for (i, j), coeff in self.terms.items():
@@ -517,10 +509,11 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
     if a.chart != phi.target:
         raise ChartError("section lives on the wrong chart")
     source = phi.source
-    d_inv = phi.differential().inverse()
+    d_inv = phi.differential_inverse()
     d_bar_st = phi.differential_bar().supertranspose()
+    pulled = phi.apply_many(a.terms.values())
     out_words = []
-    for (i_idx, j_idx), coeff in a.terms.items():
+    for (i_idx, j_idx), pulled_coeff in zip(a.terms, pulled):
         choices = [(1, [])]
         for k in i_idx:
             new_choices = []
@@ -540,7 +533,6 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
                         continue
                     new_choices.append((sign, items + [(VEC, mrow), (FUN, entry)]))
             choices = new_choices
-        pulled_coeff = phi.apply(coeff)
         for sign, items in choices:
             out_words.append((sign, items + [(FUN, pulled_coeff)]))
     # differential entries cost one even derivative of the pullbacks

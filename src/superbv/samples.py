@@ -18,10 +18,6 @@ class SampleGen:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
-    def fork(self, tag: int) -> "SampleGen":
-        """Independent child stream; used to label per-sample seeds in reports."""
-        return SampleGen(self.rng.randrange(1 << 30) ^ tag)
-
     # -- scalars ---------------------------------------------------------
 
     def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:

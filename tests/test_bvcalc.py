@@ -241,6 +241,18 @@ class TestAxiomChecker:
         failed = [item for item in report if item["status"] == "fail"]
         assert all("counterexample" in item for item in failed)
 
+    def test_gbv_compat_times_each_check(self):
+        from superbv.suites import suite_gbv_compat
+
+        results = suite_gbv_compat(Chart(SIG11), seed=3, trials=4)
+        axioms = results[:5]
+        assert [r.check for r in axioms] == ["bv_derivation", "bracket_compatibility",
+                                             "delta_squared", "dbar_anticommute",
+                                             "gbv_bracket_identity"]
+        assert all(r.status == "pass" and r.elapsed_ms > 0 for r in axioms)
+        # five separately timed blocks, not one time split evenly
+        assert len({r.elapsed_ms for r in axioms}) > 1
+
 
 class TestProjection:
     def test_projection_of_strong_operator_is_identity(self):

@@ -271,3 +271,68 @@ class TestDefaultCap:
         monkeypatch.delenv("SUPERBV_DEFAULT_CAP", raising=False)
         sc = parse("ring 1|1;\n")
         assert sc.signature.cap == 6
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_invalid_env_exits_two(self, tmp_path, monkeypatch, capsys, value):
+        from superbv.cli import main
+
+        monkeypatch.setenv("SUPERBV_DEFAULT_CAP", value)
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1;\n", encoding="utf-8")
+        assert main(["verify", str(scenario_file)]) == 2
+        assert "SUPERBV_DEFAULT_CAP must be a non-negative integer" in capsys.readouterr().err
+
+    def test_explicit_cap_ignores_the_environment(self, tmp_path, monkeypatch):
+        from superbv.cli import main
+
+        monkeypatch.setenv("SUPERBV_DEFAULT_CAP", "abc")
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 3;\n", encoding="utf-8")
+        assert main(["verify", str(scenario_file)]) == 0
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "0"],
+        ["--trials", "-3", "--suite", "covariance"],
+    ])
+    def test_cli_rejects_counts_below_one(self, tmp_path, argv):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\nsuite covariance;\n", encoding="utf-8")
+        assert main(["verify", str(scenario_file), *argv]) == 2
+
+    def test_statement_rejects_counts_below_one(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\ntrials 0;\n", encoding="utf-8")
+        assert main(["verify", str(scenario_file)]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+
+
+class TestPowers:
+    @pytest.mark.parametrize("expr", ["(1+th1)^100000000", "2^100000000", "(2^1000)^1000"])
+    def test_huge_powers_are_rejected(self, tmp_path, capsys, expr):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\n", encoding="utf-8")
+        assert main(["eval", str(scenario_file), "--expr", expr]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr,want", [
+        ("(1+th1)^1024", "1 + 1024*th1"),
+        ("(1+z1)^3", "1 + 3*z1 + 3*z1^2 + z1^3"),
+        ("(1+i)^5", "-(4 + 4*i)"),
+        ("th1^2", "0"),
+        ("(1+z1)^0", "1"),
+    ])
+    def test_square_and_multiply(self, tmp_path, capsys, expr, want):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\n", encoding="utf-8")
+        assert main(["eval", str(scenario_file), "--expr", expr]) == 0
+        assert capsys.readouterr().out.strip() == want

@@ -1,0 +1,166 @@
+"""Golden outputs of the jet ring and the CLI.
+
+Every value below was recorded from the straightforward tuple-keyed jet
+kernel with one ``Fraction`` pair per term.  A change to the representation
+of jets must reproduce all of them byte for byte: the scenario determinism
+hashes (which cover only check verdicts), the rendered text of the CLI, and
+digests of ``prec`` and ``render()`` of every jet operation on sampled jets
+over a range of signatures and degree caps.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from superbv import cli
+from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
+from superbv.samples import SampleGen
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCENARIO_HASHES = {
+    "default": "399b01be921f725c06afbcb1d32ab12f106abf899a31c5df8a7f6ad5471c4e8f",
+    "two_one": "9c14ba17d9c1cc8ad3fc3e64243dd714a4d289ea002e34784fd9187301649c34",
+    "two_two": "cb088cb1482a07337dcdf65fd1d441b47318a4ef948ad7c860769e416077a3f6",
+}
+
+TRANSFORM_A = (
+    "dzb1 * dv(z1) * (1 + th1*thb1 - 2*zb1 - 3*zb1*th1*thb1 + 2*z1 + z1*th1*thb1"
+    " + 6*zb1^2 + 10*zb1^2*th1*thb1 - 4*z1*zb1 - 3*z1*zb1*th1*thb1 - 2*z1^2"
+    " - 2*z1^2*th1*thb1 - 20*zb1^3 - 35*zb1^3*th1*thb1 + 12*z1*zb1^2"
+    " + 10*z1*zb1^2*th1*thb1 + 4*z1^2*zb1 + 6*z1^2*zb1*th1*thb1 + 4*z1^3"
+    " + 5*z1^3*th1*thb1) + dzb1 * dv(th1) * (-th1 + 2*zb1*th1 + z1*th1"
+    " - 6*zb1^2*th1 - 2*z1*zb1*th1 - 2*z1^2*th1 + 20*zb1^3*th1 + 6*z1*zb1^2*th1"
+    " + 4*z1^2*zb1*th1 + 5*z1^3*th1)\n"
+)
+TRANSFORM_B = "dv(th1) * (th1)\n"
+EVAL_H = "-1 + z1^2\n"
+
+# (n, m, cap) -> first 16 hex digits of the sha256 of _jet_lines(n, m, cap)
+JET_DIGESTS = {
+    (0, 1, 0): "0614527764e6df55", (0, 1, 1): "edad4d091b006c35",
+    (0, 1, 4): "fd98da2e17efd1fa", (0, 1, 6): "e012e2ee3ccb447c",
+    (1, 0, 0): "a7adbde5f60a9db9", (1, 0, 1): "1de8da5f50f0cbf8",
+    (1, 0, 4): "8930d87f9c296cef", (1, 0, 6): "839e4c84f79cd8f0",
+    (1, 1, 0): "e3e23c58451eb158", (1, 1, 1): "b1eed4b2cc7de445",
+    (1, 1, 4): "088556da821c6ecb", (1, 1, 6): "a89b3c83756691c9",
+    (2, 1, 0): "62de4b98f42e8892", (2, 1, 1): "eaf64b855f1864b1",
+    (2, 1, 4): "632429fe3998dad4", (2, 1, 6): "a1a111d245cdd7be",
+    (2, 2, 0): "3c8ae6d75ff69496", (2, 2, 1): "5eddb0e12cb98cee",
+    (2, 2, 4): "eeb558059eba2558", (2, 2, 6): "6466197672e3923d",
+    (3, 3, 0): "f7e2594e795ec0fc", (3, 3, 1): "eab110c1e8fc02aa",
+    (3, 3, 4): "1cbd4c5535a4c0cd", (3, 3, 6): "c631983872ccf92d",
+}
+
+MIXED_DIGEST = "5435080f1e508f03"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_HASHES))
+def test_scenario_hash(name, tmp_path, monkeypatch, capsys):
+    # the scenario path enters the hash, so run from the repository root
+    monkeypatch.chdir(ROOT)
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", f"scenarios/{name}.sbv", "--json", str(report)])
+    capsys.readouterr()
+    assert code == 0
+    assert json.loads(report.read_text())["determinism_hash"] == SCENARIO_HASHES[name]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["transform", "scenarios/default.sbv", "--map", "phi", "--section", "a"], TRANSFORM_A),
+    (["transform", "scenarios/default.sbv", "--map", "phi", "--section", "b"], TRANSFORM_B),
+    (["eval", "scenarios/default.sbv", "--expr", "h^2 - 2*h"], EVAL_H),
+])
+def test_cli_text(argv, expected, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _line(label, x):
+    return f"{label} {x.prec} {x.render()}"
+
+
+def _images(gen, sig):
+    """Images of every generator with matching parity."""
+    images = []
+    for gid in range(sig.gen_count()):
+        parity = sig.gen_parity(gid)
+        image = gen.jet(sig, max_terms=2, max_even_degree=min(2, sig.n), parity=parity,
+                        allow_constant=False)
+        if image.is_zero():
+            image = JetSuperFunction.gen(sig, gid)
+        images.append(image)
+    return images
+
+
+def _jet_lines(n, m, cap):
+    sig = RingSignature(n, m, cap)
+    gen = SampleGen(1000 * n + 100 * m + cap)
+    degree = min(2, n)  # SampleGen draws even monomials only when n > 0
+    f, g, h = (gen.jet(sig, max_terms=4, max_even_degree=degree) for _ in range(3))
+    lines = [_line("f", f), _line("g", g), _line("h", h)]
+    lines.append(_line("f*g", f * g))
+    lines.append(_line("g*f", g * f))
+    lines.append(_line("(f*g)*h", (f * g) * h))
+    lines.append(_line("f+g", f + g))
+    lines.append(_line("f-g", f - g))
+    lines.append(_line("f-f", f - f))
+    lines.append(_line("-h", -h))
+    lines.append(_line("scale", f.scale(GaussianRational.of(Fraction(2, 3), Fraction(-1, 2)))))
+    lines.append(_line("scale0", f.scale(GaussianRational.of(0))))
+    for gid in range(sig.gen_count()):
+        lines.append(_line(f"d{gid}", (f * g).partial(gid)))
+    lines.append(_line("conj", (f * h).conjugate()))
+    even, odd = (f * g + h).homogeneous_parts()
+    lines += [_line("even", even), _line("odd", odd)]
+    unit = even + JetSuperFunction.scalar(sig, GaussianRational.of(2, 1) - even.body())
+    lines.append(_line("inv", unit.invert()))
+    lines.append(_line("inv_t", unit.truncate(max(0, cap - 1)).invert()))
+    lines.append(_line("subst", (f * g + h).substitute(_images(gen, sig), sig)))
+    lines.append(_line("trunc", (f * g).truncate(1)))
+    one = JetSuperFunction.one(sig)
+    dense = (one + f + g) * (one + g + h) * (one + h + f)
+    lines += [_line("dense", dense), _line("dense^2", dense * dense),
+              _line("dense_conj", dense.conjugate()), _line("dense_d", dense.partial(0))]
+    agree = [
+        (f * g).agrees_with(f * g + (h * h).truncate(0) - (h * h).truncate(0)),
+        f.agrees_with(f.truncate(1)),
+        (f * g).truncate(1).agrees_with(f.truncate(1) * g),
+        even.agrees_with(odd),
+    ]
+    lines.append("agrees " + " ".join(str(a) for a in agree))
+    return "\n".join(lines)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n,m,cap", sorted(JET_DIGESTS))
+def test_jet_operations(n, m, cap):
+    assert _digest(_jet_lines(n, m, cap)) == JET_DIGESTS[(n, m, cap)]
+
+
+def _mixed_lines():
+    """Jets whose coefficients have different denominators."""
+    sig = RingSignature(2, 1, 4)
+    gid = {sig.gen_name(k): k for k in range(sig.gen_count())}
+    x = {name: JetSuperFunction.gen(sig, k) for name, k in gid.items()}
+    q = GaussianRational.of
+    a = JetSuperFunction.scalar(sig, q(Fraction(1, 3), Fraction(1, 6)))
+    b = JetSuperFunction.scalar(sig, q(Fraction(2, 5)))
+    f = a + x["z1"].scale(q(Fraction(2, 5))) + (x["th1"] * x["thb1"]).scale(q(0, Fraction(-3, 4)))
+    g = b + x["zb2"].scale(q(Fraction(1, 7), 2)) - x["z1"] * x["z2"]
+    items = [a, b, a + b, a * b, f, g, f * g, f - f.scale(q(Fraction(1, 2))), f.invert(),
+             g.invert(), (f * g).invert(), f.conjugate(), (f * g).partial(gid["z1"]),
+             (f * g).partial(gid["thb1"]), f.scale(q(6)), f.scale(q(Fraction(1, 6), 0)),
+             f.truncate(0), (f * g).truncate(1)]
+    return "\n".join(_line(str(k), x) for k, x in enumerate(items))
+
+
+def test_mixed_denominators():
+    assert _digest(_mixed_lines()) == MIXED_DIGEST

@@ -75,7 +75,7 @@ class IntegralForm:
         for key in set(self.terms) | set(other.terms):
             left = self.terms.get(key, zero).truncate(prec)
             right = other.terms.get(key, zero).truncate(prec)
-            if left.terms != right.terms:
+            if not left.same_terms(right):
                 return False
         return True
 
@@ -517,8 +517,8 @@ class SymTensorForm:
         prec = min(self.prec, other.prec)
         zero = self.chart.zero()
         for key in set(self.terms) | set(other.terms):
-            if self.terms.get(key, zero).truncate(prec).terms != \
-               other.terms.get(key, zero).truncate(prec).terms:
+            left = self.terms.get(key, zero).truncate(prec)
+            if not left.same_terms(other.terms.get(key, zero).truncate(prec)):
                 return False
         return True
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jetring import GR_ZERO, JetError, JetSuperFunction, RingSignature, substitute_many
+from .jetring import JetError, JetSuperFunction, RingSignature, substitute_many
 from .supermatrix import SuperMatrix
 
 
@@ -227,9 +227,9 @@ class Morphism:
         """Constant matrices of the linear terms, (even block, odd block)."""
         n, m = self.source.sig.n, self.source.sig.m
         sig = self.source.sig
-        even = [[self.pullbacks[i].terms.get((_unit_exp(sig, sig.z(k)), ()), GR_ZERO)
+        even = [[self.pullbacks[i].coefficient(_unit_exp(sig, sig.z(k)), ())
                  for k in range(n)] for i in range(n)]
-        odd = [[self.pullbacks[n + i].terms.get(((0,) * sig.even_count, (k,)), GR_ZERO)
+        odd = [[self.pullbacks[n + i].coefficient((0,) * sig.even_count, (k,))
                 for k in range(m)] for i in range(m)]
         return even, odd
 

@@ -2,12 +2,13 @@
 transform sections through coordinate changes.
 
 Exit codes: 0 all checks pass, 1 at least one mathematical check failed,
-2 usage or parse error.
+2 usage or parse error, or standard output closed before all was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -143,9 +144,18 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader went away (say, `| head`); send what is still buffered to
+        # the null device so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

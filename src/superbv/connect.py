@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .bvcalc import DeltaOperator
 from .charts import Chart, ChartError, Morphism
-from .jetring import GR_ONE, GaussianRational, JetSuperFunction, RingSignature
+from .jetring import GR_ONE, GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
 from .supermatrix import SuperMatrix
 
 
@@ -362,8 +362,8 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
             if not hset.issubset(todd):
                 continue
             uodd = tuple(sorted(set(todd) - hset))
-            uc = u.terms.get((uexp, uodd))
-            if uc is None:
+            uc = u.coefficient(uexp, uodd)
+            if not uc:
                 continue
             # Koszul sign of merging h's odd part with u's odd part
             inv = sum(1 for a in hodd for b in uodd if a > b)
@@ -450,7 +450,7 @@ class FormalPath:
 def t_integrate(f: JetSuperFunction) -> JetSuperFunction:
     """Integrate in the path parameter with zero constant term."""
     terms = {}
-    for (exps, odd), coeff in f.terms.items():
+    for exps, odd, coeff in f.items():
         new_exp = exps[0] + 1
         terms[((new_exp,) + exps[1:], odd)] = coeff / GaussianRational.of(new_exp)
     return JetSuperFunction(f.sig, terms, min(f.sig.cap, f.prec + 1))
@@ -460,45 +460,23 @@ def t_shift(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
     """Exact substitution t -> a + t on a polynomial in the path ring."""
     from math import comb
 
-    scalar_a = GaussianRational.of(a)
     terms: dict = {}
-    for (exps, odd), coeff in f.terms.items():
+    for exps, odd, coeff in f.items():
         d = exps[0]
         for j in range(d + 1):
-            factor = GaussianRational.of(comb(d, j)) * _power(scalar_a, d - j)
             key = ((j,) + exps[1:], odd)
-            add = coeff * factor
-            prev = terms.get(key)
-            total = add if prev is None else prev + add
-            if total:
-                terms[key] = total
-            elif prev is not None:
-                del terms[key]
+            factor = GaussianRational.of(comb(d, j) * a ** (d - j))
+            terms[key] = terms.get(key, GR_ZERO) + coeff * factor
     return JetSuperFunction(f.sig, terms, f.prec)
 
 
 def t_evaluate(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
     """Exact evaluation t = a, keeping the odd parameters."""
-    scalar_a = GaussianRational.of(a)
     terms: dict = {}
-    for (exps, odd), coeff in f.terms.items():
-        factor = _power(scalar_a, exps[0])
+    for exps, odd, coeff in f.items():
         key = ((0,) + exps[1:], odd)
-        add = coeff * factor
-        prev = terms.get(key)
-        total = add if prev is None else prev + add
-        if total:
-            terms[key] = total
-        elif prev is not None:
-            del terms[key]
+        terms[key] = terms.get(key, GR_ZERO) + coeff * GaussianRational.of(a ** exps[0])
     return JetSuperFunction(f.sig, terms, f.prec)
-
-
-def _power(base: GaussianRational, exponent: int) -> GaussianRational:
-    out = GR_ONE
-    for _ in range(exponent):
-        out = out * base
-    return out
 
 
 def transport_generator(gamma: Christoffel, path: FormalPath) -> SuperMatrix:
@@ -566,7 +544,7 @@ def transport_ber(conn: BerConnection, path: FormalPath, order: int) -> JetSuper
 
 
 def t_truncate(f: JetSuperFunction, order: int) -> JetSuperFunction:
-    terms = {k: c for k, c in f.terms.items() if k[0][0] <= order}
+    terms = {(exps, odd): c for exps, odd, c in f.items() if exps[0] <= order}
     return JetSuperFunction(f.sig, terms, f.prec)
 
 

@@ -674,8 +674,9 @@ def _apply_power(scenario, base, exponent, token, env):
             raise ScenarioError(
                 f"literal power exceeds the ring degree cap {base.sig.cap}",
                 token.line, token.column)
-        bits = max((_scalar_bits(c) for c in base.terms.values()), default=0)
-        if (bits + len(base.terms).bit_length()) * exponent > MAX_POWER_BITS:
+        coefficients = [c for *_, c in base.items()]
+        bits = max(map(_scalar_bits, coefficients), default=0)
+        if (bits + len(coefficients).bit_length()) * exponent > MAX_POWER_BITS:
             raise ScenarioError("the power is too large to compute exactly",
                                 token.line, token.column)
         return _power(JetSuperFunction.one(base.sig), base, exponent)

@@ -16,6 +16,13 @@ Generator numbering is flat and 0-based:
     2n+m .. 2n+2m-1 thb_1 .. thb_m
 
 The DSL layer translates between these ids and 1-based surface names.
+
+Internally a monomial is one packed int (see ``_Layout``) and a coefficient
+is a pair of integer numerators over the one denominator of its jet, so a
+product of two terms is an integer addition of keys, a bit test for
+nilpotence and four integer products.  ``GaussianRational`` is the scalar
+type at the boundary: constructors, ``items``, ``coefficient``, ``body``
+and ``scale``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+
+from .grading import ODD, reorder_sign
 
 DEFAULT_CAP = 6
 CAP_ENV_VAR = "SUPERBV_DEFAULT_CAP"
@@ -68,6 +79,10 @@ class RingSignature:
     @property
     def odd_count(self) -> int:
         return 2 * self.m
+
+    @cached_property
+    def _layout(self) -> "_Layout":
+        return _Layout(self)
 
     def gen_count(self) -> int:
         return 2 * self.n + 2 * self.m
@@ -161,67 +176,166 @@ GR_ONE = GaussianRational(_FR_ONE, _FR_ZERO)
 GR_I = GaussianRational(_FR_ZERO, _FR_ONE)
 
 
-def _merge_odd(s1, s2):
-    """Merge two sorted odd-generator tuples; return (merged, sign) or None.
+def _numerators(value: GaussianRational):
+    """``(re, im, den)``: integer numerators of ``value`` over their least denominator."""
+    re, im = value.re, value.im
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
-    All entries are odd, so every crossing contributes a factor of -1.
-    A shared generator kills the product (nilpotence).
+
+class _Layout:
+    """Packed monomial keys for one signature.
+
+    A key is one non-negative int.  From the top down it holds the total
+    even degree, the 2n even exponents in generator order (``width`` bits
+    each, enough for the sum of two exponents up to the cap, so adding two
+    keys never carries from one field into the next), and the 2m odd
+    generators as a bitmask, bit j for local odd generator j.  The key of
+    the constant monomial is 0; for odd masks that are disjoint the sum of
+    two keys is the key of the product.  Comparing ``key >> odd_bits``
+    orders monomials by degree, then exponent tuple.
     """
-    if not s1:
-        return s2, 1
-    if not s2:
-        return s1, 1
-    set1 = set(s1)
-    if set1.intersection(s2):
-        return None
-    inversions = 0
-    j = 0
-    len2 = len(s2)
-    for a in s1:
-        while j < len2 and s2[j] < a:
-            j += 1
-        inversions += j
-    merged = tuple(sorted(s1 + s2))
-    sign = -1 if inversions % 2 else 1
-    return merged, sign
+
+    def __init__(self, sig: RingSignature):
+        even, odd = sig.even_count, sig.odd_count
+        self.width = (2 * sig.cap + 1).bit_length()
+        self.odd_bits = odd
+        self.odd_mask = (1 << odd) - 1
+        self.shift = odd + even * self.width  # the degree field
+        self.offsets = tuple(odd + (even - 1 - gid) * self.width for gid in range(even))
+        self.field_mask = (1 << self.width) - 1
+        half = sig.n * self.width
+        low = (1 << sig.m) - 1
+        self.antiholomorphic = (((1 << half) - 1) << odd) | (self.odd_mask ^ low)
+        # s1 -> {s2: sign of th_{s1} th_{s2} against the sorted product},
+        # filled on first use: the full table would have 4^(2m) entries
+        self.signs: dict = {}
+        self.words: dict = {}  # odd mask -> increasing tuple of local ids
+
+    def key(self, exps, odd) -> int:
+        key = sum(exps) << self.shift
+        for offset, e in zip(self.offsets, exps):
+            key |= e << offset
+        for o in odd:
+            key |= 1 << o
+        return key
+
+    def exponents(self, key: int) -> tuple:
+        mask = self.field_mask
+        return tuple((key >> offset) & mask for offset in self.offsets)
+
+    def odd_word(self, mask: int) -> tuple:
+        word = self.words.get(mask)
+        if word is None:
+            word = self.words[mask] = tuple(j for j in range(self.odd_bits) if mask >> j & 1)
+        return word
+
+    def sort_key(self, key: int):
+        """Canonical term order: degree, even exponent tuple, odd tuple."""
+        return key >> self.odd_bits, self.odd_word(key & self.odd_mask)
+
+    def merge_sign(self, s1: int, s2: int) -> int:
+        """Koszul sign of sorting the odd word of ``s1`` followed by that of ``s2``."""
+        word = self.odd_word(s1) + self.odd_word(s2)
+        order = sorted(range(len(word)), key=word.__getitem__)
+        return reorder_sign([ODD] * len(word), order)
+
+
+def _clamp(sig: RingSignature, prec: int | None) -> int:
+    """A requested precision, defaulting to and capped at the signature's cap."""
+    return sig.cap if prec is None else max(0, min(prec, sig.cap))
+
+
+def _jet(sig: RingSignature, terms: dict, den: int, prec: int) -> "JetSuperFunction":
+    """A jet from packed terms already in canonical form."""
+    jet = object.__new__(JetSuperFunction)
+    jet.sig = sig
+    jet.terms = terms
+    jet.den = den
+    jet.prec = prec
+    return jet
+
+
+def _canonical(sig: RingSignature, terms: dict, den: int, prec: int) -> "JetSuperFunction":
+    """A jet from nonzero packed terms, with the common factor of ``den`` and
+    every numerator divided out (the zero jet gets ``den == 1``)."""
+    if den != 1:
+        g = den
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
+    return _jet(sig, terms, den, prec)
+
+
+def _accumulate(acc: dict, den: int, terms: dict, tden: int) -> int:
+    """Add ``terms / tden`` into ``acc / den`` in place, dropping keys that
+    cancel; return the new denominator of ``acc``."""
+    if tden != den:
+        common = lcm(den, tden)
+        if common != den:
+            factor = common // den
+            for key, (re, im) in acc.items():
+                acc[key] = (re * factor, im * factor)
+            den = common
+        factor = common // tden
+        terms = {key: (re * factor, im * factor) for key, (re, im) in terms.items()}
+    for key, (re, im) in terms.items():
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = (re, im)
+            continue
+        re += prev[0]
+        im += prev[1]
+        if re or im:
+            acc[key] = (re, im)
+        else:
+            del acc[key]
+    return den
 
 
 class JetSuperFunction:
     """Immutable truncated polynomial superfunction.
 
-    ``terms`` maps ``(even_exponents, odd_subset)`` to a nonzero scalar,
-    where ``even_exponents`` is a tuple of 2n non-negative integers and
+    ``terms`` maps the packed key of each monomial (see ``_Layout``) to a
+    nonzero pair ``(re, im)`` of integer numerators; the coefficient is
+    ``(re + im*i) / den``.  ``den`` is positive and shares no factor with
+    every numerator at once, and the zero jet has ``den == 1``, so equal
+    jets have equal ``den`` and ``terms``.  ``items()`` and
+    ``coefficient()`` read terms by ``(even_exponents, odd_subset)``, where
+    ``even_exponents`` is a tuple of 2n non-negative integers and
     ``odd_subset`` is a strictly increasing tuple of odd generator ids in
-    the range 0..2m-1 (local, i.e. already shifted by -2n).
+    the range 0..2m-1 (local, i.e. already shifted by -2n); the constructor
+    takes a dict with those keys and ``GaussianRational`` values.
     """
 
-    __slots__ = ("sig", "terms", "prec")
+    __slots__ = ("sig", "terms", "den", "prec")
 
     def __init__(self, sig: RingSignature, terms: dict, prec: int | None = None):
-        if prec is None:
-            prec = sig.cap
-        prec = max(0, min(prec, sig.cap))
-        clean = {}
-        for (exps, odd), coeff in terms.items():
-            if not coeff:
-                continue
-            if sum(exps) > prec:
-                continue
-            clean[(exps, odd)] = coeff
+        prec = _clamp(sig, prec)
+        kept = [(sig._layout.key(exps, odd), _numerators(coeff))
+                for (exps, odd), coeff in terms.items() if coeff and sum(exps) <= prec]
+        den = lcm(*(d for _, (_, _, d) in kept))
+        packed = {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in kept}
+        canonical = _canonical(sig, packed, den, prec)
         self.sig = sig
-        self.terms = clean
+        self.terms = canonical.terms
+        self.den = canonical.den
         self.prec = prec
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(sig: RingSignature, prec: int | None = None) -> "JetSuperFunction":
-        return JetSuperFunction(sig, {}, prec)
+        return _jet(sig, {}, 1, _clamp(sig, prec))
 
     @staticmethod
     def scalar(sig: RingSignature, value: GaussianRational, prec: int | None = None) -> "JetSuperFunction":
-        zero_exp = (0,) * sig.even_count
-        return JetSuperFunction(sig, {(zero_exp, ()): value}, prec)
+        re, im, den = _numerators(value)
+        return _jet(sig, {0: (re, im)} if value else {}, den, _clamp(sig, prec))
 
     @staticmethod
     def one(sig: RingSignature, prec: int | None = None) -> "JetSuperFunction":
@@ -233,27 +347,48 @@ class JetSuperFunction:
 
     @staticmethod
     def gen(sig: RingSignature, gid: int) -> "JetSuperFunction":
-        parity = sig.gen_parity(gid)
-        if parity == 0:
-            exps = tuple(1 if i == gid else 0 for i in range(sig.even_count))
-            return JetSuperFunction(sig, {(exps, ()): GR_ONE})
-        local = gid - sig.even_count
-        zero_exp = (0,) * sig.even_count
-        return JetSuperFunction(sig, {(zero_exp, (local,)): GR_ONE})
+        layout = sig._layout
+        if sig.gen_parity(gid):
+            key = 1 << (gid - sig.even_count)
+        elif sig.cap:
+            key = (1 << layout.shift) + (1 << layout.offsets[gid])
+        else:
+            return JetSuperFunction.zero(sig)  # degree 1 is past the cap
+        return _jet(sig, {key: (1, 0)}, 1, sig.cap)
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _gaussian(self, numerators) -> GaussianRational:
+        re, im = numerators
+        return GaussianRational(Fraction(re, self.den), Fraction(im, self.den))
+
+    def items(self) -> list:
+        """Terms as ``(even_exponents, odd_subset, coefficient)`` in canonical
+        order: graded-lex on even exponents, then odd subset."""
+        layout = self.sig._layout
+        return [(layout.exponents(key), layout.odd_word(key & layout.odd_mask),
+                 self._gaussian(self.terms[key]))
+                for key in sorted(self.terms, key=layout.sort_key)]
+
+    def coefficient(self, exps, odd) -> GaussianRational:
+        """Coefficient of the monomial ``(exps, odd)``; zero if it is absent."""
+        if sum(exps) > self.prec:
+            return GR_ZERO
+        numerators = self.terms.get(self.sig._layout.key(exps, odd))
+        return GR_ZERO if numerators is None else self._gaussian(numerators)
+
     def body(self) -> GaussianRational:
         """Coefficient of the constant monomial."""
-        zero_key = ((0,) * self.sig.even_count, ())
-        return self.terms.get(zero_key, GR_ZERO)
+        numerators = self.terms.get(0)
+        return GR_ZERO if numerators is None else self._gaussian(numerators)
 
     def parity(self) -> int | None:
         """0 or 1 if homogeneous, None if mixed or zero-ambiguous."""
-        seen = {len(odd) % 2 for (_, odd) in self.terms}
+        odd_mask = self.sig._layout.odd_mask
+        seen = {(key & odd_mask).bit_count() & 1 for key in self.terms}
         if len(seen) == 1:
             return seen.pop()
         if not seen:
@@ -262,29 +397,32 @@ class JetSuperFunction:
 
     def homogeneous_parts(self):
         """Return (even_part, odd_part)."""
-        even_terms, odd_terms = {}, {}
-        for key, coeff in self.terms.items():
-            (even_terms if len(key[1]) % 2 == 0 else odd_terms)[key] = coeff
-        return (
-            JetSuperFunction(self.sig, even_terms, self.prec),
-            JetSuperFunction(self.sig, odd_terms, self.prec),
-        )
+        odd_mask = self.sig._layout.odd_mask
+        parts = ({}, {})
+        for key, value in self.terms.items():
+            parts[(key & odd_mask).bit_count() & 1][key] = value
+        return tuple(_canonical(self.sig, part, self.den, self.prec) for part in parts)
 
     def is_holomorphic(self) -> bool:
-        n, m = self.sig.n, self.sig.m
-        for (exps, odd) in self.terms:
-            if any(exps[n:]):
-                return False
-            if any(o >= m for o in odd):
-                return False
-        return True
+        antiholomorphic = self.sig._layout.antiholomorphic
+        return not any(key & antiholomorphic for key in self.terms)
 
     def even_degree(self) -> int:
         """Largest retained total degree in even generators."""
-        return max((sum(e) for (e, _) in self.terms), default=0)
+        shift = self.sig._layout.shift
+        return max((key >> shift for key in self.terms), default=0)
 
     def truncate(self, prec: int) -> "JetSuperFunction":
-        return JetSuperFunction(self.sig, self.terms, min(self.prec, prec))
+        prec = max(0, min(self.prec, prec))
+        shift = self.sig._layout.shift
+        if all(key >> shift <= prec for key in self.terms):
+            return _jet(self.sig, self.terms, self.den, prec)
+        terms = {key: value for key, value in self.terms.items() if key >> shift <= prec}
+        return _canonical(self.sig, terms, self.den, prec)
+
+    def same_terms(self, other: "JetSuperFunction") -> bool:
+        """Equality of the coefficients, whatever the two precisions."""
+        return self.den == other.den and self.terms == other.terms
 
     # -- arithmetic -----------------------------------------------------
 
@@ -296,17 +434,15 @@ class JetSuperFunction:
         self._require_same_ring(other)
         prec = min(self.prec, other.prec)
         terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                terms[key] = total
-            elif acc is not None:
-                del terms[key]
-        return JetSuperFunction(self.sig, terms, prec)
+        den = _accumulate(terms, self.den, other.terms, other.den)
+        if prec < max(self.prec, other.prec):
+            shift = self.sig._layout.shift
+            terms = {key: value for key, value in terms.items() if key >> shift <= prec}
+        return _canonical(self.sig, terms, den, prec)
 
     def __neg__(self) -> "JetSuperFunction":
-        return JetSuperFunction(self.sig, {k: -c for k, c in self.terms.items()}, self.prec)
+        terms = {key: (-re, -im) for key, (re, im) in self.terms.items()}
+        return _jet(self.sig, terms, self.den, self.prec)
 
     def __sub__(self, other: "JetSuperFunction") -> "JetSuperFunction":
         return self + (-other)
@@ -314,37 +450,53 @@ class JetSuperFunction:
     def scale(self, value: GaussianRational) -> "JetSuperFunction":
         if not value:
             return JetSuperFunction.zero(self.sig, self.prec)
-        return JetSuperFunction(self.sig, {k: c * value for k, c in self.terms.items()}, self.prec)
+        p, q, den = _numerators(value)
+        terms = {key: (re * p - im * q, re * q + im * p) for key, (re, im) in self.terms.items()}
+        return _canonical(self.sig, terms, self.den * den, self.prec)
 
     def __mul__(self, other: "JetSuperFunction") -> "JetSuperFunction":
         self._require_same_ring(other)
         prec = min(self.prec, other.prec)
-        terms: dict = {}
-        for (e1, s1), c1 in self.terms.items():
-            for (e2, s2), c2 in other.terms.items():
-                merged = _merge_odd(s1, s2)
-                if merged is None:
+        layout = self.sig._layout
+        shift = layout.shift
+        odd_mask = layout.odd_mask
+        signs = layout.signs
+        right = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in other.terms.items()]
+        acc: dict = {}
+        get = acc.get
+        for k1, (a1, b1) in self.terms.items():
+            s1 = k1 & odd_mask
+            row = signs.get(s1)
+            if row is None:
+                row = signs[s1] = {}
+            for k2, s2, a2, b2 in right:
+                if s1 & s2:
+                    continue  # a repeated odd generator squares to zero
+                key = k1 + k2
+                if key >> shift > prec:
                     continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if sum(exps) > prec:
-                    continue
-                odd, sign = merged
-                coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                key = (exps, odd)
-                acc = terms.get(key)
-                total = coeff if acc is None else acc + coeff
-                if total:
-                    terms[key] = total
-                elif acc is not None:
-                    del terms[key]
-        return JetSuperFunction(self.sig, terms, prec)
+                sign = row.get(s2)
+                if sign is None:
+                    sign = row[s2] = layout.merge_sign(s1, s2)
+                if sign > 0:
+                    re = a1 * a2 - b1 * b2
+                    im = a1 * b2 + b1 * a2
+                else:
+                    re = b1 * b2 - a1 * a2
+                    im = -a1 * b2 - b1 * a2
+                prev = get(key)
+                if prev is None:
+                    acc[key] = (re, im)
+                else:
+                    acc[key] = (prev[0] + re, prev[1] + im)
+        terms = {key: value for key, value in acc.items() if value[0] or value[1]}
+        return _canonical(self.sig, terms, self.den * other.den, prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetSuperFunction):
             return NotImplemented
-        return self.sig == other.sig and self.prec == other.prec and self.terms == other.terms
+        return (self.sig == other.sig and self.prec == other.prec
+                and self.den == other.den and self.terms == other.terms)
 
     __hash__ = None  # mutable-dict payload; jets are compared, never hashed
 
@@ -352,7 +504,7 @@ class JetSuperFunction:
         """Equality of terms after truncating both sides to the common precision."""
         self._require_same_ring(other)
         prec = min(self.prec, other.prec)
-        return self.truncate(prec).terms == other.truncate(prec).terms
+        return self.truncate(prec).same_terms(other.truncate(prec))
 
     # -- calculus -------------------------------------------------------
 
@@ -363,38 +515,24 @@ class JetSuperFunction:
         an even direction lowers the precision by one (clamped at zero).
         """
         parity = self.sig.gen_parity(gid)
+        layout = self.sig._layout
         terms: dict = {}
         if parity == 0:
-            for (exps, odd), coeff in self.terms.items():
-                e = exps[gid]
-                if e == 0:
-                    continue
-                new_exps = exps[:gid] + (e - 1,) + exps[gid + 1:]
-                key = (new_exps, odd)
-                add = coeff * GaussianRational.of(e)
-                acc = terms.get(key)
-                total = add if acc is None else acc + add
-                if total:
-                    terms[key] = total
-                elif acc is not None:
-                    del terms[key]
-            return JetSuperFunction(self.sig, terms, max(0, self.prec - 1))
-        local = gid - self.sig.even_count
-        for (exps, odd), coeff in self.terms.items():
-            if local not in odd:
-                continue
-            pos = odd.index(local)
-            new_odd = odd[:pos] + odd[pos + 1:]
-            if pos % 2:
-                coeff = -coeff
-            key = (exps, new_odd)
-            acc = terms.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                terms[key] = total
-            elif acc is not None:
-                del terms[key]
-        return JetSuperFunction(self.sig, terms, self.prec)
+            offset = layout.offsets[gid]
+            field_mask = layout.field_mask
+            step = (1 << offset) + (1 << layout.shift)
+            for key, (re, im) in self.terms.items():
+                e = (key >> offset) & field_mask
+                if e:
+                    terms[key - step] = (re * e, im * e)
+            return _canonical(self.sig, terms, self.den, max(0, self.prec - 1))
+        bit = 1 << (gid - self.sig.even_count)
+        below = bit - 1
+        for key, (re, im) in self.terms.items():
+            if key & bit:
+                # the generator moves to the front past the odd ones before it
+                terms[key ^ bit] = (-re, -im) if (key & below).bit_count() & 1 else (re, im)
+        return _canonical(self.sig, terms, self.den, self.prec)
 
     def conjugate(self) -> "JetSuperFunction":
         """Superfunction conjugation: swaps barred and unbarred generators.
@@ -402,22 +540,26 @@ class JetSuperFunction:
         Order-reversing on odd products, so conj(f g) = conj(g) conj(f) and
         conjugation is an involution.
         """
+        layout = self.sig._layout
         m = self.sig.m
+        odd_bits, odd_mask = layout.odd_bits, layout.odd_mask
+        half = self.sig.n * layout.width
+        half_mask = (1 << half) - 1
+        low = (1 << m) - 1
         terms: dict = {}
-        n = self.sig.n
-        for (exps, odd), coeff in self.terms.items():
-            new_exps = exps[n:] + exps[:n]
-            mapped = [(o + m) % (2 * m) for o in reversed(odd)]
-            inversions = 0
-            for i in range(len(mapped)):
-                for j in range(i + 1, len(mapped)):
-                    if mapped[i] > mapped[j]:
-                        inversions += 1
-            new_coeff = coeff.conjugate()
-            if inversions % 2:
-                new_coeff = -new_coeff
-            terms[(new_exps, tuple(sorted(mapped)))] = new_coeff
-        return JetSuperFunction(self.sig, terms, self.prec)
+        for key, (re, im) in self.terms.items():
+            even = key >> odd_bits
+            degree = even >> (2 * half) << (2 * half)
+            even = degree | (even & half_mask) << half | (even >> half) & half_mask
+            unbarred, barred = key & low, (key & odd_mask) >> m
+            p, q = unbarred.bit_count(), barred.bit_count()
+            new_key = even << odd_bits | unbarred << m | barred
+            # th_a1..th_ak becomes its image in reverse order: k(k-1)/2
+            # crossings to reverse it, less p*q to keep the images of the p
+            # unbarred generators after those of the q barred ones
+            size = p + q
+            terms[new_key] = (-re, im) if (size * (size - 1) // 2 + p * q) & 1 else (re, -im)
+        return _jet(self.sig, terms, self.den, self.prec)
 
     def invert(self) -> "JetSuperFunction":
         """Multiplicative inverse, exact up to this element's precision.
@@ -461,14 +603,12 @@ class JetSuperFunction:
 
     def _substitution_prec(self, images: list, target_sig: RingSignature) -> int:
         """Validate the images this element uses; return the result precision."""
-        used = [False] * self.sig.gen_count()
-        even_count = self.sig.even_count
-        for (exps, odd) in self.terms:
-            for gid, e in enumerate(exps):
-                if e:
-                    used[gid] = True
-            for o in odd:
-                used[even_count + o] = True
+        layout = self.sig._layout
+        seen = 0
+        for key in self.terms:
+            seen |= key  # fields never carry, so a field of the union is nonzero iff used
+        used = [e > 0 for e in layout.exponents(seen)]
+        used.extend(seen >> j & 1 for j in range(layout.odd_bits))
         deficit = 0
         min_prec = self.prec
         for gid, flag in enumerate(used):
@@ -490,21 +630,17 @@ class JetSuperFunction:
                     # truncation noise of the argument reaches arbitrarily low
                     # even degree through a constant offset
                     deficit = max(deficit, min_prec)
-                elif any(sum(e) == 0 for (e, _) in image.terms):
+                elif any(key >> image.sig._layout.shift == 0 for key in image.terms):
                     deficit = max(deficit, self.sig.m)
         return max(0, min_prec - deficit)
 
     # -- rendering -------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in canonical order: graded-lex on even exponents, then odd subset."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0][0]), item[0][0], item[0][1]))
-
     def render(self) -> str:
         if not self.terms:
             return "0"
         pieces = []
-        for (exps, odd), coeff in self.sorted_terms():
+        for exps, odd, coeff in self.items():
             factors = []
             for gid, e in enumerate(exps):
                 if e == 0:
@@ -547,7 +683,7 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
     users: dict = {}
     for index, f in enumerate(functions):
         even_count = f.sig.even_count
-        for (exps, odd), coeff in f.terms.items():
+        for exps, odd, coeff in f.items():
             word = [gid for gid, e in enumerate(exps) for _ in range(e)]
             word.extend(even_count + o for o in odd)
             users.setdefault(tuple(word), []).append((index, coeff))
@@ -563,6 +699,7 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
             if size < len(word):
                 proper_prefixes.add(prefix)
     sums = [{} for _ in functions]
+    dens = [1] * len(functions)
     path: list = []  # path[i] is the image of word[:i + 1] of the last word
     last: tuple = ()
     for word in sorted(users):
@@ -586,8 +723,8 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
                 value = _at_prec(images[word[0]], prec).scale(coeff)
             else:
                 value = _at_prec(path[-1], prec).scale(coeff) * images[word[-1]]
-            _accumulate(sums[index], value.terms)
-    return [JetSuperFunction(target_sig, terms, prec) for terms, prec in zip(sums, precs)]
+            dens[index] = _accumulate(sums[index], dens[index], value.terms, value.den)
+    return [_canonical(target_sig, terms, den, prec) for terms, den, prec in zip(sums, dens, precs)]
 
 
 def _prefix_image(path, prefix, images, need):
@@ -600,17 +737,6 @@ def _prefix_image(path, prefix, images, need):
 
 def _at_prec(jet: JetSuperFunction, prec: int) -> JetSuperFunction:
     return jet if jet.prec <= prec else jet.truncate(prec)
-
-
-def _accumulate(acc: dict, terms: dict) -> None:
-    """Add ``terms`` into ``acc`` in place, dropping keys that cancel."""
-    for key, coeff in terms.items():
-        prev = acc.get(key)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            acc[key] = total
-        elif prev is not None:
-            del acc[key]
 
 
 def _render_scalar(value: GaussianRational, as_factor: bool):

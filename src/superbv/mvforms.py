@@ -278,7 +278,7 @@ class MultiVectorForm:
         for key in keys:
             left = self.terms.get(key, zero).truncate(prec)
             right = other.terms.get(key, zero).truncate(prec)
-            if left.terms != right.terms:
+            if not left.same_terms(right):
                 return False
         return True
 

@@ -58,7 +58,7 @@ class SampleGen:
             key = self.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
             coeff = self.scalar(allow_zero=False)
             terms[key] = terms.get(key, GaussianRational.of(0)) + coeff
-        return JetSuperFunction(sig, {k: c for k, c in terms.items() if c})
+        return JetSuperFunction(sig, terms)  # drops coefficients that cancelled
 
     def unit(self, sig: RingSignature, holomorphic=True) -> JetSuperFunction:
         """Even invertible superfunction with body 1."""

@@ -283,7 +283,7 @@ class TestTransport:
         product = rebased * p_at_a
         for r1, r2 in zip(shifted.rows, product.rows):
             for x, y in zip(r1, r2):
-                assert x.terms == y.terms
+                assert x.same_terms(y)
 
 
 class TestCY:

@@ -1,4 +1,8 @@
+import contextlib
+import errno
+import io
 import json
+import os
 
 import pytest
 
@@ -63,7 +67,7 @@ class TestParseStatements:
 
     def test_scalar_rationals_and_i(self):
         sc = scenario("let c = (3/4 + 2*i)*z1;\n")
-        coeff = sc.functions["c"].terms[((1, 0, 0, 0), ())]
+        coeff = sc.functions["c"].coefficient((1, 0, 0, 0), ())
         assert coeff == GaussianRational.of("3/4", 2)
 
 
@@ -247,6 +251,31 @@ class TestCLI:
         from superbv.cli import main
 
         assert main(["verify", "/nonexistent/path.sbv"]) == 2
+
+    def test_closed_stdout_exits_2_without_traceback(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        class ClosedPipe(io.TextIOBase):
+            """Standard output whose reader has gone away."""
+
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\nlet h = 1 + z1;\n", encoding="utf-8")
+        sink = tmp_path / "stdout"
+        with open(sink, "wb") as target:
+            with contextlib.redirect_stdout(ClosedPipe(target.fileno())):
+                assert main(["eval", str(scenario_file), "--expr", "h"]) == 2
+            os.write(target.fileno(), b"flushed at exit")  # now goes to the null device
+        assert sink.read_bytes() == b""
+        assert capsys.readouterr().err == ""
 
     def test_empty_suite_list_gives_empty_passing_report(self, tmp_path, capsys):
         from superbv.cli import main

@@ -89,7 +89,7 @@ def _one_at_a_time(f, images, sig):
     """Reference substitution: one chain of products per monomial."""
     prec = f.substitute(images, sig).prec
     result = JetSuperFunction.zero(sig, prec)
-    for (exps, odd), coeff in f.terms.items():
+    for exps, odd, coeff in f.items():
         factor = JetSuperFunction.scalar(sig, coeff, prec)
         for gid, e in enumerate(exps):
             for _ in range(e):

@@ -1,11 +1,17 @@
+import itertools
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbv.grading import commute_sign, BiDegree
+from superbv import cli
+from superbv.grading import ODD, commute_sign, BiDegree, reorder_sign
 from superbv.jetring import (
     GR_I,
+    GR_ONE,
+    GR_ZERO,
     GaussianRational,
     JetError,
     JetSuperFunction,
@@ -280,3 +286,189 @@ class TestRender:
 
     def test_zero(self):
         assert JetSuperFunction.zero(SIG).render() == "0"
+
+
+# -- reference kernel ---------------------------------------------------------
+# The tuple-keyed kernel with one pair of Fractions per term, which the packed
+# kernel replaced; terms map (even_exponents, odd_subset) to GaussianRational.
+
+
+def _terms(f):
+    return {(exps, odd): coeff for exps, odd, coeff in f.items()}
+
+
+def _add_term(terms, key, coeff):
+    total = terms.get(key, GR_ZERO) + coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
+def _merge_odd(s1, s2):
+    """Merged odd subset and the sign of sorting s1 s2, or None on a repeat."""
+    if set(s1) & set(s2):
+        return None
+    inversions = sum(1 for a in s1 for b in s2 if b < a)
+    return tuple(sorted(s1 + s2)), -1 if inversions % 2 else 1
+
+
+def reference_mul(f, g):
+    prec = min(f.prec, g.prec)
+    terms = {}
+    for (e1, s1), c1 in _terms(f).items():
+        for (e2, s2), c2 in _terms(g).items():
+            merged = _merge_odd(s1, s2)
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            if merged is None or sum(exps) > prec:
+                continue
+            odd, sign = merged
+            _add_term(terms, (exps, odd), c1 * c2 if sign > 0 else -(c1 * c2))
+    return terms, prec
+
+
+def reference_add(f, g):
+    prec = min(f.prec, g.prec)
+    terms = {}
+    for key, coeff in list(_terms(f).items()) + list(_terms(g).items()):
+        if sum(key[0]) <= prec:
+            _add_term(terms, key, coeff)
+    return terms, prec
+
+
+def reference_partial(f, gid):
+    sig = f.sig
+    terms = {}
+    if sig.gen_parity(gid) == 0:
+        for (exps, odd), coeff in _terms(f).items():
+            if exps[gid]:
+                lowered = exps[:gid] + (exps[gid] - 1,) + exps[gid + 1:]
+                _add_term(terms, (lowered, odd), coeff * GaussianRational.of(exps[gid]))
+        return terms, max(0, f.prec - 1)
+    local = gid - sig.even_count
+    for (exps, odd), coeff in _terms(f).items():
+        if local in odd:
+            pos = odd.index(local)
+            _add_term(terms, (exps, odd[:pos] + odd[pos + 1:]), -coeff if pos % 2 else coeff)
+    return terms, f.prec
+
+
+def reference_conjugate(f):
+    n, m = f.sig.n, f.sig.m
+    terms = {}
+    for (exps, odd), coeff in _terms(f).items():
+        mapped = [(o + m) % (2 * m) for o in reversed(odd)]
+        inversions = sum(1 for i, a in enumerate(mapped) for b in mapped[i + 1:] if a > b)
+        value = coeff.conjugate()
+        terms[(exps[n:] + exps[:n], tuple(sorted(mapped)))] = -value if inversions % 2 else value
+    return terms, f.prec
+
+
+ORACLE_SIGS = [RingSignature(0, 1, 2), RingSignature(1, 0, 3), RingSignature(1, 1, 0),
+               RingSignature(1, 1, 3), RingSignature(2, 1, 4), RingSignature(2, 2, 4),
+               RingSignature(1, 3, 2), RingSignature(3, 3, 6)]
+
+
+@st.composite
+def rational_jets(draw, sig, max_terms=6):
+    """Jets with mixed denominators and any precision up to the cap."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=min(2, sig.cap)))
+                     for _ in range(sig.even_count))
+        odd = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=sig.odd_count - 1),
+                                        max_size=sig.odd_count)))) if sig.odd_count else ()
+        parts = [Fraction(draw(st.integers(min_value=-4, max_value=4)),
+                          draw(st.sampled_from((1, 1, 2, 3, 6)))) for _ in range(2)]
+        terms[(exps, odd)] = GaussianRational.of(*parts)
+    prec = draw(st.integers(min_value=0, max_value=sig.cap))
+    return JetSuperFunction(sig, terms, prec)
+
+
+def jet_pairs():
+    return st.sampled_from(ORACLE_SIGS).flatmap(
+        lambda sig: st.tuples(rational_jets(sig), rational_jets(sig)))
+
+
+def _observed(f):
+    return _terms(f), f.prec
+
+
+def odd_monomial(sig, subset):
+    return JetSuperFunction(sig, {((0,) * sig.even_count, subset): GR_ONE})
+
+
+class TestReferenceKernel:
+    @given(jet_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_operations_match_reference(self, pair):
+        f, g = pair
+        assert _observed(f * g) == reference_mul(f, g)
+        assert _observed(g * f) == reference_mul(g, f)
+        assert _observed(f + g) == reference_add(f, g)
+        assert _observed(f.conjugate()) == reference_conjugate(f)
+        for gid in range(f.sig.gen_count()):
+            assert _observed(f.partial(gid)) == reference_partial(f, gid)
+
+    @given(jet_pairs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_canonical_denominator(self, pair):
+        f, g = pair
+        for x in (f, g, f * g, f + g, f - f, f.truncate(1), f.partial(0), *f.homogeneous_parts()):
+            assert x.den > 0
+            assert gcd(x.den, *(part for pair in x.terms.values() for part in pair)) == 1
+            if x.is_zero():
+                assert x.den == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_merge_signs_against_grading(self, m):
+        """Every pair of odd monomials, against grading.reorder_sign."""
+        sig = RingSignature(0, m, 0)
+        subsets = [s for size in range(2 * m + 1)
+                   for s in itertools.combinations(range(2 * m), size)]
+        for s1 in subsets:
+            for s2 in subsets:
+                product = odd_monomial(sig, s1) * odd_monomial(sig, s2)
+                if set(s1) & set(s2):
+                    assert product.is_zero()
+                    continue
+                word = s1 + s2
+                order = sorted(range(len(word)), key=word.__getitem__)
+                sign = reorder_sign([ODD] * len(word), order)
+                assert _terms(product) == {((), tuple(sorted(word))): GaussianRational.of(sign)}
+
+
+class TestSmallAndLargeSignatures:
+    def test_no_generators(self):
+        sig = RingSignature(0, 0, 0)
+        a = JetSuperFunction.scalar(sig, GaussianRational.of(Fraction(1, 3), Fraction(1, 6)))
+        b = JetSuperFunction.scalar(sig, GaussianRational.of(Fraction(2, 5)))
+        assert (a * b).body() == GaussianRational.of(Fraction(2, 15), Fraction(1, 15))
+        assert (a * b).render() == "(2/15 + 1/15*i)"
+        assert (a * a.invert()) == JetSuperFunction.one(sig)
+        assert _observed(a * b) == reference_mul(a, b)
+
+    def test_even_generators_at_cap_zero(self):
+        sig = RingSignature(3, 0, 0)
+        z = [JetSuperFunction.gen(sig, gid) for gid in range(sig.gen_count())]
+        assert all(x.is_zero() and x.prec == 0 for x in z)
+        two = JetSuperFunction.integer(sig, 2)
+        f = two + z[0]
+        assert f * f == JetSuperFunction.integer(sig, 4)
+        assert (f * z[1]).is_zero()
+
+    def test_twelve_odd_pairs_stay_bounded(self, tmp_path, capsys):
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text(
+            "ring 1|12 cap 2;\n"
+            "let f = th1*th2*th3*th4*th5*th6 + th7*th8*th9*th10*th11*th12;\n",
+            encoding="utf-8")
+        start = time.perf_counter()
+        code = cli.main(["eval", str(scenario_file), "--expr", "f*f + (1+f)^3"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "1 + 3*th1*th2*th3*th4*th5*th6"
+            " + 8*th1*th2*th3*th4*th5*th6*th7*th8*th9*th10*th11*th12"
+            " + 3*th7*th8*th9*th10*th11*th12\n")
+        assert elapsed < 10

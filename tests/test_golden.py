@@ -1,11 +1,14 @@
-"""Golden outputs of the jet ring and the CLI.
+"""Golden outputs of the jet ring, the supermatrix layer and the CLI.
 
-Every value below was recorded from the straightforward tuple-keyed jet
-kernel with one ``Fraction`` pair per term.  A change to the representation
-of jets must reproduce all of them byte for byte: the scenario determinism
-hashes (which cover only check verdicts), the rendered text of the CLI, and
-digests of ``prec`` and ``render()`` of every jet operation on sampled jets
-over a range of signatures and degree caps.
+The jet values below were recorded from the straightforward tuple-keyed jet
+kernel with one ``Fraction`` pair per term, and the supermatrix values from
+the ``Fraction`` Gauss-Jordan body inverse with products folded as
+``acc + a*b``.  A change to either layer must reproduce all of them byte
+for byte: the scenario determinism hashes (which cover only check
+verdicts), the rendered text of the CLI, digests of ``prec`` and
+``render()`` of every jet operation on sampled jets over a range of
+signatures and degree caps, and digests of ``prec``, ``den`` and
+``render()`` of supermatrix products, inverses and superdeterminants.
 """
 
 import hashlib
@@ -16,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from superbv import cli
-from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
+from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
+from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -164,3 +168,123 @@ def _mixed_lines():
 
 def test_mixed_denominators():
     assert _digest(_mixed_lines()) == MIXED_DIGEST
+
+
+# (p, q, cap) -> first 16 hex digits of the sha256 of _matrix_lines(p, q, cap)
+SUPERMATRIX_DIGESTS = {
+    (1, 1, 2): "b60b0b99162700cd", (1, 1, 4): "39eefa1b4bbfddd1",
+    (1, 1, 6): "c7c9a60b4dd2b9cd", (2, 1, 2): "d98bfed3fda9c99f",
+    (2, 1, 4): "35440d8f8d6c90a4", (2, 1, 6): "86a78717a70b5ea2",
+    (2, 2, 2): "afc35b370be2ecf8", (2, 2, 4): "1b37618ceaa50427",
+    (2, 2, 6): "fd9c94c2227b858e", (0, 2, 2): "20264b7ee8bd7e61",
+    (0, 2, 4): "dff92666d651843a", (0, 2, 6): "58e579d07e52e235",
+    (2, 0, 2): "00b6b5db74b7f5c8", (2, 0, 4): "f4140c0bef8b935f",
+    (2, 0, 6): "223718422777bc2a", (3, 3, 2): "201d4a66367b4eb1",
+    (3, 3, 4): "349eab5a3765036c", (3, 3, 6): "1f86f2ae91450433",
+}
+
+BODY_INVERSE_DIGEST = "cb2c448deaa2f04b"
+
+
+def _matrix_line(label, mat):
+    precs = " ".join(str(e.prec) for row in mat.rows for e in row)
+    dens = " ".join(str(e.den) for row in mat.rows for e in row)
+    return f"{label} [{precs}] [{dens}] {mat.render()}"
+
+
+def _jet_line(label, x):
+    return f"{label} {x.prec} {x.den} {x.render()}"
+
+
+def _sampled_matrix(gen, sig, p, q):
+    """An even (p|q) matrix with sampled bodies, nilpotent parts, entries
+    truncated below the cap and zero entries of differing precisions."""
+    size = p + q
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            parity = (i >= p) ^ (j >= p)
+            draw = gen.rng.random()
+            if draw < 0.2 and i != j:
+                row.append(JetSuperFunction.zero(sig, gen.rng.randint(0, sig.cap)))
+                continue
+            entry = gen.jet(sig, max_terms=2, max_even_degree=min(2, sig.cap), parity=parity,
+                            allow_constant=False)
+            if not parity:
+                body = gen.scalar()
+                if i == j:
+                    body = body + GaussianRational.of(3)
+                entry = entry + JetSuperFunction.scalar(sig, body)
+            if draw > 0.8:
+                entry = entry.truncate(gen.rng.randint(0, sig.cap))
+            row.append(entry)
+        rows.append(row)
+    return SuperMatrix(sig, p, q, rows)
+
+
+def _guarded(label, thunk, line):
+    try:
+        return line(label, thunk())
+    except JetError as error:
+        return f"{label} error {type(error).__name__}"
+
+
+def _matrix_lines(p, q, cap):
+    sig = RingSignature(1, 2, cap)
+    gen = SampleGen(10000 * p + 1000 * q + cap)
+    m, n = _sampled_matrix(gen, sig, p, q), _sampled_matrix(gen, sig, p, q)
+    lines = [_matrix_line("m", m), _matrix_line("n", n),
+             _matrix_line("m*n", m * n), _matrix_line("n*m", n * m),
+             _matrix_line("(m*n)*m", (m * n) * m)]
+    body = m.body_matrix()
+    lines.append("body_inv " + _scalar_grid_text(body))
+    for label, mat in (("m", m), ("n", n), ("m*n", m * n)):
+        lines.append(_guarded(f"inv {label}", mat.inverse, _matrix_line))
+        lines.append(_guarded(f"sdet {label}", mat.sdet, _jet_line))
+        lines.append(_guarded(f"sdet_a {label}", mat.sdet_via_a_block, _jet_line))
+    lines.append(_guarded("inv(m)*n", lambda: m.inverse() * n, _matrix_line))
+    lines.append(_guarded("sdet inv(m)", lambda: m.inverse().sdet(), _jet_line))
+    lines.append(_jet_line("det_a", det_even(sig, m.blocks()[0])))
+    lines.append(_jet_line("det_d", det_even(sig, m.blocks()[3])))
+    return "\n".join(lines)
+
+
+def _scalar_grid_text(grid):
+    try:
+        inverse = _invert_scalar_matrix(grid)
+    except ZeroDivisionError:
+        return "singular"
+    return "[" + "; ".join(", ".join(f"{x.re}|{x.im}" for x in row) for row in inverse) + "]"
+
+
+def _body_inverse_lines():
+    """Scalar grids: 0x0, singular, zero leading pivots, non-integer entries."""
+    q = GaussianRational.of
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    grids = [
+        [],
+        [[q(0)]],
+        [[q(half, -third)]],
+        [[q(1), q(2)], [q(2), q(4)]],
+        [[q(0), q(1)], [q(1), q(0)]],
+        [[q(0), q(0, 1), q(1)], [q(2), q(1), q(0)], [q(1), q(0), q(half)]],
+        [[q(third, 1), q(half)], [q(-half, third), q(Fraction(2, 7))]],
+        [[q(1), q(1), q(1)], [q(1), q(1), q(1)], [q(0), q(0), q(1)]],
+    ]
+    gen = SampleGen(4242)
+    for size in range(1, 6):
+        for _ in range(6):
+            grids.append([[q(gen.rng.randint(-4, 4), gen.rng.randint(-2, 2))
+                           / q(gen.rng.randint(1, 6)) if gen.rng.random() < 0.7 else q(0)
+                           for _ in range(size)] for _ in range(size)])
+    return "\n".join(_scalar_grid_text(grid) for grid in grids)
+
+
+@pytest.mark.parametrize("p,q,cap", sorted(SUPERMATRIX_DIGESTS))
+def test_supermatrix_operations(p, q, cap):
+    assert _digest(_matrix_lines(p, q, cap)) == SUPERMATRIX_DIGESTS[(p, q, cap)]
+
+
+def test_body_inverse():
+    assert _digest(_body_inverse_lines()) == BODY_INVERSE_DIGEST

@@ -252,8 +252,8 @@ class Morphism:
                 raise ChartError("invertible morphisms must fix the base point")
         even, odd = self.linear_parts()
         try:
-            even_inv = _invert_scalar_matrix(even) if n else []
-            odd_inv = _invert_scalar_matrix(odd) if m else []
+            even_inv = _invert_scalar_matrix(even)
+            odd_inv = _invert_scalar_matrix(odd)
         except ZeroDivisionError:
             raise ChartError("linear part is not invertible") from None
 

@@ -18,11 +18,10 @@ auxiliary odd-parameter ring, so all transport statements stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bvcalc import DeltaOperator
 from .charts import Chart, ChartError, Morphism
-from .jetring import GR_ONE, GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
+from .jetring import GR_ONE, GaussianRational, JetSuperFunction, RingSignature
 from .supermatrix import SuperMatrix
 
 
@@ -454,29 +453,6 @@ def t_integrate(f: JetSuperFunction) -> JetSuperFunction:
         new_exp = exps[0] + 1
         terms[((new_exp,) + exps[1:], odd)] = coeff / GaussianRational.of(new_exp)
     return JetSuperFunction(f.sig, terms, min(f.sig.cap, f.prec + 1))
-
-
-def t_shift(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
-    """Exact substitution t -> a + t on a polynomial in the path ring."""
-    from math import comb
-
-    terms: dict = {}
-    for exps, odd, coeff in f.items():
-        d = exps[0]
-        for j in range(d + 1):
-            key = ((j,) + exps[1:], odd)
-            factor = GaussianRational.of(comb(d, j) * a ** (d - j))
-            terms[key] = terms.get(key, GR_ZERO) + coeff * factor
-    return JetSuperFunction(f.sig, terms, f.prec)
-
-
-def t_evaluate(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
-    """Exact evaluation t = a, keeping the odd parameters."""
-    terms: dict = {}
-    for exps, odd, coeff in f.items():
-        key = ((0,) + exps[1:], odd)
-        terms[key] = terms.get(key, GR_ZERO) + coeff * GaussianRational.of(a ** exps[0])
-    return JetSuperFunction(f.sig, terms, f.prec)
 
 
 def transport_generator(gamma: Christoffel, path: FormalPath) -> SuperMatrix:

@@ -65,8 +65,3 @@ def reorder_sign(parities, permutation) -> int:
             if perm[i] > perm[j] and parities[perm[i]] == ODD and parities[perm[j]] == ODD:
                 sign = -sign
     return sign
-
-
-def apply_permutation(sequence, permutation):
-    """Reorder ``sequence`` so that item ``i`` of the result is ``sequence[permutation[i]]``."""
-    return [sequence[p] for p in permutation]

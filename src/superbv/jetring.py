@@ -297,6 +297,48 @@ def _accumulate(acc: dict, den: int, terms: dict, tden: int) -> int:
     return den
 
 
+def _multiply_into(acc: dict, layout: _Layout, left: dict, factor: int, right: dict,
+                   prec: int) -> None:
+    """Add ``factor`` times the product of the packed terms ``left`` and
+    ``right`` into ``acc`` in place, dropping monomials past ``prec``.
+
+    Keys whose numerators cancel stay in ``acc`` with value ``(0, 0)``.
+    """
+    shift = layout.shift
+    odd_mask = layout.odd_mask
+    signs = layout.signs
+    pairs = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in right.items()]
+    get = acc.get
+    for k1, (a1, b1) in left.items():
+        if factor != 1:
+            a1 *= factor
+            b1 *= factor
+        s1 = k1 & odd_mask
+        row = signs.get(s1)
+        if row is None:
+            row = signs[s1] = {}
+        for k2, s2, a2, b2 in pairs:
+            if s1 & s2:
+                continue  # a repeated odd generator squares to zero
+            key = k1 + k2
+            if key >> shift > prec:
+                continue
+            sign = row.get(s2)
+            if sign is None:
+                sign = row[s2] = layout.merge_sign(s1, s2)
+            if sign > 0:
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+            else:
+                re = b1 * b2 - a1 * a2
+                im = -a1 * b2 - b1 * a2
+            prev = get(key)
+            if prev is None:
+                acc[key] = (re, im)
+            else:
+                acc[key] = (prev[0] + re, prev[1] + im)
+
+
 class JetSuperFunction:
     """Immutable truncated polynomial superfunction.
 
@@ -427,7 +469,7 @@ class JetSuperFunction:
     # -- arithmetic -----------------------------------------------------
 
     def _require_same_ring(self, other: "JetSuperFunction") -> None:
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise JetError(f"signature mismatch: {self.sig} vs {other.sig}")
 
     def __add__(self, other: "JetSuperFunction") -> "JetSuperFunction":
@@ -457,38 +499,8 @@ class JetSuperFunction:
     def __mul__(self, other: "JetSuperFunction") -> "JetSuperFunction":
         self._require_same_ring(other)
         prec = min(self.prec, other.prec)
-        layout = self.sig._layout
-        shift = layout.shift
-        odd_mask = layout.odd_mask
-        signs = layout.signs
-        right = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in other.terms.items()]
         acc: dict = {}
-        get = acc.get
-        for k1, (a1, b1) in self.terms.items():
-            s1 = k1 & odd_mask
-            row = signs.get(s1)
-            if row is None:
-                row = signs[s1] = {}
-            for k2, s2, a2, b2 in right:
-                if s1 & s2:
-                    continue  # a repeated odd generator squares to zero
-                key = k1 + k2
-                if key >> shift > prec:
-                    continue
-                sign = row.get(s2)
-                if sign is None:
-                    sign = row[s2] = layout.merge_sign(s1, s2)
-                if sign > 0:
-                    re = a1 * a2 - b1 * b2
-                    im = a1 * b2 + b1 * a2
-                else:
-                    re = b1 * b2 - a1 * a2
-                    im = -a1 * b2 - b1 * a2
-                prev = get(key)
-                if prev is None:
-                    acc[key] = (re, im)
-                else:
-                    acc[key] = (prev[0] + re, prev[1] + im)
+        _multiply_into(acc, self.sig._layout, self.terms, 1, other.terms, prec)
         terms = {key: value for key, value in acc.items() if value[0] or value[1]}
         return _canonical(self.sig, terms, self.den * other.den, prec)
 
@@ -664,6 +676,32 @@ class JetSuperFunction:
 
     def __repr__(self) -> str:
         return f"<jet {self.render()} (prec {self.prec})>"
+
+
+def dot(sig: RingSignature, pairs) -> JetSuperFunction:
+    """Sum of ``a * b`` over the ``(a, b)`` jet pairs, in one accumulator.
+
+    Equals the fold ``zero(sig) + a1*b1 + a2*b2 + ...`` term for term and
+    in ``prec`` (the least precision of any factor, or the cap when there
+    are no pairs), but brings every product over one common denominator and
+    reduces to canonical form once.  Raises ``JetError`` when a factor lives
+    in another ring.
+    """
+    pairs = list(pairs)
+    prec = sig.cap
+    for a, b in pairs:
+        for factor in (a, b):
+            if factor.sig is not sig and factor.sig != sig:
+                raise JetError(f"signature mismatch: {sig} vs {factor.sig}")
+        prec = min(prec, a.prec, b.prec)
+    live = [(a, b) for a, b in pairs if a.terms and b.terms]
+    den = lcm(*(a.den * b.den for a, b in live))
+    layout = sig._layout
+    acc: dict = {}
+    for a, b in live:
+        _multiply_into(acc, layout, a.terms, den // (a.den * b.den), b.terms, prec)
+    terms = {key: value for key, value in acc.items() if value[0] or value[1]}
+    return _canonical(sig, terms, den, prec)
 
 
 def substitute_many(functions, images: list, target_sig: RingSignature) -> list:

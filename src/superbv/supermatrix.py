@@ -10,13 +10,17 @@ entries anticommute.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
+from .grading import ODD, reorder_sign
 from .jetring import (
     GaussianRational,
     JetError,
     JetSuperFunction,
     NotAUnitError,
     RingSignature,
+    dot,
 )
 
 
@@ -37,7 +41,7 @@ class SuperMatrix:
         self.rows = [list(r) for r in rows]
         for row in self.rows:
             for entry in row:
-                if entry.sig != sig:
+                if entry.sig is not sig and entry.sig != sig:
                     raise SuperMatrixError("all entries must share one ring signature")
 
     @property
@@ -94,22 +98,14 @@ class SuperMatrix:
             raise SuperMatrixError("graded shapes or ring signatures differ")
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
+        """Matrix product; a pair with a zero factor is skipped, so its
+        precision does not lower that of the entry."""
         self._check_shape(other)
-        size = self.size
-        zero = JetSuperFunction.zero(self.sig)
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = zero
-                for k in range(size):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        columns = list(zip(*other.rows))
+        rows = [[dot(self.sig, [(a, b) for a, b in zip(row, column)
+                                if a.terms and b.terms])
+                 for column in columns]
+                for row in self.rows]
         return SuperMatrix(self.sig, self.p, self.q, rows)
 
     def agrees_with(self, other: "SuperMatrix") -> bool:
@@ -158,21 +154,21 @@ class SuperMatrix:
     def inverse(self) -> "SuperMatrix":
         """Two-sided inverse up to the working precision.
 
-        Splits off the constant body, inverts it exactly, then runs the
-        terminating geometric series on the nilpotent-plus-higher remainder.
+        Splits off the constant body B and inverts it exactly, then sums the
+        terminating geometric series of R = 1 - B^-1 M, whose entries are
+        nilpotent or of positive even degree, and returns (1 + R + R^2 +
+        ...) B^-1.  Both products with B^-1 scale jets by scalars.
         """
         self._require_even("inversion")
-        body = self.body_matrix()
         try:
-            body_inv = _invert_scalar_matrix(body)
+            body_inv = _invert_scalar_matrix(self.body_matrix())
         except ZeroDivisionError:
             raise NotAUnitError("body of the matrix is not invertible") from None
-        size = self.size
-        b_inv = SuperMatrix(self.sig, self.p, self.q,
-                            [[JetSuperFunction.scalar(self.sig, body_inv[i][j]) for j in range(size)]
-                             for i in range(size)])
         identity = SuperMatrix.identity(self.sig, self.p, self.q)
-        remainder = identity - b_inv * self
+        columns = list(zip(*self.rows))
+        remainder = identity - SuperMatrix(self.sig, self.p, self.q, [
+            [_scaled_sum(self.sig, zip(scalars, column)) for column in columns]
+            for scalars in body_inv])
         acc = identity
         power = remainder
         prec = min((e.prec for row in self.rows for e in row), default=self.sig.cap)
@@ -184,13 +180,22 @@ class SuperMatrix:
             steps += 1
             if steps > limit:
                 raise SuperMatrixError("matrix geometric series failed to terminate")
-        return acc * b_inv
+        scalar_columns = list(zip(*body_inv))
+        return SuperMatrix(self.sig, self.p, self.q, [
+            [_scaled_sum(self.sig, zip(scalars, row)) for scalars in scalar_columns]
+            for row in acc.rows])
 
     def det_even_block(self, grid) -> JetSuperFunction:
         return det_even(self.sig, grid)
 
     def sdet(self) -> JetSuperFunction:
-        """Superdeterminant det(A - B D^-1 C) * det(D)^-1 of an even matrix."""
+        """Superdeterminant det(A - B D^-1 C) * det(D)^-1 of an even matrix.
+
+        Row i of B D^-1 is formed once and serves every entry of row i of
+        the Schur complement; each entry is one fused ``dot``.  Unlike the
+        matrix product, zero factors take part, so their precisions bound
+        that of the result.
+        """
         self._require_even("sdet")
         a, b, c, d = self.blocks()
         if self.q == 0:
@@ -200,16 +205,13 @@ class SuperMatrix:
         det_d = self.det_even_block(d)
         if self.p == 0:
             return det_d.invert()
+        d_columns = list(zip(*d_inv.rows))
+        c_columns = list(zip(*c))
         schur = []
-        for i in range(self.p):
-            row = []
-            for j in range(self.p):
-                acc = a[i][j]
-                for k in range(self.q):
-                    for l in range(self.q):
-                        acc = acc - b[i][k] * d_inv.rows[k][l] * c[l][j]
-                row.append(acc)
-            schur.append(row)
+        for a_row, b_row in zip(a, b):
+            bd_row = [dot(self.sig, zip(b_row, column)) for column in d_columns]
+            schur.append([entry - dot(self.sig, zip(bd_row, column))
+                          for entry, column in zip(a_row, c_columns)])
         return self.det_even_block(schur) * det_d.invert()
 
     def sdet_via_a_block(self) -> JetSuperFunction:
@@ -249,8 +251,9 @@ def det_even(sig: RingSignature, grid) -> JetSuperFunction:
     if size == 0:
         return JetSuperFunction.one(sig)
     acc = JetSuperFunction.zero(sig)
+    parities = [ODD] * size  # all odd: the Koszul sign is the permutation sign
     for perm in itertools.permutations(range(size)):
-        sign = _perm_sign(perm)
+        sign = reorder_sign(parities, perm)
         prod = JetSuperFunction.one(sig)
         for i in range(size):
             prod = prod * grid[i][perm[i]]
@@ -260,35 +263,61 @@ def det_even(sig: RingSignature, grid) -> JetSuperFunction:
     return acc
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
+    """Sum of ``e.scale(s)`` over the ``(s, e)`` pairs where neither is zero.
+
+    Scalars are central, so this equals the matrix-product entry with
+    the scalars as one-term jets of full precision, on either side.
+    """
+    acc = JetSuperFunction.zero(sig)
+    for scalar, entry in pairs:
+        if scalar and entry.terms:
+            acc = acc + entry.scale(scalar)
+    return acc
 
 
 def _invert_scalar_matrix(grid):
-    """Exact Gauss-Jordan inverse of a grid of GaussianRationals."""
+    """Exact inverse of a square grid of GaussianRationals.
+
+    Writes the grid as N / den with Gaussian-integer N and runs Bareiss's
+    fraction-free Gauss-Jordan elimination on [N | 1]: step k replaces
+    every entry x of a row r != k by (p*x - f*y) / p_prev, where p is the
+    pivot, f = N[r][k], y the pivot row's entry and p_prev the previous
+    pivot, and the division is exact (Sylvester's identity).  The left
+    block ends as d * 1 with d = +-det N, so the inverse is den * right / d.
+    Raises ZeroDivisionError when the grid is singular.
+    """
     size = len(grid)
-    work = [[grid[i][j] for j in range(size)] for i in range(size)]
-    result = [[GaussianRational.of(1 if i == j else 0) for j in range(size)] for i in range(size)]
+    den = lcm(*(part.denominator for row in grid for x in row for part in (x.re, x.im)))
+    work = [[(x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
+             for x in row] + [(int(i == j), 0) for j in range(size)]
+            for i, row in enumerate(grid)]
+    prev = (1, 0)
     for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
+        pivot_row = next((r for r in range(col, size) if work[r][col] != (0, 0)), None)
         if pivot_row is None:
             raise ZeroDivisionError("singular matrix")
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        result[col], result[pivot_row] = result[pivot_row], result[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        result[col] = [x / pivot for x in result[col]]
-        for r in range(size):
+        pivot_line = work[col]
+        pr, pi = pivot_line[col]
+        # dividing by prev = multiplying by its conjugate, then by its norm
+        cr, ci = prev[0], -prev[1]
+        norm = cr * cr + ci * ci
+        for r, line in enumerate(work):
             if r == col:
                 continue
-            factor = work[r][col]
-            if not factor:
-                continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            result[r] = [x - factor * y for x, y in zip(result[r], result[col])]
-    return result
+            fr, fi = line[col]
+            new = []
+            for (xr, xi), (yr, yi) in zip(line, pivot_line):
+                zr = pr * xr - pi * xi - fr * yr + fi * yi
+                zi = pr * xi + pi * xr - fr * yi - fi * yr
+                new.append(((zr * cr - zi * ci) // norm, (zr * ci + zi * cr) // norm))
+            work[r] = new
+        prev = (pr, pi)
+    # every diagonal entry of the left block is now prev; divide by it
+    dr, di = prev
+    norm = dr * dr + di * di
+    return [[GaussianRational(Fraction(den * (xr * dr + xi * di), norm),
+                              Fraction(den * (xi * dr - xr * di), norm))
+             for xr, xi in line[size:]]
+            for line in work]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,17 +21,38 @@ from superbv.connect import (
     is_flat,
     path_ring,
     solve_delta_formula,
-    t_evaluate,
     t_integrate,
-    t_shift,
     t_truncate,
     transform_christoffel,
     transport_ber,
     transport_tangent,
 )
-from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
+from superbv.jetring import GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
+
+
+
+def t_shift(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
+    """Exact substitution t -> a + t on a polynomial in the path ring."""
+    terms: dict = {}
+    for exps, odd, coeff in f.items():
+        d = exps[0]
+        for j in range(d + 1):
+            key = ((j,) + exps[1:], odd)
+            factor = GaussianRational.of(comb(d, j) * a ** (d - j))
+            terms[key] = terms.get(key, GR_ZERO) + coeff * factor
+    return JetSuperFunction(f.sig, terms, f.prec)
+
+
+def t_evaluate(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
+    """Exact evaluation t = a, keeping the odd parameters."""
+    terms: dict = {}
+    for exps, odd, coeff in f.items():
+        key = ((0,) + exps[1:], odd)
+        terms[key] = terms.get(key, GR_ZERO) + coeff * GaussianRational.of(a ** exps[0])
+    return JetSuperFunction(f.sig, terms, f.prec)
+
 
 SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)

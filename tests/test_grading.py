@@ -3,7 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from superbv.grading import BiDegree, apply_permutation, commute_sign, reorder_sign
+from superbv.grading import BiDegree, commute_sign, reorder_sign
+
+
+def apply_permutation(sequence, permutation):
+    """Reorder ``sequence`` so that item ``i`` of the result is ``sequence[permutation[i]]``."""
+    return [sequence[p] for p in permutation]
+
 
 bidegrees = st.builds(BiDegree, st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=1))
 

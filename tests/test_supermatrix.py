@@ -1,10 +1,19 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superbv.jetring import JetSuperFunction, NotAUnitError, RingSignature
+from superbv.jetring import (
+    GaussianRational,
+    JetError,
+    JetSuperFunction,
+    NotAUnitError,
+    RingSignature,
+    dot,
+)
 from superbv.samples import SampleGen
-from superbv.supermatrix import SuperMatrix, SuperMatrixError, det_even
+from superbv.supermatrix import SuperMatrix, SuperMatrixError, _invert_scalar_matrix, det_even
 
 SIG = RingSignature(n=1, m=2, cap=3)
 
@@ -164,3 +173,235 @@ def test_det_even_helper():
     one = JetSuperFunction.one(SIG)
     grid = [[one, g["z1"]], [g["z1"], one]]
     assert det_even(SIG, grid).agrees_with(one - g["z1"] * g["z1"])
+
+
+# -- reference implementations ---------------------------------------------
+#
+# The straightforward forms of the supermatrix kernels: Gauss-Jordan over
+# Fractions for the body, products folded as ``acc + a*b``, the body inverse
+# applied as a product with one-term scalar jets, and the Schur complement
+# summed one (k, l) term at a time.
+
+
+def reference_invert_scalar_matrix(grid):
+    size = len(grid)
+    work = [[grid[i][j] for j in range(size)] for i in range(size)]
+    result = [[GaussianRational.of(1 if i == j else 0) for j in range(size)] for i in range(size)]
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
+        if pivot_row is None:
+            raise ZeroDivisionError("singular matrix")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        result[col], result[pivot_row] = result[pivot_row], result[col]
+        pivot = work[col][col]
+        work[col] = [x / pivot for x in work[col]]
+        result[col] = [x / pivot for x in result[col]]
+        for r in range(size):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if not factor:
+                continue
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+            result[r] = [x - factor * y for x, y in zip(result[r], result[col])]
+    return result
+
+
+def reference_dot(sig, pairs):
+    acc = JetSuperFunction.zero(sig)
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def reference_mul(m, n):
+    size = m.size
+    rows = [[reference_dot(m.sig, [(m.rows[i][k], n.rows[k][j]) for k in range(size)
+                                   if not m.rows[i][k].is_zero() and not n.rows[k][j].is_zero()])
+             for j in range(size)] for i in range(size)]
+    return SuperMatrix(m.sig, m.p, m.q, rows)
+
+
+def reference_inverse(m):
+    try:
+        body_inv = reference_invert_scalar_matrix(m.body_matrix())
+    except ZeroDivisionError:
+        raise NotAUnitError("body of the matrix is not invertible") from None
+    b_inv = SuperMatrix(m.sig, m.p, m.q, [[JetSuperFunction.scalar(m.sig, x) for x in row]
+                                          for row in body_inv])
+    identity = SuperMatrix.identity(m.sig, m.p, m.q)
+    remainder = identity - reference_mul(b_inv, m)
+    acc, power = identity, remainder
+    while not all(e.is_zero() for row in power.rows for e in row):
+        acc = acc + power
+        power = reference_mul(power, remainder)
+    return reference_mul(acc, b_inv)
+
+
+def reference_sdet(m):
+    a, b, c, d = m.blocks()
+    if m.q == 0:
+        return det_even(m.sig, a)
+    d_inv = reference_inverse(SuperMatrix(m.sig, 0, m.q, d))
+    det_d = det_even(m.sig, d)
+    if m.p == 0:
+        return det_d.invert()
+    schur = []
+    for i in range(m.p):
+        row = []
+        for j in range(m.p):
+            acc = a[i][j]
+            for k in range(m.q):
+                for l in range(m.q):
+                    acc = acc - b[i][k] * d_inv.rows[k][l] * c[l][j]
+            row.append(acc)
+        schur.append(row)
+    return det_even(m.sig, schur) * det_d.invert()
+
+
+# -- strategies ---------------------------------------------------------------
+
+ORACLE_SIGS = [RingSignature(1, 1, 2), RingSignature(1, 2, 3), RingSignature(2, 1, 2),
+               RingSignature(0, 2, 0)]
+SHAPES = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (2, 0)]
+
+rationals = st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 1, 2, 3)))
+scalars = st.builds(GaussianRational, rationals, rationals)
+
+
+@st.composite
+def graded_jets(draw, sig, parity, body=False):
+    """A jet of the given parity: zero of any precision, or a few terms with
+    mixed denominators, optionally a body, truncated at a drawn precision."""
+    prec = draw(st.integers(min_value=0, max_value=sig.cap))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        return JetSuperFunction.zero(sig, prec)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        exps = [0] * sig.even_count
+        for _ in range(draw(st.integers(min_value=0, max_value=min(2, sig.cap)))):
+            if exps:
+                exps[draw(st.integers(min_value=0, max_value=len(exps) - 1))] += 1
+        size = draw(st.sampled_from([k for k in range(min(sig.odd_count, 3) + 1) if k % 2 == parity]))
+        odd = tuple(sorted(draw(st.permutations(range(sig.odd_count)))[:size]))
+        terms[(tuple(exps), odd)] = draw(scalars)
+    if body and not parity:
+        terms[((0,) * sig.even_count, ())] = draw(scalars)
+    return JetSuperFunction(sig, terms, draw(st.sampled_from([prec, sig.cap, sig.cap])))
+
+
+@st.composite
+def even_matrices(draw, sig=None, shape=None):
+    sig = sig or draw(st.sampled_from(ORACLE_SIGS))
+    p, q = shape or draw(st.sampled_from(SHAPES))
+    size = p + q
+    rows = [[draw(graded_jets(sig, (i >= p) ^ (j >= p), body=True)) for j in range(size)]
+            for i in range(size)]
+    return SuperMatrix(sig, p, q, rows)
+
+
+@st.composite
+def matrix_pairs(draw):
+    m = draw(even_matrices())
+    return m, draw(even_matrices(m.sig, (m.p, m.q)))
+
+
+@st.composite
+def jet_pair_lists(draw):
+    sig = draw(st.sampled_from(ORACLE_SIGS))
+    size = draw(st.integers(min_value=0, max_value=4))
+    jets = st.integers(min_value=0, max_value=1).flatmap(lambda parity: graded_jets(sig, parity, True))
+    return sig, [(draw(jets), draw(jets)) for _ in range(size)]
+
+
+@st.composite
+def scalar_grids(draw):
+    size = draw(st.integers(min_value=0, max_value=4))
+    entries = st.one_of(st.just(GaussianRational.of(0)), scalars)
+    return [[draw(entries) for _ in range(size)] for _ in range(size)]
+
+
+def _outcome(thunk):
+    try:
+        return "value", thunk()
+    except JetError as error:
+        return "error", type(error)
+
+
+def _rows(m):
+    return m.rows if isinstance(m, SuperMatrix) else m
+
+
+# -- properties -----------------------------------------------------------------
+
+
+def _check_body_inverse(grid):
+    try:
+        expected = reference_invert_scalar_matrix(grid)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _invert_scalar_matrix(grid)
+        return
+    assert _invert_scalar_matrix(grid) == expected
+
+
+class TestAgainstReference:
+    @given(scalar_grids())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_body_inverse(self, grid):
+        _check_body_inverse(grid)
+
+    @pytest.mark.parametrize("grid", [
+        [],
+        [[GaussianRational.of(0)]],
+        [[GaussianRational.of(1), GaussianRational.of(2)], [GaussianRational.of(2), GaussianRational.of(4)]],
+        [[GaussianRational.of(0), GaussianRational.of(1, 1)], [GaussianRational.of(Fraction(1, 2)), GaussianRational.of(0)]],
+        [[GaussianRational.of(0), GaussianRational.of(0, 1), GaussianRational.of(3)],
+         [GaussianRational.of(0), GaussianRational.of(2), GaussianRational.of(1)],
+         [GaussianRational.of(Fraction(1, 3), Fraction(-1, 2)), GaussianRational.of(1), GaussianRational.of(0)]],
+        [[GaussianRational.of(Fraction(2, 3), 1), GaussianRational.of(Fraction(1, 5))],
+         [GaussianRational.of(Fraction(-1, 2), Fraction(1, 7)), GaussianRational.of(0, Fraction(3, 4))]],
+    ], ids=["0x0", "zero", "singular", "swap", "swap3", "fractions"])
+    def test_body_inverse_cases(self, grid):
+        _check_body_inverse(grid)
+
+    @given(jet_pair_lists())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_dot(self, case):
+        sig, pairs = case
+        assert dot(sig, pairs) == reference_dot(sig, pairs)
+
+    def test_dot_edge_cases(self):
+        sig = ORACLE_SIGS[1]
+        assert dot(sig, []) == reference_dot(sig, []) == JetSuperFunction.zero(sig)
+        z, th = JetSuperFunction.gen(sig, 0), JetSuperFunction.gen(sig, sig.th(0))
+        half = z.scale(GaussianRational.of(Fraction(1, 2))) + th * JetSuperFunction.gen(sig, sig.thb(0))
+        low = JetSuperFunction.one(sig, 1)
+        pairs = [(half, low), (-half, low), (z.truncate(2), half)]
+        assert dot(sig, pairs) == reference_dot(sig, pairs)
+        cancelled = dot(sig, pairs[:2])
+        assert cancelled.is_zero() and cancelled.den == 1 and cancelled.prec == 1
+        assert cancelled == reference_dot(sig, pairs[:2])
+        other = JetSuperFunction.one(RingSignature(1, 1, 3))
+        for bad in ([(other, other)], [(half, other)], [(other, half)]):
+            with pytest.raises(JetError):
+                reference_dot(sig, bad)
+            with pytest.raises(JetError):
+                dot(sig, bad)
+
+    @given(matrix_pairs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_product(self, pair):
+        m, n = pair
+        assert (m * n).rows == reference_mul(m, n).rows
+        assert (n * m).rows == reference_mul(n, m).rows
+
+    @given(even_matrices())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_inverse_and_sdet(self, m):
+        for ours, reference in ((m.inverse, lambda: reference_inverse(m)),
+                                (m.sdet, lambda: reference_sdet(m))):
+            kind, value = _outcome(ours)
+            expected_kind, expected = _outcome(reference)
+            assert kind == expected_kind
+            assert _rows(value) == _rows(expected)

@@ -1,14 +1,17 @@
 """Golden outputs of the jet ring, the supermatrix layer and the CLI.
 
 The jet values below were recorded from the straightforward tuple-keyed jet
-kernel with one ``Fraction`` pair per term, and the supermatrix values from
+kernel with one ``Fraction`` pair per term, the supermatrix values from
 the ``Fraction`` Gauss-Jordan body inverse with products folded as
-``acc + a*b``.  A change to either layer must reproduce all of them byte
-for byte: the scenario determinism hashes (which cover only check
-verdicts), the rendered text of the CLI, digests of ``prec`` and
-``render()`` of every jet operation on sampled jets over a range of
-signatures and degree caps, and digests of ``prec``, ``den`` and
-``render()`` of supermatrix products, inverses and superdeterminants.
+``acc + a*b``, and the section values from three separate section classes
+that each spelled out their own sums.  A change to any layer must
+reproduce all of them byte for byte: the scenario determinism hashes
+(which cover only check verdicts), the rendered text of the CLI, digests
+of ``prec`` and ``render()`` of every jet operation on sampled jets over a
+range of signatures and degree caps, digests of ``prec``, ``den`` and
+``render()`` of supermatrix products, inverses and superdeterminants, and
+digests of ``prec`` and ``render()`` of the section operations of
+``mvforms`` and ``bvcalc``.
 """
 
 import hashlib
@@ -19,7 +22,19 @@ from pathlib import Path
 import pytest
 
 from superbv import cli
+from superbv.bvcalc import (
+    dbar_int,
+    eta,
+    eta_inverse,
+    manin_delta,
+    manin_gamma,
+    manin_gamma_inverse,
+    partial_int,
+    pull_intform,
+)
+from superbv.charts import Chart
 from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
+from superbv.mvforms import dbar, schouten, wedge
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
 
@@ -288,3 +303,72 @@ def test_supermatrix_operations(p, q, cap):
 
 def test_body_inverse():
     assert _digest(_body_inverse_lines()) == BODY_INVERSE_DIGEST
+
+
+# (n, m) -> first 16 hex digits of the sha256 of _section_lines(n, m)
+SECTION_DIGESTS = {
+    (1, 1): "0354151c288723f2",
+    (2, 1): "54ef61075b6521d5",
+    (2, 2): "caec19b8e04d79f1",
+}
+
+SECTION_REPRS = {
+    "mvform": "<mvform dthb1 * (2*th1*thb1)>",
+    "intform": "<intform dthb1 * (2*th1*thb1 + 6*z1^2*th1*thb1) * [dxi]>",
+}
+
+
+def _section_forms(n, m):
+    """A morphism, a trivialising section on its target and sampled sections
+    there, some with repeated keys drawn so that coefficients cancel."""
+    chart = Chart(RingSignature(n, m, 4))
+    gen = SampleGen(7000 + 100 * n + m)
+    phi = gen.invertible_morphism(chart)
+    target = phi.target
+    omega = gen.trivialising_section(target)
+    forms = [gen.homogeneous_mvform(target, allow_repeats=True)[0] for _ in range(3)]
+    forms += [gen.mvform(target, p, q, max_terms=5) for p, q in ((1, 0), (2, 1), (1, 1))]
+    return gen, chart, phi, omega, forms
+
+
+def _section_lines(n, m):
+    gen, chart, phi, omega, forms = _section_forms(n, m)
+    lines = [_line(f"form{k}", a) for k, a in enumerate(forms)]
+    for k, (a, b) in enumerate(zip(forms, forms[1:] + forms[:1])):
+        lines += [_line(f"{k} a+b", a + b), _line(f"{k} a-b", a - b), _line(f"{k} a-a", a - a),
+                  _line(f"{k} -a", -a), _line(f"{k} scale", a.scale(GaussianRational.of(2, -1))),
+                  _line(f"{k} wedge", wedge(a, b)), _line(f"{k} dbar", dbar(a)),
+                  _line(f"{k} schouten", schouten(a, b))]
+        sigma, other = eta(omega, a), eta(omega, b)
+        tau = manin_gamma(sigma)
+        lines += [_line(f"{k} eta", sigma), _line(f"{k} eta_inverse", eta_inverse(omega, sigma)),
+                  _line(f"{k} partial_int", partial_int(sigma)),
+                  _line(f"{k} partial_int_drop", partial_int(sigma, drop_form_sign=True)),
+                  _line(f"{k} dbar_int", dbar_int(sigma)),
+                  _line(f"{k} pull_intform", pull_intform(phi, sigma)),
+                  _line(f"{k} s+o", sigma + other), _line(f"{k} s-o", sigma - other),
+                  _line(f"{k} -s", -sigma),
+                  _line(f"{k} manin_gamma", tau),
+                  _line(f"{k} manin_gamma_inverse", manin_gamma_inverse(tau)),
+                  _line(f"{k} manin_delta", manin_delta(tau)),
+                  _line(f"{k} manin_delta_drop", manin_delta(tau, drop_form_sign=True)),
+                  _line(f"{k} t+t", tau + manin_gamma(other)), _line(f"{k} -t", -tau)]
+        agree = [a.agrees_with(b), a.agrees_with(a + (b - b)), sigma.agrees_with(other),
+                 manin_gamma_inverse(tau).agrees_with(sigma), tau.agrees_with(tau + (-tau))]
+        lines.append(f"{k} agrees " + " ".join(str(x) for x in agree))
+    for label, nilpotent in (("christoffel", False), ("christoffel_nil", True)):
+        symbols = gen.christoffel(chart, max_terms=3, nilpotent=nilpotent).symbols
+        lines += [_line(f"{label} {key}", symbols[key]) for key in sorted(symbols)]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n,m", sorted(SECTION_DIGESTS))
+def test_section_operations(n, m):
+    assert _digest(_section_lines(n, m)) == SECTION_DIGESTS[(n, m)]
+
+
+def test_section_repr():
+    _, _, _, omega, forms = _section_forms(1, 1)
+    alpha = forms[0]
+    assert repr(alpha) == SECTION_REPRS["mvform"]
+    assert repr(eta(omega, alpha)) == SECTION_REPRS["intform"]

@@ -24,81 +24,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .charts import BerSection, Chart, ChartError, Morphism, pull_ber
-from .mvforms import FUN, VEC, MultiVectorForm, dbar, pull_mvform, schouten, wedge
+from .grading import koszul
+from .mvforms import FUN, VEC, MultiVectorForm, Section, add_terms, dbar, pull_mvform, schouten, wedge
 
 
-class IntegralForm:
-    __slots__ = ("chart", "terms", "prec")
+class IntegralForm(Section):
+    """Integral form d xibar^I (x) d/dxi^J (x) g . [dxi]."""
 
-    def __init__(self, chart: Chart, terms: dict, prec: int | None = None):
-        self.chart = chart
-        floor = chart.sig.cap if prec is None else max(0, min(prec, chart.sig.cap))
-        clean = {}
-        for key, coeff in terms.items():
-            if not coeff.is_zero():
-                clean[key] = coeff
-                floor = min(floor, coeff.prec)
-        self.terms = clean
-        self.prec = floor
-
-    @staticmethod
-    def zero(chart: Chart, prec: int | None = None) -> "IntegralForm":
-        return IntegralForm(chart, {}, prec)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "IntegralForm") -> "IntegralForm":
-        if self.chart != other.chart:
-            raise ChartError("chart mismatch")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        return IntegralForm(self.chart, terms, min(self.prec, other.prec))
-
-    def __neg__(self) -> "IntegralForm":
-        return IntegralForm(self.chart, {k: -c for k, c in self.terms.items()}, self.prec)
-
-    def __sub__(self, other: "IntegralForm") -> "IntegralForm":
-        return self + (-other)
-
-    def agrees_with(self, other: "IntegralForm") -> bool:
-        if self.chart != other.chart:
-            raise ChartError("chart mismatch")
-        prec = min(self.prec, other.prec)
-        zero = self.chart.zero()
-        for key in set(self.terms) | set(other.terms):
-            left = self.terms.get(key, zero).truncate(prec)
-            right = other.terms.get(key, zero).truncate(prec)
-            if not left.same_terms(right):
-                return False
-        return True
+    __slots__ = ()
+    _tag = "intform"
 
     def mv_part(self) -> MultiVectorForm:
         """The underlying multivector form, coefficients read off in place."""
         return MultiVectorForm(self.chart, dict(self.terms), self.prec)
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chart = self.chart
-        sig = chart.sig
-        pieces = []
-        for (i, j) in sorted(self.terms, key=lambda key: (len(key[0]), len(key[1]), key)):
-            factors = [f"d{sig.gen_name(chart.bar_gen_id(k))}" for k in i]
-            factors.extend(f"dv({sig.gen_name(chart.gen_id(k))})" for k in j)
-            factors.append(f"({self.terms[(i, j)].render()})")
-            factors.append("[dxi]")
-            pieces.append(" * ".join(factors))
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"<intform {self.render()}>"
+    def _factors(self, dbars: list, vecs: list, coeff: str) -> list:
+        return dbars + vecs + [coeff, "[dxi]"]
 
 
 # -- eta and the divergence operator ---------------------------------------
@@ -133,7 +74,7 @@ def partial_int(sigma: IntegralForm, drop_form_sign: bool = False) -> IntegralFo
     that the anticommutation then fails.
     """
     chart = sigma.chart
-    terms: dict = {}
+    pairs = []
     for (i_idx, j_idx), coeff in sigma.terms.items():
         q = len(i_idx)
         pj_total = sum(chart.parity(k) for k in j_idx) % 2
@@ -151,18 +92,10 @@ def partial_int(sigma: IntegralForm, drop_form_sign: bool = False) -> IntegralFo
                     exponent += (pg + pk) * (pj_total + pk)       # result coeff back right
                     if not drop_form_sign:
                         exponent += q
-                    sign = -1 if exponent % 2 else 1
-                    rest = j_idx[:pos] + j_idx[pos + 1:]
-                    key = (i_idx, rest)
-                    add = derivative if sign > 0 else -derivative
-                    prev = terms.get(key)
-                    total = add if prev is None else prev + add
-                    if total.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = total
+                    key = (i_idx, j_idx[:pos] + j_idx[pos + 1:])
+                    pairs.append((key, derivative if koszul(exponent) > 0 else -derivative))
                 prefix = (prefix + pk) % 2
-    return IntegralForm(chart, terms, sigma.prec - 1)
+    return IntegralForm(chart, add_terms({}, pairs), sigma.prec - 1)
 
 
 def dbar_int(sigma: IntegralForm) -> IntegralForm:
@@ -313,8 +246,7 @@ def _extend_term_right(delta: DeltaOperator, chart: Chart, word) -> MultiVectorF
         if value is not None:
             out = out + wedge(value, coeff_form)
         return out
-    deg_front = len(front)
-    sign = -1 if deg_front % 2 else 1
+    sign = koszul(len(front))
     bracket = schouten(front_form, tail_form)
     if sign > 0:
         bracket = -bracket
@@ -372,17 +304,11 @@ def bv_bracket(delta_apply, alpha: MultiVectorForm, beta: MultiVectorForm,
 
     delta_alpha(beta) = (-1)^deg(a) D(a^b) - (-1)^deg(a) D(a)^b - a^D(b).
     """
-    sign = -1 if alpha_deg % 2 else 1
-    first = delta_apply(wedge(alpha, beta)).scale(_gr(sign))
-    second = wedge(delta_apply(alpha), beta).scale(_gr(sign))
-    third = wedge(alpha, delta_apply(beta))
-    return first - second - third
-
-
-def _gr(sign: int):
-    from .jetring import GaussianRational
-
-    return GaussianRational.of(sign)
+    first = delta_apply(wedge(alpha, beta))
+    second = wedge(delta_apply(alpha), beta)
+    if koszul(alpha_deg) < 0:
+        first, second = -first, -second
+    return first - second - wedge(alpha, delta_apply(beta))
 
 
 @contextmanager
@@ -475,7 +401,7 @@ def check_bv_axioms(chart: Chart, delta_apply, samples, dbar_apply=dbar):
 # -- comparison with the parity-flip picture -------------------------------------
 
 
-class SymTensorForm:
+class SymTensorForm(Section):
     """Sections of the parity-flipped symmetric algebra tensored with [dxi].
 
     Stored as (I, J) -> f for  d xibar^I (x) ([dxi] . f) (x) flip(d/dxi^J)
@@ -483,56 +409,11 @@ class SymTensorForm:
     may repeat, so the index discipline matches the wedge side exactly.
     """
 
-    __slots__ = ("chart", "terms", "prec")
+    __slots__ = ()
+    _tag = "symform"
 
-    def __init__(self, chart: Chart, terms: dict, prec: int | None = None):
-        self.chart = chart
-        floor = chart.sig.cap if prec is None else max(0, min(prec, chart.sig.cap))
-        clean = {}
-        for key, coeff in terms.items():
-            if not coeff.is_zero():
-                clean[key] = coeff
-                floor = min(floor, coeff.prec)
-        self.terms = clean
-        self.prec = floor
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymTensorForm") -> "SymTensorForm":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        return SymTensorForm(self.chart, terms, min(self.prec, other.prec))
-
-    def __neg__(self) -> "SymTensorForm":
-        return SymTensorForm(self.chart, {k: -c for k, c in self.terms.items()}, self.prec)
-
-    def agrees_with(self, other: "SymTensorForm") -> bool:
-        prec = min(self.prec, other.prec)
-        zero = self.chart.zero()
-        for key in set(self.terms) | set(other.terms):
-            left = self.terms.get(key, zero).truncate(prec)
-            if not left.same_terms(other.terms.get(key, zero).truncate(prec)):
-                return False
-        return True
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (i, j) in sorted(self.terms, key=lambda key: (len(key[0]), len(key[1]), key)):
-            factors = [f"d{self.chart.sig.gen_name(self.chart.bar_gen_id(k))}" for k in i]
-            factors.append("[dxi]")
-            factors.append(f"({self.terms[(i, j)].render()})")
-            factors.extend(f"flip(dv({self.chart.sig.gen_name(self.chart.gen_id(k))}))" for k in j)
-            pieces.append(" * ".join(factors))
-        return " + ".join(pieces)
+    def _factors(self, dbars: list, vecs: list, coeff: str) -> list:
+        return dbars + ["[dxi]", coeff] + [f"flip({v})" for v in vecs]
 
 
 def _gamma_sign(chart: Chart, j_idx, coeff_parity: int) -> int:
@@ -545,46 +426,28 @@ def _gamma_sign(chart: Chart, j_idx, coeff_parity: int) -> int:
     exponent += p * (m + coeff_parity)              # flip map past [dxi] . f
     for pos, k in enumerate(j_idx, start=1):        # the position-weighted flip sign
         exponent += (p - pos + 1) * chart.parity(k)
-    return -1 if exponent % 2 else 1
+    return koszul(exponent)
+
+
+def _gamma_terms(form: Section) -> dict:
+    """Terms of the parity-flip map; the map is its own inverse on terms."""
+    chart = form.chart
+    pairs = []
+    for key, coeff in form.terms.items():
+        for part in coeff.homogeneous_parts():
+            if not part.is_zero():
+                sign = _gamma_sign(chart, key[1], part.parity())
+                pairs.append((key, part if sign > 0 else -part))
+    return add_terms({}, pairs)
 
 
 def manin_gamma(sigma: IntegralForm) -> SymTensorForm:
     """Parity-flip comparison map from wedge powers to symmetric powers."""
-    chart = sigma.chart
-    terms: dict = {}
-    for (i_idx, j_idx), coeff in sigma.terms.items():
-        for part in coeff.homogeneous_parts():
-            if part.is_zero():
-                continue
-            sign = _gamma_sign(chart, j_idx, part.parity())
-            add = part if sign > 0 else -part
-            key = (i_idx, j_idx)
-            prev = terms.get(key)
-            total = add if prev is None else prev + add
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-    return SymTensorForm(chart, terms, sigma.prec)
+    return SymTensorForm(sigma.chart, _gamma_terms(sigma), sigma.prec)
 
 
 def manin_gamma_inverse(tau: SymTensorForm) -> IntegralForm:
-    chart = tau.chart
-    terms: dict = {}
-    for (i_idx, j_idx), coeff in tau.terms.items():
-        for part in coeff.homogeneous_parts():
-            if part.is_zero():
-                continue
-            sign = _gamma_sign(chart, j_idx, part.parity())
-            add = part if sign > 0 else -part
-            key = (i_idx, j_idx)
-            prev = terms.get(key)
-            total = add if prev is None else prev + add
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-    return IntegralForm(chart, terms, tau.prec)
+    return IntegralForm(tau.chart, _gamma_terms(tau), tau.prec)
 
 
 def manin_delta(tau: SymTensorForm, drop_form_sign: bool = False) -> SymTensorForm:
@@ -595,7 +458,7 @@ def manin_delta(tau: SymTensorForm, drop_form_sign: bool = False) -> SymTensorFo
     """
     chart = tau.chart
     m = chart.sig.m
-    terms: dict = {}
+    pairs = []
     for (i_idx, j_idx), coeff in tau.terms.items():
         q = len(i_idx)
         for part in coeff.homogeneous_parts():
@@ -610,18 +473,10 @@ def manin_delta(tau: SymTensorForm, drop_form_sign: bool = False) -> SymTensorFo
                     exponent = 1 + m + pf + (pos - 1) + pos * pk + pk * pf + (1 + pk) * prefix
                     if not drop_form_sign:
                         exponent += q
-                    sign = -1 if exponent % 2 else 1
-                    rest = j_idx[:pos - 1] + j_idx[pos:]
-                    key = (i_idx, rest)
-                    add = derivative if sign > 0 else -derivative
-                    prev = terms.get(key)
-                    total = add if prev is None else prev + add
-                    if total.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = total
+                    key = (i_idx, j_idx[:pos - 1] + j_idx[pos:])
+                    pairs.append((key, derivative if koszul(exponent) > 0 else -derivative))
                 prefix = (prefix + pk) % 2
-    return SymTensorForm(chart, terms, tau.prec - 1)
+    return SymTensorForm(chart, add_terms({}, pairs), tau.prec - 1)
 
 
 # -- coordinate covariance of the BV operator --------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .bvcalc import DeltaOperator
 from .charts import Chart, ChartError, Morphism
+from .grading import koszul
 from .jetring import GR_ONE, GaussianRational, JetSuperFunction, RingSignature
 from .supermatrix import SuperMatrix
 
@@ -163,7 +164,7 @@ def covariant_derivative(gamma: Christoffel, x_col, y_col):
         for part in out_left[q].homogeneous_parts():
             if part.is_zero():
                 continue
-            acc = acc + (-part if (pq * part.parity()) % 2 else part)
+            acc = acc + (part if koszul(pq * part.parity()) > 0 else -part)
         out.append(acc)
     return out
 

@@ -7,7 +7,9 @@ coordinates.  Two homogeneous elements supercommute with the sign
     a * b = (-1)^(deg(a)*deg(b) + |a|*|b|) * b * a
 
 and every Koszul sign used anywhere else in the package is obtained from the
-two functions below, never recomputed ad hoc.
+functions below, never recomputed ad hoc: ``koszul`` turns a sign exponent
+into a sign, ``commute_sign`` gives the exchange sign of two bidegrees and
+``reorder_sign`` the sign of a permutation of parities.
 """
 
 from __future__ import annotations
@@ -41,10 +43,14 @@ class BiDegree:
         check_parity(self.parity)
 
 
+def koszul(exponent: int) -> int:
+    """The sign (-1)^exponent."""
+    return -1 if exponent % 2 else 1
+
+
 def commute_sign(a: BiDegree, b: BiDegree) -> int:
     """Sign picked up when two homogeneous elements change places."""
-    exponent = a.cohom * b.cohom + a.parity * b.parity
-    return -1 if exponent % 2 else 1
+    return koszul(a.cohom * b.cohom + a.parity * b.parity)
 
 
 def reorder_sign(parities, permutation) -> int:

@@ -8,9 +8,15 @@ representing
 with both multi-indices sorted ascending and the coefficient written at the
 far right.  Even directions never repeat inside I or J (they wedge
 antisymmetrically); odd directions may repeat up to the chart's
-``odd_wedge_cap``, they wedge symmetrically.  Every operation builds formal
-words of the three item kinds below and hands them to one normaliser, so all
-Koszul signs come out of grading.commute_sign and nowhere else.
+``odd_wedge_cap``, they wedge symmetrically.  ``Section`` holds this sparse
+map and its linear structure for multivector forms here and for integral
+forms and their parity-flipped images in ``bvcalc``; ``add_terms`` is the one
+place where coefficients are summed and cancelled keys dropped.
+
+Every operation builds formal words of the three item kinds below and hands
+them to one normaliser, whose reordering signs come from
+grading.commute_sign.  The explicit sign exponents of dbar and of the bracket
+formulas become signs through grading.koszul; no sign is computed elsewhere.
 
 Item kinds: ("dbar", k) a barred coordinate differential; ("vec", k) a
 coordinate derivation; ("fun", f) a homogeneous coefficient.
@@ -21,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .charts import Chart, ChartError, Morphism
-from .grading import BiDegree, commute_sign
+from .grading import BiDegree, commute_sign, koszul
 from .jetring import JetSuperFunction
 
 DBAR, VEC, FUN = "dbar", "vec", "fun"
@@ -78,7 +84,7 @@ def normalise_word(chart: Chart, items, prefactor: int = 1):
             return (1, payload)
         return (2, 0)
 
-    out: dict = {}
+    pairs = []
     for word, base_sign in _split_functions(list(items)):
         sign = base_sign
         work = list(word)
@@ -110,14 +116,8 @@ def normalise_word(chart: Chart, items, prefactor: int = 1):
             continue
         if sign * prefactor < 0:
             coeff = -coeff
-        key = (tuple(form_idx), tuple(vec_idx))
-        acc = out.get(key)
-        total = coeff if acc is None else acc + coeff
-        if total.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = total
-    return out
+        pairs.append(((tuple(form_idx), tuple(vec_idx)), coeff))
+    return add_terms({}, pairs)
 
 
 def _drops(chart: Chart, indices) -> bool:
@@ -130,16 +130,36 @@ def _drops(chart: Chart, indices) -> bool:
     return False
 
 
-class MultiVectorForm:
-    """Normal-form section with a form-level order of validity.
+def add_terms(terms: dict, pairs) -> dict:
+    """Add each (key, coefficient) pair into ``terms`` in place and return it.
 
-    ``prec`` is the even-degree order to which the section is trusted: the
-    minimum of the precisions of all coefficients that entered its
-    computation, including ones that cancelled away.  Comparisons truncate
-    both sides to the smaller ``prec``.
+    A key whose coefficients cancel is dropped, so a sum of sparse sections
+    never stores a zero coefficient.
+    """
+    for key, coeff in pairs:
+        prev = terms.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = total
+    return terms
+
+
+class Section:
+    """Sparse map (I, J) -> coefficient jet, with a form-level order of validity.
+
+    Multivector forms, integral forms and their parity-flipped images share
+    this storage and its linear structure; a subclass only decides where the
+    Berezinian slot appears when a term is rendered.  ``prec`` is the
+    even-degree order to which the section is trusted: the minimum of the
+    precisions of all coefficients that entered its computation, including
+    ones that cancelled away.  Comparisons truncate both sides to the smaller
+    ``prec``.  Operations return the class of their left operand.
     """
 
     __slots__ = ("chart", "terms", "prec")
+    _tag = "section"
 
     def __init__(self, chart: Chart, terms: dict, prec: int | None = None):
         self.chart = chart
@@ -152,11 +172,82 @@ class MultiVectorForm:
         self.terms = clean
         self.prec = floor
 
-    # -- constructors -----------------------------------------------------
+    @classmethod
+    def zero(cls, chart: Chart, prec: int | None = None):
+        return cls(chart, {}, prec)
 
-    @staticmethod
-    def zero(chart: Chart, prec: int | None = None) -> "MultiVectorForm":
-        return MultiVectorForm(chart, {}, prec)
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        self._check_chart(other)
+        terms = add_terms(dict(self.terms), other.terms.items())
+        return type(self)(self.chart, terms, min(self.prec, other.prec))
+
+    def __neg__(self):
+        return type(self)(self.chart, {k: -c for k, c in self.terms.items()}, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value):
+        return type(self)(self.chart, {k: c.scale(value) for k, c in self.terms.items()}, self.prec)
+
+    def _check_chart(self, other) -> None:
+        if self.chart != other.chart:
+            raise ChartError("chart mismatch")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.chart == other.chart and self.prec == other.prec and self.terms == other.terms
+
+    __hash__ = None
+
+    def agrees_with(self, other) -> bool:
+        """Termwise equality after truncating to the common order of validity."""
+        self._check_chart(other)
+        prec = min(self.prec, other.prec)
+        zero = self.chart.zero()
+        for key in set(self.terms) | set(other.terms):
+            left = self.terms.get(key, zero).truncate(prec)
+            right = other.terms.get(key, zero).truncate(prec)
+            if not left.same_terms(right):
+                return False
+        return True
+
+    # -- rendering ------------------------------------------------------------
+
+    def _factors(self, dbars: list, vecs: list, coeff: str) -> list:
+        """The rendered factors of one term, in display order."""
+        return dbars + vecs + [coeff]
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        chart = self.chart
+        sig = chart.sig
+        pieces = []
+        for (i, j) in sorted(self.terms, key=lambda key: (len(key[0]), len(key[1]), key)):
+            dbars = [f"d{sig.gen_name(chart.bar_gen_id(k))}" for k in i]
+            vecs = [f"dv({sig.gen_name(chart.gen_id(k))})" for k in j]
+            coeff = f"({self.terms[(i, j)].render()})"
+            pieces.append(" * ".join(self._factors(dbars, vecs, coeff)))
+        return " + ".join(pieces)
+
+    def __repr__(self) -> str:
+        return f"<{self._tag} {self.render()}>"
+
+
+class MultiVectorForm(Section):
+    """Normal-form multivector-valued form d xibar^I (x) d/dxi^J . f."""
+
+    __slots__ = ()
+    _tag = "mvform"
+
+    # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_function(chart: Chart, f: JetSuperFunction) -> "MultiVectorForm":
@@ -178,13 +269,7 @@ class MultiVectorForm:
             for item in items:
                 if item[0] == FUN:
                     floor = min(floor, item[1].prec)
-            for key, coeff in normalise_word(chart, items, prefactor).items():
-                prev = acc.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
+            add_terms(acc, normalise_word(chart, items, prefactor).items())
         return MultiVectorForm(chart, acc, floor)
 
     def term_word(self, key):
@@ -196,19 +281,9 @@ class MultiVectorForm:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def bidegrees(self):
         """All (p, q) bidegrees occurring among the stored terms."""
         return {(len(j), len(i)) for (i, j) in self.terms}
-
-    def homogeneous_bidegree(self):
-        """(p, q) if every term shares one, else None."""
-        degs = {(len(j), len(i)) for (i, j) in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def parity(self):
         parities = set()
@@ -234,76 +309,6 @@ class MultiVectorForm:
     def project(self, p: int, q: int) -> "MultiVectorForm":
         terms = {(i, j): c for (i, j), c in self.terms.items() if len(j) == p and len(i) == q}
         return MultiVectorForm(self.chart, terms, self.prec)
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "MultiVectorForm") -> "MultiVectorForm":
-        self._check_chart(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        return MultiVectorForm(self.chart, terms, min(self.prec, other.prec))
-
-    def __neg__(self) -> "MultiVectorForm":
-        return MultiVectorForm(self.chart, {k: -c for k, c in self.terms.items()}, self.prec)
-
-    def __sub__(self, other: "MultiVectorForm") -> "MultiVectorForm":
-        return self + (-other)
-
-    def scale(self, value) -> "MultiVectorForm":
-        return MultiVectorForm(self.chart, {k: c.scale(value) for k, c in self.terms.items()}, self.prec)
-
-    def _check_chart(self, other: "MultiVectorForm") -> None:
-        if self.chart != other.chart:
-            raise ChartError("chart mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiVectorForm):
-            return NotImplemented
-        return self.chart == other.chart and self.prec == other.prec and self.terms == other.terms
-
-    __hash__ = None
-
-    def agrees_with(self, other: "MultiVectorForm") -> bool:
-        """Termwise equality after truncating to the common order of validity."""
-        self._check_chart(other)
-        prec = min(self.prec, other.prec)
-        keys = set(self.terms) | set(other.terms)
-        zero = self.chart.zero()
-        for key in keys:
-            left = self.terms.get(key, zero).truncate(prec)
-            right = other.terms.get(key, zero).truncate(prec)
-            if not left.same_terms(right):
-                return False
-        return True
-
-    # -- rendering ------------------------------------------------------------
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chart = self.chart
-        sig = chart.sig
-        pieces = []
-        for (i, j) in sorted(self.terms, key=lambda key: (len(key[0]), len(key[1]), key)):
-            factors = []
-            for k in i:
-                name = sig.gen_name(chart.bar_gen_id(k))
-                factors.append(f"d{name}")
-            for k in j:
-                factors.append(f"dv({sig.gen_name(chart.gen_id(k))})")
-            coeff = self.terms[(i, j)]
-            factors.append(f"({coeff.render()})")
-            pieces.append(" * ".join(factors))
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"<mvform {self.render()}>"
 
 
 # -- operations ----------------------------------------------------------------
@@ -334,7 +339,7 @@ def dbar(a: MultiVectorForm) -> MultiVectorForm:
             df = chart.dbar(coeff, k)
             if df.is_zero():
                 continue
-            sign = -1 if chart.parity(k) * index_parity % 2 else 1
+            sign = koszul(chart.parity(k) * index_parity)
             items = [(DBAR, k)] + [(DBAR, x) for x in i] + [(VEC, x) for x in j] + [(FUN, df)]
             words.append((sign, items))
     return MultiVectorForm.from_words(chart, words, a.prec)
@@ -383,7 +388,7 @@ def _base_bracket(chart: Chart, w: _Vec, v: _Vec):
         out.append((1, [(FUN, first), (VEC, v.direction)]))
     second = v.apply(chart, w.coeff)
     if not second.is_zero():
-        sign = 1 if (w.parity * v.parity) % 2 else -1
+        sign = -koszul(w.parity * v.parity)
         out.append((sign, [(FUN, second), (VEC, w.direction)]))
     return out
 
@@ -396,9 +401,8 @@ def _bracket_function_with_vectors(chart: Chart, f: JetSuperFunction, vecs):
     for i, v in enumerate(vecs):
         value = v.apply(chart, f)
         if not value.is_zero():
-            exponent = i + v.parity * (prefix_parity + fp)
-            sign = -1 if exponent % 2 else 1
-            sign = -sign  # leading minus of the defining formula
+            # the leading minus of the defining formula
+            sign = -koszul(i + v.parity * (prefix_parity + fp))
             word = [(FUN, value)]
             for l, other in enumerate(vecs):
                 if l != i:
@@ -421,7 +425,7 @@ def _bracket_vectors(chart: Chart, ws, vs):
                 + w.parity * w_prefix
                 + v.parity * (v_prefix + w_total + w.parity)
             )
-            sign = -1 if exponent % 2 else 1
+            sign = koszul(exponent)
             rest = []
             for l, other in enumerate(ws, start=1):
                 if l != j:
@@ -447,7 +451,7 @@ def _bracket_multivectors(chart: Chart, f, j_idx, g, l_idx):
         ws = _vectors_from(chart, f, j_idx)
         w_parity = sum(w.parity for w in ws) % 2
         exponent = (p + 1) + g.parity() * w_parity
-        outer = 1 if exponent % 2 else -1
+        outer = -koszul(exponent)
         return [
             (outer * s, word)
             for s, word in _bracket_function_with_vectors(chart, g, ws)
@@ -483,7 +487,7 @@ def schouten(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
                     exponent = fpa * (pi_a + pj_a) + gpb * (pi_b + pj_b)
                     # bidegree bookkeeping sign of the form-valued extension
                     exponent += q_b * (p + 1) + fpa * pi_a + pi_b * (gpb + pj_a + fpa)
-                    sign = -1 if exponent % 2 else 1
+                    sign = koszul(exponent)
                     inner = _bracket_multivectors(chart, fa_part, ja, gb_part, jb)
                     if not inner:
                         continue

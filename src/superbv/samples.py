@@ -12,6 +12,7 @@ import random
 
 from .charts import BerSection, Chart, Morphism
 from .jetring import GaussianRational, JetSuperFunction, RingSignature
+from .mvforms import MultiVectorForm, add_terms
 
 
 class SampleGen:
@@ -91,9 +92,7 @@ class SampleGen:
     def mvform(self, chart, p, q, parity=None, max_terms=2, holomorphic_coeff=False,
                allow_repeats=False):
         """Random homogeneous (p, q) section, optionally of fixed total parity."""
-        from .mvforms import MultiVectorForm
-
-        terms = {}
+        pairs = []
         for _ in range(self.rng.randint(1, max_terms)):
             i_idx = self.index_multiset(chart, q, allow_repeats)
             j_idx = self.index_multiset(chart, p, allow_repeats)
@@ -101,11 +100,8 @@ class SampleGen:
             coeff_parity = None if parity is None else (parity + index_parity) % 2
             coeff = self.jet(chart.sig, max_terms=2, max_even_degree=2,
                              holomorphic=holomorphic_coeff, parity=coeff_parity)
-            if coeff.is_zero():
-                continue
-            key = (i_idx, j_idx)
-            terms[key] = terms.get(key, chart.zero()) + coeff
-        return MultiVectorForm(chart, {k: c for k, c in terms.items() if not c.is_zero()})
+            pairs.append(((i_idx, j_idx), coeff))
+        return MultiVectorForm(chart, add_terms({}, pairs))
 
     def homogeneous_mvform(self, chart, max_p=2, max_q=2, allow_repeats=False):
         """Random homogeneous section with random bidegree and parity."""
@@ -178,7 +174,7 @@ class SampleGen:
         """
         from .connect import Christoffel
 
-        symbols = {}
+        pairs = []
         dim = chart.dim
         m = chart.sig.m
         count = self.rng.randint(1, dim * 2)
@@ -198,11 +194,8 @@ class SampleGen:
             else:
                 value = self.jet(chart.sig, max_terms=max_terms, max_even_degree=1,
                                  holomorphic=True, parity=parity)
-            if value.is_zero():
-                continue
-            key = (q, k, l)
-            symbols[key] = symbols.get(key, chart.zero()) + value
-        return Christoffel(chart, {k: v for k, v in symbols.items() if not v.is_zero()})
+            pairs.append(((q, k, l), value))
+        return Christoffel(chart, add_terms({}, pairs))
 
     def formal_path(self, chart: Chart, odd_params=2, order=4, with_odd_direction=True):
         """Random polynomial path through the base point."""

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .grading import ODD, reorder_sign
+from .grading import ODD, koszul, reorder_sign
 from .jetring import (
     GaussianRational,
     JetError,
@@ -133,8 +133,8 @@ class SuperMatrix:
         for i in range(size):
             for j in range(size):
                 src = self.rows[j][i]
-                sign = self.index_parity(j) * (1 + self.index_parity(i))
-                rows[i][j] = -src if sign % 2 else src
+                exponent = self.index_parity(j) * (1 + self.index_parity(i))
+                rows[i][j] = src if koszul(exponent) > 0 else -src
         return SuperMatrix(self.sig, self.p, self.q, rows)
 
     def str_(self) -> JetSuperFunction:

@@ -3,6 +3,7 @@ import pytest
 from superbv.bvcalc import (
     DeltaOperator,
     IntegralForm,
+    SymTensorForm,
     bv_bracket,
     check_bv_axioms,
     dbar_int,
@@ -21,7 +22,7 @@ from superbv.bvcalc import (
     pull_delta_table,
 )
 from superbv.charts import BerSection, Chart, ChartError, pull_ber
-from superbv.jetring import JetSuperFunction, RingSignature
+from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
 from superbv.mvforms import MultiVectorForm, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 
@@ -33,6 +34,36 @@ CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 def unit_section(chart):
     return BerSection(chart, chart.one())
+
+
+@pytest.mark.parametrize("cls", [MultiVectorForm, IntegralForm, SymTensorForm])
+class TestSection:
+    def test_mixed_charts_rejected(self, cls):
+        # distinct keys, so no coefficients of different rings meet
+        left = cls(Chart(SIG11), {((), (0,)): Chart(SIG11).one()})
+        right = cls(Chart(SIG21), {((), (1,)): Chart(SIG21).one()})
+        with pytest.raises(ChartError):
+            left + right
+        with pytest.raises(ChartError):
+            left - right
+        with pytest.raises(ChartError):
+            left.agrees_with(right)
+
+    def test_operations_keep_the_class(self, cls):
+        chart = Chart(SIG11)
+        a = cls(chart, {((), (0,)): chart.one(), ((0,), ()): chart.coordinate(0)})
+        for out in (a + a, a - a, -a, a.scale(GaussianRational.of(2)), cls.zero(chart)):
+            assert type(out) is cls
+        assert (a - a).is_zero() and a.agrees_with(a) and a == cls(chart, dict(a.terms))
+
+
+def test_section_classes_compare_by_exact_type():
+    chart = Chart(SIG11)
+    terms = {((), (0,)): chart.one()}
+    mv, sigma = MultiVectorForm(chart, terms), IntegralForm(chart, terms)
+    assert mv.terms == sigma.terms
+    assert mv != sigma and sigma != mv
+    assert mv.render() != sigma.render()
 
 
 class TestEta:
@@ -275,7 +306,7 @@ class TestProjection:
 
         def perturbed(x):
             out = extend_delta(delta, x)
-            if x.homogeneous_bidegree() == (1, 0):
+            if x.bidegrees() == {(1, 0)}:
                 out = out + noise
             return out
 

@@ -32,13 +32,13 @@ class TestParseStatements:
     def test_section_literal(self):
         sc = scenario("section a = dzb1 * dv(z1) * th1;\n")
         a = sc.sections["a"]
-        assert a.homogeneous_bidegree() == (1, 1)
+        assert a.bidegrees() == {(1, 1)}
         assert a.parity() == 1
 
     def test_caret_generator_and_wedge(self):
         sc = scenario("section a = (dzb^1 ^ dzb^2) * dv(z1) * (1 + z1*z2);\n")
         a = sc.sections["a"]
-        assert a.homogeneous_bidegree() == (1, 2)
+        assert a.bidegrees() == {(1, 2)}
 
     def test_ber_section(self):
         sc = scenario("let w = (1 + z1) [dxi];\n")

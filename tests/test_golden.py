@@ -315,6 +315,9 @@ SECTION_DIGESTS = {
 SECTION_REPRS = {
     "mvform": "<mvform dthb1 * (2*th1*thb1)>",
     "intform": "<intform dthb1 * (2*th1*thb1 + 6*z1^2*th1*thb1) * [dxi]>",
+    # recorded with the shared section base; before it this class had only
+    # the default object repr, which shows a memory address
+    "symform": "<symform dthb1 * [dxi] * (2*th1*thb1 + 6*z1^2*th1*thb1)>",
 }
 
 
@@ -372,3 +375,4 @@ def test_section_repr():
     alpha = forms[0]
     assert repr(alpha) == SECTION_REPRS["mvform"]
     assert repr(eta(omega, alpha)) == SECTION_REPRS["intform"]
+    assert repr(manin_gamma(eta(omega, alpha))) == SECTION_REPRS["symform"]

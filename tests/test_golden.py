@@ -11,11 +11,14 @@ of ``prec`` and ``render()`` of every jet operation on sampled jets over a
 range of signatures and degree caps, digests of ``prec``, ``den`` and
 ``render()`` of supermatrix products, inverses and superdeterminants, and
 digests of ``prec`` and ``render()`` of the section operations of
-``mvforms`` and ``bvcalc``.
+``mvforms`` and ``bvcalc``.  The cap-6 transform and product digests were
+recorded from the flat term-product loop that visited every pair of terms
+and from a ``pull_mvform`` that built both differentials for every section.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,8 +36,9 @@ from superbv.bvcalc import (
     pull_intform,
 )
 from superbv.charts import Chart
-from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
-from superbv.mvforms import dbar, schouten, wedge
+from superbv.dsl import parse
+from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, dot
+from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
 
@@ -376,3 +380,88 @@ def test_section_repr():
     assert repr(alpha) == SECTION_REPRS["mvform"]
     assert repr(eta(omega, alpha)) == SECTION_REPRS["intform"]
     assert repr(manin_gamma(eta(omega, alpha))) == SECTION_REPRS["symform"]
+
+
+# A generated ring 2|2 cap 6 scenario: dense transforms and dense jet products.
+CAP6_SECTIONS = (
+    ("section", "bar", "dzb1 * ({}*z1*z2 + {}*th2*thb1 + {}*zb2)"),
+    ("section", "vec", "dv(z2) * ({}*z1 + {}*z2^2 + {}*zb1*th1*th2)"),
+    ("section", "vec2", "dv(z1) * dv(th2) * ({}*th2 + {}*z2*th1)"),
+    ("let", "f", "{}*z1*z2 + {}*th1*th2 + {}*z1^3"),
+)
+CAP6_MAP = (
+    "{}*z1 + {}*z2 + {}*z1^2 + {}*z2*th1*th2 + {}*z1*z2^2",
+    "{}*z2 + {}*z1*z2 + {}*z1^3",
+    "{}*th1 + {}*z1*th1 + {}*z2*th2",
+    "{}*th2 + {}*th1 + {}*z1^2*th2",
+)
+
+# section -> first 16 hex digits of the sha256 of _cap6_transform_text(section)
+CAP6_TRANSFORM_DIGESTS = {
+    "bar": "c92ba324aaf77a13", "vec": "be270092709092e6",
+    "vec2": "bf8a85bb54e3e490", "f": "5483868077959363",
+}
+# first 16 hex digits of the sha256 of _cap6_product_lines()
+CAP6_PRODUCT_DIGEST = "dc92ec609f824f5d"
+
+
+def _cap6_scenario():
+    rng = random.Random(6)
+
+    def fill(shape):
+        values = []
+        for _ in range(shape.count("{}")):
+            re, im = rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((-1, 1)) * rng.randint(1, 5)
+            values.append(f"({re} + {im}*i)" if im > 0 else f"({re} - {-im}*i)")
+        return shape.format(*values)
+
+    lines = ["ring 2|2 cap 6;"]
+    lines += [f"{keyword} {name} = {fill(shape)};" for keyword, name, shape in CAP6_SECTIONS]
+    images = " ".join(f"zeta{k + 1} = {fill(shape)};" for k, shape in enumerate(CAP6_MAP))
+    lines.append(f"map phi {{ {images} }}")
+    return "\n".join(lines) + "\n"
+
+
+def _form_line(label, form):
+    coefficients = " ".join(f"{form.terms[key].prec}/{form.terms[key].den}"
+                            for key in sorted(form.terms))
+    return f"{label} {form.prec} [{coefficients}] {form.render()}"
+
+
+@pytest.mark.parametrize("name", sorted(CAP6_TRANSFORM_DIGESTS))
+def test_cap6_transform(name, tmp_path, capsys):
+    text = _cap6_scenario()
+    path = tmp_path / "cap6.sbv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["transform", str(path), "--map", "phi", "--section", name]) == 0
+    out = capsys.readouterr().out
+    scenario = parse(text)
+    section = scenario.sections.get(name)
+    if section is None:
+        section = MultiVectorForm.from_function(scenario.chart, scenario.functions[name])
+    transported = pull_mvform(scenario.morphisms["phi"].invert(), section)
+    assert out == transported.render() + "\n"
+    assert _digest(out + _form_line(name, transported)) == CAP6_TRANSFORM_DIGESTS[name]
+
+
+def _cap6_product_lines():
+    """``*``, ``dot`` and ``SuperMatrix.inverse`` on the dense entries of the
+    inverse map and its Jacobian; the scaled copies mix the denominators."""
+    inverse = parse(_cap6_scenario()).morphisms["phi"].invert()
+    sig = inverse.source.sig
+    jacobian = inverse.differential()
+    third = GaussianRational.of(Fraction(1, 3), Fraction(-2, 7))
+    entries = list(inverse.pullbacks) + [e for row in jacobian.rows for e in row]
+    entries += [e.scale(third) for e in inverse.pullbacks]
+    lines = [_jet_line(f"mul {k}", a * b) for k, (a, b) in enumerate(zip(entries, entries[3:]))]
+    lines.append(_jet_line("square", entries[0] * entries[0]))
+    for k in range(len(entries) - 7):
+        lines.append(_jet_line(f"dot {k}", dot(sig, zip(entries[k:k + 4], entries[k + 4:k + 8]))))
+    lines.append(_matrix_line("jacobian", jacobian))
+    lines.append(_matrix_line("inverse", jacobian.inverse()))
+    lines.append(_matrix_line("product", jacobian * jacobian.inverse()))
+    return "\n".join(lines)
+
+
+def test_cap6_products():
+    assert _digest(_cap6_product_lines()) == CAP6_PRODUCT_DIGEST

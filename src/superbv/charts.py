@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jetring import JetError, JetSuperFunction, RingSignature, substitute_many
+from .jetring import JetError, JetSuperFunction, RingSignature, numerators, substitute_many
 from .supermatrix import SuperMatrix
 
 
@@ -252,8 +252,8 @@ class Morphism:
                 raise ChartError("invertible morphisms must fix the base point")
         even, odd = self.linear_parts()
         try:
-            even_inv = _invert_scalar_matrix(even)
-            odd_inv = _invert_scalar_matrix(odd)
+            even_inv = [[numerators(x) for x in row] for row in _invert_scalar_matrix(even)]
+            odd_inv = [[numerators(x) for x in row] for row in _invert_scalar_matrix(odd)]
         except ZeroDivisionError:
             raise ChartError("linear part is not invertible") from None
 
@@ -263,12 +263,12 @@ class Morphism:
             for i in range(n):
                 acc = JetSuperFunction.zero(target.sig)
                 for k in range(n):
-                    acc = acc + values[k].scale(even_inv[i][k])
+                    acc = acc + values[k].scale_numerators(*even_inv[i][k])
                 out.append(acc)
             for i in range(m):
                 acc = JetSuperFunction.zero(target.sig)
                 for k in range(m):
-                    acc = acc + values[n + k].scale(odd_inv[i][k])
+                    acc = acc + values[n + k].scale_numerators(*odd_inv[i][k])
                 out.append(acc)
             return out
 

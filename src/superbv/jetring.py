@@ -176,8 +176,9 @@ GR_ONE = GaussianRational(_FR_ONE, _FR_ZERO)
 GR_I = GaussianRational(_FR_ZERO, _FR_ONE)
 
 
-def _numerators(value: GaussianRational):
-    """``(re, im, den)``: integer numerators of ``value`` over their least denominator."""
+def numerators(value: GaussianRational):
+    """``(re, im, den)``: integer numerators of ``value`` over their least
+    denominator, the form ``JetSuperFunction.scale_numerators`` takes."""
     re, im = value.re, value.im
     den = lcm(re.denominator, im.denominator)
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
@@ -297,46 +298,104 @@ def _accumulate(acc: dict, den: int, terms: dict, tden: int) -> int:
     return den
 
 
+# Products of fewer term pairs than this visit every pair: on small jets,
+# indexing the right operand costs more than the pairs it lets the loop skip.
+# Measured on the operands of the benchmark workloads (see CHANGES.md).
+_FLAT_PAIRS = 48
+
+
 def _multiply_into(acc: dict, layout: _Layout, left: dict, factor: int, right: dict,
                    prec: int) -> None:
     """Add ``factor`` times the product of the packed terms ``left`` and
     ``right`` into ``acc`` in place, dropping monomials past ``prec``.
 
     Keys whose numerators cancel stay in ``acc`` with value ``(0, 0)``.
+
+    Below ``_FLAT_PAIRS`` pairs (``len(left) * len(right)``) the loop visits
+    every pair.  From there on ``right`` is indexed first.  Bucket
+    invariant: each bucket holds the terms of ``right`` with one odd mask,
+    sorted by even degree, so that the terms of degree at most ``r`` are a
+    prefix of it.  A left term of odd mask ``s1`` and degree ``d`` visits
+    only the buckets whose mask is disjoint from ``s1`` and stops in each
+    at the first term past degree ``prec - d``, so every pair it visits
+    yields a term.  The disjoint buckets and their merge signs are looked
+    up once per distinct ``s1``, not once per pair.
     """
     shift = layout.shift
     odd_mask = layout.odd_mask
     signs = layout.signs
-    pairs = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in right.items()]
     get = acc.get
+    if len(left) * len(right) < _FLAT_PAIRS:
+        pairs = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in right.items()]
+        for k1, (a1, b1) in left.items():
+            if factor != 1:
+                a1 *= factor
+                b1 *= factor
+            s1 = k1 & odd_mask
+            row = signs.get(s1)
+            if row is None:
+                row = signs[s1] = {}
+            for k2, s2, a2, b2 in pairs:
+                if s1 & s2:
+                    continue  # a repeated odd generator squares to zero
+                key = k1 + k2
+                if key >> shift > prec:
+                    continue
+                sign = row.get(s2)
+                if sign is None:
+                    sign = row[s2] = layout.merge_sign(s1, s2)
+                if sign > 0:
+                    re = a1 * a2 - b1 * b2
+                    im = a1 * b2 + b1 * a2
+                else:
+                    re = b1 * b2 - a1 * a2
+                    im = -a1 * b2 - b1 * a2
+                prev = get(key)
+                if prev is None:
+                    acc[key] = (re, im)
+                else:
+                    acc[key] = (prev[0] + re, prev[1] + im)
+        return
+    buckets: dict = {}
+    for k2, (a2, b2) in right.items():
+        buckets.setdefault(k2 & odd_mask, []).append((k2 >> shift, k2, a2, b2))
+    for bucket in buckets.values():
+        bucket.sort()
+    plans: dict = {}  # left odd mask -> [(merge sign, bucket)] of the disjoint buckets
     for k1, (a1, b1) in left.items():
+        room = prec - (k1 >> shift)
+        if room < 0:
+            continue
+        s1 = k1 & odd_mask
+        plan = plans.get(s1)
+        if plan is None:
+            row = signs.get(s1)
+            if row is None:
+                row = signs[s1] = {}
+            plan = plans[s1] = []
+            for s2, bucket in buckets.items():
+                if s1 & s2:
+                    continue  # a repeated odd generator squares to zero
+                sign = row.get(s2)
+                if sign is None:
+                    sign = row[s2] = layout.merge_sign(s1, s2)
+                plan.append((sign, bucket))
         if factor != 1:
             a1 *= factor
             b1 *= factor
-        s1 = k1 & odd_mask
-        row = signs.get(s1)
-        if row is None:
-            row = signs[s1] = {}
-        for k2, s2, a2, b2 in pairs:
-            if s1 & s2:
-                continue  # a repeated odd generator squares to zero
-            key = k1 + k2
-            if key >> shift > prec:
-                continue
-            sign = row.get(s2)
-            if sign is None:
-                sign = row[s2] = layout.merge_sign(s1, s2)
-            if sign > 0:
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-            else:
-                re = b1 * b2 - a1 * a2
-                im = -a1 * b2 - b1 * a2
-            prev = get(key)
-            if prev is None:
-                acc[key] = (re, im)
-            else:
-                acc[key] = (prev[0] + re, prev[1] + im)
+        for sign, bucket in plan:
+            p, q = (a1, b1) if sign > 0 else (-a1, -b1)
+            for d2, k2, a2, b2 in bucket:
+                if d2 > room:
+                    break  # the rest of the bucket lies past prec
+                key = k1 + k2
+                re = p * a2 - q * b2
+                im = p * b2 + q * a2
+                prev = get(key)
+                if prev is None:
+                    acc[key] = (re, im)
+                else:
+                    acc[key] = (prev[0] + re, prev[1] + im)
 
 
 class JetSuperFunction:
@@ -358,7 +417,7 @@ class JetSuperFunction:
 
     def __init__(self, sig: RingSignature, terms: dict, prec: int | None = None):
         prec = _clamp(sig, prec)
-        kept = [(sig._layout.key(exps, odd), _numerators(coeff))
+        kept = [(sig._layout.key(exps, odd), numerators(coeff))
                 for (exps, odd), coeff in terms.items() if coeff and sum(exps) <= prec]
         den = lcm(*(d for _, (_, _, d) in kept))
         packed = {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in kept}
@@ -376,7 +435,7 @@ class JetSuperFunction:
 
     @staticmethod
     def scalar(sig: RingSignature, value: GaussianRational, prec: int | None = None) -> "JetSuperFunction":
-        re, im, den = _numerators(value)
+        re, im, den = numerators(value)
         return _jet(sig, {0: (re, im)} if value else {}, den, _clamp(sig, prec))
 
     @staticmethod
@@ -490,9 +549,13 @@ class JetSuperFunction:
         return self + (-other)
 
     def scale(self, value: GaussianRational) -> "JetSuperFunction":
-        if not value:
+        return self.scale_numerators(*numerators(value))
+
+    def scale_numerators(self, p: int, q: int, den: int) -> "JetSuperFunction":
+        """``scale`` by ``(p + q*i) / den``, for a scalar converted once with
+        ``numerators`` and applied to many jets."""
+        if not (p or q):
             return JetSuperFunction.zero(self.sig, self.prec)
-        p, q, den = _numerators(value)
         terms = {key: (re * p - im * q, re * q + im * p) for key, (re, im) in self.terms.items()}
         return _canonical(self.sig, terms, self.den * den, self.prec)
 

@@ -510,15 +510,19 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
 
     Coefficients pull back through phi#, vector indices through the inverse
     differential, barred form indices through the mirrored (conjugate)
-    differential supertranspose.
+    differential supertranspose; each of the two matrices is built only
+    when some term has an index of its kind.
     """
     if not phi.is_holomorphic():
         raise ChartError("multivector forms only pull back through holomorphic morphisms")
     if a.chart != phi.target:
         raise ChartError("section lives on the wrong chart")
     source = phi.source
-    d_inv = phi.differential_inverse()
-    d_bar_st = phi.differential_bar().supertranspose()
+    d_inv = d_bar_st = None
+    if any(j_idx for _, j_idx in a.terms):
+        d_inv = phi.differential_inverse()
+    if any(i_idx for i_idx, _ in a.terms):
+        d_bar_st = phi.differential_bar().supertranspose()
     pulled = phi.apply_many(a.terms.values())
     out_words = []
     for (i_idx, j_idx), pulled_coeff in zip(a.terms, pulled):

@@ -21,6 +21,7 @@ from .jetring import (
     NotAUnitError,
     RingSignature,
     dot,
+    numerators,
 )
 
 
@@ -161,7 +162,8 @@ class SuperMatrix:
         """
         self._require_even("inversion")
         try:
-            body_inv = _invert_scalar_matrix(self.body_matrix())
+            body_inv = [[numerators(x) for x in row]
+                        for row in _invert_scalar_matrix(self.body_matrix())]
         except ZeroDivisionError:
             raise NotAUnitError("body of the matrix is not invertible") from None
         identity = SuperMatrix.identity(self.sig, self.p, self.q)
@@ -264,15 +266,16 @@ def det_even(sig: RingSignature, grid) -> JetSuperFunction:
 
 
 def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
-    """Sum of ``e.scale(s)`` over the ``(s, e)`` pairs where neither is zero.
+    """Sum of ``e.scale(s)`` over the ``(s, e)`` pairs where neither is zero,
+    with each scalar ``s`` given as its ``numerators``.
 
     Scalars are central, so this equals the matrix-product entry with
     the scalars as one-term jets of full precision, on either side.
     """
     acc = JetSuperFunction.zero(sig)
-    for scalar, entry in pairs:
-        if scalar and entry.terms:
-            acc = acc + entry.scale(scalar)
+    for (p, q, den), entry in pairs:
+        if (p or q) and entry.terms:
+            acc = acc + entry.scale_numerators(p, q, den)
     return acc
 
 

@@ -1,12 +1,13 @@
+import contextlib
 import itertools
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbv import cli
+from superbv import cli, jetring
 from superbv.grading import ODD, commute_sign, BiDegree, reorder_sign
 from superbv.jetring import (
     GR_I,
@@ -17,7 +18,9 @@ from superbv.jetring import (
     JetSuperFunction,
     NotAUnitError,
     RingSignature,
+    dot,
 )
+from superbv.samples import SampleGen
 
 SIG = RingSignature(n=1, m=2, cap=3)
 SIG22 = RingSignature(n=2, m=2, cap=4)
@@ -436,6 +439,193 @@ class TestReferenceKernel:
                 order = sorted(range(len(word)), key=word.__getitem__)
                 sign = reorder_sign([ODD] * len(word), order)
                 assert _terms(product) == {((), tuple(sorted(word))): GaussianRational.of(sign)}
+
+
+# -- the flat term-product loop ------------------------------------------------
+# The loop that visits every pair of terms, as jetring._multiply_into ran it
+# before it indexed the right operand; the kernel must match it term for term,
+# in ``den`` and in ``prec``, on both sides of its size threshold.
+
+
+def flat_multiply_into(acc, layout, left, factor, right, prec):
+    shift = layout.shift
+    odd_mask = layout.odd_mask
+    pairs = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in right.items()]
+    for k1, (a1, b1) in left.items():
+        if factor != 1:
+            a1 *= factor
+            b1 *= factor
+        s1 = k1 & odd_mask
+        for k2, s2, a2, b2 in pairs:
+            if s1 & s2:
+                continue
+            key = k1 + k2
+            if key >> shift > prec:
+                continue
+            if layout.merge_sign(s1, s2) > 0:
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+            else:
+                re = b1 * b2 - a1 * a2
+                im = -a1 * b2 - b1 * a2
+            prev = acc.get(key, (0, 0))
+            acc[key] = (prev[0] + re, prev[1] + im)
+
+
+def _reduced(acc, den, prec):
+    """``(terms, den, prec)`` in canonical form: cancelled keys dropped and
+    the common factor of ``den`` and every numerator divided out."""
+    terms = {key: value for key, value in acc.items() if value[0] or value[1]}
+    g = gcd(den, *(part for value in terms.values() for part in value))
+    return {key: (re // g, im // g) for key, (re, im) in terms.items()}, den // g, prec
+
+
+def flat_mul(f, g):
+    prec = min(f.prec, g.prec)
+    acc = {}
+    flat_multiply_into(acc, f.sig._layout, f.terms, 1, g.terms, prec)
+    return _reduced(acc, f.den * g.den, prec)
+
+
+def flat_dot(sig, pairs):
+    prec = min([sig.cap] + [x.prec for pair in pairs for x in pair])
+    live = [(a, b) for a, b in pairs if a.terms and b.terms]
+    den = lcm(*(a.den * b.den for a, b in live))
+    acc = {}
+    for a, b in live:
+        flat_multiply_into(acc, sig._layout, a.terms, den // (a.den * b.den), b.terms, prec)
+    return _reduced(acc, den, prec)
+
+
+def _packed(x):
+    return x.terms, x.den, x.prec
+
+
+@contextlib.contextmanager
+def flat_pairs(value):
+    """Run the kernel with another size threshold; 0 indexes every product."""
+    saved = jetring._FLAT_PAIRS
+    jetring._FLAT_PAIRS = value
+    try:
+        yield
+    finally:
+        jetring._FLAT_PAIRS = saved
+
+
+# both paths of the kernel: the real threshold, and the index on every product
+THRESHOLDS = (jetring._FLAT_PAIRS, 0)
+
+KERNEL_SIGS = [RingSignature(n, m, cap) for n in range(4) for m in range(4) for cap in range(7)
+               if n or m]
+
+
+@st.composite
+def dense_jets(draw, sig, max_terms=24, key=None, prec=None):
+    """Jets of up to ``max_terms`` terms with mixed denominators, at ``prec``
+    or at a drawn precision; ``key(draw)`` may draw each ``(exps, odd)``."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        if key is None:
+            exps = tuple(draw(st.integers(min_value=0, max_value=min(sig.cap, 3)))
+                         for _ in range(sig.even_count))
+            odd = tuple(sorted(draw(st.sets(st.integers(0, sig.odd_count - 1),
+                                            max_size=sig.odd_count)))) if sig.odd_count else ()
+        else:
+            exps, odd = key(draw)
+        parts = [Fraction(draw(st.integers(min_value=-6, max_value=6)),
+                          draw(st.sampled_from((1, 2, 3, 5, 6)))) for _ in range(2)]
+        terms[(exps, odd)] = GaussianRational.of(*parts)
+    if prec is None:
+        prec = draw(st.integers(min_value=0, max_value=sig.cap))
+    return JetSuperFunction(sig, terms, prec)
+
+
+def dense_pairs():
+    return st.sampled_from(KERNEL_SIGS).flatmap(
+        lambda sig: st.tuples(dense_jets(sig), dense_jets(sig)))
+
+
+def dot_inputs():
+    return st.sampled_from(KERNEL_SIGS).flatmap(
+        lambda sig: st.tuples(st.just(sig), st.lists(
+            st.tuples(dense_jets(sig, max_terms=12), dense_jets(sig, max_terms=12)),
+            max_size=4)))
+
+
+@st.composite
+def vanishing_pairs(draw):
+    """Nonzero factors at full precision whose every term product either
+    repeats an odd generator or lies past the cap, but not both kinds."""
+    sig = draw(st.sampled_from([s for s in KERNEL_SIGS if s.m or (s.n and s.cap)]))
+    overlap = draw(st.booleans()) if sig.m and sig.n and sig.cap else bool(sig.m)
+    if overlap:
+        shared = draw(st.integers(0, sig.odd_count - 1))
+        degrees = (None, None)
+    else:
+        first = draw(st.integers(min_value=1, max_value=sig.cap))
+        degrees = (first, draw(st.integers(min_value=sig.cap + 1 - first, max_value=sig.cap)))
+
+    def key_of_degree(degree):
+        def key(draw):
+            if degree is None:
+                exps = tuple(draw(st.integers(0, min(sig.cap, 2))) for _ in range(sig.even_count))
+            else:
+                exps = [0] * sig.even_count
+                for _ in range(degree):
+                    exps[draw(st.integers(0, sig.even_count - 1))] += 1
+                exps = tuple(exps)
+            odd = draw(st.sets(st.integers(0, sig.odd_count - 1), max_size=sig.odd_count)) \
+                if sig.odd_count else set()
+            if overlap:
+                odd.add(shared)
+            return exps, tuple(sorted(odd))
+        return key
+
+    f, g = (draw(dense_jets(sig, key=key_of_degree(degree), prec=sig.cap)
+                 .filter(lambda x: not x.is_zero())) for degree in degrees)
+    return sig, f, g
+
+
+class TestTermProductKernel:
+    @given(dense_pairs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_product_matches_flat_loop(self, pair):
+        f, g = pair
+        for threshold in THRESHOLDS:
+            with flat_pairs(threshold):
+                assert _packed(f * g) == flat_mul(f, g)
+                assert _packed(g * f) == flat_mul(g, f)
+
+    @given(dot_inputs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_dot_matches_flat_loop(self, case):
+        sig, pairs = case
+        for threshold in THRESHOLDS:
+            with flat_pairs(threshold):
+                assert _packed(dot(sig, pairs)) == flat_dot(sig, pairs)
+
+    @given(vanishing_pairs())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_vanishing_products_are_the_canonical_zero(self, case):
+        sig, f, g = case
+        for threshold in THRESHOLDS:
+            with flat_pairs(threshold):
+                for x in (f * g, g * f, dot(sig, [(f, g), (g, f)])):
+                    assert x.terms == {} and x.den == 1 and x.prec == sig.cap
+
+    @pytest.mark.parametrize("sig", [RingSignature(2, 2, 6), RingSignature(3, 3, 6)])
+    def test_both_sides_of_the_threshold(self, sig):
+        gen = SampleGen(sig.n * 10 + sig.m)
+        one = JetSuperFunction.one(sig)
+        small = [gen.jet(sig, max_terms=3, max_even_degree=2) for _ in range(4)]
+        dense = (one + small[0] + small[1]) * (one + small[1] + small[2]) * (one + small[2] + small[3])
+        dense = dense.scale(GaussianRational.of(Fraction(2, 3), Fraction(-1, 5)))
+        products = [(small[0], small[1]), (small[2], dense), (dense, small[3]), (dense, dense)]
+        sizes = [len(a.terms) * len(b.terms) for a, b in products]
+        assert min(sizes) < jetring._FLAT_PAIRS <= max(sizes)
+        for a, b in products:
+            assert _packed(a * b) == flat_mul(a, b)
+        assert _packed(dot(sig, products)) == flat_dot(sig, products)
 
 
 class TestSmallAndLargeSignatures:

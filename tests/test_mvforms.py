@@ -11,6 +11,16 @@ SIG22 = RingSignature(n=2, m=2, cap=4)
 CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 
+def first_nonzero(draw, tries=50):
+    """The first nonzero form that ``draw()`` returns; a sampled form can be
+    zero, since a coefficient may get no term.  Fails if all ``tries`` are."""
+    for _ in range(tries):
+        out = draw()
+        if not out.is_zero():
+            return out
+    pytest.fail(f"all {tries} draws gave the zero form")
+
+
 def fn(chart, f):
     return MultiVectorForm.from_function(chart, f)
 
@@ -101,11 +111,9 @@ class TestDbar:
     def test_degree_and_parity(self):
         chart = Chart(SIG22)
         gen = SampleGen(71)
-        alpha = gen.mvform(chart, 1, 1, parity=0)
-        out = dbar(alpha)
-        if not out.is_zero():
-            assert out.bidegrees() == {(1, 2)}
-            assert out.parity() == 0
+        out = first_nonzero(lambda: dbar(gen.mvform(chart, 1, 1, parity=0)))
+        assert out.bidegrees() == {(1, 2)}
+        assert out.parity() == 0
 
     def test_deg_odd_derivation(self):
         gen = SampleGen(73)
@@ -148,11 +156,9 @@ class TestSchoutenExamples:
     def test_bidegree_map(self):
         chart = Chart(SIG22)
         gen = SampleGen(7)
-        a = gen.mvform(chart, 2, 1, parity=0)
-        b = gen.mvform(chart, 1, 1, parity=1)
-        out = schouten(a, b)
-        if not out.is_zero():
-            assert out.bidegrees() == {(2, 2)}
+        out = first_nonzero(lambda: schouten(gen.mvform(chart, 2, 1, parity=0),
+                                             gen.mvform(chart, 1, 1, parity=1)))
+        assert out.bidegrees() == {(2, 2)}
 
     def test_chart_mismatch(self):
         with pytest.raises(ChartError):

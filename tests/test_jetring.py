@@ -443,8 +443,9 @@ class TestReferenceKernel:
 
 # -- the flat term-product loop ------------------------------------------------
 # The loop that visits every pair of terms, as jetring._multiply_into ran it
-# before it indexed the right operand; the kernel must match it term for term,
-# in ``den`` and in ``prec``, on both sides of its size threshold.
+# on every product before it indexed the right operand (here without the
+# merge-sign cache).  The kernel must match it term for term, in ``den`` and
+# in ``prec``, on both sides of its size threshold.
 
 
 def flat_multiply_into(acc, layout, left, factor, right, prec):

@@ -465,3 +465,124 @@ def _cap6_product_lines():
 
 def test_cap6_products():
     assert _digest(_cap6_product_lines()) == CAP6_PRODUCT_DIGEST
+
+
+# -- sampled morphisms and normalised words ------------------------------------------
+# Recorded from ``SampleGen.invertible_morphism`` with ``GaussianRational``
+# linear blocks, a ``Fraction`` Leibniz determinant and linear images folded
+# as ``acc + z_k.scale(c)``, and from the insertion-sort ``normalise_word``
+# that multiplied its sign by ``commute_sign`` once per adjacent swap and
+# started every coefficient product at ``chart.one()``.
+
+MORPHISM_SIGS = ((1, 1), (2, 1), (2, 2), (3, 3))
+MORPHISM_SEEDS = range(8)
+
+# (n, m) -> first 16 hex digits of the sha256 of _morphism_lines(n, m)
+MORPHISM_DIGESTS = {
+    (1, 1): "82964db2cdebc815", (2, 1): "3c51abc6c3a3c0ce",
+    (2, 2): "d6510419ee65f3ee", (3, 3): "859bd11e89ac2955",
+}
+WORD_DIGEST = "43c9fe453638c117"
+
+
+def _first_draw_singular(seed, n, m):
+    """Whether the first linear blocks that ``SampleGen(seed)`` draws for an
+    n|m morphism are singular, replayed on a copy of its random stream."""
+    rng = random.Random(seed)
+    blocks = [[[rng.randint(-1, 1) + (i == k) for k in range(size)] for i in range(size)]
+              for size in (n, m)]
+    return any(round(_float_det(block), 6) == 0 for block in blocks)
+
+
+def _float_det(grid):
+    size = len(grid)
+    if size == 0:
+        return 1.0
+    return sum((-1) ** k * grid[0][k] * _float_det([row[:k] + row[k + 1:] for row in grid[1:]])
+               for k in range(size))
+
+
+def _morphism_lines(n, m):
+    chart = Chart(RingSignature(n, m, 4))
+    lines = []
+    for seed in MORPHISM_SEEDS:
+        gen = SampleGen(seed)
+        for label, nonlinear in (("phi", True), ("psi", True), ("lin", False)):
+            phi = gen.invertible_morphism(chart, nonlinear=nonlinear)
+            lines += [_jet_line(f"{seed} {label} {k}", x) for k, x in enumerate(phi.pullbacks)]
+        lines.append(f"{seed} next {gen.rng.random()!r}")
+    return "\n".join(lines)
+
+
+def test_morphism_seeds_hit_the_retry():
+    for n, m in MORPHISM_SIGS:
+        assert any(_first_draw_singular(seed, n, m) for seed in MORPHISM_SEEDS)
+        assert not all(_first_draw_singular(seed, n, m) for seed in MORPHISM_SEEDS)
+
+
+@pytest.mark.parametrize("n,m", MORPHISM_SIGS)
+def test_sampled_morphisms(n, m):
+    assert _digest(_morphism_lines(n, m)) == MORPHISM_DIGESTS[(n, m)]
+
+
+def _crafted_words():
+    """(chart, prefactor, items) cases for ``normalise_word``."""
+    from superbv.mvforms import DBAR, FUN, VEC
+
+    sig = RingSignature(2, 2, 4)
+    chart, tight = Chart(sig), Chart(sig, odd_wedge_cap=2)
+    gen = SampleGen(99)
+    x = {sig.gen_name(k): JetSuperFunction.gen(sig, k) for k in range(sig.gen_count())}
+    q = GaussianRational.of
+    even = x["z1"] * x["zb2"] + x["th1"] * x["th2"].scale(q(Fraction(2, 3), 1))
+    odd = x["th1"].scale(q(Fraction(-1, 2))) + x["z2"] * x["thb1"]
+    mixed = (even + odd).truncate(3)
+    unit_low = JetSuperFunction.one(sig, 2)
+    one = JetSuperFunction.one(sig)
+    zero_low = JetSuperFunction.zero(sig, 1)
+    cases = [
+        (chart, 1, [(FUN, even)]),
+        (chart, 1, [(VEC, 3), (FUN, odd), (DBAR, 2), (VEC, 0), (DBAR, 1)]),
+        (chart, -1, [(VEC, 3), (FUN, odd), (DBAR, 2), (VEC, 0), (DBAR, 1)]),
+        (chart, 1, [(FUN, mixed), (VEC, 2), (FUN, mixed), (DBAR, 3), (VEC, 1)]),
+        (chart, -1, [(VEC, 2), (FUN, odd), (FUN, mixed), (DBAR, 0), (FUN, even)]),
+        (chart, 1, [(FUN, zero_low), (VEC, 2)]),
+        (chart, 1, [(VEC, 2), (FUN, mixed), (FUN, JetSuperFunction.zero(sig))]),
+        (chart, 1, [(DBAR, 0), (VEC, 1), (DBAR, 0), (FUN, even)]),
+        (chart, 1, [(VEC, 1), (FUN, odd), (VEC, 1)]),
+        (chart, 1, [(VEC, 3), (VEC, 2), (VEC, 3), (FUN, odd), (VEC, 3), (DBAR, 3)]),
+        (chart, -1, [(VEC, 3), (VEC, 3), (VEC, 3), (VEC, 3), (FUN, even)]),
+        (tight, 1, [(VEC, 3), (VEC, 3), (VEC, 3), (FUN, even)]),
+        (tight, -1, [(DBAR, 2), (VEC, 3), (DBAR, 2), (FUN, odd), (VEC, 3)]),
+        (chart, 1, [(FUN, unit_low), (VEC, 1), (FUN, even), (DBAR, 2)]),
+        (chart, -1, [(FUN, even), (FUN, unit_low), (VEC, 3), (FUN, mixed)]),
+        (chart, 1, [(FUN, one), (VEC, 0), (FUN, odd), (FUN, one)]),
+        (chart, 1, [(FUN, one), (DBAR, 3)]),
+        (chart, -1, [(DBAR, 3), (VEC, 2)]),
+        (chart, 1, []),
+    ]
+    for _ in range(24):
+        items = []
+        for _ in range(gen.rng.randint(1, 6)):
+            kind = gen.rng.choice((DBAR, VEC, FUN))
+            if kind == FUN:
+                items.append((FUN, gen.jet(sig, max_terms=3).truncate(gen.rng.randint(1, 4))))
+            else:
+                items.append((kind, gen.rng.randrange(chart.dim)))
+        cases.append((gen.rng.choice((chart, tight)), gen.rng.choice((1, -1)), items))
+    return cases
+
+
+def _word_lines():
+    from superbv.mvforms import normalise_word
+
+    lines = []
+    for k, (chart, prefactor, items) in enumerate(_crafted_words()):
+        out = normalise_word(chart, items, prefactor)
+        lines.append(f"word {k} {len(out)}")
+        lines += [_jet_line(f"  {key}", out[key]) for key in sorted(out)]
+    return "\n".join(lines)
+
+
+def test_normalised_words():
+    assert _digest(_word_lines()) == WORD_DIGEST

@@ -17,12 +17,13 @@ auxiliary odd-parameter ring, so all transport statements stay exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .bvcalc import DeltaOperator
 from .charts import Chart, ChartError, Morphism
 from .grading import koszul
-from .jetring import GR_ONE, GaussianRational, JetSuperFunction, RingSignature
+from .jetring import GR_ONE, GaussianRational, JetSuperFunction, RingSignature, dot
 from .supermatrix import SuperMatrix
 
 
@@ -169,13 +170,14 @@ def covariant_derivative(gamma: Christoffel, x_col, y_col):
     return out
 
 
-def transform_christoffel(phi: Morphism, gamma: Christoffel) -> Christoffel:
+def transform_christoffel(phi: Morphism, gamma: Christoffel, keys=None) -> Christoffel:
     """Transport Christoffel symbols from the source chart to the target chart.
 
     Implements the displayed transformation law with its parity signs; the
     independent oracle in the tests transports nabla_X Y componentwise
     through the pullbacks instead.  The law is evaluated as three
-    contractions, each over one summed index:
+    contractions, each over one summed index and each one ``dot``, a sign
+    being a negated factor:
 
         inner[m,q,l] = sum_n (-1)^(|q||n|) Gamma^q_(m n) dinv[n][l] + (-1)^|q| d_m dinv[q][l]
         right[m,p,l] = sum_q (-1)^(|q||l| + |p|(|p|+|q|)) inner[m,q,l] d[p][q]
@@ -184,6 +186,10 @@ def transform_christoffel(phi: Morphism, gamma: Christoffel) -> Christoffel:
     A summand whose factor ``inner`` or ``dinv[m][k]`` has no terms is left
     out, so its precision never lowers the sum; a contraction with no
     summands at all is left out of the next one in the same way.
+
+    ``keys`` names the target symbols (q, k, l) to compute; by default all
+    of them.  Each symbol computed does not depend on which others are,
+    since one symbol's pullback is the same in any batch.
     """
     if gamma.chart != phi.source:
         raise ConnectionError("symbols live on the wrong chart for this morphism")
@@ -191,61 +197,58 @@ def transform_christoffel(phi: Morphism, gamma: Christoffel) -> Christoffel:
     d = phi.differential()
     d_inv = phi.differential_inverse()
     dim = source.dim
+    sig = source.sig
+    wanted: dict = {}  # l -> p -> the k wanted for symbol (p, k, l)
+    for p_idx, k_idx, l_idx in itertools.product(range(dim), repeat=3) if keys is None else keys:
+        wanted.setdefault(l_idx, {}).setdefault(p_idx, set()).add(k_idx)
     accs = {}
-    for l_idx in range(dim):
+    for l_idx, by_p in sorted(wanted.items()):
         pl = target.parity(l_idx)
         inner = [[_christoffel_inner(source, gamma, d_inv, m_idx, q_idx, l_idx)
                   for q_idx in range(dim)] for m_idx in range(dim)]
-        for p_idx in range(dim):
+        for p_idx, k_set in sorted(by_p.items()):
             pp = target.parity(p_idx)
             right = []
             for m_idx in range(dim):
-                total = None
+                pairs = []
                 for q_idx in range(dim):
                     value = inner[m_idx][q_idx]
                     if value is None:
                         continue
                     pq = source.parity(q_idx)
-                    term = value * d.rows[p_idx][q_idx]
-                    if (pq * pl + pp * (pp + pq)) % 2:
-                        term = -term
-                    total = term if total is None else total + term
-                right.append(total)
-            for k_idx in range(dim):
+                    sign = koszul(pq * pl + pp * (pp + pq))
+                    pairs.append((value if sign > 0 else -value, d.rows[p_idx][q_idx]))
+                right.append(dot(sig, pairs) if pairs else None)
+            for k_idx in sorted(k_set):
                 pk = target.parity(k_idx)
-                acc = source.zero()
+                pairs = []
                 for m_idx in range(dim):
                     left = d_inv.rows[m_idx][k_idx]
                     if right[m_idx] is None or left.is_zero():
                         continue
                     pm = source.parity(m_idx)
-                    term = left * right[m_idx]
-                    if (pm * (pm + pk)) % 2:
-                        term = -term
-                    acc = acc + term
+                    pairs.append((left if koszul(pm * (pm + pk)) > 0 else -left, right[m_idx]))
+                acc = dot(sig, pairs)
                 if not acc.is_zero():
                     accs[(p_idx, k_idx, l_idx)] = acc
-    keys = sorted(accs)
-    pulled = phi.invert().apply_many(accs[key] for key in keys)
-    return Christoffel(target, dict(zip(keys, pulled)))
+    found = sorted(accs)
+    pulled = phi.invert().apply_many(accs[key] for key in found)
+    return Christoffel(target, dict(zip(found, pulled)))
 
 
 def _christoffel_inner(source, gamma, d_inv, m_idx, q_idx, l_idx):
     """First contraction of the Christoffel law; None when it has no terms."""
     pq = source.parity(q_idx)
-    inner = source.zero()
+    pairs = []
     for n_idx in range(source.dim):
         sym = gamma.left(q_idx, m_idx, n_idx)
         if sym.is_zero():
             continue
-        term = sym * d_inv.rows[n_idx][l_idx]
-        if (pq * source.parity(n_idx)) % 2:
-            term = -term
-        inner = inner + term
+        if koszul(pq * source.parity(n_idx)) < 0:
+            sym = -sym
+        pairs.append((sym, d_inv.rows[n_idx][l_idx]))
     hessian = source.d(d_inv.rows[q_idx][l_idx], m_idx)
-    if pq % 2:
-        hessian = -hessian
-    inner = inner + hessian
+    inner = dot(source.sig, pairs) + (hessian if koszul(pq) > 0 else -hessian)
     return None if inner.is_zero() else inner
 
 
@@ -337,8 +340,6 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
             for head in range(degree + 1):
                 for tail in even_vectors(degree - head, length - 1):
                     yield (head,) + tail
-
-        import itertools
 
         for even_degree in range(0, min(total, cap) + 1):
             odd_count = total - even_degree

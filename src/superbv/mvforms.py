@@ -14,9 +14,10 @@ forms and their parity-flipped images in ``bvcalc``; ``add_terms`` is the one
 place where coefficients are summed and cancelled keys dropped.
 
 Every operation builds formal words of the three item kinds below and hands
-them to one normaliser, whose reordering signs come from
-grading.commute_sign.  The explicit sign exponents of dbar and of the bracket
-formulas become signs through grading.koszul; no sign is computed elsewhere.
+them to one normaliser, whose reordering sign is grading.koszul of the
+summed exchange exponents of the pairs it inverts.  The explicit sign
+exponents of dbar and of the bracket formulas become signs through
+grading.koszul; no sign is computed elsewhere.
 
 Item kinds: ("dbar", k) a barred coordinate differential; ("vec", k) a
 coordinate derivation; ("fun", f) a homogeneous coefficient.
@@ -24,48 +25,14 @@ coordinate derivation; ("fun", f) a homogeneous coefficient.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from .charts import Chart, ChartError, Morphism
-from .grading import BiDegree, commute_sign, koszul
+from .grading import koszul
 from .jetring import JetSuperFunction
 
 DBAR, VEC, FUN = "dbar", "vec", "fun"
-
-
-def _item_bidegree(chart: Chart, item) -> BiDegree:
-    kind, payload = item
-    if kind == FUN:
-        parity = payload.parity()
-        if parity is None:
-            raise ChartError("word items must be parity homogeneous")
-        return BiDegree(0, parity)
-    return BiDegree(1, chart.parity(payload))
-
-
-def _split_functions(items):
-    """Expand mixed-parity function items into homogeneous alternatives."""
-    words = [([], 1)]
-    for item in items:
-        kind, payload = item
-        if kind != FUN:
-            for word, _ in words:
-                word.append(item)
-            continue
-        even, odd = payload.homogeneous_parts()
-        parts = [p for p in (even, odd) if not p.is_zero()]
-        if not parts:
-            return []
-        if len(parts) == 1:
-            for word, _ in words:
-                word.append((FUN, parts[0]))
-            continue
-        new_words = []
-        for word, sign in words:
-            for part in parts:
-                new_words.append((word + [(FUN, part)], sign))
-        words = new_words
-    return words
 
 
 def normalise_word(chart: Chart, items, prefactor: int = 1):
@@ -74,50 +41,65 @@ def normalise_word(chart: Chart, items, prefactor: int = 1):
     Returns a dict mapping (I, J) to a coefficient jet;  words that repeat an
     even direction, or exceed the odd multiplicity cap, are dropped (the
     former are zero, the latter fall outside the retained normal form).
+
+    The normal order is the stable sort that puts the differentials first,
+    then the derivations, each by direction, then the functions in their
+    written order.  Each item gets its degree (1 for a differential or a
+    derivation, 0 for a function) and its parity once.  A function item of
+    mixed parity stands for the sum of its two homogeneous parts, so the
+    word splits into one word per choice of parts.  The sign of a word is
+    ``koszul`` of deg*deg + parity*parity summed over the pairs of items
+    that the sort inverts, which is the product of the exchange signs of
+    the swaps of an insertion sort.  The coefficient is the product of the
+    function items from the first one on; a unit factor at full precision
+    is skipped, since it changes neither the terms nor ``prec``.
     """
-
-    def rank(item):
-        kind, payload = item
-        if kind == DBAR:
-            return (0, payload)
-        if kind == VEC:
-            return (1, payload)
-        return (2, 0)
-
-    pairs = []
-    for word, base_sign in _split_functions(list(items)):
-        sign = base_sign
-        work = list(word)
-        # insertion sort, stable, accumulating the supercommutation sign
-        for i in range(1, len(work)):
-            j = i
-            while j > 0 and rank(work[j - 1]) > rank(work[j]):
-                sign *= commute_sign(
-                    _item_bidegree(chart, work[j - 1]), _item_bidegree(chart, work[j])
-                )
-                work[j - 1], work[j] = work[j], work[j - 1]
-                j -= 1
-        form_idx, vec_idx, funs = [], [], []
-        for kind, payload in work:
-            if kind == DBAR:
-                form_idx.append(payload)
-            elif kind == VEC:
-                vec_idx.append(payload)
+    items = list(items)
+    ranks, degrees, choices = [], [], []
+    for kind, payload in items:
+        if kind == FUN:
+            parity = payload.parity()
+            if parity is None:
+                choices.append(tuple(enumerate(payload.homogeneous_parts())))
+            elif payload.terms:
+                choices.append(((parity, payload),))
             else:
-                funs.append(payload)
-        if _drops(chart, form_idx) or _drops(chart, vec_idx):
-            continue
-        coeff = chart.one()
-        for f in funs:
-            coeff = coeff * f
-            if coeff.is_zero():
+                return {}  # a zero factor
+            ranks.append((2, 0))
+            degrees.append(0)
+        else:
+            choices.append(((chart.parity(payload), None),))
+            ranks.append((0 if kind == DBAR else 1, payload))
+            degrees.append(1)
+    form_idx = tuple(sorted(payload for kind, payload in items if kind == DBAR))
+    vec_idx = tuple(sorted(payload for kind, payload in items if kind == VEC))
+    if _drops(chart, form_idx) or _drops(chart, vec_idx):
+        return {}
+    size = len(items)
+    inverted = [(i, j) for i in range(size) for j in range(i + 1, size) if ranks[i] > ranks[j]]
+    degree_exponent = sum(degrees[i] * degrees[j] for i, j in inverted)
+    pairs = []
+    for word in itertools.product(*choices):
+        exponent = degree_exponent + sum(word[i][0] * word[j][0] for i, j in inverted)
+        coeff = None
+        for _, f in word:
+            if f is None or _is_full_unit(f):
+                continue
+            coeff = f if coeff is None else coeff * f
+            if not coeff.terms:
                 break
-        if coeff.is_zero():
+        if coeff is None:
+            coeff = chart.one()
+        elif not coeff.terms:
             continue
-        if sign * prefactor < 0:
+        if koszul(exponent) * prefactor < 0:
             coeff = -coeff
-        pairs.append(((tuple(form_idx), tuple(vec_idx)), coeff))
+        pairs.append(((form_idx, vec_idx), coeff))
     return add_terms({}, pairs)
+
+
+def _is_full_unit(f: JetSuperFunction) -> bool:
+    return f.prec == f.sig.cap and f.den == 1 and f.terms == {0: (1, 0)}
 
 
 def _drops(chart: Chart, indices) -> bool:

@@ -8,10 +8,12 @@ the exact arithmetic stays fast.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .charts import BerSection, Chart, Morphism
-from .jetring import GaussianRational, JetSuperFunction, RingSignature
+from .grading import ODD, reorder_sign
+from .jetring import GaussianRational, JetSuperFunction, RingSignature, dot
 from .mvforms import MultiVectorForm, add_terms
 
 
@@ -126,19 +128,19 @@ class SampleGen:
         sig = chart.sig
         n, m = sig.n, sig.m
         while True:
-            even_lin = [[GaussianRational.of(self.rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                even_lin[i][i] = even_lin[i][i] + GaussianRational.of(1)
-            odd_lin = [[GaussianRational.of(self.rng.randint(-1, 1)) for _ in range(m)] for _ in range(m)]
-            for i in range(m):
-                odd_lin[i][i] = odd_lin[i][i] + GaussianRational.of(1)
+            even_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(n)] for i in range(n)]
+            odd_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(m)] for i in range(m)]
             if _det(even_lin) and _det(odd_lin):
                 break
+        coords = [chart.coordinate(k) for k in range(chart.dim)]
+
+        def linear_image(row, offset):
+            return dot(sig, [(coords[offset + k], JetSuperFunction.integer(sig, c))
+                             for k, c in enumerate(row) if c])
+
         pullbacks = []
         for i in range(n):
-            acc = JetSuperFunction.zero(sig)
-            for k in range(n):
-                acc = acc + chart.coordinate(k).scale(even_lin[i][k])
+            acc = linear_image(even_lin[i], 0)
             if nonlinear:
                 for _ in range(self.rng.randint(0, 2)):
                     a, b = self.rng.randrange(n), self.rng.randrange(n)
@@ -151,9 +153,7 @@ class SampleGen:
                     acc = acc + mixed.scale(self.scalar(allow_zero=False))
             pullbacks.append(acc)
         for j in range(m):
-            acc = JetSuperFunction.zero(sig)
-            for k in range(m):
-                acc = acc + chart.coordinate(n + k).scale(odd_lin[j][k])
+            acc = linear_image(odd_lin[j], n)
             if nonlinear:
                 for _ in range(self.rng.randint(0, 2)):
                     a = self.rng.randrange(n)
@@ -259,23 +259,12 @@ class SampleGen:
         return h, gamma, table
 
 
-def _det(grid) -> GaussianRational:
-    size = len(grid)
-    if size == 0:
-        return GaussianRational.of(1)
-    if size == 1:
-        return grid[0][0]
-    acc = GaussianRational.of(0)
-    import itertools
-
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = GaussianRational.of(sign)
-        for i in range(size):
-            prod = prod * grid[i][perm[i]]
-        acc = acc + prod
+def _det(grid) -> int:
+    """Leibniz determinant of a square grid of integers."""
+    acc = 0
+    for perm in itertools.permutations(range(len(grid))):
+        prod = reorder_sign([ODD] * len(perm), perm)
+        for row, col in zip(grid, perm):
+            prod *= row[col]
+        acc += prod
     return acc

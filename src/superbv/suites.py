@@ -41,7 +41,8 @@ from .connect import (
     solve_delta_formula,
     transform_christoffel,
 )
-from .jetring import GaussianRational
+from .grading import koszul
+from .jetring import GaussianRational, dot
 from .mvforms import MultiVectorForm, pull_mvform, schouten, wedge
 from .samples import SampleGen
 
@@ -354,17 +355,19 @@ def suite_jacobi_sum(chart: Chart, seed: int, trials: int):
             d = phi.differential()
             sdet = d.sdet()
             d_inv = d.inverse()
+            weighted = [[sdet * entry for entry in row] for row in d_inv.rows]
             for k in range(chart.dim):
                 px = chart.parity(k)
                 lhs = chart.d(sdet, k)
-                rhs = chart.zero()
+                pairs = []
                 for mrow in range(chart.dim):
                     for nrow in range(chart.dim):
                         pm, pn = chart.parity(mrow), chart.parity(nrow)
-                        term = sdet * d_inv.rows[mrow][nrow] * chart.d(d.rows[nrow][mrow], k)
-                        if (pm + px * (pm + pn)) % 2:
-                            term = -term
-                        rhs = rhs + term
+                        factor = weighted[mrow][nrow]
+                        if koszul(pm + px * (pm + pn)) < 0:
+                            factor = -factor
+                        pairs.append((factor, chart.d(d.rows[nrow][mrow], k)))
+                rhs = dot(chart.sig, pairs)
                 if not lhs.agrees_with(rhs):
                     return (lhs - rhs).render()
         return None
@@ -464,7 +467,9 @@ def suite_bv_flat(chart: Chart, seed: int, trials: int):
         for _ in range(max(10, trials // 2)):
             phi = gen.invertible_morphism(chart)
             gamma_src = gen.christoffel(chart)
-            gamma_tgt = transform_christoffel(phi, gamma_src)
+            # ber_from_tangent reads only the diagonal symbols (q, l, q)
+            diagonal = [(q, l, q) for l in range(chart.dim) for q in range(chart.dim)]
+            gamma_tgt = transform_christoffel(phi, gamma_src, diagonal)
             witness = _connection_covariance_witness(
                 chart, phi, ber_from_tangent(gamma_tgt), ber_from_tangent(gamma_src))
             if witness is not None:
@@ -490,9 +495,10 @@ def _connection_covariance_witness(chart, phi, conn_target, conn_source):
     sdet = phi.differential().sdet()
     d_inv = phi.differential_inverse()
     pulled = phi.apply_many(conn_target.coefficients)
+    d_sdet = [chart.d(sdet, mrow) for mrow in range(chart.dim)]
     for k in range(chart.dim):
         lhs = pulled[k] * sdet
-        rhs = chart.zero()
+        pairs = []
         for mrow in range(chart.dim):
             comp = d_inv.rows[mrow][k]
             if comp.is_zero():
@@ -501,12 +507,11 @@ def _connection_covariance_witness(chart, phi, conn_target, conn_source):
             for part in comp.homogeneous_parts():
                 if part.is_zero():
                     continue
-                term = part * chart.d(sdet, mrow)
-                term2 = part * conn_source.coefficients[mrow] * sdet
-                if (pm * part.parity()) % 2:
-                    term = -term
-                    term2 = -term2
-                rhs = rhs + term + term2
+                if koszul(pm * part.parity()) < 0:
+                    part = -part
+                pairs.append((part, d_sdet[mrow]))
+                pairs.append((part * conn_source.coefficients[mrow], sdet))
+        rhs = dot(chart.sig, pairs)
         if not lhs.agrees_with(rhs):
             return (lhs - rhs).render()
     return None

@@ -20,6 +20,7 @@ from .jetring import (
     JetSuperFunction,
     NotAUnitError,
     RingSignature,
+    _canonical,
     dot,
     numerators,
 )
@@ -193,28 +194,31 @@ class SuperMatrix:
     def sdet(self) -> JetSuperFunction:
         """Superdeterminant det(A - B D^-1 C) * det(D)^-1 of an even matrix.
 
-        Row i of B D^-1 is formed once and serves every entry of row i of
-        the Schur complement; each entry is one fused ``dot``.  Unlike the
-        matrix product, zero factors take part, so their precisions bound
-        that of the result.
+        The entries of D are even, hence central, so D^-1 is the adjugate
+        times det(D)^-1: entry (i, j) is the cofactor of D at (j, i), a
+        ``det_even`` of a minor, times the det(D)^-1 that the result needs
+        anyway.  No matrix series is summed.  Row i of B D^-1 is formed once
+        and serves every entry of row i of the Schur complement; each entry
+        is one fused ``dot``.  Unlike the matrix product, zero factors take
+        part, so their precisions bound that of the result.
         """
         self._require_even("sdet")
         a, b, c, d = self.blocks()
         if self.q == 0:
             return self.det_even_block(a)
-        d_mat = SuperMatrix(self.sig, 0, self.q, d)
-        d_inv = d_mat.inverse()
-        det_d = self.det_even_block(d)
+        det_d_inv = self.det_even_block(d).invert()
         if self.p == 0:
-            return det_d.invert()
-        d_columns = list(zip(*d_inv.rows))
+            return det_d_inv
+        # column k of D^-1 holds cofactor(k, j) * det(D)^-1 in row j
+        d_inv_columns = [[_cofactor(self.sig, d, k, j) * det_d_inv for j in range(self.q)]
+                         for k in range(self.q)]
         c_columns = list(zip(*c))
         schur = []
         for a_row, b_row in zip(a, b):
-            bd_row = [dot(self.sig, zip(b_row, column)) for column in d_columns]
+            bd_row = [dot(self.sig, zip(b_row, column)) for column in d_inv_columns]
             schur.append([entry - dot(self.sig, zip(bd_row, column))
                           for entry, column in zip(a_row, c_columns)])
-        return self.det_even_block(schur) * det_d.invert()
+        return self.det_even_block(schur) * det_d_inv
 
     def sdet_via_a_block(self) -> JetSuperFunction:
         """Cross-check form det(A)*det(D - C A^-1 B)^-1; oracle for tests only."""
@@ -265,18 +269,40 @@ def det_even(sig: RingSignature, grid) -> JetSuperFunction:
     return acc
 
 
+def _cofactor(sig: RingSignature, grid, i: int, j: int) -> JetSuperFunction:
+    """(-1)^(i+j) times the determinant of ``grid`` without row i and column j."""
+    minor = [row[:j] + row[j + 1:] for k, row in enumerate(grid) if k != i]
+    value = det_even(sig, minor)
+    return value if koszul(i + j) > 0 else -value
+
+
 def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
     """Sum of ``e.scale(s)`` over the ``(s, e)`` pairs where neither is zero,
     with each scalar ``s`` given as its ``numerators``.
 
     Scalars are central, so this equals the matrix-product entry with
-    the scalars as one-term jets of full precision, on either side.
+    the scalars as one-term jets of full precision, on either side.  Every
+    scaled entry is added into one dict over one common denominator, and
+    the sum is truncated to the least precision of the entries once, so it
+    equals the fold ``zero + e1.scale(s1) + ...`` term for term and in
+    ``prec``.
     """
-    acc = JetSuperFunction.zero(sig)
-    for (p, q, den), entry in pairs:
-        if (p or q) and entry.terms:
-            acc = acc + entry.scale_numerators(p, q, den)
-    return acc
+    live = [(p, q, den, entry) for (p, q, den), entry in pairs if (p or q) and entry.terms]
+    prec = min((entry.prec for *_, entry in live), default=sig.cap)
+    common = lcm(*(den * entry.den for _, _, den, entry in live))
+    acc: dict = {}
+    get = acc.get
+    for p, q, den, entry in live:
+        factor = common // (den * entry.den)
+        p, q = p * factor, q * factor
+        for key, (re, im) in entry.terms.items():
+            re, im = re * p - im * q, re * q + im * p
+            prev = get(key)
+            acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    shift = sig._layout.shift
+    terms = {key: value for key, value in acc.items()
+             if (value[0] or value[1]) and key >> shift <= prec}
+    return _canonical(sig, terms, common, prec)
 
 
 def _invert_scalar_matrix(grid):

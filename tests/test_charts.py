@@ -5,14 +5,11 @@ from superbv.charts import (
     Chart,
     ChartError,
     Morphism,
-    differential_of_function,
     pair,
     pull_ber,
-    pull_covector,
-    pull_vector,
     vector_apply,
 )
-from superbv.jetring import GaussianRational, RingSignature
+from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
 
@@ -20,6 +17,48 @@ SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)
 SIG22 = RingSignature(n=2, m=2, cap=4)
 CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
+
+
+
+# -- component transport ------------------------------------------------------------
+# Transport of coefficient columns and rows by the differential, kept here as
+# an oracle for the pullback laws; the program pulls sections back through
+# mvforms.pull_mvform instead.
+
+
+def pull_vector(phi: Morphism, column):
+    """Transport a coefficient column on the target chart to the source chart.
+
+    Components follow (phi* X)^m = sum_k (dphi^-1)^m_k phi#(X^k).
+    """
+    if len(column) != phi.target.dim:
+        raise ChartError("component column has the wrong length")
+    return _transport(phi, phi.differential_inverse(), column)
+
+
+def pull_covector(phi: Morphism, row):
+    """Transport a coefficient row via the supertranspose of the differential."""
+    if len(row) != phi.target.dim:
+        raise ChartError("component row has the wrong length")
+    return _transport(phi, phi.differential().supertranspose(), row)
+
+
+def _transport(phi: Morphism, matrix: SuperMatrix, components):
+    """Entries sum_k matrix[m][k] phi#(components[k]); each phi# is taken once."""
+    nonzero = [k for k, comp in enumerate(components) if not comp.is_zero()]
+    pulled = phi.apply_many(components[k] for k in nonzero)
+    out = []
+    for mrow in range(phi.source.dim):
+        acc = phi.source.zero()
+        for k, comp in zip(nonzero, pulled):
+            acc = acc + matrix.rows[mrow][k] * comp
+        out.append(acc)
+    return out
+
+
+def differential_of_function(chart: Chart, f: JetSuperFunction):
+    """Coefficient row of df against the basis (d xi^k)."""
+    return [chart.d(f, k) for k in range(chart.dim)]
 
 
 def basis_column(chart, k):

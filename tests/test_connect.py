@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbv.bvcalc import DeltaOperator, pull_delta_table
-from superbv.charts import BerSection, Chart, Morphism, pull_vector
+from superbv.charts import BerSection, Chart, Morphism
 from superbv.connect import (
     BerConnection,
     Christoffel,
@@ -30,7 +31,8 @@ from superbv.connect import (
 from superbv.jetring import GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
-
+from test_charts import pull_vector
+from test_jetring import NO_SHRINK
 
 
 def t_shift(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
@@ -164,6 +166,32 @@ class TestChristoffelTransform:
                         # against the right symbols
                         for a in range(chart.dim):
                             assert pulled[a].agrees_with(gamma_src.right(a, b, c))
+
+
+@st.composite
+def christoffel_key_cases(draw):
+    """A sampled morphism and symbols on a 1|1, 2|1 or 2|2 chart, and a
+    subset of the target symbols: drawn, or the diagonal (q, l, q)."""
+    chart = Chart(draw(st.sampled_from([SIG11, SIG21, RingSignature(2, 2, 4)])))
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    phi = gen.invertible_morphism(chart)
+    gamma = gen.christoffel(chart, max_terms=2)
+    triples = st.tuples(*[st.integers(min_value=0, max_value=chart.dim - 1)] * 3)
+    diagonal = [(q, l, q) for l in range(chart.dim) for q in range(chart.dim)]
+    keys = draw(st.one_of(st.just(diagonal), st.lists(triples, max_size=2 * chart.dim)))
+    return phi, gamma, keys
+
+
+class TestChristoffelKeys:
+    @given(christoffel_key_cases())
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_keys_restrict_the_full_result(self, case):
+        phi, gamma, keys = case
+        full = transform_christoffel(phi, gamma).symbols
+        part = transform_christoffel(phi, gamma, keys).symbols
+        expected = {key: full[key] for key in set(keys) if key in full}
+        assert {key: (x.terms, x.den, x.prec) for key, x in part.items()} == \
+            {key: (x.terms, x.den, x.prec) for key, x in expected.items()}
 
 
 class TestDeltaFormula:

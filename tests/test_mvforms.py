@@ -1,9 +1,26 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbv.charts import Chart, ChartError
-from superbv.jetring import JetSuperFunction, RingSignature
-from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
+from superbv.grading import BiDegree, commute_sign
+from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
+from superbv.mvforms import (
+    DBAR,
+    FUN,
+    VEC,
+    MultiVectorForm,
+    _drops,
+    add_terms,
+    dbar,
+    normalise_word,
+    pull_mvform,
+    schouten,
+    wedge,
+)
 from superbv.samples import SampleGen
+from test_jetring import NO_SHRINK
 
 SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)
@@ -285,3 +302,145 @@ class TestPullback:
                 b, *_ = gen.homogeneous_mvform(phi.target, max_p=1, max_q=1)
                 assert pull_mvform(phi, schouten(a, b)).agrees_with(
                     schouten(pull_mvform(phi, a), pull_mvform(phi, b)))
+
+
+# -- the insertion-sort normaliser ------------------------------------------------
+# ``normalise_word`` as it was before it took its sign from one inversion
+# count: mixed-parity function items split into every homogeneous choice up
+# front, then a stable insertion sort that multiplies the sign by
+# ``commute_sign`` at every adjacent swap, and a coefficient product started
+# at ``chart.one()``.  ``normalise_word`` must match it term for term, in
+# ``den`` and in ``prec``.
+
+
+def _item_bidegree(chart, item):
+    kind, payload = item
+    if kind == FUN:
+        parity = payload.parity()
+        if parity is None:
+            raise ChartError("word items must be parity homogeneous")
+        return BiDegree(0, parity)
+    return BiDegree(1, chart.parity(payload))
+
+
+def _split_functions(items):
+    words = [([], 1)]
+    for item in items:
+        kind, payload = item
+        if kind != FUN:
+            for word, _ in words:
+                word.append(item)
+            continue
+        even, odd = payload.homogeneous_parts()
+        parts = [p for p in (even, odd) if not p.is_zero()]
+        if not parts:
+            return []
+        if len(parts) == 1:
+            for word, _ in words:
+                word.append((FUN, parts[0]))
+            continue
+        new_words = []
+        for word, sign in words:
+            for part in parts:
+                new_words.append((word + [(FUN, part)], sign))
+        words = new_words
+    return words
+
+
+def insertion_sort_word(chart, items, prefactor=1):
+    def rank(item):
+        kind, payload = item
+        if kind == DBAR:
+            return (0, payload)
+        if kind == VEC:
+            return (1, payload)
+        return (2, 0)
+
+    pairs = []
+    for word, base_sign in _split_functions(list(items)):
+        sign = base_sign
+        work = list(word)
+        for i in range(1, len(work)):
+            j = i
+            while j > 0 and rank(work[j - 1]) > rank(work[j]):
+                sign *= commute_sign(
+                    _item_bidegree(chart, work[j - 1]), _item_bidegree(chart, work[j])
+                )
+                work[j - 1], work[j] = work[j], work[j - 1]
+                j -= 1
+        form_idx, vec_idx, funs = [], [], []
+        for kind, payload in work:
+            if kind == DBAR:
+                form_idx.append(payload)
+            elif kind == VEC:
+                vec_idx.append(payload)
+            else:
+                funs.append(payload)
+        if _drops(chart, form_idx) or _drops(chart, vec_idx):
+            continue
+        coeff = chart.one()
+        for f in funs:
+            coeff = coeff * f
+            if coeff.is_zero():
+                break
+        if coeff.is_zero():
+            continue
+        if sign * prefactor < 0:
+            coeff = -coeff
+        pairs.append(((tuple(form_idx), tuple(vec_idx)), coeff))
+    return add_terms({}, pairs)
+
+
+WORD_SIGS = [RingSignature(1, 1, 3), RingSignature(2, 1, 2), RingSignature(2, 2, 4),
+             RingSignature(1, 3, 2)]
+
+
+@st.composite
+def word_functions(draw, sig):
+    """A function item: a few terms of any parity (so often of mixed parity),
+    a zero or a unit at a drawn precision, or the full-precision one."""
+    prec = draw(st.integers(min_value=0, max_value=sig.cap))
+    shape = draw(st.sampled_from(("terms",) * 6 + ("zero", "unit", "one")))
+    if shape == "zero":
+        return JetSuperFunction.zero(sig, prec)
+    if shape == "unit":
+        return JetSuperFunction.one(sig, prec)
+    if shape == "one":
+        return JetSuperFunction.one(sig)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        exps = [0] * sig.even_count
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            exps[draw(st.integers(min_value=0, max_value=sig.even_count - 1))] += 1
+        odd = draw(st.sets(st.integers(min_value=0, max_value=sig.odd_count - 1), max_size=2))
+        parts = [Fraction(draw(st.integers(min_value=-3, max_value=3)),
+                          draw(st.sampled_from((1, 2, 3)))) for _ in range(2)]
+        terms[(tuple(exps), tuple(sorted(odd)))] = GaussianRational.of(*parts)
+    return JetSuperFunction(sig, terms, draw(st.sampled_from((prec, sig.cap))))
+
+
+@st.composite
+def words(draw):
+    sig = draw(st.sampled_from(WORD_SIGS))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from((DBAR, VEC, FUN)))
+        if kind == FUN:
+            items.append((FUN, draw(word_functions(sig))))
+        else:
+            items.append((kind, draw(st.integers(min_value=0, max_value=chart.dim - 1))))
+    return chart, items, draw(st.sampled_from((1, -1)))
+
+
+def _packed_terms(out):
+    return {key: (c.terms, c.den, c.prec) for key, c in out.items()}
+
+
+class TestNormaliseWord:
+    @given(words())
+    @settings(max_examples=400, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_matches_insertion_sort(self, case):
+        chart, items, prefactor = case
+        assert _packed_terms(normalise_word(chart, items, prefactor)) == \
+            _packed_terms(insertion_sort_word(chart, items, prefactor))

@@ -26,7 +26,6 @@ coordinate derivation; ("fun", f) a homogeneous coefficient.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .charts import Chart, ChartError, Morphism
 from .grading import koszul
@@ -103,11 +102,12 @@ def _is_full_unit(f: JetSuperFunction) -> bool:
 
 
 def _drops(chart: Chart, indices) -> bool:
-    counts = Counter(indices)
-    for k, count in counts.items():
-        if chart.parity(k) == 0 and count > 1:
-            return True
-        if count > chart.odd_wedge_cap:
+    """Whether the sorted ``indices`` repeat an even direction, or hold an
+    odd one more often than the chart's ``odd_wedge_cap``."""
+    run = 0
+    for pos, k in enumerate(indices):
+        run = run + 1 if pos and indices[pos - 1] == k else 1
+        if (run > 1 and chart.parity(k) == 0) or run > chart.odd_wedge_cap:
             return True
     return False
 

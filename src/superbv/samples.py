@@ -134,33 +134,35 @@ class SampleGen:
                 break
         coords = [chart.coordinate(k) for k in range(chart.dim)]
 
-        def linear_image(row, offset):
-            return dot(sig, [(coords[offset + k], JetSuperFunction.integer(sig, c))
-                             for k, c in enumerate(row) if c])
+        def linear_terms(row, offset):
+            return [(coords[offset + k], JetSuperFunction.integer(sig, c))
+                    for k, c in enumerate(row) if c]
 
+        def scaled(monomial):
+            return monomial, JetSuperFunction.scalar(sig, self.scalar(allow_zero=False))
+
+        # each image is one dot over its terms, drawn in the order of the
+        # random stream: linear, quadratic, then the mixed odd-pair term
         pullbacks = []
         for i in range(n):
-            acc = linear_image(even_lin[i], 0)
+            pairs = linear_terms(even_lin[i], 0)
             if nonlinear:
                 for _ in range(self.rng.randint(0, 2)):
                     a, b = self.rng.randrange(n), self.rng.randrange(n)
-                    quad = chart.coordinate(a) * chart.coordinate(b)
-                    acc = acc + quad.scale(self.scalar(allow_zero=False))
+                    pairs.append(scaled(coords[a] * coords[b]))
                 if m >= 2 and self.rng.random() < 0.7:
                     a = self.rng.randrange(n)
                     j, k = sorted(self.rng.sample(range(m), 2))
-                    mixed = chart.coordinate(a) * chart.coordinate(n + j) * chart.coordinate(n + k)
-                    acc = acc + mixed.scale(self.scalar(allow_zero=False))
-            pullbacks.append(acc)
+                    pairs.append(scaled(coords[a] * coords[n + j] * coords[n + k]))
+            pullbacks.append(dot(sig, pairs))
         for j in range(m):
-            acc = linear_image(odd_lin[j], n)
+            pairs = linear_terms(odd_lin[j], n)
             if nonlinear:
                 for _ in range(self.rng.randint(0, 2)):
                     a = self.rng.randrange(n)
                     k = self.rng.randrange(m)
-                    acc = acc + (chart.coordinate(a) * chart.coordinate(n + k)).scale(
-                        self.scalar(allow_zero=False))
-            pullbacks.append(acc)
+                    pairs.append(scaled(coords[a] * coords[n + k]))
+            pullbacks.append(dot(sig, pairs))
         return Morphism(chart, Chart(sig, name="zeta", odd_wedge_cap=chart.odd_wedge_cap), pullbacks)
 
 

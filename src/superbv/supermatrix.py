@@ -252,21 +252,31 @@ class SuperMatrix:
 
 
 def det_even(sig: RingSignature, grid) -> JetSuperFunction:
-    """Leibniz determinant of a square grid of even (hence central) entries."""
+    """Leibniz determinant of a square grid of even (hence central) entries.
+
+    The product of each permutation but its last factor is formed in row
+    order and stops at the first zero; one ``dot`` then sums these heads
+    times their last factors.  A head that vanished early is paired with
+    one instead, so that, as in the fold ``zero + p1 - p2 + ...`` of the
+    full products, the precisions of the factors after a zero do not bound
+    that of the result.
+    """
     size = len(grid)
+    one = JetSuperFunction.one(sig)
     if size == 0:
-        return JetSuperFunction.one(sig)
-    acc = JetSuperFunction.zero(sig)
+        return one
     parities = [ODD] * size  # all odd: the Koszul sign is the permutation sign
+    pairs = []
     for perm in itertools.permutations(range(size)):
-        sign = reorder_sign(parities, perm)
-        prod = JetSuperFunction.one(sig)
-        for i in range(size):
-            prod = prod * grid[i][perm[i]]
-            if prod.is_zero():
+        head = one
+        for i in range(size - 1):
+            head = grid[i][perm[i]] if i == 0 else head * grid[i][perm[i]]
+            if not head.terms:
                 break
-        acc = acc + prod if sign > 0 else acc - prod
-    return acc
+        if reorder_sign(parities, perm) < 0:
+            head = -head
+        pairs.append((head, grid[-1][perm[-1]] if head.terms else one))
+    return dot(sig, pairs)
 
 
 def _cofactor(sig: RingSignature, grid, i: int, j: int) -> JetSuperFunction:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from superbv.mvforms import (
     FUN,
     VEC,
     MultiVectorForm,
-    _drops,
     add_terms,
     dbar,
     normalise_word,
@@ -347,6 +347,16 @@ def _split_functions(items):
     return words
 
 
+def _counted_drops(chart, indices):
+    counts = Counter(indices)
+    for k, count in counts.items():
+        if chart.parity(k) == 0 and count > 1:
+            return True
+        if count > chart.odd_wedge_cap:
+            return True
+    return False
+
+
 def insertion_sort_word(chart, items, prefactor=1):
     def rank(item):
         kind, payload = item
@@ -376,7 +386,7 @@ def insertion_sort_word(chart, items, prefactor=1):
                 vec_idx.append(payload)
             else:
                 funs.append(payload)
-        if _drops(chart, form_idx) or _drops(chart, vec_idx):
+        if _counted_drops(chart, form_idx) or _counted_drops(chart, vec_idx):
             continue
         coeff = chart.one()
         for f in funs:
@@ -422,7 +432,7 @@ def word_functions(draw, sig):
 @st.composite
 def words(draw):
     sig = draw(st.sampled_from(WORD_SIGS))
-    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=0, max_value=3)))
     items = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         kind = draw(st.sampled_from((DBAR, VEC, FUN)))

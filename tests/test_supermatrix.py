@@ -208,6 +208,24 @@ def reference_invert_scalar_matrix(grid):
     return result
 
 
+def reference_det_even(sig, grid):
+    """``det_even`` as the fold of its full Leibniz products, each formed
+    from one and stopped at its first zero."""
+    size = len(grid)
+    if size == 0:
+        return JetSuperFunction.one(sig)
+    acc = JetSuperFunction.zero(sig)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        prod = JetSuperFunction.one(sig)
+        for i in range(size):
+            prod = prod * grid[i][perm[i]]
+            if prod.is_zero():
+                break
+        acc = acc - prod if inversions % 2 else acc + prod
+    return acc
+
+
 def reference_dot(sig, pairs):
     acc = JetSuperFunction.zero(sig)
     for a, b in pairs:
@@ -242,9 +260,9 @@ def reference_inverse(m):
 def reference_sdet(m):
     a, b, c, d = m.blocks()
     if m.q == 0:
-        return det_even(m.sig, a)
+        return reference_det_even(m.sig, a)
     d_inv = reference_inverse(SuperMatrix(m.sig, 0, m.q, d))
-    det_d = det_even(m.sig, d)
+    det_d = reference_det_even(m.sig, d)
     if m.p == 0:
         return det_d.invert()
     schur = []
@@ -257,7 +275,7 @@ def reference_sdet(m):
                     acc = acc - b[i][k] * d_inv.rows[k][l] * c[l][j]
             row.append(acc)
         schur.append(row)
-    return det_even(m.sig, schur) * det_d.invert()
+    return reference_det_even(m.sig, schur) * det_d.invert()
 
 
 
@@ -270,9 +288,9 @@ def reference_sdet(m):
 def series_sdet(m):
     a, b, c, d = m.blocks()
     if m.q == 0:
-        return det_even(m.sig, a)
+        return reference_det_even(m.sig, a)
     d_inv = SuperMatrix(m.sig, 0, m.q, d).inverse()
-    det_d = det_even(m.sig, d)
+    det_d = reference_det_even(m.sig, d)
     if m.p == 0:
         return det_d.invert()
     d_columns = list(zip(*d_inv.rows))
@@ -282,7 +300,7 @@ def series_sdet(m):
         bd_row = [dot(m.sig, zip(b_row, column)) for column in d_columns]
         schur.append([entry - dot(m.sig, zip(bd_row, column))
                       for entry, column in zip(a_row, c_columns)])
-    return det_even(m.sig, schur) * det_d.invert()
+    return reference_det_even(m.sig, schur) * det_d.invert()
 
 # -- strategies ---------------------------------------------------------------
 
@@ -439,6 +457,13 @@ class TestAgainstReference:
             expected_kind, expected = _outcome(reference)
             assert kind == expected_kind
             assert _rows(value) == _rows(expected)
+
+    @given(even_matrices(shapes=[(size, 0) for size in range(5)], zero_share=3))
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_det_even(self, m):
+        det = det_even(m.sig, m.rows)
+        expected = reference_det_even(m.sig, m.rows)
+        assert (det.terms, det.den, det.prec) == (expected.terms, expected.den, expected.prec)
 
     @given(st.one_of(even_matrices(shapes=SDET_SHAPES), even_matrices(shapes=SDET_SHAPES, zero_share=3)))
     @settings(max_examples=400, deadline=None, derandomize=True, phases=NO_SHRINK)

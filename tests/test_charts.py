@@ -19,7 +19,6 @@ SIG22 = RingSignature(n=2, m=2, cap=4)
 CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 
-
 # -- component transport ------------------------------------------------------------
 # Transport of coefficient columns and rows by the differential, kept here as
 # an oracle for the pullback laws; the program pulls sections back through

@@ -278,7 +278,6 @@ def reference_sdet(m):
     return reference_det_even(m.sig, schur) * det_d.invert()
 
 
-
 # ``SuperMatrix.sdet`` as it was before it built D^-1 from the adjugate: D^-1
 # summed as the matrix geometric series of ``SuperMatrix.inverse``, then the
 # same fused Schur complement.  On every even matrix ``sdet`` must match it

@@ -586,3 +586,178 @@ def _word_lines():
 
 def test_normalised_words():
     assert _digest(_word_lines()) == WORD_DIGEST
+
+
+# -- the BV-operator path and sample draws -------------------------------------------
+# Recorded from the word-based bracket recursion, which built every head and
+# rest form through ``from_words`` and summed the terms of a section with
+# ``Section.__add__``, from a ``check_bv_axioms`` that evaluated the operator
+# on alpha up to six times per sample, and from a ``SampleGen.jet`` that
+# summed ``GaussianRational`` coefficients under tuple keys.
+
+BV_SIGS = ((1, 1), (2, 1), (2, 2), (1, 3))
+
+# (n, m) -> first 16 hex digits of the sha256 of _extension_lines(n, m)
+EXTENSION_DIGESTS = {
+    (1, 1): "3b531693e4eb9a80", (2, 1): "b417855d1c8effa4",
+    (2, 2): "af551ead0847da98", (1, 3): "0279be939d773581",
+}
+# (n, m) -> first 16 hex digits of the sha256 of _axiom_report_lines(n, m)
+AXIOM_REPORT_DIGESTS = {
+    (1, 1): "429430d0c1e43687", (2, 1): "4a5fcf03ef074ef5",
+    (2, 2): "264b98ae4ee52ea5", (1, 3): "052b1172528f3230",
+}
+# cap -> first 16 hex digits of the sha256 of _draw_lines(cap)
+DRAW_DIGESTS = {
+    0: "78b5670a323d1d75", 1: "181802c0c3cf648e",
+    2: "10b20def9eaa16d7", 6: "2a4b4cde60d0b4eb",
+}
+
+
+def _delta_tables(chart, gen):
+    """(label, table) for the unit section, a sampled trivialising section,
+    the same section truncated below the cap and a sampled table that no
+    section has."""
+    from superbv.bvcalc import DeltaOperator
+    from superbv.charts import BerSection
+
+    sig = chart.sig
+    h = gen.unit(sig)
+    values = tuple(gen.jet(sig, max_terms=2, max_even_degree=1, parity=chart.parity(k))
+                   for k in range(chart.dim))
+    return [
+        ("unit", DeltaOperator.from_section(BerSection(chart, chart.one()))),
+        ("sampled", DeltaOperator.from_section(BerSection(chart, h))),
+        ("truncated", DeltaOperator.from_section(BerSection(chart, h.truncate(sig.cap - 1)))),
+        ("free", DeltaOperator(chart, values)),
+    ]
+
+
+def _extension_forms(chart, gen):
+    """Homogeneous forms, forms with mixed-parity coefficients, a form below
+    the cap, a function and a barred differential; draws that come out zero
+    are drawn again."""
+
+    def nonzero(draw):
+        for _ in range(50):
+            form = draw()
+            if not form.is_zero():
+                return form
+        raise AssertionError("no nonzero form drawn")
+
+    forms = [nonzero(lambda: gen.homogeneous_mvform(chart, allow_repeats=True)[0])
+             for _ in range(4)]
+    forms += [nonzero(lambda: gen.mvform(chart, p, q, max_terms=3, allow_repeats=True))
+              for p, q in ((1, 0), (2, 0), (2, 1), (3, 0), (1, 2))]
+    low = nonzero(lambda: gen.mvform(chart, 2, 1, parity=1, allow_repeats=True))
+    forms.append(MultiVectorForm(chart, {k: c.truncate(2) for k, c in low.terms.items()}))
+    forms.append(MultiVectorForm.from_function(chart, gen.jet(chart.sig)))
+    forms.append(MultiVectorForm.dbar_basis(chart, chart.dim - 1))
+    return forms
+
+
+def _extension_lines(n, m):
+    from superbv.bvcalc import extend_delta, extend_delta_right
+
+    chart = Chart(RingSignature(n, m, 4))
+    gen = SampleGen(8000 + 100 * n + m)
+    tables = _delta_tables(chart, gen)
+    forms = _extension_forms(chart, gen)
+    lines = [_line(f"form{k}", a) for k, a in enumerate(forms)]
+    for label, table in tables:
+        for k, a in enumerate(forms):
+            lines += [_line(f"{label} {k} left", extend_delta(table, a)),
+                      _line(f"{label} {k} right", extend_delta_right(table, a))]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n,m", BV_SIGS)
+def test_extended_delta(n, m):
+    assert _digest(_extension_lines(n, m)) == EXTENSION_DIGESTS[(n, m)]
+
+
+def _axiom_samples(gen, chart, count):
+    samples = []
+    for index in range(count):
+        alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+        beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+        gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+        samples.append({"alpha": alpha, "beta": beta, "gamma": gamma,
+                        "alpha_deg": p + q, "alpha_parity": pa,
+                        "beta_deg": r + s, "beta_parity": pb, "seed": 10 * index})
+    return samples
+
+
+def _axiom_report_lines(n, m):
+    """Reports, without their timings, for the BV operator of a sampled
+    section and four sabotaged operators: scaled by 2, built on a table
+    that is not holomorphic, shifted by the bracket with a vector field and
+    cut off above total degree 2."""
+    from superbv.bvcalc import DeltaOperator, check_bv_axioms, extend_delta
+
+    chart = Chart(RingSignature(n, m, 4))
+    gen = SampleGen(9000 + 100 * n + m)
+    delta = DeltaOperator.from_section(gen.trivialising_section(chart))
+    zb = JetSuperFunction.gen(chart.sig, chart.sig.zb(0))
+    broken = DeltaOperator(chart, (zb,) + tuple(chart.zero() for _ in range(chart.dim - 1)))
+    two = GaussianRational.of(2)
+    euler = MultiVectorForm.vector(chart, 0, chart.coordinate(0))
+
+    def cut(x):
+        # forgets the terms of total degree 3 and up, so it is not of order 2
+        kept = {key: c for key, c in x.terms.items() if len(key[0]) + len(key[1]) < 3}
+        return extend_delta(delta, MultiVectorForm(chart, kept, x.prec))
+
+    operators = [
+        ("real", lambda x: extend_delta(delta, x)),
+        ("scaled", lambda x: extend_delta(delta, x).scale(two)),
+        ("broken", lambda x: extend_delta(broken, x)),
+        ("shifted", lambda x: extend_delta(delta, x) + schouten(euler, x)),
+        ("cut", cut),
+    ]
+    lines = []
+    for label, operator in operators:
+        report = check_bv_axioms(chart, operator, _axiom_samples(gen, chart, 5))
+        for item in report:
+            fields = {key: value for key, value in item.items() if key != "elapsed_ms"}
+            lines.append(f"{label} {json.dumps(fields, sort_keys=True)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n,m", BV_SIGS)
+def test_axiom_reports(n, m):
+    assert _digest(_axiom_report_lines(n, m)) == AXIOM_REPORT_DIGESTS[(n, m)]
+
+
+def _draw_lines(cap):
+    """Every kind of ``SampleGen`` draw at ``cap``, then the next number of
+    the random stream."""
+    lines = []
+    for n, m in ((0, 2), (1, 1), (2, 0), (2, 2), (1, 3)):
+        sig = RingSignature(n, m, cap)
+        chart = Chart(sig)
+        gen = SampleGen(500 * cap + 10 * n + m)
+        degree = min(2, n)  # even monomials need an even generator
+        draws = [gen.jet(sig, max_even_degree=degree),
+                 gen.jet(sig, max_terms=6, max_even_degree=degree),
+                 gen.jet(sig, max_terms=6, max_even_degree=degree, holomorphic=True),
+                 gen.jet(sig, max_terms=4, max_even_degree=degree, parity=0),
+                 gen.jet(sig, max_terms=4, max_even_degree=degree, parity=int(m > 0)),
+                 gen.jet(sig, max_terms=4, max_even_degree=degree, allow_constant=False)]
+        if n:
+            draws += [gen.unit(sig), gen.unit(sig, holomorphic=False)]
+        lines += [_jet_line(f"{n}|{m} jet{k}", x) for k, x in enumerate(draws)]
+        if n and m:
+            lines += [_line(f"{n}|{m} mvform", gen.mvform(chart, 1, 1)),
+                      _line(f"{n}|{m} mvform_odd", gen.mvform(chart, 2, 0, parity=1, max_terms=3)),
+                      _line(f"{n}|{m} mvform_hol", gen.mvform(chart, 0, 2, holomorphic_coeff=True,
+                                                               allow_repeats=True))]
+            form, p, q, parity = gen.homogeneous_mvform(chart)
+            lines.append(_line(f"{n}|{m} homogeneous {p} {q} {parity}", form))
+        lines.append(f"{n}|{m} next {gen.rng.random()!r}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("cap", (0, 1, 2, 6))
+def test_sample_draws(cap):
+    assert _digest(_draw_lines(cap)) == DRAW_DIGESTS[cap]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 from .charts import BerSection, Chart, ChartError, Morphism, pull_ber
 from .grading import koszul
@@ -183,28 +184,40 @@ def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorFor
     chart = alpha.chart
     if delta.chart != chart:
         raise ChartError("operator and section live on different charts")
-    out = MultiVectorForm.zero(chart, alpha.prec - 1)
-    for key in alpha.terms:
-        out = out + _extend_term(delta, chart, alpha.term_word(key))
-    return out
+    terms: dict = {}
+    prec = alpha.prec - 1
+    for (i_idx, j_idx), coeff in alpha.terms.items():
+        image = _extend_term(delta, chart, i_idx, j_idx, coeff)
+        add_terms(terms, image.terms.items())
+        prec = min(prec, image.prec)
+    return MultiVectorForm(chart, terms, prec)
 
 
-def _extend_term(delta: DeltaOperator, chart: Chart, word) -> MultiVectorForm:
-    symbols = [item for item in word if item[0] != FUN]
-    funs = [item for item in word if item[0] == FUN]
-    if not symbols:
-        return MultiVectorForm.zero(chart, min((f.prec for _, f in funs), default=chart.sig.cap) - 1)
-    head, rest = symbols[0], symbols[1:] + funs
-    head_form = MultiVectorForm.from_words(chart, [(1, [head])])
-    rest_form = MultiVectorForm.from_words(chart, [(1, rest)])
-    bracket = schouten(head_form, rest_form)
-    head_value = _delta_on_symbol(delta, chart, head)
-    first = wedge(head_value, rest_form) if head_value is not None else None
-    second = wedge(head_form, _extend_term(delta, chart, rest))
-    out = bracket - second
-    if first is not None:
-        out = out + first
-    return out
+def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
+    """D of the stored term d xibar^I (x) d/dxi^J . coeff.
+
+    The term without its first symbol is again a stored term, in normal order
+    with sign +1, so the rest and the head are built as they are stored.
+    """
+    if not i_idx and not j_idx:
+        return MultiVectorForm.zero(chart, coeff.prec - 1)
+    if i_idx:
+        head = MultiVectorForm.dbar_basis(chart, i_idx[0])
+        rest_key, value = (i_idx[1:], j_idx), None
+    else:
+        head = MultiVectorForm.vector(chart, j_idx[0])
+        rest_key, value = ((), j_idx[1:]), delta.values[j_idx[0]]
+    rest = MultiVectorForm(chart, {rest_key: coeff})
+    # [[dxibar^k (x) 1, rest]] = 0, at the precision schouten gives it
+    bracket = MultiVectorForm.zero(chart, rest.prec - 1) if i_idx else schouten(head, rest)
+    second = wedge(head, _extend_term(delta, chart, *rest_key, coeff))
+    terms = add_terms(dict(bracket.terms), ((key, -c) for key, c in second.terms.items()))
+    prec = min(bracket.prec, second.prec)
+    if value is not None and not value.is_zero():
+        first = wedge(MultiVectorForm.from_function(chart, value), rest)
+        add_terms(terms, first.terms.items())
+        prec = min(prec, first.prec)
+    return MultiVectorForm(chart, terms, prec)
 
 
 def _delta_on_symbol(delta: DeltaOperator, chart: Chart, item):
@@ -304,11 +317,16 @@ def bv_bracket(delta_apply, alpha: MultiVectorForm, beta: MultiVectorForm,
 
     delta_alpha(beta) = (-1)^deg(a) D(a^b) - (-1)^deg(a) D(a)^b - a^D(b).
     """
+    return _bv_bracket(delta_apply, alpha, beta, alpha_deg, delta_apply(alpha), delta_apply(beta))
+
+
+def _bv_bracket(delta_apply, alpha, beta, alpha_deg, delta_alpha, delta_beta) -> MultiVectorForm:
+    """``bv_bracket`` with the images D(a) and D(b) already computed."""
     first = delta_apply(wedge(alpha, beta))
-    second = wedge(delta_apply(alpha), beta)
+    second = wedge(delta_alpha, beta)
     if koszul(alpha_deg) < 0:
         first, second = -first, -second
-    return first - second - wedge(alpha, delta_apply(beta))
+    return first - second - wedge(alpha, delta_beta)
 
 
 @contextmanager
@@ -327,9 +345,10 @@ def check_bv_axioms(chart: Chart, delta_apply, samples, dbar_apply=dbar):
     ``samples`` is a sequence of dicts with keys alpha, beta, gamma (homogeneous
     MultiVectorForms), their bidegrees/parities, and a sample seed.  Returns a
     list of dicts {check, elapsed_ms, status, sample_seed, counterexample}.
-    Each check is timed on its own; work two checks share, such as the
-    BV bracket of alpha and beta, is done and charged once, by the first open
-    check that needs it.
+    Each check is timed on its own.  The images of alpha and beta, their
+    bracket and the BV bracket of alpha and beta are shared: each is computed
+    at most once per sample, and charged to the first open check that needs
+    it.
     """
     checks = {
         "bv_derivation": None,
@@ -344,45 +363,50 @@ def check_bv_axioms(chart: Chart, delta_apply, samples, dbar_apply=dbar):
         da, pa = sample["alpha_deg"], sample["alpha_parity"]
         db, pb = sample["beta_deg"], sample["beta_parity"]
         seed = sample.get("seed")
-        delta_alpha = None
+        # thunks, called only inside this iteration
+        delta_alpha = cache(lambda: delta_apply(alpha))
+        delta_beta = cache(lambda: delta_apply(beta))
+        bracket = cache(lambda: schouten(alpha, beta))
+        bracket_of_alpha = cache(
+            lambda: _bv_bracket(delta_apply, alpha, beta, da, delta_alpha(), delta_beta()))
 
         if checks["bv_derivation"] is None:
             with _charged(elapsed, "bv_derivation"):
-                delta_alpha = bv_bracket(delta_apply, alpha, beta, da)
-                lhs = bv_bracket(delta_apply, alpha, wedge(beta, gamma), da)
-                second = wedge(beta, bv_bracket(delta_apply, alpha, gamma, da))
-                if ((da + 1) * db + pa * pb) % 2:
+                beta_gamma = wedge(beta, gamma)
+                lhs = _bv_bracket(delta_apply, alpha, beta_gamma, da, delta_alpha(),
+                                  delta_apply(beta_gamma))
+                second = wedge(beta, _bv_bracket(delta_apply, alpha, gamma, da, delta_alpha(),
+                                                 delta_apply(gamma)))
+                if koszul((da + 1) * db + pa * pb) < 0:
                     second = -second
-                rhs = wedge(delta_alpha, gamma) + second
+                rhs = wedge(bracket_of_alpha(), gamma) + second
                 if not lhs.agrees_with(rhs):
                     checks["bv_derivation"] = (seed, lhs - rhs)
 
         if checks["bracket_compatibility"] is None:
             with _charged(elapsed, "bracket_compatibility"):
-                if delta_alpha is None:
-                    delta_alpha = bv_bracket(delta_apply, alpha, beta, da)
-                if not schouten(alpha, beta).agrees_with(-delta_alpha):
-                    checks["bracket_compatibility"] = (seed, schouten(alpha, beta) + delta_alpha)
+                if not bracket().agrees_with(-bracket_of_alpha()):
+                    checks["bracket_compatibility"] = (seed, bracket() + bracket_of_alpha())
 
         if checks["delta_squared"] is None:
             with _charged(elapsed, "delta_squared"):
-                squared = delta_apply(delta_apply(alpha))
+                squared = delta_apply(delta_alpha())
                 if not squared.is_zero():
                     checks["delta_squared"] = (seed, squared)
 
         if checks["dbar_anticommute"] is None:
             with _charged(elapsed, "dbar_anticommute"):
-                anti = dbar_apply(delta_apply(alpha)) + delta_apply(dbar_apply(alpha))
+                anti = dbar_apply(delta_alpha()) + delta_apply(dbar_apply(alpha))
                 if not anti.is_zero():
                     checks["dbar_anticommute"] = (seed, anti)
 
         if checks["gbv_bracket_identity"] is None:
             with _charged(elapsed, "gbv_bracket_identity"):
-                lhs = -delta_apply(schouten(alpha, beta))
-                second = schouten(alpha, delta_apply(beta))
-                if da % 2:
+                lhs = -delta_apply(bracket())
+                second = schouten(alpha, delta_beta())
+                if koszul(da) < 0:
                     second = -second
-                rhs = -schouten(delta_apply(alpha), beta) + second
+                rhs = -schouten(delta_alpha(), beta) + second
                 if not lhs.agrees_with(rhs):
                     checks["gbv_bracket_identity"] = (seed, lhs - rhs)
 

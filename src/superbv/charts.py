@@ -335,28 +335,6 @@ def vector_apply(chart: Chart, column, f: JetSuperFunction) -> JetSuperFunction:
     return acc
 
 
-def pair(chart: Chart, row, column) -> JetSuperFunction:
-    """Evaluate a covector row on a vector column.
-
-    Uses d xi^j (d/d xi^k) = (-1)^|j| delta^j_k together with the Koszul sign
-    for moving the row coefficient past the coordinate derivation.
-    """
-    acc = chart.zero()
-    for k in range(chart.dim):
-        c, v = row[k], column[k]
-        if c.is_zero() or v.is_zero():
-            continue
-        pk = chart.parity(k)
-        for part in c.homogeneous_parts():
-            if part.is_zero():
-                continue
-            term = part * v
-            if (pk * (1 + part.parity())) % 2:
-                term = -term
-            acc = acc + term
-    return acc
-
-
 def pull_ber(phi: Morphism, section: BerSection) -> BerSection:
     """Pullback of a Berezinian section: h [dxi] -> phi#(h) sdet(dphi) [dzeta]."""
     if section.chart != phi.target:

@@ -648,8 +648,9 @@ class JetSuperFunction:
         body = self.body()
         if not body:
             raise NotAUnitError("body constant vanishes, element is not a unit")
+        inverse = numerators(GR_ONE / body)
         one = JetSuperFunction.one(self.sig, self.prec)
-        rest = one - self.scale(GR_ONE / body)
+        rest = one - self.scale_numerators(*inverse)
         acc = one
         power = rest
         limit = self.prec + self.sig.m + 1
@@ -660,7 +661,7 @@ class JetSuperFunction:
             steps += 1
             if steps > limit:
                 raise JetError("geometric series failed to terminate (internal error)")
-        return acc.scale(GR_ONE / body)
+        return acc.scale_numerators(*inverse)
 
     # -- substitution ---------------------------------------------------
 

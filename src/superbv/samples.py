@@ -12,8 +12,8 @@ import itertools
 import random
 
 from .charts import BerSection, Chart, Morphism
-from .grading import ODD, reorder_sign
-from .jetring import GaussianRational, JetSuperFunction, RingSignature, dot
+from .grading import ODD, koszul, reorder_sign
+from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, dot
 from .mvforms import MultiVectorForm, add_terms
 
 
@@ -23,12 +23,16 @@ class SampleGen:
 
     # -- scalars ---------------------------------------------------------
 
-    def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
+    def _numerators(self, allow_zero=True, complex_part=True):
+        """Integer real and imaginary parts of a scalar draw."""
         while True:
             re = self.rng.randint(-2, 2)
             im = self.rng.randint(-1, 1) if complex_part else 0
             if allow_zero or re or im:
-                return GaussianRational.of(re, im)
+                return re, im
+
+    def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
+        return GaussianRational.of(*self._numerators(allow_zero, complex_part))
 
     def nonzero_scalar(self) -> GaussianRational:
         return self.scalar(allow_zero=False)
@@ -37,15 +41,15 @@ class SampleGen:
 
     def monomial_key(self, sig: RingSignature, max_even_degree=2, holomorphic=False,
                      parity=None, allow_constant=True):
-        n = sig.n
+        pool = list(range(sig.n if holomorphic else sig.even_count))
+        odd_pool = list(range(sig.m if holomorphic else sig.odd_count))
+        most_odd = min(2, len(odd_pool))
         for _ in range(64):
             degree = self.rng.randint(0, max_even_degree)
             exps = [0] * sig.even_count
             for _ in range(degree):
-                pool = range(n) if holomorphic else range(sig.even_count)
-                exps[self.rng.choice(list(pool))] += 1
-            odd_pool = list(range(sig.m)) if holomorphic else list(range(sig.odd_count))
-            size = self.rng.randint(0, min(2, len(odd_pool)) if odd_pool else 0)
+                exps[self.rng.choice(pool)] += 1
+            size = self.rng.randint(0, most_odd)
             odd = tuple(sorted(self.rng.sample(odd_pool, size))) if size else ()
             if parity is not None and len(odd) % 2 != parity:
                 continue
@@ -56,12 +60,22 @@ class SampleGen:
 
     def jet(self, sig: RingSignature, max_terms=3, max_even_degree=2, holomorphic=False,
             parity=None, allow_constant=True) -> JetSuperFunction:
+        """Sum of sampled monomials with nonzero Gaussian-integer coefficients.
+
+        The coefficients are summed as integer numerators under packed keys;
+        monomials past the cap and sums that cancelled are dropped.
+        """
+        layout = sig._layout
         terms = {}
         for _ in range(self.rng.randint(0 if allow_constant else 1, max_terms)):
-            key = self.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
-            coeff = self.scalar(allow_zero=False)
-            terms[key] = terms.get(key, GaussianRational.of(0)) + coeff
-        return JetSuperFunction(sig, terms)  # drops coefficients that cancelled
+            exps, odd = self.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
+            re, im = self._numerators(allow_zero=False)
+            key = layout.key(exps, odd)
+            prev = terms.get(key)
+            terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        shift = layout.shift
+        kept = {key: c for key, c in terms.items() if (c[0] or c[1]) and key >> shift <= sig.cap}
+        return _canonical(sig, kept, 1, sig.cap)
 
     def unit(self, sig: RingSignature, holomorphic=True) -> JetSuperFunction:
         """Even invertible superfunction with body 1."""
@@ -247,10 +261,8 @@ class SampleGen:
             current = chart.zero()
             for q in range(dim):
                 entry = free.right(q, k, q)
-                if (chart.parity(q) * (1 + chart.parity(k))) % 2:
-                    current = current - entry
-                else:
-                    current = current + entry
+                sign = koszul(chart.parity(q) * (1 + chart.parity(k)))
+                current = current + (entry if sign > 0 else -entry)
             needed = target - current  # correction to the supertrace, parity |k|
             # place it on the q = 0 diagonal entry (even direction, right = left there
             # up to the parity twist, which is trivial for q even)

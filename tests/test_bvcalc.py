@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from superbv.bvcalc import (
     DeltaOperator,
@@ -23,12 +24,14 @@ from superbv.bvcalc import (
 )
 from superbv.charts import BerSection, Chart, ChartError, pull_ber
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
-from superbv.mvforms import MultiVectorForm, pull_mvform, schouten, wedge
+from superbv.mvforms import FUN, VEC, MultiVectorForm, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
+from test_jetring import NO_SHRINK
 
 SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)
 SIG22 = RingSignature(n=2, m=2, cap=4)
+SIG13 = RingSignature(n=1, m=3, cap=4)
 CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 
@@ -221,6 +224,78 @@ class TestExtendDelta:
                 assert extend_delta(table, alpha).agrees_with(extend_delta_right(table, alpha))
 
 
+def word_extend_delta(delta, alpha):
+    """The bracket recursion on formal words: every head and rest form is
+    normalised through ``from_words``, and the terms are summed with
+    ``Section.__add__``.  Oracle for ``extend_delta``."""
+    out = MultiVectorForm.zero(alpha.chart, alpha.prec - 1)
+    for key in alpha.terms:
+        out = out + _word_extend_term(delta, alpha.chart, alpha.term_word(key))
+    return out
+
+
+def _word_extend_term(delta, chart, word):
+    symbols = [item for item in word if item[0] != FUN]
+    funs = [item for item in word if item[0] == FUN]
+    if not symbols:
+        return MultiVectorForm.zero(chart, min(f.prec for _, f in funs) - 1)
+    head, rest = symbols[0], symbols[1:] + funs
+    head_form = MultiVectorForm.from_words(chart, [(1, [head])])
+    rest_form = MultiVectorForm.from_words(chart, [(1, rest)])
+    out = schouten(head_form, rest_form) - wedge(head_form, _word_extend_term(delta, chart, rest))
+    kind, k = head
+    if kind == VEC and not delta.values[k].is_zero():
+        out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), rest_form)
+    return out
+
+
+@st.composite
+def extension_cases(draw):
+    """A generator table (of a sampled section, or free) and a section of
+    drawn bidegree whose coefficients may mix parities and sit below the cap."""
+    chart = Chart(draw(st.sampled_from([SIG11, SIG21, SIG22, SIG13])))
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    if draw(st.booleans()):
+        table = DeltaOperator.from_section(gen.trivialising_section(chart))
+    else:
+        table = DeltaOperator(chart, tuple(
+            gen.jet(chart.sig, max_terms=2, max_even_degree=1, parity=chart.parity(k))
+            for k in range(chart.dim)))
+    p, q = draw(st.integers(min_value=0, max_value=3)), draw(st.integers(min_value=0, max_value=2))
+    parity = draw(st.sampled_from([None, 0, 1]))
+    for _ in range(10):  # zero draws are drawn again
+        try:
+            alpha = gen.mvform(chart, p, q, parity=parity, max_terms=3, allow_repeats=True)
+        except RuntimeError:
+            reject()  # the chart has no index multiset of that size
+        if not alpha.is_zero():
+            break
+    prec = draw(st.integers(min_value=0, max_value=chart.sig.cap))
+    alpha = MultiVectorForm(chart, {key: c.truncate(prec) for key, c in alpha.terms.items()}, prec)
+    return table, alpha
+
+
+class TestExtendDeltaProperties:
+    @given(extension_cases())
+    @settings(max_examples=120, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_equals_the_word_recursion(self, case):
+        table, alpha = case
+        got, want = extend_delta(table, alpha), word_extend_delta(table, alpha)
+        assert got.prec == want.prec
+        assert {k: (c.terms, c.den, c.prec) for k, c in got.terms.items()} == \
+            {k: (c.terms, c.den, c.prec) for k, c in want.terms.items()}
+
+    @given(extension_cases(), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_bracket_with_a_barred_differential_is_zero(self, case, data):
+        _, alpha = case
+        chart = alpha.chart
+        k = data.draw(st.integers(min_value=0, max_value=chart.dim - 1))
+        out = schouten(MultiVectorForm.dbar_basis(chart, k), alpha)
+        assert out.is_zero() and out.prec == max(0, alpha.prec - 1)
+        assert out == MultiVectorForm.zero(chart, alpha.prec - 1)
+
+
 class TestTianTodorov:
     def test_identity(self):
         # -[[a,b]] = (-1)^deg(a) D(a^b) - (-1)^deg(a) D(a)^b - a^D(b)
@@ -271,6 +346,47 @@ class TestAxiomChecker:
         assert "dbar_anticommute" in failures
         failed = [item for item in report if item["status"] == "fail"]
         assert all("counterexample" in item for item in failed)
+
+    def test_each_shared_image_is_computed_once(self):
+        # per sample: D(alpha), D(beta), D(alpha ^ beta), D(alpha ^ beta ^ gamma),
+        # D(beta ^ gamma), D(alpha ^ gamma), D(gamma), D(D(alpha)),
+        # D(dbar(alpha)) and D([[alpha, beta]])
+        gen = SampleGen(61)
+        chart = Chart(SIG21)
+        delta = DeltaOperator.from_section(gen.trivialising_section(chart))
+        samples = self._samples(gen, chart, 4)
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return extend_delta(delta, x)
+
+        report = check_bv_axioms(chart, counted, samples)
+        assert all(item["status"] == "pass" for item in report)
+        assert len(seen) == 10 * len(samples)
+        for sample in samples:
+            assert sum(x is sample["alpha"] for x in seen) == 1
+            assert sum(x is sample["beta"] for x in seen) == 1
+
+    def test_no_work_for_failed_checks(self):
+        # a table that is not holomorphic fails only dbar_anticommute; from the
+        # next sample on, D(dbar(alpha)) is no longer computed
+        gen = SampleGen(53)
+        chart = Chart(SIG11)
+        zb = JetSuperFunction.gen(chart.sig, chart.sig.zb(0))
+        broken = DeltaOperator(chart, (zb, chart.zero()))
+        samples = self._samples(gen, chart, 6)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return extend_delta(broken, x)
+
+        report = check_bv_axioms(chart, counted, samples)
+        assert [item["status"] for item in report] == ["pass", "pass", "pass", "fail", "pass"]
+        failed_at = report[3]["sample_seed"]
+        assert failed_at < len(samples) - 1
+        assert len(calls) == 10 * len(samples) - (len(samples) - 1 - failed_at)
 
     def test_gbv_compat_times_each_check(self):
         from superbv.suites import suite_gbv_compat

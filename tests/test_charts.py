@@ -5,7 +5,6 @@ from superbv.charts import (
     Chart,
     ChartError,
     Morphism,
-    pair,
     pull_ber,
     vector_apply,
 )
@@ -20,9 +19,9 @@ CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 
 # -- component transport ------------------------------------------------------------
-# Transport of coefficient columns and rows by the differential, kept here as
-# an oracle for the pullback laws; the program pulls sections back through
-# mvforms.pull_mvform instead.
+# Transport of coefficient columns and rows by the differential, and the
+# pairing of a row with a column, kept here as an oracle for the pullback
+# laws; the program pulls sections back through mvforms.pull_mvform instead.
 
 
 def pull_vector(phi: Morphism, column):
@@ -58,6 +57,28 @@ def _transport(phi: Morphism, matrix: SuperMatrix, components):
 def differential_of_function(chart: Chart, f: JetSuperFunction):
     """Coefficient row of df against the basis (d xi^k)."""
     return [chart.d(f, k) for k in range(chart.dim)]
+
+
+def pair(chart: Chart, row, column) -> JetSuperFunction:
+    """Evaluate a covector row on a vector column.
+
+    Uses d xi^j (d/d xi^k) = (-1)^|j| delta^j_k together with the Koszul sign
+    for moving the row coefficient past the coordinate derivation.
+    """
+    acc = chart.zero()
+    for k in range(chart.dim):
+        c, v = row[k], column[k]
+        if c.is_zero() or v.is_zero():
+            continue
+        pk = chart.parity(k)
+        for part in c.homogeneous_parts():
+            if part.is_zero():
+                continue
+            term = part * v
+            if (pk * (1 + part.parity())) % 2:
+                term = -term
+            acc = acc + term
+    return acc
 
 
 def basis_column(chart, k):

@@ -668,3 +668,50 @@ class TestSmallAndLargeSignatures:
             " + 8*th1*th2*th3*th4*th5*th6*th7*th8*th9*th10*th11*th12"
             " + 3*th7*th8*th9*th10*th11*th12\n")
         assert elapsed < 10
+
+
+# -- sampled jets --------------------------------------------------------------
+# SampleGen.jet as it drew before it built packed terms: the same random
+# stream, each coefficient a GaussianRational summed under a tuple key and
+# handed to the tuple-keyed constructor.
+
+
+def rational_sample_jet(gen, sig, max_terms=3, max_even_degree=2, holomorphic=False,
+                        parity=None, allow_constant=True):
+    terms = {}
+    for _ in range(gen.rng.randint(0 if allow_constant else 1, max_terms)):
+        key = gen.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
+        terms[key] = terms.get(key, GaussianRational.of(0)) + gen.scalar(allow_zero=False)
+    return JetSuperFunction(sig, terms)
+
+
+@st.composite
+def sample_jet_cases(draw):
+    n, m = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (2, 1), (2, 2), (1, 3)]))
+    sig = RingSignature(n, m, draw(st.sampled_from([0, 1, 2, 4, 6])))
+    options = {
+        "max_terms": draw(st.integers(min_value=1, max_value=8)),
+        "max_even_degree": draw(st.integers(min_value=0, max_value=3)) if n else 0,
+        "holomorphic": draw(st.booleans()),
+        "parity": draw(st.sampled_from([None, 0, 1] if m else [None, 0])),
+        "allow_constant": draw(st.booleans()),
+    }
+    return draw(st.integers(min_value=0, max_value=10 ** 6)), sig, options
+
+
+class TestSampledJets:
+    @given(sample_jet_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_same_jet_and_stream_as_rational_draw(self, case):
+        seed, sig, options = case
+        packed, rational = SampleGen(seed), SampleGen(seed)
+        try:
+            want = rational_sample_jet(rational, sig, **options)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                packed.jet(sig, **options)
+            return
+        got = packed.jet(sig, **options)
+        assert (got.terms, got.den, got.prec) == (want.terms, want.den, want.prec)
+        assert list(got.terms) == list(want.terms)
+        assert packed.rng.random() == rational.rng.random()

@@ -7,6 +7,7 @@ read the package source and fail when a hand-written copy reappears.
 """
 
 import inspect
+import re
 from pathlib import Path
 
 from superbv import mvforms
@@ -24,6 +25,18 @@ def test_signs_only_in_grading():
         for path in SOURCES if path.name != "grading.py"
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if "% 2 else" in line
+    ]
+    assert offenders == []
+
+
+def test_no_parity_branch_signs_in_bvcalc_and_samples():
+    # a sign taken as ``if <exponent> % 2:`` rather than from ``koszul``
+    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in SOURCES if path.name in ("bvcalc.py", "samples.py")
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if branch.match(line)
     ]
     assert offenders == []
 

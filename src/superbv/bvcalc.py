@@ -220,16 +220,6 @@ def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> Mul
     return MultiVectorForm(chart, terms, prec)
 
 
-def _delta_on_symbol(delta: DeltaOperator, chart: Chart, item):
-    kind, payload = item
-    if kind == VEC:
-        value = delta.values[payload]
-        if value.is_zero():
-            return None
-        return MultiVectorForm.from_function(chart, value)
-    return None
-
-
 def extend_delta_right(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorForm:
     """Right-peeled variant of the recursion; oracle for order independence."""
     chart = alpha.chart
@@ -246,19 +236,17 @@ def _extend_term_right(delta: DeltaOperator, chart: Chart, word) -> MultiVectorF
         return MultiVectorForm.zero(chart, min((f.prec for _, f in funs), default=chart.sig.cap) - 1)
     last = symbols[-1]
     front = symbols[:-1]
+    if not front:
+        # base case: D(w . f) = [[w, f]] + D(w) f
+        coeff_form = MultiVectorForm.from_words(chart, [(1, funs or [(FUN, chart.one())])])
+        out = schouten(MultiVectorForm.from_words(chart, [(1, [last])]), coeff_form)
+        kind, k = last
+        if kind == VEC and not delta.values[k].is_zero():
+            out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), coeff_form)
+        return out
     # D(front . (last . f)) with the tail treated as one factor of degree 1
     tail_form = MultiVectorForm.from_words(chart, [(1, [last] + funs)])
     front_form = MultiVectorForm.from_words(chart, [(1, front)])
-    if not front:
-        # base case: D(w . f) = [[w, f]] + D(w) f
-        bracket = schouten(MultiVectorForm.from_words(chart, [(1, [last])]),
-                           MultiVectorForm.from_words(chart, [(1, funs or [(FUN, chart.one())])]))
-        value = _delta_on_symbol(delta, chart, last)
-        coeff_form = MultiVectorForm.from_words(chart, [(1, funs or [(FUN, chart.one())])])
-        out = bracket
-        if value is not None:
-            out = out + wedge(value, coeff_form)
-        return out
     sign = koszul(len(front))
     bracket = schouten(front_form, tail_form)
     if sign > 0:

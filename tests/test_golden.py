@@ -26,16 +26,20 @@ import pytest
 
 from superbv import cli
 from superbv.bvcalc import (
+    DeltaOperator,
+    check_bv_axioms,
     dbar_int,
     eta,
     eta_inverse,
+    extend_delta,
+    extend_delta_right,
     manin_delta,
     manin_gamma,
     manin_gamma_inverse,
     partial_int,
     pull_intform,
 )
-from superbv.charts import Chart
+from superbv.charts import BerSection, Chart
 from superbv.dsl import parse
 from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, dot
 from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
@@ -618,9 +622,6 @@ def _delta_tables(chart, gen):
     """(label, table) for the unit section, a sampled trivialising section,
     the same section truncated below the cap and a sampled table that no
     section has."""
-    from superbv.bvcalc import DeltaOperator
-    from superbv.charts import BerSection
-
     sig = chart.sig
     h = gen.unit(sig)
     values = tuple(gen.jet(sig, max_terms=2, max_even_degree=1, parity=chart.parity(k))
@@ -657,8 +658,6 @@ def _extension_forms(chart, gen):
 
 
 def _extension_lines(n, m):
-    from superbv.bvcalc import extend_delta, extend_delta_right
-
     chart = Chart(RingSignature(n, m, 4))
     gen = SampleGen(8000 + 100 * n + m)
     tables = _delta_tables(chart, gen)
@@ -693,8 +692,6 @@ def _axiom_report_lines(n, m):
     section and four sabotaged operators: scaled by 2, built on a table
     that is not holomorphic, shifted by the bracket with a vector field and
     cut off above total degree 2."""
-    from superbv.bvcalc import DeltaOperator, check_bv_axioms, extend_delta
-
     chart = Chart(RingSignature(n, m, 4))
     gen = SampleGen(9000 + 100 * n + m)
     delta = DeltaOperator.from_section(gen.trivialising_section(chart))

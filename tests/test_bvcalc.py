@@ -223,6 +223,32 @@ class TestExtendDelta:
                 alpha, *_ = gen.homogeneous_mvform(chart)
                 assert extend_delta(table, alpha).agrees_with(extend_delta_right(table, alpha))
 
+    @pytest.mark.parametrize("sig,key,seed", [
+        (SIG13, ((0,), (1, 1, 2)), 6),
+        (SIG22, ((3,), (2, 2, 3)), 7),
+    ])
+    def test_repeated_odd_vector_index(self, sig, key, seed):
+        # J = (j, j, ...) with j odd: the bracket and table pieces of the first
+        # vector peel and the inner image with j put back in front all land on
+        # the key (I, J[1:]), so the order of the sum decides each ``prec``
+        chart = Chart(sig)
+        gen = SampleGen(seed)
+        table = DeltaOperator(chart, tuple(
+            gen.jet(sig, max_terms=2, max_even_degree=1, parity=chart.parity(k))
+            for k in range(chart.dim)))
+        coeff = gen.jet(sig, max_terms=4)
+        assert coeff.parity() is None
+        alpha = MultiVectorForm(chart, {key: coeff})
+        got, want = extend_delta(table, alpha), word_extend_delta(table, alpha)
+        assert (key[0], key[1][1:]) in got.terms
+        assert got.prec == want.prec
+        assert exact_terms(got) == exact_terms(want)
+
+
+def exact_terms(form):
+    """Each coefficient's terms, denominator and precision, by key."""
+    return {k: (c.terms, c.den, c.prec) for k, c in form.terms.items()}
+
 
 def word_extend_delta(delta, alpha):
     """The bracket recursion on formal words: every head and rest form is
@@ -282,8 +308,7 @@ class TestExtendDeltaProperties:
         table, alpha = case
         got, want = extend_delta(table, alpha), word_extend_delta(table, alpha)
         assert got.prec == want.prec
-        assert {k: (c.terms, c.den, c.prec) for k, c in got.terms.items()} == \
-            {k: (c.terms, c.den, c.prec) for k, c in want.terms.items()}
+        assert exact_terms(got) == exact_terms(want)
 
     @given(extension_cases(), st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, phases=NO_SHRINK)

@@ -49,6 +49,7 @@ from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
 ROOT = Path(__file__).resolve().parent.parent
 
 SCENARIO_HASHES = {
+    "bv_1x3": "61a5d2be1a29fbdd4dc36834581f7460b052a84572dfd4e76a2063ff4c59cbad",
     "default": "399b01be921f725c06afbcb1d32ab12f106abf899a31c5df8a7f6ad5471c4e8f",
     "two_one": "9c14ba17d9c1cc8ad3fc3e64243dd714a4d289ea002e34784fd9187301649c34",
     "two_two": "cb088cb1482a07337dcdf65fd1d441b47318a4ef948ad7c860769e416077a3f6",

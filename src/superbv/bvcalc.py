@@ -178,8 +178,10 @@ def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorFor
         D(w . rest) = [[w, rest]] + D(w) ^ rest - w ^ D(rest)
 
     which is the bracket-compatibility condition specialised to deg(w) = 1.
-    The result does not depend on the peeling order; the right-peeled
-    variant below exists to test exactly that.
+    Each piece is built as stored terms with a sign (see ``_extend_term``),
+    and the images of the terms of ``alpha`` are summed into one dict.  The
+    result does not depend on the peeling order; the right-peeled variant
+    below exists to test exactly that.
     """
     chart = alpha.chart
     if delta.chart != chart:
@@ -194,29 +196,50 @@ def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorFor
 
 
 def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
-    """D of the stored term d xibar^I (x) d/dxi^J . coeff.
+    """D of the stored term d xibar^I (x) d/dxi^J . coeff, peeled at its first symbol.
 
-    The term without its first symbol is again a stored term, in normal order
-    with sign +1, so the rest and the head are built as they are stored.
+    The term without its first symbol w is again a stored term, and so is
+    every key of its image D(rest): w is at most each index there, so putting
+    it back in front costs no sign and drops nothing.
+
+    * A barred w = d xibar^i brackets to zero and D(w) = 0, so the image is
+      D(rest) with i in front of each barred tuple and each coefficient negated.
+    * A vector w = d/dxi^j over the rest J' = J[1:], with
+      s = koszul(|j| * (|J'[0]| + |J'[1]| + ...)), gives on ((), J') the bracket
+      s * d_j(coeff), then minus D(rest) with j in front of each vector tuple,
+      then s * D(d/dxi^j) * coeff.
+
+    The pieces are summed in that order.  When J starts with a repeated odd
+    index, D(rest) also has a term on ((), J'); ``add_terms`` drops a key
+    that cancels, and a later piece on that key then starts a coefficient
+    whose ``prec`` does not include the cancelled one, so the order fixes
+    each coefficient's ``prec``.  The form's ``prec`` is the least of
+    coeff.prec - 1, D(rest)'s and, with a nonzero table entry, that entry's.
     """
+    prec = max(0, coeff.prec - 1)
     if not i_idx and not j_idx:
-        return MultiVectorForm.zero(chart, coeff.prec - 1)
+        return MultiVectorForm.zero(chart, prec)
     if i_idx:
-        head = MultiVectorForm.dbar_basis(chart, i_idx[0])
-        rest_key, value = (i_idx[1:], j_idx), None
-    else:
-        head = MultiVectorForm.vector(chart, j_idx[0])
-        rest_key, value = ((), j_idx[1:]), delta.values[j_idx[0]]
-    rest = MultiVectorForm(chart, {rest_key: coeff})
-    # [[dxibar^k (x) 1, rest]] = 0, at the precision schouten gives it
-    bracket = MultiVectorForm.zero(chart, rest.prec - 1) if i_idx else schouten(head, rest)
-    second = wedge(head, _extend_term(delta, chart, *rest_key, coeff))
-    terms = add_terms(dict(bracket.terms), ((key, -c) for key, c in second.terms.items()))
-    prec = min(bracket.prec, second.prec)
-    if value is not None and not value.is_zero():
-        first = wedge(MultiVectorForm.from_function(chart, value), rest)
-        add_terms(terms, first.terms.items())
-        prec = min(prec, first.prec)
+        inner = _extend_term(delta, chart, i_idx[1:], j_idx, coeff)
+        head = i_idx[:1]
+        terms = {(head + i, j): -c for (i, j), c in inner.terms.items()}
+        return MultiVectorForm(chart, terms, min(prec, inner.prec))
+    j, rest = j_idx[0], j_idx[1:]
+    sign = koszul(chart.parity(j) * sum(chart.parity(x) for x in rest))
+    terms = {}
+    bracket = chart.d(coeff, j)
+    if not bracket.is_zero():
+        terms[((), rest)] = bracket if sign > 0 else -bracket
+    inner = _extend_term(delta, chart, (), rest, coeff)
+    head = j_idx[:1]
+    add_terms(terms, [(((), head + k), -c) for (_, k), c in inner.terms.items()])
+    prec = min(prec, inner.prec)
+    value = delta.values[j]
+    if not value.is_zero():
+        first = value * coeff
+        if not first.is_zero():
+            add_terms(terms, [(((), rest), first if sign > 0 else -first)])
+        prec = min(prec, value.prec, coeff.prec)
     return MultiVectorForm(chart, terms, prec)
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from superbv import bvcalc
 from superbv.bvcalc import (
     DeltaOperator,
     IntegralForm,
@@ -243,6 +244,27 @@ class TestExtendDelta:
         assert (key[0], key[1][1:]) in got.terms
         assert got.prec == want.prec
         assert exact_terms(got) == exact_terms(want)
+
+    def test_builds_no_bracket_wedge_or_word(self, monkeypatch):
+        # every piece of a peel is a stored term with a sign
+        cases = []
+        gen = SampleGen(43)
+        for sig in (SIG11, SIG22, SIG13):
+            chart = Chart(sig)
+            table = DeltaOperator.from_section(gen.trivialising_section(chart))
+            for p, q in ((1, 1), (2, 1), (3, 2)):
+                alpha = gen.mvform(chart, p, q, max_terms=3, allow_repeats=True)
+                cases.append((table, alpha, extend_delta(table, alpha)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extend_delta built a bracket, a wedge or a word")
+
+        monkeypatch.setattr(bvcalc, "schouten", forbidden)
+        monkeypatch.setattr(bvcalc, "wedge", forbidden)
+        monkeypatch.setattr(MultiVectorForm, "from_words", forbidden)
+        assert any(not image.is_zero() for *_, image in cases)
+        for table, alpha, image in cases:
+            assert extend_delta(table, alpha) == image
 
 
 def exact_terms(form):

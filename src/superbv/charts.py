@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .grading import koszul
 from .jetring import JetError, JetSuperFunction, RingSignature, numerators, substitute_many
 from .supermatrix import SuperMatrix
 
@@ -211,7 +212,7 @@ class Morphism:
             pi = self.target.parity(i)
             for k in range(dim):
                 entry = derivative(images[i], k)
-                if ((self.source.parity(k) + pi) * pi) % 2:
+                if koszul((self.source.parity(k) + pi) * pi) < 0:
                     entry = -entry
                 row.append(entry)
             rows.append(row)
@@ -329,7 +330,7 @@ def vector_apply(chart: Chart, column, f: JetSuperFunction) -> JetSuperFunction:
             if part.is_zero():
                 continue
             term = part * df
-            if pk * part.parity() % 2:
+            if koszul(pk * part.parity()) < 0:
                 term = -term
             acc = acc + term
     return acc

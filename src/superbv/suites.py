@@ -144,7 +144,7 @@ def suite_schouten_derivation(chart: Chart, seed: int, trials: int):
             gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
             lhs = schouten(alpha, wedge(beta, gamma))
             second = wedge(beta, schouten(alpha, gamma))
-            if (((p + q) + 1) * (r + s) + pa * pb) % 2:
+            if koszul(((p + q) + 1) * (r + s) + pa * pb) < 0:
                 second = -second
             rhs = wedge(schouten(alpha, beta), gamma) + second
             if not lhs.agrees_with(rhs):
@@ -164,7 +164,7 @@ def suite_schouten_derivation(chart: Chart, seed: int, trials: int):
                                 for k in range(chart.dim)]
             lhs = vector_apply(chart, col(schouten(v, w)), f)
             second = vector_apply(chart, col(w), vector_apply(chart, col(v), f))
-            if (v.parity() * w.parity()) % 2:
+            if koszul(v.parity() * w.parity()) < 0:
                 second = -second
             rhs = vector_apply(chart, col(v), vector_apply(chart, col(w), f)) - second
             if not lhs.agrees_with(rhs):

@@ -41,6 +41,17 @@ def test_no_parity_branch_signs_in_bvcalc_and_samples():
     assert offenders == []
 
 
+def test_no_parity_branch_signs_in_charts_and_suites():
+    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in SOURCES if path.name in ("charts.py", "suites.py")
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if branch.match(line)
+    ]
+    assert offenders == []
+
+
 def test_cancelling_sums_only_in_add_terms():
     pattern = ".pop(key, None)"
     total = sum(path.read_text().count(pattern) for path in SOURCES)

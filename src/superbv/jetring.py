@@ -778,22 +778,24 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
     is one product of its parent with one generator image and only the
     current path is held.  A prefix image is truncated at the largest result
     precision among the words below it; a word that ends at a leaf and is
-    used once is scaled before its last product.  Every result equals
+    used once is scaled before its last product.  Coefficients are read as
+    the integer numerators of each function over its ``den`` and applied
+    with ``scale_numerators``, with no ``GaussianRational``.  Every result equals
     ``f.substitute(images, target_sig)`` term for term and in ``prec``.
     """
     precs = [f._substitution_prec(images, target_sig) for f in functions]
     users: dict = {}
     for index, f in enumerate(functions):
-        even_count = f.sig.even_count
-        for exps, odd, coeff in f.items():
-            word = [gid for gid, e in enumerate(exps) for _ in range(e)]
-            word.extend(even_count + o for o in odd)
-            users.setdefault(tuple(word), []).append((index, coeff))
+        layout, even_count = f.sig._layout, f.sig.even_count
+        for key, (re, im) in f.terms.items():
+            word = [gid for gid, e in enumerate(layout.exponents(key)) for _ in range(e)]
+            word.extend(even_count + o for o in layout.odd_word(key & layout.odd_mask))
+            users.setdefault(tuple(word), []).append((index, re, im, f.den))
     # need[w]: precision the image of prefix w is computed at
     need: dict = {}
     proper_prefixes: set = set()
     for word, uses in users.items():
-        top = max(precs[index] for index, _ in uses)
+        top = max(precs[index] for index, *_ in uses)
         for size in range(1, len(word) + 1):
             prefix = word[:size]
             if need.get(prefix, -1) < top:
@@ -815,16 +817,17 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
         for size in range(len(path) + 1, stop + 1):
             path.append(_prefix_image(path, word[:size], images, need))
         last = word
-        for index, coeff in uses:
+        for index, re, im, den in uses:
             prec = precs[index]
             if not word:
-                value = JetSuperFunction.scalar(target_sig, coeff, prec)
-            elif not single:
-                value = _at_prec(path[-1], prec).scale(coeff)
+                dens[index] = _accumulate(sums[index], dens[index], {0: (re, im)}, den)
+                continue
+            if not single:
+                value = _at_prec(path[-1], prec).scale_numerators(re, im, den)
             elif len(word) == 1:
-                value = _at_prec(images[word[0]], prec).scale(coeff)
+                value = _at_prec(images[word[0]], prec).scale_numerators(re, im, den)
             else:
-                value = _at_prec(path[-1], prec).scale(coeff) * images[word[-1]]
+                value = _at_prec(path[-1], prec).scale_numerators(re, im, den) * images[word[-1]]
             dens[index] = _accumulate(sums[index], dens[index], value.terms, value.den)
     return [_canonical(target_sig, terms, den, prec) for terms, den, prec in zip(sums, dens, precs)]
 

@@ -198,9 +198,10 @@ def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorFor
 def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
     """D of the stored term d xibar^I (x) d/dxi^J . coeff, peeled at its first symbol.
 
-    The term without its first symbol w is again a stored term, and so is
-    every key of its image D(rest): w is at most each index there, so putting
-    it back in front costs no sign and drops nothing.
+    The term is in normal form: no even index repeats and no odd one passes
+    the chart's ``odd_wedge_cap``.  Each piece of a peel is then a stored term
+    with a sign: the first symbol w is at most every index of a key of
+    D(rest), so putting it back in front costs no sign and drops nothing.
 
     * A barred w = d xibar^i brackets to zero and D(w) = 0, so the image is
       D(rest) with i in front of each barred tuple and each coefficient negated.
@@ -209,20 +210,21 @@ def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> Mul
       s * d_j(coeff), then minus D(rest) with j in front of each vector tuple,
       then s * D(d/dxi^j) * coeff.
 
-    The pieces are summed in that order.  When J starts with a repeated odd
-    index, D(rest) also has a term on ((), J'); ``add_terms`` drops a key
-    that cancels, and a later piece on that key then starts a coefficient
-    whose ``prec`` does not include the cancelled one, so the order fixes
-    each coefficient's ``prec``.  The form's ``prec`` is the least of
-    coeff.prec - 1, D(rest)'s and, with a nonzero table entry, that entry's.
+    The pieces are summed in that order, the order of the word recursion.
+    Two of them share a key only when J starts with a repeated odd index j.
+    Every piece on that key is an integer combination of d_j(coeff), of
+    precision coeff.prec, and D(d/dxi^j) * coeff, of precision at most that,
+    so the terms and ``prec`` left there do not depend on the order, even
+    when a partial sum cancels in ``add_terms``.  The form's ``prec`` is the
+    least of max(0, coeff.prec - 1), D(rest)'s and, with a nonzero table
+    entry, that entry's.
     """
     prec = max(0, coeff.prec - 1)
     if not i_idx and not j_idx:
         return MultiVectorForm.zero(chart, prec)
     if i_idx:
         inner = _extend_term(delta, chart, i_idx[1:], j_idx, coeff)
-        head = i_idx[:1]
-        terms = {(head + i, j): -c for (i, j), c in inner.terms.items()}
+        terms = {(i_idx[:1] + bars, vecs): -c for (bars, vecs), c in inner.terms.items()}
         return MultiVectorForm(chart, terms, min(prec, inner.prec))
     j, rest = j_idx[0], j_idx[1:]
     sign = koszul(chart.parity(j) * sum(chart.parity(x) for x in rest))
@@ -231,8 +233,7 @@ def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> Mul
     if not bracket.is_zero():
         terms[((), rest)] = bracket if sign > 0 else -bracket
     inner = _extend_term(delta, chart, (), rest, coeff)
-    head = j_idx[:1]
-    add_terms(terms, [(((), head + k), -c) for (_, k), c in inner.terms.items()])
+    add_terms(terms, [(((), j_idx[:1] + vecs), -c) for (_, vecs), c in inner.terms.items()])
     prec = min(prec, inner.prec)
     value = delta.values[j]
     if not value.is_zero():

@@ -120,7 +120,7 @@ def suite_schouten_symmetry(chart: Chart, seed: int, trials: int):
             alpha, p, q, pa = gen.homogeneous_mvform(chart)
             beta, r, s, pb = gen.homogeneous_mvform(chart)
             rhs = schouten(beta, alpha)
-            if (((p + q) + 1) * ((r + s) + 1) + pa * pb) % 2 == 0:
+            if koszul(((p + q) + 1) * ((r + s) + 1) + pa * pb) > 0:
                 rhs = -rhs
             lhs = schouten(alpha, beta)
             if not lhs.agrees_with(rhs):

@@ -231,7 +231,7 @@ class TestExtendDelta:
     def test_repeated_odd_vector_index(self, sig, key, seed):
         # J = (j, j, ...) with j odd: the bracket and table pieces of the first
         # vector peel and the inner image with j put back in front all land on
-        # the key (I, J[1:]), so the order of the sum decides each ``prec``
+        # the key (I, J[1:]) and are summed into one coefficient there
         chart = Chart(sig)
         gen = SampleGen(seed)
         table = DeltaOperator(chart, tuple(

@@ -108,6 +108,27 @@ def test_cli_text(argv, expected, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+# section -> sha256 of the standard output of
+# ``superbv transform scenarios/transform_3x3.sbv --map phi --section <section>``,
+# recorded from the fixpoint inverse that substituted its whole guess once
+# per order; the 3|3 map reaches weights up to cap + 6
+TRANSFORM_3X3_DIGESTS = {
+    "a": "a296375f8410ac8dd28a8c140c012c5f037d28101aea65ae1e1695e5d1f3e3cf",
+    "b": "7fafa151d3337f56d3c3945c1733b35603d86e8b0bbee3cab9205ad367295ca3",
+    "c": "687a49ddf0d8b12292d55d4b3e0fc559b3bc2390525f9e3113f7ba408fc78c28",
+    "f": "c53c8bb25323471661fa1b76ceae9a2dde4ef32dee372a2902af1a9ce49f5497",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_3X3_DIGESTS))
+def test_transform_3x3(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv = ["transform", "scenarios/transform_3x3.sbv", "--map", "phi", "--section", name]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_3X3_DIGESTS[name]
+
+
 def _line(label, x):
     return f"{label} {x.prec} {x.render()}"
 

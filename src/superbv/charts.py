@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grading import koszul
-from .jetring import JetError, JetSuperFunction, RingSignature, numerators, substitute_many
+from .jetring import (
+    JetError,
+    JetSuperFunction,
+    RingSignature,
+    dot,
+    monomial_words,
+    numerators,
+    substitute_many,
+)
 from .supermatrix import SuperMatrix
 
 
@@ -235,14 +243,27 @@ class Morphism:
         return even, odd
 
     def invert(self) -> "Morphism":
-        """Formal inverse morphism, by fixpoint iteration on the nonlinear part.
+        """Formal inverse morphism psi, from psi = L^-1 (y - N(psi)).
 
-        Requires vanishing constant terms and an invertible linear part; the
-        iteration terminates because every correction raises the total order.
+        Each pullback is split as L x + N(x), its linear part plus the rest.
+        Requires vanishing constant terms and an invertible linear part.
+        ``_weight_inverse`` solves for psi in one pass by total weight; maps
+        that it does not cover keep ``_fixpoint_inverse`` (see
+        ``_needs_fixpoint``).
         """
         return self._cached("invert", self._build_inverse)
 
     def _build_inverse(self) -> "Morphism":
+        linear_solve, nonlinear = self._linear_split()
+        if self._needs_fixpoint(nonlinear):
+            pullbacks = self._fixpoint_inverse(linear_solve, nonlinear)
+        else:
+            pullbacks = self._weight_inverse(linear_solve, nonlinear)
+        return Morphism(self.target, self.source, pullbacks)
+
+    def _linear_split(self):
+        """``(linear_solve, nonlinear)``: L^-1 applied blockwise to a vector of
+        target-ring jets, and N as one source-ring jet per coordinate."""
         from .supermatrix import _invert_scalar_matrix
 
         source, target = self.source, self.target
@@ -283,9 +304,130 @@ class Morphism:
                 acc = acc + source.coordinate(k).scale(coeff)
             linear_images.append(acc)
         nonlinear = [self.pullbacks[i] - linear_images[i] for i in range(source.dim)]
+        return linear_solve, nonlinear
 
+    def _needs_fixpoint(self, nonlinear) -> bool:
+        """Whether the weight solve does not apply to this map.
+
+        It needs every monomial of N to have weight at least 2, which fails
+        for a barred linear term such as ``zb1`` in an even image, and no
+        even image with a term of even degree 0, such as ``th1*th2``: through
+        such a term ``substitute`` charges a precision deficit that depends
+        on the iterates, so only the fixpoint reproduces it.
+        """
+        layout = self.source.sig._layout
+        shift, odd_mask = layout.shift, layout.odd_mask
+        if any(key >> shift == 0 for k in range(self.source.sig.n)
+               for key in self.pullbacks[k].terms):
+            return True
+        return any((key >> shift) + (key & odd_mask).bit_count() < 2
+                   for f in nonlinear for key in f.terms)
+
+    def _weight_inverse(self, linear_solve, nonlinear) -> list:
+        """Pullbacks of the inverse, solved order by order in total weight.
+
+        The weight of a monomial is its even degree plus its number of odd
+        generators, and a product of parts of weights u and v has weight
+        u + v.  Every generator image has weight at least 1 and every
+        monomial of N at least 2, so the weight-w part of N(psi) needs only
+        the parts of psi below w: psi_1 = L^-1 y, and for w = 2 .. cap + 2m
+        each prefix of N's words gets its weight-w part as one ``dot`` over
+        the pairs (prefix_u, image_(w-u)), N_w sums its words' parts times
+        their coefficients, and psi_w = -L^-1 N_w.  Barred generators take
+        the conjugates of the same parts.  The result is the sum of the parts
+        truncated at ``_inverse_precisions``; truncation by even degree is a
+        ring homomorphism, so it equals the limit of ``_fixpoint_inverse``.
+        """
+        source, target = self.source, self.target
+        sig = target.sig
+        dim = source.dim
+        top = sig.cap + sig.odd_count
+        words = [monomial_words(f) for f in nonlinear]
+        precs = self._inverse_precisions(nonlinear, words)
+        used = {gid for terms in words for word, _, _ in terms for gid in word}
+        # parts[prefix][w]: weight-w part of the image of the word prefix,
+        # None when it is zero; a one-letter prefix is a generator image
+        parts = {(gid,): [None] * (top + 1) for gid in range(sig.gen_count())}
+        for terms in words:
+            for word, _, _ in terms:
+                for size in range(2, len(word) + 1):
+                    parts.setdefault(word[:size], [None] * (top + 1))
+        longer = sorted((prefix for prefix in parts if len(prefix) > 1), key=len)
+        one = JetSuperFunction.one(sig)
+        coefficients = [[(word, one.scale_numerators(-re, -im, f.den)) for word, re, im in terms]
+                        for f, terms in zip(nonlinear, words)]
+
+        def record(w, values):
+            for k, value in enumerate(values):
+                value = value.truncate(precs[k])
+                if value.is_zero():
+                    continue
+                parts[(source.gen_id(k),)][w] = value
+                bar = source.bar_gen_id(k)
+                if bar in used:
+                    parts[(bar,)][w] = value.conjugate()
+
+        record(1, linear_solve([target.coordinate(k) for k in range(target.dim)]))
+        for w in range(2, top + 1):
+            for prefix in longer:
+                if len(prefix) > w:
+                    break
+                head, tail = parts[prefix[:-1]], parts[prefix[-1:]]
+                pairs = [(head[u], tail[w - u]) for u in range(len(prefix) - 1, w)
+                         if head[u] is not None and tail[w - u] is not None]
+                if pairs:
+                    part = dot(sig, pairs)
+                    if not part.is_zero():
+                        parts[prefix][w] = part
+            record(w, linear_solve([
+                dot(sig, [(c, parts[word][w]) for word, c in terms if parts[word][w] is not None])
+                for terms in coefficients]))
+        pullbacks = []
+        for k in range(dim):
+            own = [part for part in parts[(source.gen_id(k),)] if part is not None]
+            total = own[0] if own else JetSuperFunction.zero(sig)
+            for part in own[1:]:
+                total = total + part
+            pullbacks.append(total.truncate(precs[k]))
+        return pullbacks
+
+    def _inverse_precisions(self, nonlinear, words) -> list:
+        """``prec`` of each inverse pullback: the limit of the fixpoint's own
+        precision recurrence when ``substitute`` charges no deficit.
+
+        Start every coordinate at the cap; set coordinate i to the least,
+        over the coordinates k of its parity, of the cap, ``N_k.prec`` and the
+        precisions of the coordinates whose generators (or conjugates) N_k
+        uses; repeat until stable.  No value of the iterates enters.
+        """
+        source = self.source
+        cap = self.target.sig.cap
+        dim = source.dim
+        coordinate = {}
+        for k in range(dim):
+            coordinate[source.gen_id(k)] = coordinate[source.bar_gen_id(k)] = k
+        uses = [{coordinate[gid] for word, _, _ in terms for gid in word} for terms in words]
+        precs = [cap] * dim
+        while True:
+            reach = [min([cap, f.prec] + [precs[j] for j in uses[k]])
+                     for k, f in enumerate(nonlinear)]
+            new = [min(reach[k] for k in range(dim) if source.parity(k) == source.parity(i))
+                   for i in range(dim)]
+            if new == precs:
+                return precs
+            precs = new
+
+    def _fixpoint_inverse(self, linear_solve, nonlinear) -> list:
+        """Pullbacks of the inverse by iterating psi <- L^-1 (y - N(psi)).
+
+        The iteration terminates because every correction raises the total
+        order.  Kept for maps with a pure-odd term in an even image, where
+        the precision ``substitute`` charges depends on the iterates.
+        """
+        source, target = self.source, self.target
+        sig = source.sig
         guesses = linear_solve([target.coordinate(k) for k in range(target.dim)])
-        limit = sig.cap + 2 * m + 3
+        limit = sig.cap + 2 * sig.m + 3
         for _ in range(limit):
             images = [None] * sig.gen_count()
             for k in range(source.dim):
@@ -301,7 +443,7 @@ class Morphism:
             guesses = new_guesses
         else:
             raise ChartError("morphism inversion did not stabilise")
-        return Morphism(target, source, guesses)
+        return guesses
 
     def render(self, name: str = "phi") -> str:
         lines = [f"map {name} {{"]

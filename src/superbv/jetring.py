@@ -715,18 +715,19 @@ class JetSuperFunction:
     def render(self) -> str:
         if not self.terms:
             return "0"
+        sig, layout, den = self.sig, self.sig._layout, self.den
+        names = [sig.gen_name(gid) for gid in range(sig.gen_count())]
+        odd_names = names[sig.even_count:]
         pieces = []
-        for exps, odd, coeff in self.items():
+        for key in sorted(self.terms, key=layout.sort_key):
             factors = []
-            for gid, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = self.sig.gen_name(gid)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            for o in odd:
-                factors.append(self.sig.gen_name(self.sig.even_count + o))
+            for name, e in zip(names, layout.exponents(key)):
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            factors.extend(odd_names[o] for o in layout.odd_word(key & layout.odd_mask))
             monomial = "*".join(factors)
-            sign, body = _render_scalar(coeff, bool(monomial))
+            re, im = self.terms[key]
+            sign, body = _render_scalar(re, im, den, bool(monomial))
             if monomial:
                 text = monomial if body == "" else f"{body}*{monomial}"
             else:
@@ -768,6 +769,23 @@ def dot(sig: RingSignature, pairs) -> JetSuperFunction:
     return _canonical(sig, terms, den, prec)
 
 
+def monomial_words(f: JetSuperFunction) -> list:
+    """``(word, re, im)`` per term of ``f``: the tuple of generator ids its
+    monomial multiplies, in written order (even generators by id with
+    multiplicity, then the odd ones), and its numerators over ``f.den``.
+
+    The length of a word is the weight of its monomial: even degree plus
+    the number of odd generators.
+    """
+    layout, even_count = f.sig._layout, f.sig.even_count
+    words = []
+    for key, (re, im) in f.terms.items():
+        word = [gid for gid, e in enumerate(layout.exponents(key)) for _ in range(e)]
+        word.extend(even_count + o for o in layout.odd_word(key & layout.odd_mask))
+        words.append((tuple(word), re, im))
+    return words
+
+
 def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
     """Substitute the same generator images into several elements at once.
 
@@ -786,11 +804,8 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
     precs = [f._substitution_prec(images, target_sig) for f in functions]
     users: dict = {}
     for index, f in enumerate(functions):
-        layout, even_count = f.sig._layout, f.sig.even_count
-        for key, (re, im) in f.terms.items():
-            word = [gid for gid, e in enumerate(layout.exponents(key)) for _ in range(e)]
-            word.extend(even_count + o for o in layout.odd_word(key & layout.odd_mask))
-            users.setdefault(tuple(word), []).append((index, re, im, f.den))
+        for word, re, im in monomial_words(f):
+            users.setdefault(word, []).append((index, re, im, f.den))
     # need[w]: precision the image of prefix w is computed at
     need: dict = {}
     proper_prefixes: set = set()
@@ -844,22 +859,27 @@ def _at_prec(jet: JetSuperFunction, prec: int) -> JetSuperFunction:
     return jet if jet.prec <= prec else jet.truncate(prec)
 
 
-def _render_scalar(value: GaussianRational, as_factor: bool):
-    """Return (sign, text) with text omitting a leading unit when used as a factor."""
-    re, im = value.re, value.im
-    if re != 0 and im != 0:
+def _render_scalar(re: int, im: int, den: int, as_factor: bool):
+    """Return (sign, text) for ``(re + im*i) / den``, with text omitting a
+    leading unit when used as a factor.  Each part prints as a reduced
+    fraction, ``a`` or ``a/b``."""
+    if re and im:
         if re < 0:
-            return -1, f"({-re} {'-' if im > 0 else '+'} {_imag_text(abs(im))})"
-        return 1, f"({re} {'+' if im > 0 else '-'} {_imag_text(abs(im))})"
-    if im == 0:
+            return -1, f"({_ratio_text(-re, den)} {'-' if im > 0 else '+'} {_imag_text(abs(im), den)})"
+        return 1, f"({_ratio_text(re, den)} {'+' if im > 0 else '-'} {_imag_text(abs(im), den)})"
+    if not im:
         sign = -1 if re < 0 else 1
-        mag = abs(re)
-        if mag == 1 and as_factor:
+        if as_factor and abs(re) == den:
             return sign, ""
-        return sign, str(mag)
-    sign = -1 if im < 0 else 1
-    return sign, _imag_text(abs(im))
+        return sign, _ratio_text(abs(re), den)
+    return -1 if im < 0 else 1, _imag_text(abs(im), den)
 
 
-def _imag_text(mag: Fraction) -> str:
-    return "i" if mag == 1 else f"{mag}*i"
+def _ratio_text(num: int, den: int) -> str:
+    """``num / den`` in lowest terms, for ``num > 0``."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _imag_text(num: int, den: int) -> str:
+    return "i" if num == den else f"{_ratio_text(num, den)}*i"

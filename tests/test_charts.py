@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
+from unittest import mock
 
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from superbv import charts
 from superbv.charts import (
     BerSection,
     Chart,
@@ -237,6 +242,126 @@ class TestInvertMorphism:
         z = chart.coordinate(0)
         with pytest.raises(ChartError):
             Morphism(chart, Chart(SIG11, name="zeta"), [z * z, chart.coordinate(1)]).invert()
+
+
+# -- the weight solve against the fixpoint -------------------------------------------
+
+
+def fixpoint_inverse(phi: Morphism) -> list:
+    """Inverse pullbacks by the fixpoint iteration, the reference for ``invert``."""
+    return phi._fixpoint_inverse(*phi._linear_split())
+
+
+def _monomial(draw, sig, parity, holomorphic, pure_odd):
+    """Exponents and odd subset of one monomial of weight at least 2."""
+    even_gens = sig.n if holomorphic else sig.even_count
+    odd_gens = list(range(sig.m if holomorphic else sig.odd_count))
+    while True:
+        exps = [0] * sig.even_count
+        for _ in range(draw(st.integers(0, min(3, sig.cap)))):
+            exps[draw(st.integers(0, even_gens - 1))] += 1
+        odd = sorted(draw(st.sets(st.sampled_from(odd_gens), max_size=3))) if odd_gens else []
+        if len(odd) % 2 != parity or sum(exps) + len(odd) < 2:
+            continue
+        if parity == 0 and sum(exps) == 0 and not pure_odd:
+            continue
+        return tuple(exps), tuple(odd)
+
+
+@st.composite
+def inverse_cases(draw, pure_odd=False):
+    """Invertible maps on 1|1 .. 3|3 at caps 1-6: triangular linear blocks,
+    up to three nonlinear terms per image (barred generators in N unless the
+    map is holomorphic), pullbacks truncated below the cap, and with
+    ``pure_odd`` a term of even degree 0 in an even image."""
+    n, m = draw(st.sampled_from(((1, 1), (2, 1), (2, 2), (1, 3), (3, 3))))
+    # 3|3 stops at cap 4, where the reference fixpoint takes up to 0.2 s a
+    # map; the 3|3 transform digests in test_golden cover cap 6
+    sig = RingSignature(n, m, draw(st.integers(1, 4 if n == 3 else 6)))
+    chart = Chart(sig)
+    holomorphic, truncated = draw(st.booleans()), draw(st.booleans())
+    scalars = st.builds(GaussianRational.of, st.integers(-3, 3),
+                        st.sampled_from((0, 0, 1, -2, Fraction(1, 2))))
+    pullbacks = []
+    for i in range(chart.dim):
+        parity = chart.parity(i)
+        block = range(n) if parity == 0 else range(n, n + m)
+        terms = {}
+        for k in block:
+            coeff = draw(scalars) if k != i else draw(scalars.filter(bool))
+            if k <= i and coeff:
+                exps = tuple(int(g == k) for g in range(sig.even_count))
+                terms[(exps, ()) if parity == 0 else ((0,) * sig.even_count, (k - n,))] = coeff
+        for _ in range(draw(st.integers(0, 3))):
+            terms[_monomial(draw, sig, parity, holomorphic, False)] = draw(scalars.filter(bool))
+        if pure_odd and parity == 0 and i == 0:
+            odd = tuple(sorted(draw(st.sets(st.integers(0, sig.odd_count - 1), min_size=2, max_size=2))))
+            terms[((0,) * sig.even_count, odd)] = draw(scalars.filter(bool))
+        prec = draw(st.integers(max(1, sig.cap - 2), sig.cap)) if truncated else sig.cap
+        pullbacks.append(JetSuperFunction(sig, terms, prec))
+    return Morphism(chart, Chart(sig, name="zeta"), pullbacks)
+
+
+def _outcome(thunk):
+    try:
+        return [(f.prec, f.den, f.terms) for f in thunk()]
+    except ChartError as error:
+        return str(error)
+
+
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+class TestWeightInverse:
+    @given(inverse_cases())
+    @settings(max_examples=80, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_equals_the_fixpoint(self, phi):
+        assert not phi._needs_fixpoint(phi._linear_split()[1])
+        new, want = phi.invert().pullbacks, fixpoint_inverse(phi)
+        assert _outcome(lambda: new) == _outcome(lambda: want)
+        assert [f.render() for f in new] == [f.render() for f in want]
+
+    @given(inverse_cases(pure_odd=True))
+    @settings(max_examples=20, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_pure_odd_even_image_takes_the_fixpoint(self, phi):
+        assert phi._needs_fixpoint(phi._linear_split()[1])
+        want = _outcome(lambda: fixpoint_inverse(phi))
+        with mock.patch.object(Morphism, "_weight_inverse", None):
+            assert _outcome(lambda: phi.invert().pullbacks) == want
+
+    def test_truncated_pullbacks_keep_the_recurrence_precision(self):
+        sig = RingSignature(2, 1, 6)
+        chart = Chart(sig)
+        z1, z2, th = (chart.coordinate(k) for k in range(3))
+        phi = Morphism(chart, Chart(sig, name="zeta"),
+                       [(z1 + z2 * z2).truncate(4), z2 + z1 * z1 * z2, th + z1 * th])
+        inverse = phi.invert().pullbacks
+        # the even block is cut to 4 by the first image; the odd image uses
+        # z1, so it is cut to 4 as well
+        assert [f.prec for f in inverse] == [4, 4, 4]
+        assert _outcome(lambda: inverse) == _outcome(lambda: fixpoint_inverse(phi))
+
+    def test_weight_solve_does_not_substitute(self, monkeypatch):
+        phi = SampleGen(17).invertible_morphism(Chart(RingSignature(2, 2, 6)))
+        assert not phi._needs_fixpoint(phi._linear_split()[1])
+        want = _outcome(lambda: fixpoint_inverse(phi))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight solve called substitute_many")
+
+        monkeypatch.setattr(charts, "substitute_many", refuse)
+        assert _outcome(lambda: phi.invert().pullbacks) == want
+
+    def test_barred_linear_term_takes_the_fixpoint(self, monkeypatch):
+        sig = RingSignature(2, 1, 4)
+        chart = Chart(sig)
+        zb2 = JetSuperFunction.gen(sig, sig.zb(1))
+        phi = Morphism(chart, Chart(sig, name="zeta"),
+                       [chart.coordinate(0) + zb2, chart.coordinate(1), chart.coordinate(2)])
+        assert phi._needs_fixpoint(phi._linear_split()[1])
+        want = _outcome(lambda: fixpoint_inverse(phi))
+        monkeypatch.setattr(Morphism, "_weight_inverse", None)
+        assert _outcome(lambda: phi.invert().pullbacks) == want
 
 
 class TestVectorCalculus:

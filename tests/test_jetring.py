@@ -295,6 +295,62 @@ class TestRender:
     def test_zero(self):
         assert JetSuperFunction.zero(SIG).render() == "0"
 
+    def test_reduced_fractions(self):
+        sig = RingSignature(1, 1, 3)
+        z, th = JetSuperFunction.gen(sig, sig.z(0)), JetSuperFunction.gen(sig, sig.th(0))
+        f = (JetSuperFunction.scalar(sig, GaussianRational.of(Fraction(-3, 6), Fraction(4, 6)))
+             + z.scale(GaussianRational.of(0, Fraction(-2, 6)))
+             + (z * th).scale(GaussianRational.of(Fraction(6, 6))))
+        assert f.den == 6
+        assert f.render() == "-(1/2 - 2/3*i) - 1/3*i*z1 + z1*th1"
+        assert f.render() == reference_render(f)
+
+
+def reference_render(f):
+    """``render`` through ``items()``, one ``GaussianRational`` and two
+    ``Fraction``s per term: the path the packed-numerator render replaced."""
+    if f.is_zero():
+        return "0"
+    pieces = []
+    for exps, odd, coeff in f.items():
+        factors = []
+        for gid, e in enumerate(exps):
+            if e:
+                name = f.sig.gen_name(gid)
+                factors.append(name if e == 1 else f"{name}^{e}")
+        factors.extend(f.sig.gen_name(f.sig.even_count + o) for o in odd)
+        monomial = "*".join(factors)
+        sign, body = _reference_scalar(coeff, bool(monomial))
+        if monomial:
+            text = monomial if body == "" else f"{body}*{monomial}"
+        else:
+            text = body if body else "1"
+        pieces.append((sign, text))
+    out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
+    for sign, text in pieces[1:]:
+        out += (" - " if sign < 0 else " + ") + text
+    return out
+
+
+def _reference_scalar(value, as_factor):
+    re, im = value.re, value.im
+    if re != 0 and im != 0:
+        if re < 0:
+            return -1, f"({-re} {'-' if im > 0 else '+'} {_reference_imag(abs(im))})"
+        return 1, f"({re} {'+' if im > 0 else '-'} {_reference_imag(abs(im))})"
+    if im == 0:
+        sign = -1 if re < 0 else 1
+        mag = abs(re)
+        if mag == 1 and as_factor:
+            return sign, ""
+        return sign, str(mag)
+    sign = -1 if im < 0 else 1
+    return sign, _reference_imag(abs(im))
+
+
+def _reference_imag(mag):
+    return "i" if mag == 1 else f"{mag}*i"
+
 
 # -- reference kernel ---------------------------------------------------------
 # The tuple-keyed kernel with one pair of Fractions per term, which the packed
@@ -404,6 +460,19 @@ def _observed(f):
 
 def odd_monomial(sig, subset):
     return JetSuperFunction(sig, {((0,) * sig.even_count, subset): GR_ONE})
+
+
+class TestRenderOracle:
+    @given(st.sampled_from(ORACLE_SIGS).flatmap(rational_jets),
+           st.sampled_from((GR_ONE, GR_I, GaussianRational.of(0, Fraction(-5, 7)),
+                            GaussianRational.of(Fraction(3, 4), Fraction(1, 6)))))
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_matches_the_items_render(self, f, factor):
+        # scaling by i turns the real terms pure imaginary; the fractions
+        # give non-unit denominators whose gcd with a numerator varies
+        g = f.scale(factor)
+        assert f.render() == reference_render(f)
+        assert g.render() == reference_render(g)
 
 
 class TestReferenceKernel:

@@ -21,12 +21,24 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .charts import BerSection, Chart, ChartError, Morphism, pull_ber
 from .grading import koszul
-from .mvforms import FUN, VEC, MultiVectorForm, Section, add_terms, dbar, pull_mvform, schouten, wedge
+from .mvforms import (
+    FUN,
+    VEC,
+    MultiVectorForm,
+    Section,
+    add_terms,
+    dbar,
+    in_normal_form,
+    normalise_word,
+    pull_mvform,
+    schouten,
+    wedge,
+)
 
 
 class IntegralForm(Section):
@@ -188,10 +200,19 @@ def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorFor
         raise ChartError("operator and section live on different charts")
     terms: dict = {}
     prec = alpha.prec - 1
-    for (i_idx, j_idx), coeff in alpha.terms.items():
-        image = _extend_term(delta, chart, i_idx, j_idx, coeff)
-        add_terms(terms, image.terms.items())
-        prec = min(prec, image.prec)
+    for key, coeff in alpha.terms.items():
+        if in_normal_form(chart, key):
+            image = _extend_term(delta, chart, *key, coeff)
+            add_terms(terms, image.terms.items())
+            prec = min(prec, image.prec)
+            continue
+        # outside normal form: sort the word once, with its sign, keeping odd
+        # indices past the cap, and drop the image's keys past the cap
+        wide = replace(chart, odd_wedge_cap=len(key[0]) + len(key[1]))
+        for (i_idx, j_idx), piece in normalise_word(wide, alpha.term_word(key)).items():
+            image = _extend_term(delta, chart, i_idx, j_idx, piece)
+            add_terms(terms, [(k, c) for k, c in image.terms.items() if in_normal_form(chart, k)])
+            prec = min(prec, image.prec)
     return MultiVectorForm(chart, terms, prec)
 
 

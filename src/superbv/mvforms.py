@@ -112,6 +112,12 @@ def _drops(chart: Chart, indices) -> bool:
     return False
 
 
+def in_normal_form(chart: Chart, key) -> bool:
+    """Whether the stored key (I, J) is one ``normalise_word`` keeps as it
+    is: both tuples sorted, and neither dropped by ``_drops``."""
+    return all(tuple(sorted(idx)) == idx and not _drops(chart, idx) for idx in key)
+
+
 def add_terms(terms: dict, pairs) -> dict:
     """Add each (key, coefficient) pair into ``terms`` in place and return it.
 

@@ -245,6 +245,42 @@ class TestExtendDelta:
         assert got.prec == want.prec
         assert exact_terms(got) == exact_terms(want)
 
+    @pytest.mark.parametrize("sig,key", [
+        (SIG11, ((), (1, 1, 1, 1))),   # an odd index past odd_wedge_cap
+        (SIG13, ((0,), (1, 1, 1, 1, 2))),
+        (SIG22, ((), (3, 2))),         # unsorted tuples
+        (SIG22, ((3, 0), (3, 1, 2))),
+    ])
+    def test_key_outside_normal_form(self, sig, key):
+        # the word recursion reads such a key as its word; the image of the
+        # sorted word is the same, with the keys past the cap dropped
+        chart = Chart(sig)
+        for seed in range(6):
+            gen = SampleGen(seed)
+            table = DeltaOperator.from_section(gen.trivialising_section(chart))
+            alpha = MultiVectorForm(chart, {key: gen.jet(sig, max_terms=4)})
+            got, want = extend_delta(table, alpha), word_extend_delta(table, alpha)
+            assert got.prec == want.prec
+            assert exact_terms(got) == exact_terms(want)
+
+    @pytest.mark.parametrize("sig,key", [
+        (SIG22, ((), (0, 0, 2))),
+        (SIG21, ((0,), (1, 1))),
+    ])
+    def test_repeated_even_index(self, sig, key):
+        # dv(z) * dv(z) is zero, so is its image; the word recursion sums
+        # pieces that cancel through prec and may keep product terms past it
+        chart = Chart(sig)
+        z1 = chart.coordinate(0)
+        coeffs = [chart.one() + z1] + [SampleGen(seed).jet(sig, max_terms=4) for seed in range(6)]
+        table = DeltaOperator.from_section(SampleGen(3).trivialising_section(chart))
+        for coeff in coeffs:
+            alpha = MultiVectorForm(chart, {key: coeff})
+            got, want = extend_delta(table, alpha), word_extend_delta(table, alpha)
+            assert got.is_zero()
+            assert got.prec == want.prec
+            assert got.agrees_with(want)
+
     def test_builds_no_bracket_wedge_or_word(self, monkeypatch):
         # every piece of a peel is a stored term with a sign
         cases = []

@@ -56,7 +56,7 @@ class Christoffel:
         """Right symbol: Gamma^q_(kl) . d_q = d_q . RGamma^q_(kl)."""
         value = self.left(q, k, l)
         parity = (self.chart.parity(q) + self.chart.parity(k) + self.chart.parity(l)) % 2
-        if (parity * self.chart.parity(q)) % 2:
+        if koszul(parity * self.chart.parity(q)) < 0:
             return -value
         return value
 
@@ -101,7 +101,7 @@ def ber_from_tangent(gamma: Christoffel) -> BerConnection:
         acc = chart.zero()
         for q in range(chart.dim):
             entry = gamma.right(q, l, q)
-            if (chart.parity(q) * (1 + pl)) % 2:
+            if koszul(chart.parity(q) * (1 + pl)) < 0:
                 acc = acc - entry
             else:
                 acc = acc + entry
@@ -135,7 +135,7 @@ def covariant_derivative(gamma: Christoffel, x_col, y_col):
         for part in comp.homogeneous_parts():
             if part.is_zero():
                 continue
-            g = part if (pl * part.parity()) % 2 == 0 else -part
+            g = part if koszul(pl * part.parity()) > 0 else -part
             # first Leibniz term
             out_left[l] = out_left[l] + vector_apply(chart, x_col, g)
             # second: g . nabla_X d_l with X expanded in left components
@@ -147,10 +147,10 @@ def covariant_derivative(gamma: Christoffel, x_col, y_col):
                 for xpart in xk.homogeneous_parts():
                     if xpart.is_zero():
                         continue
-                    xg = xpart if (pk * xpart.parity()) % 2 == 0 else -xpart
+                    xg = xpart if koszul(pk * xpart.parity()) > 0 else -xpart
                     x_parity = (pk + xpart.parity()) % 2
                     lead = g * xg
-                    if (x_parity * part.parity()) % 2:
+                    if koszul(x_parity * part.parity()) < 0:
                         lead = -lead
                     for q in range(chart.dim):
                         sym = gamma.left(q, k, l)
@@ -269,7 +269,7 @@ def curvature_ber(conn: BerConnection):
             second = chart.d(a_l, m)
             quad_one = a_m * a_l
             quad_two = a_l * a_m
-            if (pl * pm) % 2:
+            if koszul(pl * pm) < 0:
                 second = -second
                 quad_one = -quad_one
             value = value - second + quad_one - quad_two
@@ -320,7 +320,7 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
         for k in range(chart.dim):
             lhs = chart.d(delta.values[k], l)
             rhs = chart.d(delta.values[l], k)
-            if (chart.parity(l) * chart.parity(k)) % 2:
+            if koszul(chart.parity(l) * chart.parity(k)) < 0:
                 rhs = -rhs
             if not lhs.agrees_with(rhs):
                 raise IntegrabilityError("cross-derivative consistency fails; no local solution")
@@ -369,7 +369,7 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
             # Koszul sign of merging h's odd part with u's odd part
             inv = sum(1 for a in hodd for b in uodd if a > b)
             value = hc * uc
-            if inv % 2:
+            if koszul(inv) < 0:
                 value = -value
             acc = acc + value
         return acc
@@ -478,7 +478,7 @@ def transport_generator(gamma: Christoffel, path: FormalPath) -> SuperMatrix:
                 if sym.is_zero():
                     continue
                 term = path.velocity(l_idx) * path.evaluate(sym)
-                if (pm * (pk + 1)) % 2:
+                if koszul(pm * (pk + 1)) < 0:
                     term = -term
                 acc = acc - term
             w_rows[m_idx][k_idx] = acc

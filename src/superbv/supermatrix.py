@@ -144,7 +144,7 @@ class SuperMatrix:
         acc = JetSuperFunction.zero(self.sig)
         for i in range(self.size):
             entry = self.rows[i][i]
-            acc = acc - entry if self.index_parity(i) else acc + entry
+            acc = acc + entry if koszul(self.index_parity(i)) > 0 else acc - entry
         return acc
 
     supertrace = str_

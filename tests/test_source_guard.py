@@ -52,6 +52,18 @@ def test_no_parity_branch_signs_in_charts_and_suites():
     assert offenders == []
 
 
+def test_no_parity_signs_in_connect():
+    # the branch above, and the conditional ``x if <exponent> % 2 == 0 else -x``
+    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
+    offenders = [
+        f"connect.py:{number}"
+        for path in SOURCES if path.name == "connect.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if branch.match(line) or "% 2 == 0 else" in line
+    ]
+    assert offenders == []
+
+
 def test_cancelling_sums_only_in_add_terms():
     pattern = ".pop(key, None)"
     total = sum(path.read_text().count(pattern) for path in SOURCES)

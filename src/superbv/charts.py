@@ -254,21 +254,22 @@ class Morphism:
         return self._cached("invert", self._build_inverse)
 
     def _build_inverse(self) -> "Morphism":
-        linear_solve, nonlinear = self._linear_split()
+        rows, nonlinear = self._linear_split()
         if self._needs_fixpoint(nonlinear):
-            pullbacks = self._fixpoint_inverse(linear_solve, nonlinear)
+            pullbacks = self._fixpoint_inverse(rows, nonlinear)
         else:
-            pullbacks = self._weight_inverse(linear_solve, nonlinear)
+            pullbacks = self._weight_inverse(rows, nonlinear)
         return Morphism(self.target, self.source, pullbacks)
 
     def _linear_split(self):
-        """``(linear_solve, nonlinear)``: L^-1 applied blockwise to a vector of
-        target-ring jets, and N as one source-ring jet per coordinate."""
+        """``(rows, nonlinear)``: L^-1 as one row per coordinate of
+        ``(k, numerators)`` over the coordinates k of its parity block, and N
+        as one source-ring jet per coordinate."""
         from .supermatrix import _invert_scalar_matrix
 
-        source, target = self.source, self.target
+        source = self.source
         sig = source.sig
-        n, m = sig.n, sig.m
+        n = sig.n
         for image in self.pullbacks:
             if image.body():
                 raise ChartError("invertible morphisms must fix the base point")
@@ -278,21 +279,8 @@ class Morphism:
             odd_inv = [[numerators(x) for x in row] for row in _invert_scalar_matrix(odd)]
         except ZeroDivisionError:
             raise ChartError("linear part is not invertible") from None
-
-        def linear_solve(values):
-            """Apply the inverse linear part blockwise to a coordinate vector."""
-            out = []
-            for i in range(n):
-                acc = JetSuperFunction.zero(target.sig)
-                for k in range(n):
-                    acc = acc + values[k].scale_numerators(*even_inv[i][k])
-                out.append(acc)
-            for i in range(m):
-                acc = JetSuperFunction.zero(target.sig)
-                for k in range(m):
-                    acc = acc + values[n + k].scale_numerators(*odd_inv[i][k])
-                out.append(acc)
-            return out
+        rows = [list(enumerate(row)) for row in even_inv]
+        rows += [[(n + k, x) for k, x in enumerate(row)] for row in odd_inv]
 
         linear_images = []
         for i in range(source.dim):
@@ -304,7 +292,7 @@ class Morphism:
                 acc = acc + source.coordinate(k).scale(coeff)
             linear_images.append(acc)
         nonlinear = [self.pullbacks[i] - linear_images[i] for i in range(source.dim)]
-        return linear_solve, nonlinear
+        return rows, nonlinear
 
     def _needs_fixpoint(self, nonlinear) -> bool:
         """Whether the weight solve does not apply to this map.
@@ -323,7 +311,7 @@ class Morphism:
         return any((key >> shift) + (key & odd_mask).bit_count() < 2
                    for f in nonlinear for key in f.terms)
 
-    def _weight_inverse(self, linear_solve, nonlinear) -> list:
+    def _weight_inverse(self, rows, nonlinear) -> list:
         """Pullbacks of the inverse, solved order by order in total weight.
 
         The weight of a monomial is its even degree plus its number of odd
@@ -332,15 +320,15 @@ class Morphism:
         monomial of N at least 2, so the weight-w part of N(psi) needs only
         the parts of psi below w: psi_1 = L^-1 y, and for w = 2 .. cap + 2m
         each prefix of N's words gets its weight-w part as one ``dot`` over
-        the pairs (prefix_u, image_(w-u)), N_w sums its words' parts times
-        their coefficients, and psi_w = -L^-1 N_w.  Barred generators take
-        the conjugates of the same parts.  The result is the sum of the parts
-        truncated at ``_inverse_precisions``; truncation by even degree is a
-        ring homomorphism, so it equals the limit of ``_fixpoint_inverse``.
+        the pairs (prefix_u, image_(w-u)), and psi_w = -L^-1 N_w is one
+        ``dot`` per coordinate over its words' parts, each word scaled by
+        its coefficient in -L^-1 N.  Barred generators take the conjugates of
+        the same parts.  The result is the sum of the parts truncated at
+        ``_inverse_precisions``; truncation by even degree is a ring
+        homomorphism, so it equals the limit of ``_fixpoint_inverse``.
         """
         source, target = self.source, self.target
         sig = target.sig
-        dim = source.dim
         top = sig.cap + sig.odd_count
         words = [monomial_words(f) for f in nonlinear]
         precs = self._inverse_precisions(nonlinear, words)
@@ -353,21 +341,30 @@ class Morphism:
                 for size in range(2, len(word) + 1):
                     parts.setdefault(word[:size], [None] * (top + 1))
         longer = sorted((prefix for prefix in parts if len(prefix) > 1), key=len)
+        # coefficients[i]: (word, its coefficient in row i of -L^-1 N)
         one = JetSuperFunction.one(sig)
-        coefficients = [[(word, one.scale_numerators(-re, -im, f.den)) for word, re, im in terms]
-                        for f, terms in zip(nonlinear, words)]
+        coefficients = []
+        for row in rows:
+            sums: dict = {}
+            for k, scalar in row:
+                inverse = one.scale_numerators(*scalar)
+                for word, re, im in words[k]:
+                    c = inverse.scale_numerators(-re, -im, nonlinear[k].den)
+                    sums[word] = sums[word] + c if word in sums else c
+            coefficients.append([(word, c) for word, c in sums.items() if c.terms])
 
         def record(w, values):
             for k, value in enumerate(values):
-                value = value.truncate(precs[k])
-                if value.is_zero():
+                if value.prec > precs[k]:
+                    value = value.truncate(precs[k])
+                if not value.terms:
                     continue
                 parts[(source.gen_id(k),)][w] = value
                 bar = source.bar_gen_id(k)
                 if bar in used:
                     parts[(bar,)][w] = value.conjugate()
 
-        record(1, linear_solve([target.coordinate(k) for k in range(target.dim)]))
+        record(1, _linear_solve(sig, rows, [target.coordinate(k) for k in range(target.dim)]))
         for w in range(2, top + 1):
             for prefix in longer:
                 if len(prefix) > w:
@@ -377,13 +374,13 @@ class Morphism:
                          if head[u] is not None and tail[w - u] is not None]
                 if pairs:
                     part = dot(sig, pairs)
-                    if not part.is_zero():
+                    if part.terms:
                         parts[prefix][w] = part
-            record(w, linear_solve([
-                dot(sig, [(c, parts[word][w]) for word, c in terms if parts[word][w] is not None])
-                for terms in coefficients]))
+            record(w, [dot(sig, [(c, parts[word][w]) for word, c in terms
+                                 if parts[word][w] is not None])
+                       for terms in coefficients])
         pullbacks = []
-        for k in range(dim):
+        for k in range(source.dim):
             own = [part for part in parts[(source.gen_id(k),)] if part is not None]
             total = own[0] if own else JetSuperFunction.zero(sig)
             for part in own[1:]:
@@ -417,7 +414,7 @@ class Morphism:
                 return precs
             precs = new
 
-    def _fixpoint_inverse(self, linear_solve, nonlinear) -> list:
+    def _fixpoint_inverse(self, rows, nonlinear) -> list:
         """Pullbacks of the inverse by iterating psi <- L^-1 (y - N(psi)).
 
         The iteration terminates because every correction raises the total
@@ -426,7 +423,7 @@ class Morphism:
         """
         source, target = self.source, self.target
         sig = source.sig
-        guesses = linear_solve([target.coordinate(k) for k in range(target.dim)])
+        guesses = _linear_solve(target.sig, rows, [target.coordinate(k) for k in range(target.dim)])
         limit = sig.cap + 2 * sig.m + 3
         for _ in range(limit):
             images = [None] * sig.gen_count()
@@ -435,9 +432,8 @@ class Morphism:
                 images[gid] = guesses[k]
                 images[source.bar_gen_id(k)] = guesses[k].conjugate()
             corrections = substitute_many(nonlinear, images, target.sig)
-            new_guesses = linear_solve(
-                [target.coordinate(k) - corrections[k] for k in range(target.dim)]
-            )
+            new_guesses = _linear_solve(
+                target.sig, rows, [target.coordinate(k) - corrections[k] for k in range(target.dim)])
             if all(a == b for a, b in zip(new_guesses, guesses)):
                 break
             guesses = new_guesses
@@ -451,6 +447,19 @@ class Morphism:
             lines.append(f"  zeta{i + 1} = {self.pullbacks[i].render()};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _linear_solve(sig: RingSignature, rows, values) -> list:
+    """L^-1 applied to a vector of jets, one ``_linear_split`` row at a time;
+    every entry of a row is added, zeros included, so each result's ``prec``
+    is the least over its parity block."""
+    out = []
+    for row in rows:
+        acc = JetSuperFunction.zero(sig)
+        for k, scalar in row:
+            acc = acc + values[k].scale_numerators(*scalar)
+        out.append(acc)
+    return out
 
 
 def _unit_exp(sig: RingSignature, gid: int):

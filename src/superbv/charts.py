@@ -418,8 +418,8 @@ class Morphism:
         """Pullbacks of the inverse by iterating psi <- L^-1 (y - N(psi)).
 
         The iteration terminates because every correction raises the total
-        order.  Kept for maps with a pure-odd term in an even image, where
-        the precision ``substitute`` charges depends on the iterates.
+        order.  Kept for the maps ``_needs_fixpoint`` names, and as the
+        reference for ``_weight_inverse`` in the tests.
         """
         source, target = self.source, self.target
         sig = source.sig

@@ -382,10 +382,7 @@ class Morphism:
         pullbacks = []
         for k in range(source.dim):
             own = [part for part in parts[(source.gen_id(k),)] if part is not None]
-            total = own[0] if own else JetSuperFunction.zero(sig)
-            for part in own[1:]:
-                total = total + part
-            pullbacks.append(total.truncate(precs[k]))
+            pullbacks.append(sum(own, JetSuperFunction.zero(sig)).truncate(precs[k]))
         return pullbacks
 
     def _inverse_precisions(self, nonlinear, words) -> list:

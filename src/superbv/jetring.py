@@ -205,6 +205,8 @@ class _Layout:
         self.shift = odd + even * self.width  # the degree field
         self.offsets = tuple(odd + (even - 1 - gid) * self.width for gid in range(even))
         self.field_mask = (1 << self.width) - 1
+        # key of each even generator; sums of these stay keys up to the cap
+        self.steps = tuple((1 << self.shift) | (1 << offset) for offset in self.offsets)
         half = sig.n * self.width
         low = (1 << sig.m) - 1
         self.antiholomorphic = (((1 << half) - 1) << odd) | (self.odd_mask ^ low)

@@ -2,8 +2,10 @@
 
 All randomness flows through a named ``random.Random`` seeded from the
 scenario, never from ambient entropy; identical seeds reproduce identical
-samples.  Coefficients are kept small (even degree at most 2, few terms) so
-the exact arithmetic stays fast.
+samples.  Draws take the words random.py's ``randint``, ``randrange``,
+``choice`` or ``sample`` would, from ``getrandbits`` (``SampleGen._below``).
+Coefficients are kept small (even degree at most 2, few terms) so the exact
+arithmetic stays fast.
 """
 
 from __future__ import annotations
@@ -21,56 +23,81 @@ class SampleGen:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
+    def _below(self, n: int) -> int:
+        """``rng.randrange(n)`` word for word: ``n.bit_length()`` bits, drawn
+        again while at least ``n``.  An empty range raises before drawing
+        (``getrandbits(0)`` is 0, so the loop would never end)."""
+        if n < 1:
+            raise ValueError("empty range for randrange()")
+        bits, k = self.rng.getrandbits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def _sample(self, n: int, k: int) -> list:
+        """``rng.sample(range(n), k)`` for ``k <= 5`` word for word: up to 21
+        items each pick comes from the pool left, the last item of which
+        fills its place; above 21 a repeated pick is drawn again."""
+        picks = []
+        if n <= 21:
+            pool = list(range(n))
+            for _ in range(k):
+                j = self._below(len(pool))
+                picks.append(pool[j])
+                pool[j] = pool[-1]
+                pool.pop()
+        while len(picks) < k:
+            j = self._below(n)
+            if j not in picks:
+                picks.append(j)
+        return picks
+
     # -- scalars ---------------------------------------------------------
 
     def _numerators(self, allow_zero=True, complex_part=True):
-        """Integer real and imaginary parts of a scalar draw."""
+        """Real part in -2..2, imaginary part in -1..1 (drawn unless real)."""
         while True:
-            re = self.rng.randint(-2, 2)
-            im = self.rng.randint(-1, 1) if complex_part else 0
+            re = self._below(5) - 2
+            im = self._below(3) - 1 if complex_part else 0
             if allow_zero or re or im:
                 return re, im
 
     def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
         return GaussianRational.of(*self._numerators(allow_zero, complex_part))
 
-    def nonzero_scalar(self) -> GaussianRational:
-        return self.scalar(allow_zero=False)
-
     # -- superfunctions ---------------------------------------------------
-
-    def monomial_key(self, sig: RingSignature, max_even_degree=2, holomorphic=False,
-                     parity=None, allow_constant=True):
-        pool = list(range(sig.n if holomorphic else sig.even_count))
-        odd_pool = list(range(sig.m if holomorphic else sig.odd_count))
-        most_odd = min(2, len(odd_pool))
-        for _ in range(64):
-            degree = self.rng.randint(0, max_even_degree)
-            exps = [0] * sig.even_count
-            for _ in range(degree):
-                exps[self.rng.choice(pool)] += 1
-            size = self.rng.randint(0, most_odd)
-            odd = tuple(sorted(self.rng.sample(odd_pool, size))) if size else ()
-            if parity is not None and len(odd) % 2 != parity:
-                continue
-            if not allow_constant and sum(exps) == 0 and not odd:
-                continue
-            return tuple(exps), odd
-        raise RuntimeError("could not draw a monomial with the requested shape")
 
     def jet(self, sig: RingSignature, max_terms=3, max_even_degree=2, holomorphic=False,
             parity=None, allow_constant=True) -> JetSuperFunction:
         """Sum of sampled monomials with nonzero Gaussian-integer coefficients.
 
-        The coefficients are summed as integer numerators under packed keys;
-        monomials past the cap and sums that cancelled are dropped.
+        A monomial's packed key is summed while its even generators (repeats
+        allowed) and up to two distinct odd ones are drawn.  The coefficients
+        are summed as integer numerators under packed keys; monomials past the
+        cap and sums that cancelled are dropped.
         """
         layout = sig._layout
+        steps = layout.steps[:sig.n] if holomorphic else layout.steps
+        odd_count = sig.m if holomorphic else sig.odd_count
+        below = self._below
+        lo = 0 if allow_constant else 1
         terms = {}
-        for _ in range(self.rng.randint(0 if allow_constant else 1, max_terms)):
-            exps, odd = self.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
+        for _ in range(lo + below(max_terms + 1 - lo)):
+            for _ in range(64):
+                key = 0
+                for _ in range(below(max_even_degree + 1)):
+                    if not steps:
+                        raise IndexError("Cannot choose from an empty sequence")
+                    key += steps[below(len(steps))]
+                size = below(min(2, odd_count) + 1)
+                for o in self._sample(odd_count, size):
+                    key |= 1 << o
+                if (parity is None or size % 2 == parity) and (key or allow_constant):
+                    break
+            else:
+                raise RuntimeError("could not draw a monomial with the requested shape")
             re, im = self._numerators(allow_zero=False)
-            key = layout.key(exps, odd)
             prev = terms.get(key)
             terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
         shift = layout.shift
@@ -92,15 +119,12 @@ class SampleGen:
         for _ in range(64):
             if len(picks) == size:
                 break
-            k = self.rng.randrange(chart.dim)
-            if chart.parity(k) == 0 and counts.get(k):
-                continue
-            if counts.get(k) and not allow_repeats:
-                continue
-            if counts.get(k, 0) + 1 > chart.odd_wedge_cap:
+            k = self._below(chart.dim)
+            seen = counts.get(k, 0)
+            if seen and (chart.parity(k) == 0 or not allow_repeats) or seen >= chart.odd_wedge_cap:
                 continue
             picks.append(k)
-            counts[k] = counts.get(k, 0) + 1
+            counts[k] = seen + 1
         if len(picks) < size:
             raise RuntimeError("could not draw an index multiset of the requested size")
         return tuple(sorted(picks))
@@ -109,7 +133,7 @@ class SampleGen:
                allow_repeats=False):
         """Random homogeneous (p, q) section, optionally of fixed total parity."""
         pairs = []
-        for _ in range(self.rng.randint(1, max_terms)):
+        for _ in range(1 + self._below(max_terms)):
             i_idx = self.index_multiset(chart, q, allow_repeats)
             j_idx = self.index_multiset(chart, p, allow_repeats)
             index_parity = sum(chart.parity(k) for k in i_idx + j_idx) % 2
@@ -121,9 +145,9 @@ class SampleGen:
 
     def homogeneous_mvform(self, chart, max_p=2, max_q=2, allow_repeats=False):
         """Random homogeneous section with random bidegree and parity."""
-        p = self.rng.randint(0, max_p)
-        q = self.rng.randint(0, max_q)
-        parity = self.rng.randint(0, 1)
+        p = self._below(max_p + 1)
+        q = self._below(max_q + 1)
+        parity = self._below(2)
         return self.mvform(chart, p, q, parity=parity, allow_repeats=allow_repeats), p, q, parity
 
     # -- Berezinian sections ----------------------------------------------
@@ -142,8 +166,8 @@ class SampleGen:
         sig = chart.sig
         n, m = sig.n, sig.m
         while True:
-            even_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(n)] for i in range(n)]
-            odd_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(m)] for i in range(m)]
+            even_lin = [[self._below(3) - 1 + (i == k) for k in range(n)] for i in range(n)]
+            odd_lin = [[self._below(3) - 1 + (i == k) for k in range(m)] for i in range(m)]
             if _det(even_lin) and _det(odd_lin):
                 break
         coords = [chart.coordinate(k) for k in range(chart.dim)]
@@ -161,20 +185,20 @@ class SampleGen:
         for i in range(n):
             pairs = linear_terms(even_lin[i], 0)
             if nonlinear:
-                for _ in range(self.rng.randint(0, 2)):
-                    a, b = self.rng.randrange(n), self.rng.randrange(n)
+                for _ in range(self._below(3)):
+                    a, b = self._below(n), self._below(n)
                     pairs.append(scaled(coords[a] * coords[b]))
                 if m >= 2 and self.rng.random() < 0.7:
-                    a = self.rng.randrange(n)
-                    j, k = sorted(self.rng.sample(range(m), 2))
+                    a = self._below(n)
+                    j, k = sorted(self._sample(m, 2))
                     pairs.append(scaled(coords[a] * coords[n + j] * coords[n + k]))
             pullbacks.append(dot(sig, pairs))
         for j in range(m):
             pairs = linear_terms(odd_lin[j], n)
             if nonlinear:
-                for _ in range(self.rng.randint(0, 2)):
-                    a = self.rng.randrange(n)
-                    k = self.rng.randrange(m)
+                for _ in range(self._below(3)):
+                    a = self._below(n)
+                    k = self._below(m)
                     pairs.append(scaled(coords[a] * coords[n + k]))
             pullbacks.append(dot(sig, pairs))
         return Morphism(chart, Chart(sig, name="zeta", odd_wedge_cap=chart.odd_wedge_cap), pullbacks)
@@ -193,20 +217,20 @@ class SampleGen:
         pairs = []
         dim = chart.dim
         m = chart.sig.m
-        count = self.rng.randint(1, dim * 2)
+        count = 1 + self._below(dim * 2)
         for _ in range(count):
-            q, k, l = (self.rng.randrange(dim) for _ in range(3))
+            q, k, l = (self._below(dim) for _ in range(3))
             parity = (chart.parity(q) + chart.parity(k) + chart.parity(l)) % 2
             if nilpotent:
                 if parity == 1 and m >= 1:
-                    base = JetSuperFunction.gen(chart.sig, chart.sig.th(self.rng.randrange(m)))
+                    base = JetSuperFunction.gen(chart.sig, chart.sig.th(self._below(m)))
                 elif parity == 0 and m >= 2:
-                    i, j = sorted(self.rng.sample(range(m), 2))
+                    i, j = sorted(self._sample(m, 2))
                     base = JetSuperFunction.gen(chart.sig, chart.sig.th(i)) * \
                         JetSuperFunction.gen(chart.sig, chart.sig.th(j))
                 else:
                     continue
-                value = base.scale(self.nonzero_scalar())
+                value = base.scale(self.scalar(allow_zero=False))
             else:
                 value = self.jet(chart.sig, max_terms=max_terms, max_even_degree=1,
                                  holomorphic=True, parity=parity)
@@ -228,7 +252,7 @@ class SampleGen:
             else:
                 comp = JetSuperFunction.zero(ring)
                 if with_odd_direction and odd_params:
-                    eta = JetSuperFunction.gen(ring, ring.th(self.rng.randrange(odd_params)))
+                    eta = JetSuperFunction.gen(ring, ring.th(self._below(odd_params)))
                     comp = (eta * t).scale(self.scalar(allow_zero=False, complex_part=False))
             components.append(comp)
         return FormalPath(chart, ring, tuple(components))
@@ -245,8 +269,8 @@ class SampleGen:
         h_inv = h.invert()
         dim = chart.dim
         symbols = {}
-        for _ in range(self.rng.randint(0, dim)):
-            q, k, l = (self.rng.randrange(dim) for _ in range(3))
+        for _ in range(self._below(dim + 1)):
+            q, k, l = (self._below(dim) for _ in range(3))
             if q == l:
                 continue  # keep the supertrace adjustment separate
             parity = (chart.parity(q) + chart.parity(k) + chart.parity(l)) % 2

@@ -215,19 +215,6 @@ def suite_tian_todorov(chart: Chart, seed: int, trials: int):
 def suite_gbv_compat(chart: Chart, seed: int, trials: int):
     rec = _Recorder("gbv_compat", trials)
     gen = _gen(seed, "gbv_compat")
-    omega = gen.trivialising_section(chart)
-    delta = DeltaOperator.from_section(omega)
-    samples = []
-    for index in range(trials):
-        alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
-        beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
-        gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
-        samples.append({
-            "alpha": alpha, "beta": beta, "gamma": gamma,
-            "alpha_deg": p + q, "alpha_parity": pa,
-            "beta_deg": r + s, "beta_parity": pb,
-            "seed": index,
-        })
     laws = {
         "bv_derivation": "the bracket operator attached to a section is a graded derivation",
         "bracket_compatibility": "the attached bracket equals minus the Schouten bracket",
@@ -235,7 +222,27 @@ def suite_gbv_compat(chart: Chart, seed: int, trials: int):
         "dbar_anticommute": "the BV operator anticommutes with dbar",
         "gbv_bracket_identity": "the BV operator is a graded derivation of the bracket",
     }
-    for item in check_bv_axioms(chart, lambda x: extend_delta(delta, x), samples):
+    start = time.perf_counter()
+    try:
+        omega = gen.trivialising_section(chart)
+        delta = DeltaOperator.from_section(omega)
+        samples = []
+        for index in range(trials):
+            alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+            beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+            gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+            samples.append({
+                "alpha": alpha, "beta": beta, "gamma": gamma,
+                "alpha_deg": p + q, "alpha_parity": pa,
+                "beta_deg": r + s, "beta_parity": pb,
+                "seed": index,
+            })
+        report = check_bv_axioms(chart, lambda x: extend_delta(delta, x), samples)
+    except Exception as error:  # an error, as in _Recorder.run; the checks below need delta
+        elapsed = (time.perf_counter() - start) * 1000 / len(laws)
+        return [CheckResult("gbv_compat", check, law, trials, "error", repr(error), elapsed)
+                for check, law in laws.items()]
+    for item in report:
         rec.results.append(CheckResult("gbv_compat", item["check"], laws[item["check"]], trials,
                                        item["status"], item.get("counterexample"),
                                        item["elapsed_ms"]))

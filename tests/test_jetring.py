@@ -21,6 +21,7 @@ from superbv.jetring import (
     dot,
 )
 from superbv.samples import SampleGen
+from test_samples import RandomPySampleGen
 
 SIG = RingSignature(n=1, m=2, cap=3)
 SIG22 = RingSignature(n=2, m=2, cap=4)
@@ -740,18 +741,9 @@ class TestSmallAndLargeSignatures:
 
 
 # -- sampled jets --------------------------------------------------------------
-# SampleGen.jet as it drew before it built packed terms: the same random
-# stream, each coefficient a GaussianRational summed under a tuple key and
-# handed to the tuple-keyed constructor.
-
-
-def rational_sample_jet(gen, sig, max_terms=3, max_even_degree=2, holomorphic=False,
-                        parity=None, allow_constant=True):
-    terms = {}
-    for _ in range(gen.rng.randint(0 if allow_constant else 1, max_terms)):
-        key = gen.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
-        terms[key] = terms.get(key, GaussianRational.of(0)) + gen.scalar(allow_zero=False)
-    return JetSuperFunction(sig, terms)
+# test_samples.RandomPySampleGen.jet draws through random.py and sums each
+# coefficient as a GaussianRational under a tuple key for the tuple-keyed
+# constructor.
 
 
 @st.composite
@@ -773,9 +765,9 @@ class TestSampledJets:
     @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
     def test_same_jet_and_stream_as_rational_draw(self, case):
         seed, sig, options = case
-        packed, rational = SampleGen(seed), SampleGen(seed)
+        packed, rational = SampleGen(seed), RandomPySampleGen(seed)
         try:
-            want = rational_sample_jet(rational, sig, **options)
+            want = rational.jet(sig, **options)
         except RuntimeError:
             with pytest.raises(RuntimeError):
                 packed.jet(sig, **options)

@@ -2,10 +2,11 @@
 
 All randomness flows through a named ``random.Random`` seeded from the
 scenario, never from ambient entropy; identical seeds reproduce identical
-samples.  Draws take the words random.py's ``randint``, ``randrange``,
-``choice`` or ``sample`` would, from ``getrandbits`` (``SampleGen._below``).
-Coefficients are kept small (even degree at most 2, few terms) so the exact
-arithmetic stays fast.
+samples.  Every draw takes the words of ``getrandbits`` that random.py's
+``randint``, ``randrange``, ``choice`` or ``sample`` would take
+(``SampleGen._below``), without their Python call chain, so code that also
+draws from ``SampleGen.rng`` sees the same stream.  Coefficients are kept
+small (even degree at most 2, few terms) so the exact arithmetic stays fast.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ class SampleGen:
 
     def _below(self, n: int) -> int:
         """``rng.randrange(n)`` word for word: ``n.bit_length()`` bits, drawn
-        again while at least ``n``.  An empty range raises before drawing
-        (``getrandbits(0)`` is 0, so the loop would never end)."""
+        again while at least ``n``.  The hot draws inline this loop.  An empty
+        range raises before drawing (``getrandbits(0)`` is 0, never below 0)."""
         if n < 1:
             raise ValueError("empty range for randrange()")
         bits, k = self.rng.getrandbits, n.bit_length()
@@ -36,35 +37,31 @@ class SampleGen:
         return r
 
     def _sample(self, n: int, k: int) -> list:
-        """``rng.sample(range(n), k)`` for ``k <= 5`` word for word: up to 21
-        items each pick comes from the pool left, the last item of which
-        fills its place; above 21 a repeated pick is drawn again."""
-        picks = []
+        """``rng.sample(range(n), k)`` for ``k <= 2``, word for word: up to 21
+        items random.py draws the second pick from the ``n - 1`` left, the
+        last item standing in for the first pick; above, it redraws a repeat."""
+        if not k:
+            return []
+        first = self._below(n)
+        if k == 1:
+            return [first]
         if n <= 21:
-            pool = list(range(n))
-            for _ in range(k):
-                j = self._below(len(pool))
-                picks.append(pool[j])
-                pool[j] = pool[-1]
-                pool.pop()
-        while len(picks) < k:
+            j = self._below(n - 1)
+            return [first, n - 1 if j == first else j]
+        j = first
+        while j == first:
             j = self._below(n)
-            if j not in picks:
-                picks.append(j)
-        return picks
+        return [first, j]
 
     # -- scalars ---------------------------------------------------------
 
-    def _numerators(self, allow_zero=True, complex_part=True):
+    def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
         """Real part in -2..2, imaginary part in -1..1 (drawn unless real)."""
         while True:
             re = self._below(5) - 2
             im = self._below(3) - 1 if complex_part else 0
             if allow_zero or re or im:
-                return re, im
-
-    def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
-        return GaussianRational.of(*self._numerators(allow_zero, complex_part))
+                return GaussianRational.of(re, im)
 
     # -- superfunctions ---------------------------------------------------
 
@@ -72,32 +69,56 @@ class SampleGen:
             parity=None, allow_constant=True) -> JetSuperFunction:
         """Sum of sampled monomials with nonzero Gaussian-integer coefficients.
 
-        A monomial's packed key is summed while its even generators (repeats
-        allowed) and up to two distinct odd ones are drawn.  The coefficients
-        are summed as integer numerators under packed keys; monomials past the
-        cap and sums that cancelled are dropped.
+        A monomial draws its even degree, that many even generators (repeats
+        allowed) and 0, 1 or 2 distinct odd ones, again (up to 64 times) while
+        of the wrong parity or constant without ``allow_constant``; its packed
+        key is summed pick by pick.  The coefficients are summed as integer
+        numerators; monomials past the cap and sums that cancelled are dropped.
         """
         layout = sig._layout
         steps = layout.steps[:sig.n] if holomorphic else layout.steps
         odd_count = sig.m if holomorphic else sig.odd_count
-        below = self._below
+        most_odd = min(2, odd_count)
+        bits = self.rng.getrandbits
+        pool, degree_bits = len(steps), (max_even_degree + 1).bit_length()
+        pick_bits, size_bits = pool.bit_length(), (most_odd + 1).bit_length()
         lo = 0 if allow_constant else 1
         terms = {}
-        for _ in range(lo + below(max_terms + 1 - lo)):
+        # each draw below inlines _below: randint(0, max_even_degree), choice(steps),
+        # randint(0, most_odd), then randint(-2, 2) and randint(-1, 1) as in scalar
+        for _ in range(lo + self._below(max_terms + 1 - lo)):
             for _ in range(64):
+                degree = bits(degree_bits)
+                while degree > max_even_degree:
+                    degree = bits(degree_bits)
                 key = 0
-                for _ in range(below(max_even_degree + 1)):
-                    if not steps:
+                for _ in range(degree):
+                    if not pool:
                         raise IndexError("Cannot choose from an empty sequence")
-                    key += steps[below(len(steps))]
-                size = below(min(2, odd_count) + 1)
-                for o in self._sample(odd_count, size):
-                    key |= 1 << o
+                    pick = bits(pick_bits)
+                    while pick >= pool:
+                        pick = bits(pick_bits)
+                    key += steps[pick]
+                size = bits(size_bits)
+                while size > most_odd:
+                    size = bits(size_bits)
+                if size:
+                    for o in self._sample(odd_count, size):
+                        key |= 1 << o
                 if (parity is None or size % 2 == parity) and (key or allow_constant):
                     break
             else:
                 raise RuntimeError("could not draw a monomial with the requested shape")
-            re, im = self._numerators(allow_zero=False)
+            while True:
+                re = bits(3)
+                while re > 4:
+                    re = bits(3)
+                im = bits(2)
+                while im > 2:
+                    im = bits(2)
+                if re != 2 or im != 1:
+                    break
+            re, im = re - 2, im - 1
             prev = terms.get(key)
             terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
         shift = layout.shift
@@ -114,14 +135,20 @@ class SampleGen:
 
     def index_multiset(self, chart, size, allow_repeats=False):
         """Sorted index tuple with even directions distinct; repeats only odd."""
+        dim, n, odd_wedge_cap = chart.dim, chart.sig.n, chart.odd_wedge_cap
+        bits, width = self.rng.getrandbits, dim.bit_length()
         picks = []
         counts = {}
         for _ in range(64):
             if len(picks) == size:
                 break
-            k = self._below(chart.dim)
+            if not dim:
+                raise ValueError("empty range for randrange()")
+            k = bits(width)
+            while k >= dim:
+                k = bits(width)
             seen = counts.get(k, 0)
-            if seen and (chart.parity(k) == 0 or not allow_repeats) or seen >= chart.odd_wedge_cap:
+            if seen and (k < n or not allow_repeats) or seen >= odd_wedge_cap:
                 continue
             picks.append(k)
             counts[k] = seen + 1
@@ -136,7 +163,7 @@ class SampleGen:
         for _ in range(1 + self._below(max_terms)):
             i_idx = self.index_multiset(chart, q, allow_repeats)
             j_idx = self.index_multiset(chart, p, allow_repeats)
-            index_parity = sum(chart.parity(k) for k in i_idx + j_idx) % 2
+            index_parity = sum(k >= chart.sig.n for k in i_idx + j_idx) % 2  # odd directions
             coeff_parity = None if parity is None else (parity + index_parity) % 2
             coeff = self.jet(chart.sig, max_terms=2, max_even_degree=2,
                              holomorphic=holomorphic_coeff, parity=coeff_parity)

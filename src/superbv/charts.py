@@ -59,15 +59,20 @@ class Chart:
             object.__setattr__(self, "labels", labels)
         if len(labels) != self.dim or len(set(labels)) != self.dim:
             raise ChartError("need one unique label per coordinate direction")
+        object.__setattr__(self, "_parities", (0,) * self.sig.n + (1,) * self.sig.m)
 
     @property
     def dim(self) -> int:
         return self.sig.n + self.sig.m
 
     def parity(self, k: int) -> int:
-        if not 0 <= k < self.dim:
-            raise ChartError(f"coordinate direction {k} out of range")
-        return 0 if k < self.sig.n else 1
+        """0 for the n even directions, 1 for the m odd ones after them."""
+        if k >= 0:
+            try:
+                return self._parities[k]
+            except IndexError:
+                pass
+        raise ChartError(f"coordinate direction {k} out of range")
 
     def gen_id(self, k: int) -> int:
         """Ring generator id of holomorphic coordinate direction k."""

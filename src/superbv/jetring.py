@@ -491,15 +491,19 @@ class JetSuperFunction:
     def parity(self) -> int | None:
         """0 or 1 if homogeneous, None if mixed or zero-ambiguous."""
         odd_mask = self.sig._layout.odd_mask
-        seen = {(key & odd_mask).bit_count() & 1 for key in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        if not seen:
-            return 0
-        return None
+        keys = iter(self.terms)
+        parity = (next(keys, 0) & odd_mask).bit_count() & 1
+        for key in keys:
+            if (key & odd_mask).bit_count() & 1 != parity:
+                return None
+        return parity
 
     def homogeneous_parts(self):
-        """Return (even_part, odd_part)."""
+        """Return (even_part, odd_part); a homogeneous jet is one of them itself."""
+        parity = self.parity()
+        if parity is not None:
+            zero = _jet(self.sig, {}, 1, self.prec)
+            return (zero, self) if parity else (self, zero)
         odd_mask = self.sig._layout.odd_mask
         parts = ({}, {})
         for key, value in self.terms.items():
@@ -564,6 +568,8 @@ class JetSuperFunction:
     def __mul__(self, other: "JetSuperFunction") -> "JetSuperFunction":
         self._require_same_ring(other)
         prec = min(self.prec, other.prec)
+        if not (self.terms and other.terms):
+            return _jet(self.sig, {}, 1, prec)
         acc: dict = {}
         _multiply_into(acc, self.sig._layout, self.terms, 1, other.terms, prec)
         terms = {key: value for key, value in acc.items() if value[0] or value[1]}

@@ -13,11 +13,16 @@ map and its linear structure for multivector forms here and for integral
 forms and their parity-flipped images in ``bvcalc``; ``add_terms`` is the one
 place where coefficients are summed and cancelled keys dropped.
 
-Every operation builds formal words of the three item kinds below and hands
-them to one normaliser, whose reordering sign is grading.koszul of the
-summed exchange exponents of the pairs it inverts.  The explicit sign
-exponents of dbar and of the bracket formulas become signs through
-grading.koszul; no sign is computed elsewhere.
+``wedge`` and ``schouten`` work on stored terms: each pair of terms (and
+each piece of the bracket formulas) lands on the merge of the sorted index
+tuples, with a product of homogeneous coefficient parts and the one sign
+that normalising its formal word would give; tests/test_mvforms.py keeps
+their word-based versions as the oracle.  ``dbar``, ``pull_mvform``,
+``MultiVectorForm.from_words`` and ``bvcalc.extend_delta`` (on keys outside
+normal form) build formal words of the item kinds below and hand them to
+``normalise_word``, whose sign is grading.koszul of the summed exchange
+exponents of the pairs it inverts.  Explicit sign exponents become signs
+through grading.koszul; no sign is computed elsewhere.
 
 Item kinds: ("dbar", k) a barred coordinate differential; ("vec", k) a
 coordinate derivation; ("fun", f) a homogeneous coefficient.
@@ -57,12 +62,8 @@ def normalise_word(chart: Chart, items, prefactor: int = 1):
     ranks, degrees, choices = [], [], []
     for kind, payload in items:
         if kind == FUN:
-            parity = payload.parity()
-            if parity is None:
-                choices.append(tuple(enumerate(payload.homogeneous_parts())))
-            elif payload.terms:
-                choices.append(((parity, payload),))
-            else:
+            choices.append(_parts(payload))
+            if not choices[-1]:
                 return {}  # a zero factor
             ranks.append((2, 0))
             degrees.append(0)
@@ -99,6 +100,20 @@ def normalise_word(chart: Chart, items, prefactor: int = 1):
 
 def _is_full_unit(f: JetSuperFunction) -> bool:
     return f.prec == f.sig.cap and f.den == 1 and f.terms == {0: (1, 0)}
+
+
+def _parts(f: JetSuperFunction):
+    """(parity, part) per nonzero homogeneous part, even first: the choices
+    ``normalise_word`` splits a function item into."""
+    parity = f.parity()
+    if parity is None:
+        return tuple(enumerate(f.homogeneous_parts()))
+    return ((parity, f),) if f.terms else ()
+
+
+def _times(f: JetSuperFunction, g: JetSuperFunction) -> JetSuperFunction:
+    """``f * g``, skipping a factor one at full precision as ``normalise_word`` does."""
+    return g if _is_full_unit(f) else f if _is_full_unit(g) else f * g
 
 
 def _drops(chart: Chart, indices) -> bool:
@@ -258,9 +273,7 @@ class MultiVectorForm(Section):
         acc: dict = {}
         floor = chart.sig.cap if prec is None else prec
         for prefactor, items in words:
-            for item in items:
-                if item[0] == FUN:
-                    floor = min(floor, item[1].prec)
+            floor = min([floor] + [payload.prec for kind, payload in items if kind == FUN])
             add_terms(acc, normalise_word(chart, items, prefactor).items())
         return MultiVectorForm(chart, acc, floor)
 
@@ -283,13 +296,8 @@ class MultiVectorForm(Section):
             cp = coeff.parity()
             if cp is None:
                 return None
-            index_parity = sum(self.chart.parity(k) for k in i + j) % 2
-            parities.add((cp + index_parity) % 2)
-        if len(parities) == 1:
-            return parities.pop()
-        if not parities:
-            return 0
-        return None
+            parities.add((cp + sum(map(self.chart.parity, i + j))) % 2)
+        return parities.pop() if len(parities) == 1 else None if parities else 0
 
     def bidegree_components(self):
         """Split into homogeneous (p, q) pieces: dict (p, q) -> MultiVectorForm."""
@@ -306,14 +314,56 @@ class MultiVectorForm(Section):
 # -- operations ----------------------------------------------------------------
 
 
+def _merged(chart: Chart, indices: tuple, cache: dict):
+    """``(sorted indices, exponent)``, or False where ``_drops`` drops them,
+    kept in ``cache``.  The exponent is what sorting these symbols adds to
+    ``normalise_word``'s: x before y with x > y exchange with 1 + |x||y|,
+    odd exactly when the smaller y is even."""
+    got = cache.get(indices)
+    if got is None:
+        key, parity = tuple(sorted(indices)), chart.parity
+        exponent = sum(1 for pos, y in enumerate(indices) if not parity(y)
+                       for x in indices[:pos] if x > y)
+        got = cache[indices] = not _drops(chart, key) and (key, exponent)
+    return got
+
+
 def wedge(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
+    """Exterior product, term by term.
+
+    The word I J f I' J' g of two stored terms lands on the key
+    (sort(I + I'), sort(J + J')) with coefficient f_s * g_t for each pair of
+    homogeneous parts, and sign ``koszul`` of the sorting exponents
+    (``_merged``) + |J||I'| + |J|_odd |I'|_odd + |f_s| (|I'|_odd + |J'|_odd).
+    The pair's choices are summed before they are added to the result, as
+    ``from_words`` sums a word.
+    """
     a._check_chart(b)
-    words = []
-    for ka in a.terms:
-        wa = a.term_word(ka)
-        for kb in b.terms:
-            words.append((1, wa + b.term_word(kb)))
-    return MultiVectorForm.from_words(a.chart, words, min(a.prec, b.prec))
+    chart = a.chart
+    parity = chart.parity
+    merged: dict = {}
+    right = [(ib, jb, sum(map(parity, ib)), sum(map(parity, ib + jb)), _parts(g))
+             for (ib, jb), g in b.terms.items()]
+    terms: dict = {}
+    for (ia, ja), f in a.terms.items():
+        odd_ja, f_parts = sum(map(parity, ja)), _parts(f)
+        for ib, jb, odd_ib, odd_b, g_parts in right:
+            bars = _merged(chart, ia + ib, merged)
+            vecs = bars and _merged(chart, ja + jb, merged)
+            if not vecs:
+                continue
+            exponent = bars[1] + vecs[1] + len(ja) * len(ib) + odd_ja * odd_ib
+            total = None
+            for fp, f_part in f_parts:
+                for _, g_part in g_parts:
+                    coeff = _times(f_part, g_part)
+                    if coeff.terms:
+                        coeff = coeff if koszul(exponent + fp * odd_b) > 0 else -coeff
+                        total = coeff if total is None else total + coeff
+                        total = total if total.terms else None
+            if total is not None:
+                add_terms(terms, (((bars[0], vecs[0]), total),))
+    return MultiVectorForm(chart, terms, min(a.prec, b.prec))
 
 
 def dbar(a: MultiVectorForm) -> MultiVectorForm:
@@ -340,154 +390,99 @@ def dbar(a: MultiVectorForm) -> MultiVectorForm:
 # -- the Schouten bracket -------------------------------------------------------
 
 
-class _Vec:
-    """A single vector field c * d/dxi^d with the coefficient on the left."""
-
-    __slots__ = ("coeff", "direction", "parity")
-
-    def __init__(self, chart: Chart, coeff: JetSuperFunction, direction: int):
-        cp = coeff.parity()
-        if cp is None:
-            raise ChartError("internal: bracket vectors must be homogeneous")
-        self.coeff = coeff
-        self.direction = direction
-        self.parity = (cp + chart.parity(direction)) % 2
-
-    def apply(self, chart: Chart, f: JetSuperFunction) -> JetSuperFunction:
-        return self.coeff * chart.d(f, self.direction)
-
-    def word(self):
-        return [(FUN, self.coeff), (VEC, self.direction)]
-
-
-def _vectors_from(chart: Chart, coeff: JetSuperFunction, directions) -> list:
-    """Left-coefficient factorisation of coeff * d/dxi^J, coeff absorbed first."""
-    vecs = [_Vec(chart, coeff, directions[0])]
-    one = chart.one()
-    for d in directions[1:]:
-        vecs.append(_Vec(chart, one, d))
-    return vecs
+def _function_pieces(chart: Chart, h, hp, c, cp, directions, lead: int):
+    """The pieces (exponent + ``lead``, vector indices, coefficient) of
+    [[h, v_0 ^ v_1 ^ ...]] = -sum_i (-1)^(i + |v_i| (|v_0| + ... + |v_(i-1)| + |h|)) v_i(h) ...
+    for v_0 = c d/dxi^J[0], v_1 = d/dxi^J[1], ... and h, c of parities hp, cp.
+    The exponent adds that of the coefficient (and of c where it stays a
+    factor) passing the vectors to its right."""
+    parity = chart.parity
+    odd = sum(map(parity, directions))
+    prefix = 0
+    for i, k in enumerate(directions):
+        pk = parity(k)
+        pv = pk + cp if i == 0 else pk
+        d = chart.d(h, k)
+        if d.terms:
+            yield (lead + 1 + i + pv * (prefix + hp) + (hp + cp + pk) * (odd - pk),
+                   directions[:i] + directions[i + 1:], c * d if i == 0 else _times(d, c))
+        prefix += pv
 
 
-def _base_bracket(chart: Chart, w: _Vec, v: _Vec):
-    """Vector-field bracket of two single vectors, as (prefactor, word) summands.
-
-    [[cw d_a, cv d_b]] = (cw d_a(cv)) d_b - (-1)^(|w||v|) (cv d_b(cw)) d_a.
-    """
-    out = []
-    first = w.apply(chart, v.coeff)
-    if not first.is_zero():
-        out.append((1, [(FUN, first), (VEC, v.direction)]))
-    second = v.apply(chart, w.coeff)
-    if not second.is_zero():
-        sign = -koszul(w.parity * v.parity)
-        out.append((sign, [(FUN, second), (VEC, w.direction)]))
-    return out
-
-
-def _bracket_function_with_vectors(chart: Chart, f: JetSuperFunction, vecs):
-    """[[f, v_1 ^ ... ^ v_p]] as (prefactor, word) summands; f homogeneous."""
-    fp = f.parity()
-    out = []
-    prefix_parity = 0
-    for i, v in enumerate(vecs):
-        value = v.apply(chart, f)
-        if not value.is_zero():
-            # the leading minus of the defining formula
-            sign = -koszul(i + v.parity * (prefix_parity + fp))
-            word = [(FUN, value)]
-            for l, other in enumerate(vecs):
-                if l != i:
-                    word.extend(other.word())
-            out.append((sign, word))
-        prefix_parity = (prefix_parity + v.parity) % 2
-    return out
-
-
-def _bracket_vectors(chart: Chart, ws, vs):
-    """[[w_1 ^...^ w_p', v_1 ^...^ v_p]] as (prefactor, word) summands."""
-    out = []
-    w_total = sum(w.parity for w in ws) % 2
-    w_prefix = 0
-    for j, w in enumerate(ws, start=1):
-        v_prefix = 0
-        for i, v in enumerate(vs, start=1):
-            exponent = (
-                i + j
-                + w.parity * w_prefix
-                + v.parity * (v_prefix + w_total + w.parity)
-            )
-            sign = koszul(exponent)
-            rest = []
-            for l, other in enumerate(ws, start=1):
-                if l != j:
-                    rest.extend(other.word())
-            for l, other in enumerate(vs, start=1):
-                if l != i:
-                    rest.extend(other.word())
-            for base_sign, base_word in _base_bracket(chart, w, v):
-                out.append((sign * base_sign, base_word + rest))
-            v_prefix = (v_prefix + v.parity) % 2
-        w_prefix = (w_prefix + w.parity) % 2
-    return out
-
-
-def _bracket_multivectors(chart: Chart, f, j_idx, g, l_idx):
-    """Inner bracket [[f d/dxi^J, g d/dxi^L]] with left coefficients."""
-    p, p2 = len(j_idx), len(l_idx)
-    if p == 0 and p2 == 0:
-        return []
-    if p == 0:
-        return _bracket_function_with_vectors(chart, f, _vectors_from(chart, g, l_idx))
-    if p2 == 0:
-        ws = _vectors_from(chart, f, j_idx)
-        w_parity = sum(w.parity for w in ws) % 2
-        exponent = (p + 1) + g.parity() * w_parity
-        outer = -koszul(exponent)
-        return [
-            (outer * s, word)
-            for s, word in _bracket_function_with_vectors(chart, g, ws)
-        ]
-    return _bracket_vectors(
-        chart, _vectors_from(chart, f, j_idx), _vectors_from(chart, g, l_idx)
-    )
+def _vector_pieces(chart: Chart, f, fp, ja, g, gp, jb):
+    """sum_(j, i) (-1)^(i + j + |w_j| (|w_0| + ... + |w_(j-1)|) + |v_i| (|v_0| + ...
+    + |v_(i-1)| + |w| + |w_j|)) [[w_j, v_i]] ^ rest, for w = f d/dxi^J and
+    v = g d/dxi^J'; only w_0 and v_0 carry a coefficient to differentiate."""
+    parity = chart.parity
+    odd_a, odd_b = sum(map(parity, ja)), sum(map(parity, jb))
+    a0, b0 = ja[0], jb[0]
+    pa0, pb0 = parity(a0), parity(b0)
+    w_total, pw0 = fp + odd_a, fp + pa0
+    prefix = 0
+    for i, k in enumerate(jb):
+        pk = parity(k)
+        pv = pk + gp if i == 0 else pk
+        position = i + pv * (prefix + w_total + pw0)
+        if i == 0:
+            d = chart.d(g, a0)
+            if d.terms:  # w_0(g) d/dxi^b0
+                yield (position + (fp + gp + pa0) * (odd_a + odd_b - pa0),
+                       (b0,) + ja[1:] + jb[1:], f * d)
+        d = chart.d(f, k)
+        if d.terms:  # -(-1)^(|w_0||v_i|) v_i(f) d/dxi^a0
+            crossing = (fp + pk) * (odd_a + odd_b - pk) + gp * (odd_b - pk + odd_a * (i == 0))
+            yield (position + 1 + pw0 * pv + crossing, ja + jb[:i] + jb[i + 1:],
+                   g * d if i == 0 else _times(d, g))
+        prefix += pv
+    prefix = pw0
+    for j, k in enumerate(ja[1:], start=1):
+        pk = parity(k)
+        d = chart.d(g, k)
+        if d.terms:  # w_j(g) d/dxi^b0
+            yield (j + pk * prefix + (gp + pb0) * (w_total + pk) + (gp + pk) * (odd_a + odd_b - pk)
+                   + fp * (odd_a - pk + odd_b - pb0), (b0,) + ja[:j] + ja[j + 1:] + jb[1:],
+                   _times(d, f))
+        prefix += pk
 
 
 def schouten(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
-    """Schouten-Nijenhuis bracket, bidegree (p,q) x (p',q') -> (p+p'-1, q+q')."""
+    """Schouten-Nijenhuis bracket, bidegree (p,q) x (p',q') -> (p+p'-1, q+q').
+
+    Each piece of the inner bracket of two stored terms' homogeneous parts
+    lands on (sort(I + I'), sort(vector indices)) with sign ``koszul`` of its
+    exponent, the sorting exponents (``_merged``) and that of moving f and g
+    to the left of their terms and extending to forms.  Pieces are added to
+    the result one at a time, in the order of the bracket formulas.
+    """
     a._check_chart(b)
     chart = a.chart
-    words = []
-    for (ia, ja), fa in a.terms.items():
-        q = len(ia)
-        p = len(ja)
-        pi_a = sum(chart.parity(k) for k in ia) % 2
-        pj_a = sum(chart.parity(k) for k in ja) % 2
-        for fa_part in fa.homogeneous_parts():
-            if fa_part.is_zero():
-                continue
-            fpa = fa_part.parity()
-            for (ib, jb), gb in b.terms.items():
-                q_b = len(ib)
-                pi_b = sum(chart.parity(k) for k in ib) % 2
-                pj_b = sum(chart.parity(k) for k in jb) % 2
-                for gb_part in gb.homogeneous_parts():
-                    if gb_part.is_zero():
-                        continue
-                    gpb = gb_part.parity()
-                    # move both coefficients to the far left of their terms
-                    exponent = fpa * (pi_a + pj_a) + gpb * (pi_b + pj_b)
-                    # bidegree bookkeeping sign of the form-valued extension
-                    exponent += q_b * (p + 1) + fpa * pi_a + pi_b * (gpb + pj_a + fpa)
-                    sign = koszul(exponent)
-                    inner = _bracket_multivectors(chart, fa_part, ja, gb_part, jb)
-                    if not inner:
-                        continue
-                    lead = [(DBAR, k) for k in ia] + [(DBAR, k) for k in ib]
-                    for s, word in inner:
-                        words.append((sign * s, lead + word))
+    parity = chart.parity
+    merged: dict = {}
+    right = [(ib, jb, sum(map(parity, ib)), sum(map(parity, jb)), _parts(g))
+             for (ib, jb), g in b.terms.items()]
+    terms: dict = {}
+    for (ia, ja), f in a.terms.items():
+        odd_ja = sum(map(parity, ja))
+        for fp, f_part in _parts(f):
+            for ib, jb, odd_ib, odd_jb, g_parts in right:
+                bars = (ja or jb) and _merged(chart, ia + ib, merged)
+                for gp, g_part in g_parts if bars else ():
+                    outer = (bars[1] + fp * odd_ja + gp * odd_jb + len(ib) * (len(ja) + 1)
+                             + odd_ib * (odd_ja + fp))
+                    if not ja:
+                        pieces = _function_pieces(chart, f_part, fp, g_part, gp, jb, 0)
+                    elif not jb:
+                        pieces = _function_pieces(chart, g_part, gp, f_part, fp, ja,
+                                                  len(ja) + gp * (fp + odd_ja))
+                    else:
+                        pieces = _vector_pieces(chart, f_part, fp, ja, g_part, gp, jb)
+                    for exponent, vec_idx, piece in pieces:
+                        vecs = piece.terms and _merged(chart, vec_idx, merged)
+                        if vecs:
+                            piece = piece if koszul(outer + exponent + vecs[1]) > 0 else -piece
+                            add_terms(terms, (((bars[0], vecs[0]), piece),))
     # a bracket differentiates coefficients once, even directions included
-    return MultiVectorForm.from_words(chart, words, min(a.prec, b.prec) - 1)
+    return MultiVectorForm(chart, terms, min(a.prec, b.prec) - 1)
 
 
 # -- pullback --------------------------------------------------------------------
@@ -514,26 +509,12 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
     pulled = phi.apply_many(a.terms.values())
     out_words = []
     for (i_idx, j_idx), pulled_coeff in zip(a.terms, pulled):
-        choices = [(1, [])]
-        for k in i_idx:
-            new_choices = []
-            for sign, items in choices:
-                for mrow in range(source.dim):
-                    entry = d_bar_st.rows[mrow][k]
-                    if entry.is_zero():
-                        continue
-                    new_choices.append((sign, items + [(DBAR, mrow), (FUN, entry)]))
-            choices = new_choices
-        for k in j_idx:
-            new_choices = []
-            for sign, items in choices:
-                for mrow in range(source.dim):
-                    entry = d_inv.rows[mrow][k]
-                    if entry.is_zero():
-                        continue
-                    new_choices.append((sign, items + [(VEC, mrow), (FUN, entry)]))
-            choices = new_choices
-        for sign, items in choices:
-            out_words.append((sign, items + [(FUN, pulled_coeff)]))
+        words = [[]]  # one word per choice of a nonzero matrix entry for each index
+        symbols = [(DBAR, d_bar_st, k) for k in i_idx] + [(VEC, d_inv, k) for k in j_idx]
+        for kind, matrix, k in symbols:
+            column = [(row, matrix.rows[row][k]) for row in range(source.dim)]
+            words = [items + [(kind, row), (FUN, entry)]
+                     for items in words for row, entry in column if not entry.is_zero()]
+        out_words.extend((1, items + [(FUN, pulled_coeff)]) for items in words)
     # differential entries cost one even derivative of the pullbacks
     return MultiVectorForm.from_words(source, out_words, a.prec - 1)

@@ -58,8 +58,9 @@ def human_summary(report: dict) -> str:
     for check in report["checks"]:
         mark = {"pass": "ok  ", "fail": "FAIL", "error": "ERR "}[check["status"]]
         lines.append(f"[{mark}] {check['suite']}.{check['check']}  ({check['elapsed_ms']:.0f} ms)")
-        if check["status"] != "pass" and check.get("counterexample"):
-            lines.append(f"       {check['counterexample']}")
+        reason = check.get("counterexample") or check.get("error")
+        if check["status"] != "pass" and reason:
+            lines.append(f"       {reason}")
     s = report["summary"]
     lines.append(f"{s['passed']} passed, {s['failed']} failed, {s['errors']} errors")
     return "\n".join(lines)

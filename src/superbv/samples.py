@@ -11,11 +11,10 @@ small (even degree at most 2, few terms) so the exact arithmetic stays fast.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .charts import BerSection, Chart, Morphism
-from .grading import ODD, koszul, reorder_sign
+from .grading import koszul
 from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, dot
 from .mvforms import MultiVectorForm, add_terms
 
@@ -325,11 +324,19 @@ class SampleGen:
 
 
 def _det(grid) -> int:
-    """Leibniz determinant of a square grid of integers."""
-    acc = 0
-    for perm in itertools.permutations(range(len(grid))):
-        prod = reorder_sign([ODD] * len(perm), perm)
-        for row, col in zip(grid, perm):
-            prod *= row[col]
-        acc += prod
-    return acc
+    """Determinant of a square integer grid by fraction-free (Bareiss)
+    elimination, in which every division is exact; a zero pivot is swapped
+    with a row below it."""
+    rows, sign, previous = [list(row) for row in grid], 1, 1
+    for k in range(len(rows) - 1):
+        below = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if below is None:
+            return 0
+        if below != k:
+            rows[k], rows[below], sign = rows[below], rows[k], -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [(x * top[k] - row[k] * y) // previous
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        previous = top[k]
+    return sign * rows[-1][-1] if rows else 1

@@ -95,6 +95,14 @@ def column_agrees(a, b):
     return all(x.agrees_with(y) for x, y in zip(a, b))
 
 
+def test_parity_by_direction():
+    chart = Chart(RingSignature(2, 3, 2))
+    assert [chart.parity(k) for k in range(chart.dim)] == [0, 0, 1, 1, 1]
+    for k in (-1, chart.dim):
+        with pytest.raises(ChartError, match="out of range"):
+            chart.parity(k)
+
+
 class TestDifferential:
     def test_identity(self):
         for chart in CHARTS:

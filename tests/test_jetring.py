@@ -459,6 +459,24 @@ def _observed(f):
     return _terms(f), f.prec
 
 
+def _packed(f):
+    return f.terms, f.den, f.prec
+
+
+def reference_parity(f):
+    """``parity`` from the set of the term parities."""
+    seen = {len(odd) % 2 for _, odd, _ in f.items()}
+    return seen.pop() if len(seen) == 1 else None if seen else 0
+
+
+def reference_parts(f):
+    """``homogeneous_parts`` as two jets built from the split terms."""
+    parts = ({}, {})
+    for exps, odd, coeff in f.items():
+        parts[len(odd) % 2][(exps, odd)] = coeff
+    return [JetSuperFunction(f.sig, part, f.prec) for part in parts]
+
+
 def odd_monomial(sig, subset):
     return JetSuperFunction(sig, {((0,) * sig.even_count, subset): GR_ONE})
 
@@ -487,6 +505,18 @@ class TestReferenceKernel:
         assert _observed(f.conjugate()) == reference_conjugate(f)
         for gid in range(f.sig.gen_count()):
             assert _observed(f.partial(gid)) == reference_partial(f, gid)
+
+    @given(jet_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_parity_parts_and_empty_products(self, pair):
+        f, g = pair
+        for x in (f, g, *f.homogeneous_parts(), f - f):
+            assert x.parity() == reference_parity(x)
+            assert [_packed(part) for part in x.homogeneous_parts()] == \
+                [_packed(part) for part in reference_parts(x)]
+        empty = g - g
+        for product in (f * empty, empty * f):
+            assert _packed(product) == ({}, 1, min(f.prec, g.prec))
 
     @given(jet_pairs())
     @settings(max_examples=100, deadline=None, derandomize=True, phases=NO_SHRINK)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbv.charts import Chart, ChartError
-from superbv.grading import BiDegree, commute_sign
+from superbv import mvforms
+from superbv.grading import BiDegree, commute_sign, koszul
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
 from superbv.mvforms import (
     DBAR,
@@ -25,6 +26,7 @@ from test_jetring import NO_SHRINK
 SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)
 SIG22 = RingSignature(n=2, m=2, cap=4)
+SIG13 = RingSignature(n=1, m=3, cap=4)
 CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 
@@ -454,3 +456,277 @@ class TestNormaliseWord:
         chart, items, prefactor = case
         assert _packed_terms(normalise_word(chart, items, prefactor)) == \
             _packed_terms(insertion_sort_word(chart, items, prefactor))
+
+
+# -- the word-based wedge and bracket ------------------------------------------------
+# ``wedge`` and ``schouten`` as they were before they worked on stored terms:
+# every pair of terms, and every summand of the bracket formulas on vector
+# fields with left coefficients, became a formal word that ``from_words``
+# normalised and summed.  The stored-term versions must match them term for
+# term, in ``den`` and ``prec`` and in the section's ``prec``.
+
+
+def word_wedge(a, b):
+    a._check_chart(b)
+    words = []
+    for ka in a.terms:
+        wa = a.term_word(ka)
+        for kb in b.terms:
+            words.append((1, wa + b.term_word(kb)))
+    return MultiVectorForm.from_words(a.chart, words, min(a.prec, b.prec))
+
+
+class _Vec:
+    """A single vector field c * d/dxi^d with the coefficient on the left."""
+
+    __slots__ = ("coeff", "direction", "parity")
+
+    def __init__(self, chart, coeff, direction):
+        cp = coeff.parity()
+        if cp is None:
+            raise ChartError("internal: bracket vectors must be homogeneous")
+        self.coeff = coeff
+        self.direction = direction
+        self.parity = (cp + chart.parity(direction)) % 2
+
+    def apply(self, chart, f):
+        return self.coeff * chart.d(f, self.direction)
+
+    def word(self):
+        return [(FUN, self.coeff), (VEC, self.direction)]
+
+
+def _vectors_from(chart, coeff, directions):
+    """Left-coefficient factorisation of coeff * d/dxi^J, coeff absorbed first."""
+    vecs = [_Vec(chart, coeff, directions[0])]
+    one = chart.one()
+    for d in directions[1:]:
+        vecs.append(_Vec(chart, one, d))
+    return vecs
+
+
+def _base_bracket(chart, w, v):
+    """Vector-field bracket of two single vectors, as (prefactor, word) summands.
+
+    [[cw d_a, cv d_b]] = (cw d_a(cv)) d_b - (-1)^(|w||v|) (cv d_b(cw)) d_a.
+    """
+    out = []
+    first = w.apply(chart, v.coeff)
+    if not first.is_zero():
+        out.append((1, [(FUN, first), (VEC, v.direction)]))
+    second = v.apply(chart, w.coeff)
+    if not second.is_zero():
+        sign = -koszul(w.parity * v.parity)
+        out.append((sign, [(FUN, second), (VEC, w.direction)]))
+    return out
+
+
+def _bracket_function_with_vectors(chart, f, vecs):
+    """[[f, v_1 ^ ... ^ v_p]] as (prefactor, word) summands; f homogeneous."""
+    fp = f.parity()
+    out = []
+    prefix_parity = 0
+    for i, v in enumerate(vecs):
+        value = v.apply(chart, f)
+        if not value.is_zero():
+            # the leading minus of the defining formula
+            sign = -koszul(i + v.parity * (prefix_parity + fp))
+            word = [(FUN, value)]
+            for l, other in enumerate(vecs):
+                if l != i:
+                    word.extend(other.word())
+            out.append((sign, word))
+        prefix_parity = (prefix_parity + v.parity) % 2
+    return out
+
+
+def _bracket_vectors(chart, ws, vs):
+    """[[w_1 ^...^ w_p', v_1 ^...^ v_p]] as (prefactor, word) summands."""
+    out = []
+    w_total = sum(w.parity for w in ws) % 2
+    w_prefix = 0
+    for j, w in enumerate(ws, start=1):
+        v_prefix = 0
+        for i, v in enumerate(vs, start=1):
+            exponent = (
+                i + j
+                + w.parity * w_prefix
+                + v.parity * (v_prefix + w_total + w.parity)
+            )
+            sign = koszul(exponent)
+            rest = []
+            for l, other in enumerate(ws, start=1):
+                if l != j:
+                    rest.extend(other.word())
+            for l, other in enumerate(vs, start=1):
+                if l != i:
+                    rest.extend(other.word())
+            for base_sign, base_word in _base_bracket(chart, w, v):
+                out.append((sign * base_sign, base_word + rest))
+            v_prefix = (v_prefix + v.parity) % 2
+        w_prefix = (w_prefix + w.parity) % 2
+    return out
+
+
+def _bracket_multivectors(chart, f, j_idx, g, l_idx):
+    """Inner bracket [[f d/dxi^J, g d/dxi^L]] with left coefficients."""
+    p, p2 = len(j_idx), len(l_idx)
+    if p == 0 and p2 == 0:
+        return []
+    if p == 0:
+        return _bracket_function_with_vectors(chart, f, _vectors_from(chart, g, l_idx))
+    if p2 == 0:
+        ws = _vectors_from(chart, f, j_idx)
+        w_parity = sum(w.parity for w in ws) % 2
+        exponent = (p + 1) + g.parity() * w_parity
+        outer = -koszul(exponent)
+        return [
+            (outer * s, word)
+            for s, word in _bracket_function_with_vectors(chart, g, ws)
+        ]
+    return _bracket_vectors(
+        chart, _vectors_from(chart, f, j_idx), _vectors_from(chart, g, l_idx)
+    )
+
+
+def word_schouten(a, b):
+    a._check_chart(b)
+    chart = a.chart
+    words = []
+    for (ia, ja), fa in a.terms.items():
+        q = len(ia)
+        p = len(ja)
+        pi_a = sum(chart.parity(k) for k in ia) % 2
+        pj_a = sum(chart.parity(k) for k in ja) % 2
+        for fa_part in fa.homogeneous_parts():
+            if fa_part.is_zero():
+                continue
+            fpa = fa_part.parity()
+            for (ib, jb), gb in b.terms.items():
+                q_b = len(ib)
+                pi_b = sum(chart.parity(k) for k in ib) % 2
+                pj_b = sum(chart.parity(k) for k in jb) % 2
+                for gb_part in gb.homogeneous_parts():
+                    if gb_part.is_zero():
+                        continue
+                    gpb = gb_part.parity()
+                    # move both coefficients to the far left of their terms
+                    exponent = fpa * (pi_a + pj_a) + gpb * (pi_b + pj_b)
+                    # bidegree bookkeeping sign of the form-valued extension
+                    exponent += q_b * (p + 1) + fpa * pi_a + pi_b * (gpb + pj_a + fpa)
+                    sign = koszul(exponent)
+                    inner = _bracket_multivectors(chart, fa_part, ja, gb_part, jb)
+                    if not inner:
+                        continue
+                    lead = [(DBAR, k) for k in ia] + [(DBAR, k) for k in ib]
+                    for s, word in inner:
+                        words.append((sign * s, lead + word))
+    return MultiVectorForm.from_words(chart, words, min(a.prec, b.prec) - 1)
+
+
+def _packed_form(form):
+    """The section's ``prec`` and each coefficient's terms, ``den`` and
+    ``prec``, by key in insertion order."""
+    return form.prec, [(key, c.terms, c.den, c.prec) for key, c in form.terms.items()]
+
+
+@st.composite
+def index_tuples(draw, chart, size):
+    """Sorted directions: distinct ones (at most ``chart.dim``), or any, so
+    that an even repeat or an odd one past the cap makes a key that
+    ``normalise_word`` drops, or the last (odd) direction repeated."""
+    shape = draw(st.sampled_from(("distinct", "distinct", "any", "last")))
+    if shape == "last":
+        return (chart.dim - 1,) * size
+    size = min(size, chart.dim) if shape == "distinct" else size
+    return tuple(sorted(draw(st.lists(st.integers(min_value=0, max_value=chart.dim - 1),
+                                      min_size=size, max_size=size,
+                                      unique=shape == "distinct"))))
+
+
+@st.composite
+def sampled_functions(draw, sig):
+    """A ``SampleGen`` jet of up to four terms, holomorphic in one draw of
+    two so that brackets often differentiate it, truncated in one of three."""
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    jet = gen.jet(sig, max_terms=4, holomorphic=draw(st.booleans()))
+    if draw(st.integers(min_value=0, max_value=2)):
+        return jet
+    return jet.truncate(draw(st.integers(min_value=0, max_value=sig.cap - 1)))
+
+
+@st.composite
+def sections(draw, chart):
+    """A section of up to three terms of drawn bidegrees (so possibly empty),
+    with coefficients of mixed parity, truncated below the cap or units, at
+    a drawn ``prec``."""
+    terms = {}
+    for _ in range(draw(st.sampled_from((0, 1, 2, 2, 3, 3, 3)))):
+        key = (draw(index_tuples(chart, draw(st.integers(min_value=0, max_value=2)))),
+               draw(index_tuples(chart, draw(st.sampled_from((0, 1, 2, 2, 3, 3))))))
+        terms[key] = draw(st.one_of(word_functions(chart.sig), sampled_functions(chart.sig)))
+    prec = draw(st.integers(min_value=0, max_value=chart.sig.cap))
+    return MultiVectorForm(chart, terms, prec)
+
+
+BRACKET_SIGS = [RingSignature(1, 1, 3), RingSignature(2, 2, 4), RingSignature(1, 3, 2)]
+
+
+@st.composite
+def section_pairs(draw):
+    sig = draw(st.sampled_from(BRACKET_SIGS))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    return draw(sections(chart)), draw(sections(chart))
+
+
+class TestStoredTerms:
+    @given(section_pairs())
+    @settings(max_examples=400, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_wedge_matches_words(self, pair):
+        a, b = pair
+        assert _packed_form(wedge(a, b)) == _packed_form(word_wedge(a, b))
+
+    @given(section_pairs())
+    @settings(max_examples=400, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_schouten_matches_words(self, pair):
+        a, b = pair
+        assert _packed_form(schouten(a, b)) == _packed_form(word_schouten(a, b))
+
+    def test_pair_sums_before_the_result(self):
+        # the first pair of terms puts a multiple of z at prec 2 on ((), (0, 1));
+        # for one sign, the last pair's even choice cancels it and its odd
+        # choice th remains.  The pair's choices are summed before they reach
+        # the result, so the key keeps prec 2 (one by one it would restart at 3)
+        chart = Chart(RingSignature(1, 1, 3))
+        z, th = chart.coordinate(0), chart.coordinate(1)
+        one_low = JetSuperFunction.one(chart.sig, 2)
+        b = MultiVectorForm(chart, {((), (1,)): z, ((), (0,)): chart.one()})
+        precs = []
+        for sign in (1, -1):
+            a = MultiVectorForm(chart, {((), (0,)): one_low, ((), (1,)): z.scale(
+                GaussianRational.of(sign)) + th})
+            got = wedge(a, b)
+            assert _packed_form(got) == _packed_form(word_wedge(a, b))
+            precs.append(got.terms[((), (0, 1))].prec)
+        assert 2 in precs
+
+    def test_builds_no_word(self, monkeypatch):
+        cases = []
+        gen = SampleGen(47)
+        for sig in (SIG11, SIG22, SIG13):
+            chart = Chart(sig)
+            for _ in range(6):
+                a, *_ = gen.homogeneous_mvform(chart, max_p=3, allow_repeats=True)
+                b, *_ = gen.homogeneous_mvform(chart, max_p=3, allow_repeats=True)
+                cases.append((a, b, wedge(a, b), schouten(a, b)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wedge or schouten built a formal word")
+
+        monkeypatch.setattr(mvforms, "normalise_word", forbidden)
+        monkeypatch.setattr(MultiVectorForm, "from_words", forbidden)
+        assert any(not product.is_zero() for _, _, product, _ in cases)
+        assert any(not bracket.is_zero() for *_, bracket in cases)
+        for a, b, product, bracket in cases:
+            assert wedge(a, b) == product
+            assert schouten(a, b) == bracket

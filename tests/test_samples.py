@@ -10,6 +10,7 @@ generator in the same state, also when a draw raises.
 """
 
 import contextlib
+import itertools
 import json
 import random
 import signal
@@ -22,7 +23,7 @@ from superbv import cli
 from superbv.charts import Chart, Morphism
 from superbv.connect import Christoffel, FormalPath, delta_from_tangent, path_ring
 from superbv.bvcalc import DeltaOperator
-from superbv.grading import koszul
+from superbv.grading import ODD, koszul, reorder_sign
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature, dot
 from superbv.mvforms import MultiVectorForm, add_terms
 from superbv.samples import SampleGen, _det
@@ -315,9 +316,7 @@ def _outcome(gen, method, chart, options):
 
 METHODS = ("jet", "unit", "index_multiset", "mvform", "homogeneous_mvform",
            "invertible_morphism", "christoffel", "formal_path", "cy_scenario")
-# the morphism's Leibniz determinant runs over m! permutations, too many at 1|11
-CASES = [(method, n, m) for method in METHODS for n, m in RINGS
-         if method != "invertible_morphism" or m <= 3]
+CASES = [(method, n, m) for method in METHODS for n, m in RINGS]
 
 
 class TestStream:
@@ -332,6 +331,49 @@ class TestStream:
         with _deadline(5):
             got = _outcome(SampleGen(seed), method, chart, options)
         assert got == _outcome(RandomPySampleGen(seed), method, chart, options)
+
+
+def leibniz_det(grid) -> int:
+    """The determinant as a signed sum over all permutations: oracle for
+    ``_det``, and what ``invertible_morphism`` used before (m! terms)."""
+    acc = 0
+    for perm in itertools.permutations(range(len(grid))):
+        prod = reorder_sign([ODD] * len(perm), perm)
+        for row, col in zip(grid, perm):
+            prod *= row[col]
+        acc += prod
+    return acc
+
+
+@st.composite
+def integer_grids(draw):
+    """Square grids up to 6 x 6 of small integers, often singular: entries
+    of the sampler's linear blocks, or zero-heavy ones that need a pivot swap."""
+    size = draw(st.integers(min_value=0, max_value=6))
+    entries = st.sampled_from((-1, 0, 0, 0, 1, 2)) if draw(st.booleans()) else \
+        st.integers(min_value=-3, max_value=3)
+    return [[draw(entries) for _ in range(size)] for _ in range(size)]
+
+
+class TestDeterminant:
+    @given(integer_grids())
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=[Phase.generate])
+    def test_matches_leibniz(self, grid):
+        assert _det(grid) == leibniz_det(grid)
+
+    def test_pivot_swaps_and_zero_columns(self):
+        assert _det([]) == 1
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+        assert _det([[1, 0, 2], [3, 0, 1], [2, 0, 5]]) == 0
+
+    def test_eleven_by_eleven_is_fast(self):
+        # an upper triangular grid with its rows reversed: 55 transpositions
+        # from the product of its diagonal, with zero pivots to swap away
+        upper = [[0] * i + [1 + i % 2] + [(i + k) % 3 - 1 for k in range(i + 1, 11)]
+                 for i in range(11)]
+        with _deadline(5):
+            assert _det(upper[::-1]) == -(2 ** 5)
 
 
 class TestPrimitive:
@@ -382,3 +424,20 @@ def test_ring_without_even_generator_exits_2(tmp_path, capsys):
     checks = json.loads(report_file.read_text(encoding="utf-8"))["checks"]
     assert [c["status"] for c in checks] == ["error"] * 5
     assert {c["error"] for c in checks} == {"IndexError('Cannot choose from an empty sequence')"}
+
+
+def test_error_lines_carry_their_reason(tmp_path, capsys):
+    """Each [ERR ] line of the summary is followed by the check's error."""
+    scenario_file = tmp_path / "s.sbv"
+    scenario_file.write_text("ring 0|1 cap 2;\ntrials 2;\nsuite gbv_compat;\nsuite partial_dbar;\n",
+                             encoding="utf-8")
+    report_file = tmp_path / "report.json"
+    with _deadline(30):
+        code = cli.main(["verify", str(scenario_file), "--json", str(report_file)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    errors = [c["error"] for c in json.loads(report_file.read_text(encoding="utf-8"))["checks"]]
+    assert len(errors) == 9
+    reasons = [lines[pos + 1].strip() for pos, line in enumerate(lines) if line.startswith("[ERR ]")]
+    assert reasons == errors
+    assert "IndexError('Cannot choose from an empty sequence')" in reasons

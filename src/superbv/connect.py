@@ -115,61 +115,6 @@ def delta_from_tangent(gamma: Christoffel) -> DeltaOperator:
     return DeltaOperator(gamma.chart, tuple(-a for a in conn.coefficients))
 
 
-def covariant_derivative(gamma: Christoffel, x_col, y_col):
-    """nabla_X Y for coefficient columns, via the Leibniz rule.
-
-    Columns use right components as everywhere else; internally both are
-    rewritten with left coefficients, where the covariant derivative reads
-
-        nabla_X (g . d_l) = X(g) . d_l + (-1)^(|X| |g|) g . nabla_X d_l
-    """
-    chart = gamma.chart
-    from .charts import vector_apply
-
-    out_left = [chart.zero() for _ in range(chart.dim)]
-    for l in range(chart.dim):
-        comp = y_col[l]
-        if comp.is_zero():
-            continue
-        pl = chart.parity(l)
-        for part in comp.homogeneous_parts():
-            if part.is_zero():
-                continue
-            g = part if koszul(pl * part.parity()) > 0 else -part
-            # first Leibniz term
-            out_left[l] = out_left[l] + vector_apply(chart, x_col, g)
-            # second: g . nabla_X d_l with X expanded in left components
-            for k in range(chart.dim):
-                xk = x_col[k]
-                if xk.is_zero():
-                    continue
-                pk = chart.parity(k)
-                for xpart in xk.homogeneous_parts():
-                    if xpart.is_zero():
-                        continue
-                    xg = xpart if koszul(pk * xpart.parity()) > 0 else -xpart
-                    x_parity = (pk + xpart.parity()) % 2
-                    lead = g * xg
-                    if koszul(x_parity * part.parity()) < 0:
-                        lead = -lead
-                    for q in range(chart.dim):
-                        sym = gamma.left(q, k, l)
-                        if sym.is_zero():
-                            continue
-                        out_left[q] = out_left[q] + lead * sym
-    # back to right components
-    out = []
-    for q in range(chart.dim):
-        pq = chart.parity(q)
-        acc = chart.zero()
-        for part in out_left[q].homogeneous_parts():
-            if part.is_zero():
-                continue
-            acc = acc + (part if koszul(pq * part.parity()) > 0 else -part)
-        out.append(acc)
-    return out
-
-
 def transform_christoffel(phi: Morphism, gamma: Christoffel, keys=None) -> Christoffel:
     """Transport Christoffel symbols from the source chart to the target chart.
 

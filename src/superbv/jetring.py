@@ -363,9 +363,22 @@ def _multiply_into(acc: dict, layout: _Layout, left: dict, factor: int, right: d
         buckets.setdefault(k2 & odd_mask, []).append((k2 >> shift, k2, a2, b2))
     for bucket in buckets.values():
         bucket.sort()
-    plans: dict = {}  # left odd mask -> [(merge sign, bucket)] of the disjoint buckets
+    _bucket_products(acc, layout, left, factor, buckets, {}, prec)
+
+
+def _bucket_products(acc: dict, layout: _Layout, left: dict, factor: int, buckets: dict,
+                     plans: dict, top: int, tag: int = 0) -> None:
+    """Add ``factor`` times the product of the packed terms ``left`` with the
+    right terms in ``buckets`` (odd mask -> ``(degree, key, re, im)``, sorted
+    by degree) into ``acc``, up to even degree ``top``: the indexed loop of
+    ``_multiply_into``.  ``plans`` caches the merge-sign plan of each left
+    odd mask; calls against the same buckets may share it.  A right key may
+    carry a tag in its low ``tag`` bits; the left key is shifted past them,
+    so each sum keeps the tag."""
+    shift, odd_mask, signs = layout.shift, layout.odd_mask, layout.signs
+    get = acc.get
     for k1, (a1, b1) in left.items():
-        room = prec - (k1 >> shift)
+        room = top - (k1 >> shift)
         if room < 0:
             continue
         s1 = k1 & odd_mask
@@ -385,11 +398,12 @@ def _multiply_into(acc: dict, layout: _Layout, left: dict, factor: int, right: d
         if factor != 1:
             a1 *= factor
             b1 *= factor
+        k1 <<= tag
         for sign, bucket in plan:
             p, q = (a1, b1) if sign > 0 else (-a1, -b1)
             for d2, k2, a2, b2 in bucket:
                 if d2 > room:
-                    break  # the rest of the bucket lies past prec
+                    break  # the rest of the bucket lies past top
                 key = k1 + k2
                 re = p * a2 - q * b2
                 im = p * b2 + q * a2

@@ -20,7 +20,10 @@ from .jetring import (
     JetSuperFunction,
     NotAUnitError,
     RingSignature,
+    _accumulate,
+    _bucket_products,
     _canonical,
+    _jet,
     dot,
     numerators,
 )
@@ -60,23 +63,9 @@ class SuperMatrix:
         zero = JetSuperFunction.zero(sig)
         return SuperMatrix(sig, p, q, [[one if i == j else zero for j in range(size)] for i in range(size)])
 
-    @staticmethod
-    def zero(sig: RingSignature, p: int, q: int) -> "SuperMatrix":
-        zero = JetSuperFunction.zero(sig)
-        return SuperMatrix(sig, p, q, [[zero] * (p + q) for _ in range(p + q)])
-
-    def entry(self, i: int, j: int) -> JetSuperFunction:
-        return self.rows[i][j]
-
     def is_even(self) -> bool:
-        for i in range(self.size):
-            for j in range(self.size):
-                e = self.rows[i][j]
-                if e.is_zero():
-                    continue
-                if e.parity() != (self.index_parity(i) + self.index_parity(j)) % 2:
-                    return False
-        return True
+        return all(e.parity() == self.index_parity(i) ^ self.index_parity(j)
+                   for i, row in enumerate(self.rows) for j, e in enumerate(row) if e.terms)
 
     def _require_even(self, what: str) -> None:
         if not self.is_even():
@@ -92,23 +81,18 @@ class SuperMatrix:
         return SuperMatrix(self.sig, self.p, self.q,
                            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self) -> "SuperMatrix":
-        return SuperMatrix(self.sig, self.p, self.q, [[-a for a in row] for row in self.rows])
-
     def _check_shape(self, other: "SuperMatrix") -> None:
         if (self.p, self.q, self.sig) != (other.p, other.q, other.sig):
             raise SuperMatrixError("graded shapes or ring signatures differ")
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Matrix product; a pair with a zero factor is skipped, so its
-        precision does not lower that of the entry."""
+        precision does not lower that of the entry.  ``other`` is indexed
+        once, and each row of the product is one ``_row_product`` pass."""
         self._check_shape(other)
-        columns = list(zip(*other.rows))
-        rows = [[dot(self.sig, [(a, b) for a, b in zip(row, column)
-                                if a.terms and b.terms])
-                 for column in columns]
-                for row in self.rows]
-        return SuperMatrix(self.sig, self.p, self.q, rows)
+        index = _index_rows(self.sig, other.rows)
+        return SuperMatrix(self.sig, self.p, self.q,
+                           [_row_product(self.sig, row, index) for row in self.rows])
 
     def agrees_with(self, other: "SuperMatrix") -> bool:
         self._check_shape(other)
@@ -147,8 +131,6 @@ class SuperMatrix:
             acc = acc + entry if koszul(self.index_parity(i)) > 0 else acc - entry
         return acc
 
-    supertrace = str_
-
     def body_matrix(self):
         """Constant part of every entry, as a grid of GaussianRationals."""
         return [[e.body() for e in row] for row in self.rows]
@@ -159,37 +141,50 @@ class SuperMatrix:
         Splits off the constant body B and inverts it exactly, then sums the
         terminating geometric series of R = 1 - B^-1 M, whose entries are
         nilpotent or of positive even degree, and returns (1 + R + R^2 +
-        ...) B^-1.  Both products with B^-1 scale jets by scalars.
+        ...) B^-1.  Both products with B^-1 scale jets by scalars.  R is
+        indexed once, and R^k is formed from R^(k-1) row by row on
+        ``_row_product``.  Each power is added in place into packed running
+        sums whose precision is the least of every added entry, zero entries
+        included, as the fold of jet sums ``1 + R + R^2 + ...`` gives; the
+        sums become jets only once the series has stopped.
         """
         self._require_even("inversion")
+        sig, p, q, size = self.sig, self.p, self.q, self.size
         try:
             body_inv = [[numerators(x) for x in row]
                         for row in _invert_scalar_matrix(self.body_matrix())]
         except ZeroDivisionError:
             raise NotAUnitError("body of the matrix is not invertible") from None
-        identity = SuperMatrix.identity(self.sig, self.p, self.q)
         columns = list(zip(*self.rows))
-        remainder = identity - SuperMatrix(self.sig, self.p, self.q, [
-            [_scaled_sum(self.sig, zip(scalars, column)) for column in columns]
-            for scalars in body_inv])
-        acc = identity
-        power = remainder
-        prec = min((e.prec for row in self.rows for e in row), default=self.sig.cap)
-        limit = prec + 2 * self.sig.m + 2
+        remainder = SuperMatrix.identity(sig, p, q) - SuperMatrix(sig, p, q, [
+            [_scaled_sum(sig, zip(scalars, column)) for column in columns] for scalars in body_inv])
+        index = _index_rows(sig, remainder.rows)
+        # the running sums, entry by entry as [terms, den, prec], from the identity
+        acc = [[[{0: (1, 0)} if i == j else {}, 1, sig.cap] for j in range(size)] for i in range(size)]
+        power = remainder.rows
+        prec = min((e.prec for row in self.rows for e in row), default=sig.cap)
+        limit = prec + 2 * sig.m + 2
         steps = 0
-        while not all(e.is_zero() for row in power.rows for e in row):
-            acc = acc + power
-            power = power * remainder
+        while any(e.terms for row in power for e in row):
+            for acc_row, row in zip(acc, power):
+                for cell, e in zip(acc_row, row):
+                    if e.prec < cell[2]:
+                        cell[2] = e.prec
+                    if e.terms:
+                        cell[1] = _accumulate(cell[0], cell[1], e.terms, e.den)
+            power = [_row_product(sig, row, index) for row in power]
             steps += 1
             if steps > limit:
                 raise SuperMatrixError("matrix geometric series failed to terminate")
-        scalar_columns = list(zip(*body_inv))
-        return SuperMatrix(self.sig, self.p, self.q, [
-            [_scaled_sum(self.sig, zip(scalars, row)) for scalars in scalar_columns]
-            for row in acc.rows])
-
-    def det_even_block(self, grid) -> JetSuperFunction:
-        return det_even(self.sig, grid)
+        # truncating once at the final precision equals the fold's truncating at
+        # each step, as the precision only falls; ``_scaled_sum`` then reduces
+        shift, scalar_columns = sig._layout.shift, list(zip(*body_inv))
+        rows = []
+        for acc_row in acc:
+            row = [_jet(sig, {key: value for key, value in terms.items() if key >> shift <= low}, den, low)
+                   for terms, den, low in acc_row]
+            rows.append([_scaled_sum(sig, zip(scalars, row)) for scalars in scalar_columns])
+        return SuperMatrix(sig, p, q, rows)
 
     def sdet(self) -> JetSuperFunction:
         """Superdeterminant det(A - B D^-1 C) * det(D)^-1 of an even matrix.
@@ -205,8 +200,8 @@ class SuperMatrix:
         self._require_even("sdet")
         a, b, c, d = self.blocks()
         if self.q == 0:
-            return self.det_even_block(a)
-        det_d_inv = self.det_even_block(d).invert()
+            return det_even(self.sig, a)
+        det_d_inv = det_even(self.sig, d).invert()
         if self.p == 0:
             return det_d_inv
         # column k of D^-1 holds cofactor(k, j) * det(D)^-1 in row j
@@ -218,17 +213,17 @@ class SuperMatrix:
             bd_row = [dot(self.sig, zip(b_row, column)) for column in d_inv_columns]
             schur.append([entry - dot(self.sig, zip(bd_row, column))
                           for entry, column in zip(a_row, c_columns)])
-        return self.det_even_block(schur) * det_d_inv
+        return det_even(self.sig, schur) * det_d_inv
 
     def sdet_via_a_block(self) -> JetSuperFunction:
         """Cross-check form det(A)*det(D - C A^-1 B)^-1; oracle for tests only."""
         self._require_even("sdet")
         a, b, c, d = self.blocks()
         if self.p == 0:
-            return self.det_even_block(d).invert()
+            return det_even(self.sig, d).invert()
         a_mat = SuperMatrix(self.sig, self.p, 0, a)
         a_inv = a_mat.inverse()
-        det_a = self.det_even_block(a)
+        det_a = det_even(self.sig, a)
         if self.q == 0:
             return det_a
         schur = []
@@ -241,7 +236,7 @@ class SuperMatrix:
                         acc = acc - c[i][k] * a_inv.rows[k][l] * b[l][j]
                 row.append(acc)
             schur.append(row)
-        return det_a * self.det_even_block(schur).invert()
+        return det_a * det_even(self.sig, schur).invert()
 
     def render(self) -> str:
         body = "; ".join("[" + ", ".join(e.render() for e in row) + "]" for row in self.rows)
@@ -286,16 +281,66 @@ def _cofactor(sig: RingSignature, grid, i: int, j: int) -> JetSuperFunction:
     return value if koszul(i + j) > 0 else -value
 
 
+def _index_rows(sig: RingSignature, rows):
+    """The right factor of a matrix product as ``(den, tag, index)``, with
+    ``den`` a common denominator of all entries.  Row l of ``index`` holds
+    ``(j, prec)`` of each nonzero entry (l, j), the largest of those
+    precisions, the row's terms over ``den`` in the buckets of
+    ``jetring._bucket_products``, column j in the low ``tag`` bits of each
+    key, and the row's merge-sign plans."""
+    shift, odd_mask = sig._layout.shift, sig._layout.odd_mask
+    tag = len(rows).bit_length()
+    den = lcm(*(e.den for row in rows for e in row if e.terms))
+    index = []
+    for row in rows:
+        columns = [(j, e.prec) for j, e in enumerate(row) if e.terms]
+        buckets: dict = {}
+        for j, _ in columns:
+            factor = den // row[j].den
+            for key, (re, im) in row[j].terms.items():
+                buckets.setdefault(key & odd_mask, []).append(
+                    (key >> shift, key << tag | j, re * factor, im * factor))
+        for bucket in buckets.values():
+            bucket.sort()
+        index.append((columns, max((prec for _, prec in columns), default=-1), buckets, {}))
+    return den, tag, index
+
+
+def _row_product(sig: RingSignature, row, index) -> list:
+    """The jets ``row`` times the right factor indexed by ``_index_rows``.
+
+    Entry j equals the ``dot`` of ``row`` and column j over the pairs whose
+    two factors are both nonzero: its precision is the least over those
+    pairs, or the cap when there are none.  One pass over the row's terms
+    sums the product row in one dict over one denominator, each key tagged
+    with its column; splitting it truncates each entry at its precision."""
+    den_right, tag, index = index
+    layout = sig._layout
+    precs = [sig.cap] * len(index)
+    live = []
+    for entry, (columns, top, buckets, plans) in zip(row, index):
+        if entry.terms and columns:
+            for j, prec in columns:
+                precs[j] = min(precs[j], entry.prec, prec)
+            live.append((entry, min(entry.prec, top), buckets, plans))
+    den = lcm(*(entry.den for entry, *_ in live))
+    acc: dict = {}
+    for entry, top, buckets, plans in live:
+        _bucket_products(acc, layout, entry.terms, den // entry.den, buckets, plans, top, tag)
+    entries = [{} for _ in precs]
+    cut, column = layout.shift + tag, (1 << tag) - 1
+    for key, value in acc.items():
+        j = key & column
+        if (value[0] or value[1]) and key >> cut <= precs[j]:
+            entries[j][key >> tag] = value
+    return [_canonical(sig, terms, den * den_right, prec) for terms, prec in zip(entries, precs)]
+
+
 def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
     """Sum of ``e.scale(s)`` over the ``(s, e)`` pairs where neither is zero,
-    with each scalar ``s`` given as its ``numerators``.
-
-    Scalars are central, so this equals the matrix-product entry with
-    the scalars as one-term jets of full precision, on either side.  Every
-    scaled entry is added into one dict over one common denominator, and
-    the sum is truncated to the least precision of the entries once, so it
-    equals the fold ``zero + e1.scale(s1) + ...`` term for term and in
-    ``prec``.
+    each scalar ``s`` given as its ``numerators``: the matrix-product entry
+    with the scalars as one-term jets of full precision, summed over one
+    denominator and truncated once to the least precision of the entries.
     """
     live = [(p, q, den, entry) for (p, q, den), entry in pairs if (p or q) and entry.terms]
     prec = min((entry.prec for *_, entry in live), default=sig.cap)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbv.bvcalc import DeltaOperator, pull_delta_table
-from superbv.charts import BerSection, Chart, Morphism
+from superbv.charts import BerSection, Chart, Morphism, vector_apply
 from superbv.connect import (
     BerConnection,
     Christoffel,
@@ -16,7 +16,6 @@ from superbv.connect import (
     ber_from_tangent,
     check_cy_consistency,
     check_sdet_transport,
-    covariant_derivative,
     curvature_ber,
     curvature_ber_mixed,
     is_flat,
@@ -28,6 +27,7 @@ from superbv.connect import (
     transport_ber,
     transport_tangent,
 )
+from superbv.grading import koszul
 from superbv.jetring import GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
@@ -54,6 +54,65 @@ def t_evaluate(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
         key = ((0,) + exps[1:], odd)
         terms[key] = terms.get(key, GR_ZERO) + coeff * GaussianRational.of(a ** exps[0])
     return JetSuperFunction(f.sig, terms, f.prec)
+
+
+# -- the Christoffel oracle ----------------------------------------------------------
+# The covariant derivative of one coefficient column along another, by the
+# Leibniz rule; the transformation law of the Christoffel symbols is checked
+# against it, and the program itself never calls it.
+
+
+def covariant_derivative(gamma: Christoffel, x_col, y_col):
+    """nabla_X Y for coefficient columns, via the Leibniz rule.
+
+    Columns use right components as everywhere else; internally both are
+    rewritten with left coefficients, where the covariant derivative reads
+
+        nabla_X (g . d_l) = X(g) . d_l + (-1)^(|X| |g|) g . nabla_X d_l
+    """
+    chart = gamma.chart
+    out_left = [chart.zero() for _ in range(chart.dim)]
+    for l in range(chart.dim):
+        comp = y_col[l]
+        if comp.is_zero():
+            continue
+        pl = chart.parity(l)
+        for part in comp.homogeneous_parts():
+            if part.is_zero():
+                continue
+            g = part if koszul(pl * part.parity()) > 0 else -part
+            # first Leibniz term
+            out_left[l] = out_left[l] + vector_apply(chart, x_col, g)
+            # second: g . nabla_X d_l with X expanded in left components
+            for k in range(chart.dim):
+                xk = x_col[k]
+                if xk.is_zero():
+                    continue
+                pk = chart.parity(k)
+                for xpart in xk.homogeneous_parts():
+                    if xpart.is_zero():
+                        continue
+                    xg = xpart if koszul(pk * xpart.parity()) > 0 else -xpart
+                    x_parity = (pk + xpart.parity()) % 2
+                    lead = g * xg
+                    if koszul(x_parity * part.parity()) < 0:
+                        lead = -lead
+                    for q in range(chart.dim):
+                        sym = gamma.left(q, k, l)
+                        if sym.is_zero():
+                            continue
+                        out_left[q] = out_left[q] + lead * sym
+    # back to right components
+    out = []
+    for q in range(chart.dim):
+        pq = chart.parity(q)
+        acc = chart.zero()
+        for part in out_left[q].homogeneous_parts():
+            if part.is_zero():
+                continue
+            acc = acc + (part if koszul(pq * part.parity()) > 0 else -part)
+        out.append(acc)
+    return out
 
 
 SIG11 = RingSignature(n=1, m=1, cap=4)

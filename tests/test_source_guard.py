@@ -52,6 +52,19 @@ def test_no_parity_branch_signs_in_charts_and_suites():
     assert offenders == []
 
 
+def test_no_parity_branch_signs_in_supermatrix_and_mvforms():
+    # the row kernel and the stored-term products take their signs from
+    # ``_Layout.merge_sign`` and ``koszul``
+    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in SOURCES if path.name in ("supermatrix.py", "mvforms.py")
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if branch.match(line)
+    ]
+    assert offenders == []
+
+
 def test_no_parity_signs_in_connect():
     # the branch above, and the conditional ``x if <exponent> % 2 == 0 else -x``
     branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")

@@ -11,9 +11,16 @@ from superbv.jetring import (
     NotAUnitError,
     RingSignature,
     dot,
+    numerators,
 )
 from superbv.samples import SampleGen
-from superbv.supermatrix import SuperMatrix, SuperMatrixError, _invert_scalar_matrix, det_even
+from superbv.supermatrix import (
+    SuperMatrix,
+    SuperMatrixError,
+    _invert_scalar_matrix,
+    _scaled_sum,
+    det_even,
+)
 from test_jetring import NO_SHRINK
 
 SIG = RingSignature(n=1, m=2, cap=3)
@@ -301,6 +308,51 @@ def series_sdet(m):
                       for entry, column in zip(a_row, c_columns)])
     return reference_det_even(m.sig, schur) * det_d.invert()
 
+
+# ``SuperMatrix.__mul__`` and ``SuperMatrix.inverse`` as they were before both
+# ran on the row kernel: each product entry one ``dot`` of a row and a column
+# over the pairs whose two factors are nonzero, and the geometric series
+# summed as ``SuperMatrix`` values, ``acc + power`` then ``power * remainder``.
+# The kernel must match them term for term, in ``den`` and in ``prec``, and
+# raise the same error with the same message.
+
+
+def dot_product(m, n):
+    columns = list(zip(*n.rows))
+    rows = [[dot(m.sig, [(a, b) for a, b in zip(row, column) if a.terms and b.terms])
+             for column in columns]
+            for row in m.rows]
+    return SuperMatrix(m.sig, m.p, m.q, rows)
+
+
+def series_inverse(m):
+    m._require_even("inversion")
+    try:
+        body_inv = [[numerators(x) for x in row]
+                    for row in _invert_scalar_matrix(m.body_matrix())]
+    except ZeroDivisionError:
+        raise NotAUnitError("body of the matrix is not invertible") from None
+    identity = SuperMatrix.identity(m.sig, m.p, m.q)
+    columns = list(zip(*m.rows))
+    remainder = identity - SuperMatrix(m.sig, m.p, m.q, [
+        [_scaled_sum(m.sig, zip(scalars, column)) for column in columns]
+        for scalars in body_inv])
+    acc = identity
+    power = remainder
+    prec = min((e.prec for row in m.rows for e in row), default=m.sig.cap)
+    limit = prec + 2 * m.sig.m + 2
+    steps = 0
+    while not all(e.is_zero() for row in power.rows for e in row):
+        acc = acc + power
+        power = dot_product(power, remainder)
+        steps += 1
+        if steps > limit:
+            raise SuperMatrixError("matrix geometric series failed to terminate")
+    scalar_columns = list(zip(*body_inv))
+    return SuperMatrix(m.sig, m.p, m.q, [
+        [_scaled_sum(m.sig, zip(scalars, row)) for scalars in scalar_columns]
+        for row in acc.rows])
+
 # -- strategies ---------------------------------------------------------------
 
 ORACLE_SIGS = [RingSignature(1, 1, 2), RingSignature(1, 2, 3), RingSignature(2, 1, 2),
@@ -474,3 +526,79 @@ class TestAgainstReference:
             assert (value.terms, value.den, value.prec) == (expected.terms, expected.den, expected.prec)
         else:
             assert value == expected
+
+
+# -- the row kernel against the dot-per-entry product and the matrix series ------
+
+# 1|1 to 3|3, and the two pure blocks
+KERNEL_SHAPES = [(p, q) for p in range(1, 4) for q in range(1, 4)] + [(0, 2), (2, 0)]
+
+
+@st.composite
+def kernel_matrices(draw, sig=None, shape=None):
+    """An even matrix with, in some draws, zero entries at drawn precisions.
+    Entries are truncated at drawn precisions below the cap.  In about one
+    draw in six the body is singular (its first row's body is cleared);
+    otherwise a drawn nonzero scalar is added on the diagonal, so that most
+    bodies are invertible and the series runs."""
+    zero_share = draw(st.sampled_from([0, 3]))
+    m = draw(even_matrices(sig, shape, KERNEL_SHAPES, zero_share))
+    rows = [row[:] for row in m.rows]
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        rows[0] = [e - JetSuperFunction.scalar(m.sig, e.body(), e.prec) for e in rows[0]]
+    else:
+        for i, row in enumerate(rows):
+            row[i] = row[i] + JetSuperFunction.scalar(m.sig, draw(scalars.filter(bool)), row[i].prec)
+    return SuperMatrix(m.sig, m.p, m.q, rows)
+
+
+def _packed(m):
+    return [[(e.terms, e.den, e.prec) for e in row] for row in m.rows]
+
+
+def _result(thunk):
+    try:
+        return "value", _packed(thunk())
+    except JetError as error:
+        return "error", (type(error), str(error))
+
+
+class TestRowKernel:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_product_matches_dot_product(self, data):
+        m = data.draw(kernel_matrices())
+        n = data.draw(kernel_matrices(m.sig, (m.p, m.q)))
+        assert _packed(m * n) == _packed(dot_product(m, n))
+        assert _packed(n * m) == _packed(dot_product(n, m))
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_inverse_matches_series_inverse(self, m):
+        assert _result(m.inverse) == _result(lambda: series_inverse(m))
+
+    def test_singular_body_error(self):
+        sig = ORACLE_SIGS[1]
+        th = JetSuperFunction.gen(sig, sig.th(0))
+        one = JetSuperFunction.one(sig)
+        m = SuperMatrix(sig, 1, 1, [[one, th], [th, JetSuperFunction.gen(sig, 0)]])
+        expected = ("error", (NotAUnitError, "body of the matrix is not invertible"))
+        assert _result(m.inverse) == _result(lambda: series_inverse(m)) == expected
+
+    def test_cancelled_power_entry_lowers_the_sum(self):
+        # R = 1 - M = [[z, z], [0, -z]] with R11 known only through degree 2:
+        # entry (0, 1) of R^2 is z*z + z*(-z), two live pairs that cancel to
+        # zero at prec 2 while R^2 goes on, so the sum's entry (0, 1), and
+        # the inverse's, is known only through degree 2 as well
+        sig = RingSignature(1, 1, 3)
+        one, z = JetSuperFunction.one(sig), JetSuperFunction.gen(sig, 0)
+        zero = JetSuperFunction.zero(sig)
+        m = SuperMatrix(sig, 2, 0, [[one - z, -z], [zero, (one + z).truncate(2)]])
+        remainder = SuperMatrix.identity(sig, 2, 0) - m
+        square = dot_product(remainder, remainder)
+        assert square.rows[0][1].is_zero() and square.rows[0][1].prec == 2
+        assert not square.rows[0][0].is_zero()
+        assert min(e.prec for e in remainder.rows[0]) == 3
+        inverse = m.inverse()
+        assert _packed(inverse) == _packed(series_inverse(m))
+        assert inverse.rows[0][1].prec == 2 and inverse.rows[0][1] == z.truncate(2)

@@ -40,6 +40,14 @@ from superbv.bvcalc import (
     pull_intform,
 )
 from superbv.charts import BerSection, Chart
+from superbv.connect import (
+    IntegrabilityError,
+    check_sdet_transport,
+    path_ring,
+    solve_delta_formula,
+    t_integrate,
+    t_truncate,
+)
 from superbv.dsl import parse
 from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, dot
 from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
@@ -49,6 +57,7 @@ from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
 ROOT = Path(__file__).resolve().parent.parent
 
 SCENARIO_HASHES = {
+    "cap_edge_1x2": "3c3bfdc68394628a4305b22965032cb47a85510ef598b9431f2d2d8e833583c5",
     "bv_1x3": "61a5d2be1a29fbdd4dc36834581f7460b052a84572dfd4e76a2063ff4c59cbad",
     "default": "399b01be921f725c06afbcb1d32ab12f106abf899a31c5df8a7f6ad5471c4e8f",
     "two_one": "9c14ba17d9c1cc8ad3fc3e64243dd714a4d289ea002e34784fd9187301649c34",
@@ -780,3 +789,157 @@ def _draw_lines(cap):
 @pytest.mark.parametrize("cap", (0, 1, 2, 6))
 def test_sample_draws(cap):
     assert _digest(_draw_lines(cap)) == DRAW_DIGESTS[cap]
+
+
+# -- the local BV formula, path integration and the inverse's body --------------------
+# Recorded from the monomial walk of ``solve_delta_formula`` that read every
+# coefficient of h * Delta(d/dxi^k) through ``coefficient()``, from
+# ``t_integrate`` and ``t_truncate`` on ``items()`` and ``GaussianRational``s,
+# and from a ``SuperMatrix.inverse`` that inverted the body as a grid of
+# ``GaussianRational``s.  The charts sit at the degree cap's edge, where a
+# solve that cut its sums at a table entry's precision loses terms.
+
+# (n, m, cap) -> first 16 hex digits of the sha256 of _delta_formula_lines(n, m, cap)
+DELTA_FORMULA_DIGESTS = {
+    (0, 2, 2): "3ede3395aab2570b", (0, 3, 3): "cd0687d4602c9834",
+    (1, 1, 1): "b3897ee1b6f33977", (1, 2, 2): "56533a2a8773d959",
+    (2, 0, 3): "7ad1119cfcabd873", (2, 2, 4): "95fa357e76da926d",
+}
+# first 16 hex digits of the sha256 of _path_integral_lines()
+PATH_INTEGRAL_DIGEST = "bb7df6b4b5d5c449"
+# first 16 hex digits of the sha256 of _inverse_body_lines()
+INVERSE_BODY_DIGEST = "636090cf5cc3a82c"
+
+
+def _odd_pair_section(chart, gen):
+    """A hand-built even unit on a chart without even directions:
+    1 + sum of sampled multiples of th_a th_b."""
+    h = chart.one()
+    for a in range(chart.dim):
+        for b in range(a + 1, chart.dim):
+            pair = chart.coordinate(a) * chart.coordinate(b)
+            h = h + pair.scale(gen.scalar(allow_zero=False))
+    return BerSection(chart, h)
+
+
+def _formula_tables(chart, gen):
+    """(label, table): the unit section, sampled sections, one below the cap
+    and one with a non-integer body, then tables with one entry perturbed:
+    by a coordinate term, doubled, by a barred generator and, where there
+    is an even direction, by a constant (which stays integrable)."""
+    sig = chart.sig
+    sections = [BerSection(chart, chart.one())]
+    for _ in range(3):
+        sections.append(_odd_pair_section(chart, gen) if sig.n == 0
+                        else gen.trivialising_section(chart))
+    h = sections[-1].coefficient
+    sections.append(BerSection(chart, h.truncate(max(0, sig.cap - 1))))
+    sections.append(BerSection(chart, h.scale(GaussianRational.of(Fraction(2, 3), 1))))
+    tables = [(f"section{k}", DeltaOperator.from_section(s)) for k, s in enumerate(sections)]
+    base = tables[1][1].values
+    last = chart.dim - 1
+    x0 = chart.coordinate(0)
+    perturbed = [
+        ("coordinate", last, x0 * chart.coordinate(last) if sig.n else x0),
+        ("double", last, base[last]),
+        ("barred", 0, JetSuperFunction.gen(sig, chart.bar_gen_id(0))),
+    ]
+    if sig.n:
+        perturbed.append(("constant", 0, JetSuperFunction.scalar(sig, GaussianRational.of(1, 2))))
+    for label, k, extra in perturbed:
+        values = list(base)
+        values[k] = values[k] + extra
+        tables.append((label, DeltaOperator(chart, tuple(values))))
+    return tables
+
+
+def _delta_formula_lines(n, m, cap):
+    chart = Chart(RingSignature(n, m, cap))
+    gen = SampleGen(7000 + 100 * n + 10 * m + cap)
+    lines = []
+    for label, table in _formula_tables(chart, gen):
+        lines += [_jet_line(f"{label} table {k}", v) for k, v in enumerate(table.values)]
+        try:
+            lines.append(_jet_line(f"{label} h", solve_delta_formula(table)))
+        except IntegrabilityError as error:
+            lines.append(f"{label} error {type(error).__name__} {error}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n,m,cap", sorted(DELTA_FORMULA_DIGESTS))
+def test_delta_formula(n, m, cap):
+    assert _digest(_delta_formula_lines(n, m, cap)) == DELTA_FORMULA_DIGESTS[(n, m, cap)]
+
+
+def _path_integral_lines():
+    """``t_integrate`` and ``t_truncate`` on sampled path-ring jets, full and
+    below the cap, with scaled copies that mix the denominators, then the
+    transport check that runs both."""
+    gen = SampleGen(7700)
+    third = GaussianRational.of(Fraction(1, 3), Fraction(-2, 5))
+    lines = []
+    for odd_params, order in ((0, 2), (1, 3), (2, 4), (3, 1)):
+        ring = path_ring(odd_params, order)
+        for k in range(4):
+            f = gen.jet(ring, max_terms=5, max_even_degree=min(3, ring.cap))
+            for label, x in ((f"{k}", f), (f"{k}t", f.truncate(ring.cap - 1 - k % 2)),
+                             (f"{k}s", f.scale(third))):
+                lines.append(_jet_line(f"{odd_params}|{order} {label} f", x))
+                lines.append(_jet_line(f"{odd_params}|{order} {label} int", t_integrate(x)))
+                lines.append(_jet_line(f"{odd_params}|{order} {label} int2",
+                                       t_integrate(t_integrate(x))))
+                lines += [_jet_line(f"{odd_params}|{order} {label} cut{o}", t_truncate(x, o))
+                          for o in range(ring.cap + 1)]
+    for n, m in ((1, 1), (2, 1), (1, 2)):
+        chart = Chart(RingSignature(n, m, 3))
+        for nilpotent in (True, False):
+            path = gen.formal_path(chart, odd_params=2, order=3)
+            gamma = gen.christoffel(chart, nilpotent=nilpotent)
+            lines.append(f"{n}|{m} {nilpotent} {check_sdet_transport(gamma, path, 3)}")
+    return "\n".join(lines)
+
+
+def test_path_integrals():
+    assert _digest(_path_integral_lines()) == PATH_INTEGRAL_DIGEST
+
+
+def _inverse_body_lines():
+    """``SuperMatrix.inverse`` of matrices whose bodies are the scalar grids
+    of ``_body_inverse_lines`` (zero pivots, non-integer and complex entries,
+    singular blocks) plus sampled nilpotent parts, over block shapes (p|q)."""
+    q = GaussianRational.of
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    blocks = {
+        1: [[[q(half, -third)]], [[q(0)]], [[q(3)]]],
+        2: [[[q(0), q(1)], [q(1), q(0)]], [[q(1), q(2)], [q(2), q(4)]],
+            [[q(third, 1), q(half)], [q(-half, third), q(Fraction(2, 7))]]],
+        3: [[[q(0), q(0, 1), q(1)], [q(2), q(1), q(0)], [q(1), q(0), q(half)]]],
+    }
+    gen = SampleGen(7800)
+    lines = []
+    for p, qq in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (0, 3), (2, 0)):
+        sig = RingSignature(max(p, 1), 2, 3)
+        for a_body in blocks.get(p, [[]]):
+            for d_body in blocks.get(qq, [[]]):
+                size = p + qq
+                rows = []
+                for i in range(size):
+                    row = []
+                    for j in range(size):
+                        parity = (i >= p) ^ (j >= p)
+                        entry = gen.jet(sig, max_terms=2, max_even_degree=1, parity=parity,
+                                        allow_constant=False)
+                        if not parity:
+                            body = a_body[i][j] if i < p else d_body[i - p][j - p]
+                            entry = entry + JetSuperFunction.scalar(sig, body)
+                        row.append(entry)
+                    rows.append(row)
+                mat = SuperMatrix(sig, p, qq, rows)
+                label = f"{p}|{qq}"
+                lines.append(_matrix_line(f"{label} m", mat))
+                lines.append(_guarded(f"{label} inv", mat.inverse, _matrix_line))
+    return "\n".join(lines)
+
+
+def test_inverse_bodies():
+    assert _digest(_inverse_body_lines()) == INVERSE_BODY_DIGEST

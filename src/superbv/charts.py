@@ -27,10 +27,9 @@ from .jetring import (
     RingSignature,
     dot,
     monomial_words,
-    numerators,
     substitute_many,
 )
-from .supermatrix import SuperMatrix
+from .supermatrix import SuperMatrix, _invert_scalar_matrix
 
 
 class ChartError(JetError):
@@ -123,7 +122,7 @@ class BerSection:
 
     def is_trivialising(self) -> bool:
         h = self.coefficient
-        return h.parity() == 0 and bool(h.body())
+        return h.parity() == 0 and 0 in h.terms
 
     def render(self) -> str:
         return f"({self.coefficient.render()}) [dxi]"
@@ -237,16 +236,6 @@ class Morphism:
             raise ChartError("chart mismatch in composition")
         return Morphism(other.source, self.target, other.apply_many(self.pullbacks))
 
-    def linear_parts(self):
-        """Constant matrices of the linear terms, (even block, odd block)."""
-        n, m = self.source.sig.n, self.source.sig.m
-        sig = self.source.sig
-        even = [[self.pullbacks[i].coefficient(_unit_exp(sig, sig.z(k)), ())
-                 for k in range(n)] for i in range(n)]
-        odd = [[self.pullbacks[n + i].coefficient((0,) * sig.even_count, (k,))
-                for k in range(m)] for i in range(m)]
-        return even, odd
-
     def invert(self) -> "Morphism":
         """Formal inverse morphism psi, from psi = L^-1 (y - N(psi)).
 
@@ -268,35 +257,40 @@ class Morphism:
 
     def _linear_split(self):
         """``(rows, nonlinear)``: L^-1 as one row per coordinate of
-        ``(k, numerators)`` over the coordinates k of its parity block, and N
-        as one source-ring jet per coordinate."""
-        from .supermatrix import _invert_scalar_matrix
+        ``(k, (re, im, den))`` over the coordinates k of its parity block,
+        and N as one source-ring jet per coordinate.
 
+        L is read off the packed terms, where z_k has the key
+        ``_Layout.steps[k]`` and th_k the key ``1 << k``; a degree past an
+        image's precision reads zero, as ``coefficient`` reads it."""
         source = self.source
         sig = source.sig
-        n = sig.n
-        for image in self.pullbacks:
-            if image.body():
-                raise ChartError("invertible morphisms must fix the base point")
-        even, odd = self.linear_parts()
+        n, m = sig.n, sig.m
+        if any(0 in image.terms for image in self.pullbacks):
+            raise ChartError("invertible morphisms must fix the base point")
+        shift, steps = sig._layout.shift, sig._layout.steps
+
+        def linear(image, key):
+            re, im = image.terms.get(key, (0, 0)) if key >> shift <= image.prec else (0, 0)
+            return re, im, image.den
+
+        blocks = [[linear(self.pullbacks[i], steps[k]) for k in range(n)] for i in range(n)]
+        blocks += [[linear(self.pullbacks[n + i], 1 << k) for k in range(m)] for i in range(m)]
         try:
-            even_inv = [[numerators(x) for x in row] for row in _invert_scalar_matrix(even)]
-            odd_inv = [[numerators(x) for x in row] for row in _invert_scalar_matrix(odd)]
+            even_inv = _invert_scalar_matrix(blocks[:n])
+            odd_inv = _invert_scalar_matrix(blocks[n:])
         except ZeroDivisionError:
             raise ChartError("linear part is not invertible") from None
         rows = [list(enumerate(row)) for row in even_inv]
         rows += [[(n + k, x) for k, x in enumerate(row)] for row in odd_inv]
 
-        linear_images = []
-        for i in range(source.dim):
+        nonlinear = []
+        for i, image in enumerate(self.pullbacks):
+            start = 0 if i < n else n
             acc = JetSuperFunction.zero(sig)
-            for k in range(source.dim):
-                if source.parity(k) != source.parity(i):
-                    continue
-                coeff = (even[i][k] if source.parity(i) == 0 else odd[i - n][k - n])
-                acc = acc + source.coordinate(k).scale(coeff)
-            linear_images.append(acc)
-        nonlinear = [self.pullbacks[i] - linear_images[i] for i in range(source.dim)]
+            for k, scalar in enumerate(blocks[i]):
+                acc = acc + source.coordinate(start + k).scale_numerators(*scalar)
+            nonlinear.append(image - acc)
         return rows, nonlinear
 
     def _needs_fixpoint(self, nonlinear) -> bool:
@@ -462,10 +456,6 @@ def _linear_solve(sig: RingSignature, rows, values) -> list:
             acc = acc + values[k].scale_numerators(*scalar)
         out.append(acc)
     return out
-
-
-def _unit_exp(sig: RingSignature, gid: int):
-    return tuple(1 if i == gid else 0 for i in range(sig.even_count))
 
 
 # -- vector and covector component calculus -------------------------------

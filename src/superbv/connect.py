@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .bvcalc import DeltaOperator
 from .charts import Chart, ChartError, Morphism
 from .grading import koszul
-from .jetring import GR_ONE, GaussianRational, JetSuperFunction, RingSignature, dot
+from .jetring import JetSuperFunction, RingSignature, _accumulate, _canonical, dot
 from .supermatrix import SuperMatrix
 
 
@@ -254,7 +254,18 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
     """Solve h . Delta(d/dxi^k) = d_k(h) for h with h(0) = 1.
 
     Cross-derivative consistency of the table is checked first; the solution
-    is then built degree by degree in the holomorphic subring and verified.
+    is then built weight by weight in the holomorphic subring and verified.
+    The weight of a monomial is its even degree plus its number of odd
+    generators; Euler's identity sum_k xi^k d_k h_w = w h_w and d_k h =
+    h Delta_k give
+
+        w h_w = sum_k xi^k sum_(u < w) h_u (Delta_k)_(w-1-u)
+
+    with one ``dot`` per direction and weight, truncated at the cap and not
+    at the precision of Delta_k: an even coordinate times a factor known
+    through p is known through p + 1.  An entry cut below the precision the
+    others imply reads as zero past its own, in every direction, so such a
+    table can fail the verification.
     """
     chart = delta.chart
     sig = chart.sig
@@ -270,74 +281,26 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
             if not lhs.agrees_with(rhs):
                 raise IntegrabilityError("cross-derivative consistency fails; no local solution")
 
-    n, m, cap = sig.n, sig.m, sig.cap
-    coeffs = {((0,) * sig.even_count, ()): GR_ONE}
-
-    def monomials_of_degree(total):
-        """Holomorphic monomials with even degree + odd count = total."""
-        out = []
-
-        def even_vectors(degree, length):
-            if length == 0:
-                if degree == 0:
-                    yield ()
-                return
-            for head in range(degree + 1):
-                for tail in even_vectors(degree - head, length - 1):
-                    yield (head,) + tail
-
-        for even_degree in range(0, min(total, cap) + 1):
-            odd_count = total - even_degree
-            if odd_count > m:
-                continue
-            for zexp in even_vectors(even_degree, n):
-                exps = zexp + (0,) * n
-                for subset in itertools.combinations(range(m), odd_count):
-                    out.append((exps, subset))
-        return out
-
-    def product_coeff(target_key, u: JetSuperFunction):
-        """Coefficient of target_key in h * u, with h known so far."""
-        texp, todd = target_key
-        acc = GaussianRational.of(0)
-        for (hexp, hodd), hc in coeffs.items():
-            uexp = tuple(t - h for t, h in zip(texp, hexp))
-            if any(e < 0 for e in uexp):
-                continue
-            hset = set(hodd)
-            if not hset.issubset(todd):
-                continue
-            uodd = tuple(sorted(set(todd) - hset))
-            uc = u.coefficient(uexp, uodd)
-            if not uc:
-                continue
-            # Koszul sign of merging h's odd part with u's odd part
-            inv = sum(1 for a in hodd for b in uodd if a > b)
-            value = hc * uc
-            if koszul(inv) < 0:
-                value = -value
-            acc = acc + value
-        return acc
-
-    for total in range(1, cap + m + 1):
-        for key in monomials_of_degree(total):
-            exps, odd = key
-            if sum(exps) > cap:
-                continue
-            first_even = next((i for i in range(n) if exps[i] > 0), None)
-            if first_even is not None:
-                u = delta.values[first_even]
-                lower = (exps[:first_even] + (exps[first_even] - 1,) + exps[first_even + 1:], odd)
-                value = product_coeff(lower, u) / GaussianRational.of(exps[first_even])
-            else:
-                j = odd[0]
-                u = delta.values[n + j]
-                lower = (exps, odd[1:])
-                value = product_coeff(lower, u)
-            if value:
-                coeffs[key] = value
-
-    h = JetSuperFunction(sig, coeffs)
+    layout, cap = sig._layout, sig.cap
+    shift, odd_mask = layout.shift, layout.odd_mask
+    # weight parts of each table entry, with the cap's precision
+    table = []
+    for value in delta.values:
+        parts: dict = {}
+        for key, numerators in value.terms.items():
+            parts.setdefault((key >> shift) + (key & odd_mask).bit_count(), {})[key] = numerators
+        table.append({w: _canonical(sig, terms, value.den, cap) for w, terms in parts.items()})
+    coordinates = [chart.coordinate(k) for k in range(chart.dim)]
+    h_parts = [JetSuperFunction.one(sig)]
+    for w in range(1, cap + sig.m + 1):
+        pairs = []
+        for coordinate, by_weight in zip(coordinates, table):
+            inner = [(part, by_weight[w - 1 - u]) for u, part in enumerate(h_parts)
+                     if w - 1 - u in by_weight]
+            if inner:
+                pairs.append((coordinate, dot(sig, inner)))
+        h_parts.append(dot(sig, pairs).scale_numerators(1, 0, w))
+    h = sum(h_parts[1:], h_parts[0])
     for k in range(chart.dim):
         if not chart.d(h, k).agrees_with(h * delta.values[k]):
             raise IntegrabilityError("solution verification failed")
@@ -376,7 +339,7 @@ class FormalPath:
                 raise ConnectionError("component lives in the wrong path ring")
             if not comp.is_zero() and comp.parity() != self.chart.parity(k):
                 raise ConnectionError(f"component {k} must have parity {self.chart.parity(k)}")
-            if comp.body():
+            if 0 in comp.terms:
                 raise ConnectionError("paths must start at the base point")
 
     def velocity(self, k: int) -> JetSuperFunction:
@@ -394,12 +357,18 @@ class FormalPath:
 
 
 def t_integrate(f: JetSuperFunction) -> JetSuperFunction:
-    """Integrate in the path parameter with zero constant term."""
-    terms = {}
-    for exps, odd, coeff in f.items():
-        new_exp = exps[0] + 1
-        terms[((new_exp,) + exps[1:], odd)] = coeff / GaussianRational.of(new_exp)
-    return JetSuperFunction(f.sig, terms, min(f.sig.cap, f.prec + 1))
+    """Integrate in the path parameter with zero constant term: each term
+    moves one step up in t and is divided by its new exponent, over one
+    denominator; terms past the new precision are dropped."""
+    layout = f.sig._layout
+    step, offset, mask, shift = layout.steps[0], layout.offsets[0], layout.field_mask, layout.shift
+    prec = min(f.sig.cap, f.prec + 1)
+    terms, den = {}, 1
+    for key, numerators in f.terms.items():
+        key += step
+        if key >> shift <= prec:
+            den = _accumulate(terms, den, {key: numerators}, f.den * (key >> offset & mask))
+    return _canonical(f.sig, terms, den, prec)
 
 
 def transport_generator(gamma: Christoffel, path: FormalPath) -> SuperMatrix:
@@ -467,8 +436,11 @@ def transport_ber(conn: BerConnection, path: FormalPath, order: int) -> JetSuper
 
 
 def t_truncate(f: JetSuperFunction, order: int) -> JetSuperFunction:
-    terms = {(exps, odd): c for exps, odd, c in f.items() if exps[0] <= order}
-    return JetSuperFunction(f.sig, terms, f.prec)
+    """The terms of ``f`` of degree at most ``order`` in the path parameter."""
+    layout = f.sig._layout
+    offset, mask = layout.offsets[0], layout.field_mask
+    terms = {key: value for key, value in f.terms.items() if key >> offset & mask <= order}
+    return _canonical(f.sig, terms, f.den, f.prec)
 
 
 def check_sdet_transport(gamma: Christoffel, path: FormalPath, order: int) -> dict:

@@ -184,6 +184,12 @@ def numerators(value: GaussianRational):
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
+def _lowest(re: int, im: int, den: int):
+    """``(re, im, den)`` with the common factor of all three divided out."""
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
 class _Layout:
     """Packed monomial keys for one signature.
 
@@ -667,10 +673,12 @@ class JetSuperFunction:
         """
         if self.parity() != 0:
             raise JetError("only even superfunctions can be inverted")
-        body = self.body()
-        if not body:
+        body = self.terms.get(0)
+        if body is None:
             raise NotAUnitError("body constant vanishes, element is not a unit")
-        inverse = numerators(GR_ONE / body)
+        # the inverse of (re + im*i) / den is den * (re - im*i) / (re^2 + im^2)
+        re, im = body
+        inverse = _lowest(self.den * re, -self.den * im, re * re + im * im)
         one = JetSuperFunction.one(self.sig, self.prec)
         rest = one - self.scale_numerators(*inverse)
         acc = one
@@ -724,7 +732,7 @@ class JetSuperFunction:
                 )
             min_prec = min(min_prec, image.prec)
             if want == 0:
-                if image.body():
+                if 0 in image.terms:
                     # truncation noise of the argument reaches arbitrarily low
                     # even degree through a constant offset
                     deficit = max(deficit, min_prec)

@@ -17,6 +17,7 @@ from .charts import BerSection, Chart, Morphism
 from .grading import koszul
 from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, dot
 from .mvforms import MultiVectorForm, add_terms
+from .supermatrix import _invert_scalar_matrix
 
 
 class SampleGen:
@@ -194,7 +195,7 @@ class SampleGen:
         while True:
             even_lin = [[self._below(3) - 1 + (i == k) for k in range(n)] for i in range(n)]
             odd_lin = [[self._below(3) - 1 + (i == k) for k in range(m)] for i in range(m)]
-            if _det(even_lin) and _det(odd_lin):
+            if not (_singular(even_lin) or _singular(odd_lin)):
                 break
         coords = [chart.coordinate(k) for k in range(chart.dim)]
 
@@ -323,20 +324,11 @@ class SampleGen:
         return h, gamma, table
 
 
-def _det(grid) -> int:
-    """Determinant of a square integer grid by fraction-free (Bareiss)
-    elimination, in which every division is exact; a zero pivot is swapped
-    with a row below it."""
-    rows, sign, previous = [list(row) for row in grid], 1, 1
-    for k in range(len(rows) - 1):
-        below = next((i for i in range(k, len(rows)) if rows[i][k]), None)
-        if below is None:
-            return 0
-        if below != k:
-            rows[k], rows[below], sign = rows[below], rows[k], -sign
-        top = rows[k]
-        for row in rows[k + 1:]:
-            row[k + 1:] = [(x * top[k] - row[k] * y) // previous
-                           for x, y in zip(row[k + 1:], top[k + 1:])]
-        previous = top[k]
-    return sign * rows[-1][-1] if rows else 1
+def _singular(grid) -> bool:
+    """Whether a square integer grid is singular, asked of the fraction-free
+    elimination in ``supermatrix._invert_scalar_matrix``."""
+    try:
+        _invert_scalar_matrix([[(c, 0, 1) for c in row] for row in grid])
+    except ZeroDivisionError:
+        return True
+    return False

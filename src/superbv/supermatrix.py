@@ -10,12 +10,10 @@ entries anticommute.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
 
 from .grading import ODD, koszul, reorder_sign
 from .jetring import (
-    GaussianRational,
     JetError,
     JetSuperFunction,
     NotAUnitError,
@@ -24,8 +22,8 @@ from .jetring import (
     _bucket_products,
     _canonical,
     _jet,
+    _lowest,
     dot,
-    numerators,
 )
 
 
@@ -131,10 +129,6 @@ class SuperMatrix:
             acc = acc + entry if koszul(self.index_parity(i)) > 0 else acc - entry
         return acc
 
-    def body_matrix(self):
-        """Constant part of every entry, as a grid of GaussianRationals."""
-        return [[e.body() for e in row] for row in self.rows]
-
     def inverse(self) -> "SuperMatrix":
         """Two-sided inverse up to the working precision.
 
@@ -151,8 +145,8 @@ class SuperMatrix:
         self._require_even("inversion")
         sig, p, q, size = self.sig, self.p, self.q, self.size
         try:
-            body_inv = [[numerators(x) for x in row]
-                        for row in _invert_scalar_matrix(self.body_matrix())]
+            body_inv = _invert_scalar_matrix([[(*e.terms.get(0, (0, 0)), e.den) for e in row]
+                                              for row in self.rows])
         except ZeroDivisionError:
             raise NotAUnitError("body of the matrix is not invertible") from None
         columns = list(zip(*self.rows))
@@ -338,7 +332,7 @@ def _row_product(sig: RingSignature, row, index) -> list:
 
 def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
     """Sum of ``e.scale(s)`` over the ``(s, e)`` pairs where neither is zero,
-    each scalar ``s`` given as its ``numerators``: the matrix-product entry
+    each scalar ``s`` given as ``(re, im, den)``: the matrix-product entry
     with the scalars as one-term jets of full precision, summed over one
     denominator and truncated once to the least precision of the entries.
     """
@@ -361,20 +355,24 @@ def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
 
 
 def _invert_scalar_matrix(grid):
-    """Exact inverse of a square grid of GaussianRationals.
+    """Exact inverse of a square grid of scalars, each ``(re, im, den)`` for
+    ``(re + im*i) / den``.
 
-    Writes the grid as N / den with Gaussian-integer N and runs Bareiss's
+    Writes the grid, each entry in lowest terms, as N / den with
+    Gaussian-integer N and one den, and runs Bareiss's
     fraction-free Gauss-Jordan elimination on [N | 1]: step k replaces
     every entry x of a row r != k by (p*x - f*y) / p_prev, where p is the
     pivot, f = N[r][k], y the pivot row's entry and p_prev the previous
     pivot, and the division is exact (Sylvester's identity).  The left
-    block ends as d * 1 with d = +-det N, so the inverse is den * right / d.
-    Raises ZeroDivisionError when the grid is singular.
+    block ends as d * 1 with d = +-det N, so the inverse is den * right / d,
+    each entry returned as ``(re, im, den)`` in lowest terms.  Raises
+    ZeroDivisionError when the grid is singular.
     """
     size = len(grid)
-    den = lcm(*(part.denominator for row in grid for x in row for part in (x.re, x.im)))
-    work = [[(x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
-             for x in row] + [(int(i == j), 0) for j in range(size)]
+    grid = [[_lowest(*x) for x in row] for row in grid]
+    den = lcm(*(d for row in grid for _, _, d in row))
+    work = [[(re * (den // d), im * (den // d)) for re, im, d in row]
+            + [(int(i == j), 0) for j in range(size)]
             for i, row in enumerate(grid)]
     prev = (1, 0)
     for col in range(size):
@@ -401,7 +399,6 @@ def _invert_scalar_matrix(grid):
     # every diagonal entry of the left block is now prev; divide by it
     dr, di = prev
     norm = dr * dr + di * di
-    return [[GaussianRational(Fraction(den * (xr * dr + xi * di), norm),
-                              Fraction(den * (xi * dr - xr * di), norm))
+    return [[_lowest(den * (xr * dr + xi * di), den * (xi * dr - xr * di), norm)
              for xr, xi in line[size:]]
             for line in work]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +29,7 @@ from superbv.connect import (
     transport_tangent,
 )
 from superbv.grading import koszul
-from superbv.jetring import GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
+from superbv.jetring import GR_ONE, GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
 from test_charts import pull_vector
@@ -251,6 +252,198 @@ class TestChristoffelKeys:
         expected = {key: full[key] for key in set(keys) if key in full}
         assert {key: (x.terms, x.den, x.prec) for key, x in part.items()} == \
             {key: (x.terms, x.den, x.prec) for key, x in expected.items()}
+
+
+# -- oracles for the local BV formula and the path helpers ---------------------------
+# The coefficient walk that solved h . Delta(d/dxi^k) = d_k(h) one monomial at
+# a time, reading h * Delta(d/dxi^k) through ``coefficient()``, and
+# ``t_integrate`` and ``t_truncate`` on ``items()``: the package's code before
+# the weight solve and the packed-key helpers, kept as their oracles.
+
+
+def walk_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
+    """``solve_delta_formula`` monomial by monomial: the coefficient of a
+    monomial with an even exponent comes from its first even direction i,
+    [h Delta_i] at the monomial without one z_i, over the exponent of z_i;
+    that of a pure odd monomial from its first odd generator."""
+    chart = delta.chart
+    sig = chart.sig
+    for value in delta.values:
+        if not value.is_holomorphic():
+            raise IntegrabilityError("table entries must be holomorphic")
+    for l in range(chart.dim):
+        for k in range(chart.dim):
+            lhs = chart.d(delta.values[k], l)
+            rhs = chart.d(delta.values[l], k)
+            if koszul(chart.parity(l) * chart.parity(k)) < 0:
+                rhs = -rhs
+            if not lhs.agrees_with(rhs):
+                raise IntegrabilityError("cross-derivative consistency fails; no local solution")
+
+    n, m, cap = sig.n, sig.m, sig.cap
+    coeffs = {((0,) * sig.even_count, ()): GR_ONE}
+
+    def even_vectors(degree, length):
+        if length == 0:
+            if degree == 0:
+                yield ()
+            return
+        for head in range(degree + 1):
+            for tail in even_vectors(degree - head, length - 1):
+                yield (head,) + tail
+
+    def monomials_of_degree(total):
+        """Holomorphic monomials with even degree + odd count = total."""
+        for even_degree in range(0, min(total, cap) + 1):
+            odd_count = total - even_degree
+            if odd_count > m:
+                continue
+            for zexp in even_vectors(even_degree, n):
+                for subset in itertools.combinations(range(m), odd_count):
+                    yield zexp + (0,) * n, subset
+
+    def product_coeff(target_key, u: JetSuperFunction):
+        """Coefficient of target_key in h * u, with h known so far."""
+        texp, todd = target_key
+        acc = GaussianRational.of(0)
+        for (hexp, hodd), hc in coeffs.items():
+            uexp = tuple(t - e for t, e in zip(texp, hexp))
+            if any(e < 0 for e in uexp) or not set(hodd).issubset(todd):
+                continue
+            uodd = tuple(sorted(set(todd) - set(hodd)))
+            uc = u.coefficient(uexp, uodd)
+            if not uc:
+                continue
+            # Koszul sign of merging h's odd part with u's odd part
+            value = hc * uc
+            acc = acc + (value if koszul(sum(a > b for a in hodd for b in uodd)) > 0 else -value)
+        return acc
+
+    for total in range(1, cap + m + 1):
+        for exps, odd in monomials_of_degree(total):
+            first_even = next((i for i in range(n) if exps[i] > 0), None)
+            if first_even is not None:
+                lower = exps[:first_even] + (exps[first_even] - 1,) + exps[first_even + 1:]
+                value = (product_coeff((lower, odd), delta.values[first_even])
+                         / GaussianRational.of(exps[first_even]))
+            else:
+                value = product_coeff((exps, odd[1:]), delta.values[n + odd[0]])
+            if value:
+                coeffs[(exps, odd)] = value
+
+    h = JetSuperFunction(sig, coeffs)
+    for k in range(chart.dim):
+        if not chart.d(h, k).agrees_with(h * delta.values[k]):
+            raise IntegrabilityError("solution verification failed")
+    return h
+
+
+def items_t_integrate(f: JetSuperFunction) -> JetSuperFunction:
+    terms = {}
+    for exps, odd, coeff in f.items():
+        new_exp = exps[0] + 1
+        terms[((new_exp,) + exps[1:], odd)] = coeff / GaussianRational.of(new_exp)
+    return JetSuperFunction(f.sig, terms, min(f.sig.cap, f.prec + 1))
+
+
+def items_t_truncate(f: JetSuperFunction, order: int) -> JetSuperFunction:
+    terms = {(exps, odd): c for exps, odd, c in f.items() if exps[0] <= order}
+    return JetSuperFunction(f.sig, terms, f.prec)
+
+
+# charts at the degree cap's edge, and charts without even directions
+FORMULA_SIGS = [RingSignature(*shape) for shape in
+                ((1, 1, 1), (1, 2, 2), (2, 2, 4), (0, 2, 2), (0, 3, 3), (2, 0, 3), (1, 3, 3))]
+
+
+def odd_pair_unit(chart: Chart, gen: SampleGen) -> JetSuperFunction:
+    """An even unit on a chart without even directions: 1 plus sampled
+    multiples of each th_a th_b."""
+    h = chart.one()
+    for a in range(chart.dim):
+        for b in range(a + 1, chart.dim):
+            h = h + (chart.coordinate(a) * chart.coordinate(b)).scale(gen.scalar(allow_zero=False))
+    return h
+
+
+@st.composite
+def formula_tables(draw):
+    """The table of a sampled section (hand-built without even directions),
+    maybe below the cap or with a non-integer body, maybe with one entry
+    perturbed by a sampled jet of its parity, holomorphic or not."""
+    sig = draw(st.sampled_from(FORMULA_SIGS))
+    chart = Chart(sig)
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    h = gen.unit(sig) if sig.n else odd_pair_unit(chart, gen)
+    if draw(st.booleans()):
+        h = h.truncate(draw(st.integers(min_value=0, max_value=sig.cap)))
+    if draw(st.booleans()):
+        h = h.scale(GaussianRational.of(Fraction(2, 3), 1))
+    values = list(DeltaOperator.from_section(BerSection(chart, h)).values)
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=chart.dim - 1))
+        values[k] = values[k] + gen.jet(sig, max_terms=2, max_even_degree=min(2, sig.n),
+                                        parity=chart.parity(k), holomorphic=draw(st.booleans()))
+    return DeltaOperator(chart, tuple(values))
+
+
+def solve_outcome(solve, table):
+    try:
+        h = solve(table)
+    except IntegrabilityError as error:
+        return "error", type(error), str(error)
+    return "value", h.terms, h.den, h.prec
+
+
+@st.composite
+def path_jets(draw):
+    """A sampled jet of a path ring, maybe below the cap or scaled."""
+    ring = path_ring(draw(st.integers(min_value=0, max_value=3)),
+                     draw(st.integers(min_value=0, max_value=4)))
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    f = gen.jet(ring, max_terms=5, max_even_degree=min(3, ring.cap))
+    if draw(st.booleans()):
+        f = f.truncate(draw(st.integers(min_value=0, max_value=ring.cap)))
+    if draw(st.booleans()):
+        f = f.scale(GaussianRational.of(Fraction(1, 3), Fraction(-2, 5)))
+    return f
+
+
+class TestAgainstOracles:
+    @given(formula_tables())
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_weight_solve_matches_the_walk(self, table):
+        assert solve_outcome(solve_delta_formula, table) == solve_outcome(walk_delta_formula, table)
+
+    def test_perturbed_tables_raise_as_the_walk(self):
+        # one entry perturbed: by a coordinate term, doubled, by a barred generator
+        seen = set()
+        for sig in FORMULA_SIGS:
+            chart = Chart(sig)
+            gen = SampleGen(31)
+            h = gen.unit(sig) if sig.n else odd_pair_unit(chart, gen)
+            base = DeltaOperator.from_section(BerSection(chart, h)).values
+            last, x0 = chart.dim - 1, chart.coordinate(0)
+            for k, extra in ((last, x0 * chart.coordinate(last) if sig.n else x0),
+                             (last, base[last]), (0, JetSuperFunction.gen(sig, chart.bar_gen_id(0)))):
+                values = list(base)
+                values[k] = values[k] + extra
+                table = DeltaOperator(chart, tuple(values))
+                outcome = solve_outcome(solve_delta_formula, table)
+                assert outcome == solve_outcome(walk_delta_formula, table)
+                seen.add(outcome[2] if outcome[0] == "error" else None)
+        assert seen >= {"table entries must be holomorphic",
+                        "cross-derivative consistency fails; no local solution"}
+
+    @given(path_jets())
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_path_helpers_match_items(self, f):
+        def packed(x):
+            return x.terms, x.den, x.prec
+
+        assert packed(t_integrate(f)) == packed(items_t_integrate(f))
+        for order in range(f.sig.cap + 1):
+            assert packed(t_truncate(f, order)) == packed(items_t_truncate(f, order))
 
 
 class TestDeltaFormula:

@@ -49,10 +49,18 @@ from superbv.connect import (
     t_truncate,
 )
 from superbv.dsl import parse
-from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, dot
+from superbv.jetring import (
+    GaussianRational,
+    JetError,
+    JetSuperFunction,
+    RingSignature,
+    dot,
+    numerators,
+)
 from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
+from test_connect import odd_pair_unit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -291,7 +299,7 @@ def _matrix_lines(p, q, cap):
     lines = [_matrix_line("m", m), _matrix_line("n", n),
              _matrix_line("m*n", m * n), _matrix_line("n*m", n * m),
              _matrix_line("(m*n)*m", (m * n) * m)]
-    body = m.body_matrix()
+    body = [[e.body() for e in row] for row in m.rows]
     lines.append("body_inv " + _scalar_grid_text(body))
     for label, mat in (("m", m), ("n", n), ("m*n", m * n)):
         lines.append(_guarded(f"inv {label}", mat.inverse, _matrix_line))
@@ -305,11 +313,14 @@ def _matrix_lines(p, q, cap):
 
 
 def _scalar_grid_text(grid):
+    """The inverse of a grid of ``GaussianRational``s, each entry printed as
+    its two ``Fraction``s."""
     try:
-        inverse = _invert_scalar_matrix(grid)
+        inverse = _invert_scalar_matrix([[numerators(x) for x in row] for row in grid])
     except ZeroDivisionError:
         return "singular"
-    return "[" + "; ".join(", ".join(f"{x.re}|{x.im}" for x in row) for row in inverse) + "]"
+    return "[" + "; ".join(", ".join(f"{Fraction(re, den)}|{Fraction(im, den)}" for re, im, den in row)
+                           for row in inverse) + "]"
 
 
 def _body_inverse_lines():
@@ -811,17 +822,6 @@ PATH_INTEGRAL_DIGEST = "bb7df6b4b5d5c449"
 INVERSE_BODY_DIGEST = "636090cf5cc3a82c"
 
 
-def _odd_pair_section(chart, gen):
-    """A hand-built even unit on a chart without even directions:
-    1 + sum of sampled multiples of th_a th_b."""
-    h = chart.one()
-    for a in range(chart.dim):
-        for b in range(a + 1, chart.dim):
-            pair = chart.coordinate(a) * chart.coordinate(b)
-            h = h + pair.scale(gen.scalar(allow_zero=False))
-    return BerSection(chart, h)
-
-
 def _formula_tables(chart, gen):
     """(label, table): the unit section, sampled sections, one below the cap
     and one with a non-integer body, then tables with one entry perturbed:
@@ -830,8 +830,8 @@ def _formula_tables(chart, gen):
     sig = chart.sig
     sections = [BerSection(chart, chart.one())]
     for _ in range(3):
-        sections.append(_odd_pair_section(chart, gen) if sig.n == 0
-                        else gen.trivialising_section(chart))
+        sections.append(gen.trivialising_section(chart) if sig.n
+                        else BerSection(chart, odd_pair_unit(chart, gen)))
     h = sections[-1].coefficient
     sections.append(BerSection(chart, h.truncate(max(0, sig.cap - 1))))
     sections.append(BerSection(chart, h.scale(GaussianRational.of(Fraction(2, 3), 1))))

@@ -26,7 +26,7 @@ from superbv.bvcalc import DeltaOperator
 from superbv.grading import ODD, koszul, reorder_sign
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature, dot
 from superbv.mvforms import MultiVectorForm, add_terms
-from superbv.samples import SampleGen, _det
+from superbv.samples import SampleGen, _singular
 
 
 class RandomPySampleGen:
@@ -124,7 +124,7 @@ class RandomPySampleGen:
         while True:
             even_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(n)] for i in range(n)]
             odd_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(m)] for i in range(m)]
-            if _det(even_lin) and _det(odd_lin):
+            if not (_singular(even_lin) or _singular(odd_lin)):
                 break
         coords = [chart.coordinate(k) for k in range(chart.dim)]
 
@@ -335,7 +335,7 @@ class TestStream:
 
 def leibniz_det(grid) -> int:
     """The determinant as a signed sum over all permutations: oracle for
-    ``_det``, and what ``invertible_morphism`` used before (m! terms)."""
+    ``_singular``, and what ``invertible_morphism`` used first (m! terms)."""
     acc = 0
     for perm in itertools.permutations(range(len(grid))):
         prod = reorder_sign([ODD] * len(perm), perm)
@@ -356,24 +356,29 @@ def integer_grids(draw):
 
 
 class TestDeterminant:
+    """``invertible_morphism`` draws a linear block again exactly when its
+    determinant vanishes."""
+
     @given(integer_grids())
     @settings(max_examples=300, deadline=None, derandomize=True, phases=[Phase.generate])
     def test_matches_leibniz(self, grid):
-        assert _det(grid) == leibniz_det(grid)
+        assert _singular(grid) == (leibniz_det(grid) == 0)
 
     def test_pivot_swaps_and_zero_columns(self):
-        assert _det([]) == 1
-        assert _det([[0, 1], [1, 0]]) == -1
-        assert _det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
-        assert _det([[1, 0, 2], [3, 0, 1], [2, 0, 5]]) == 0
+        for grid in ([], [[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 3], [4, 0, 0]],
+                     [[1, 0, 2], [3, 0, 1], [2, 0, 5]]):
+            assert _singular(grid) == (leibniz_det(grid) == 0)
+        assert _singular([[1, 0, 2], [3, 0, 1], [2, 0, 5]])
+        assert not _singular([])
 
     def test_eleven_by_eleven_is_fast(self):
-        # an upper triangular grid with its rows reversed: 55 transpositions
-        # from the product of its diagonal, with zero pivots to swap away
+        # an upper triangular grid with its rows reversed, with zero pivots to
+        # swap away: its determinant is -(2 ** 5), and 0 once a row repeats
         upper = [[0] * i + [1 + i % 2] + [(i + k) % 3 - 1 for k in range(i + 1, 11)]
                  for i in range(11)]
         with _deadline(5):
-            assert _det(upper[::-1]) == -(2 ** 5)
+            assert not _singular(upper[::-1])
+            assert _singular(upper[::-1][:10] + [upper[-1]])
 
 
 class TestPrimitive:

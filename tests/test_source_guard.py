@@ -1,9 +1,11 @@
-"""Source guards for the one-sign-source and one-accumulator rules.
+"""Source guards for the one-sign-source, one-accumulator and packed-scalar
+rules.
 
 Every Koszul sign is ``grading.koszul`` of an exponent (or one of the
-``grading`` functions built on it), and every sum of sparse section terms
-goes through ``mvforms.add_terms``.  No linter enforces this, so these tests
-read the package source and fail when a hand-written copy reappears.
+``grading`` functions built on it), every sum of sparse section terms goes
+through ``mvforms.add_terms``, and the layers above the jet ring compute on
+packed integer numerators.  No linter enforces this, so these tests read the
+package source and fail when a hand-written copy reappears.
 """
 
 import inspect
@@ -82,3 +84,16 @@ def test_cancelling_sums_only_in_add_terms():
     total = sum(path.read_text().count(pattern) for path in SOURCES)
     assert inspect.getsource(mvforms.add_terms).count(pattern) == 1
     assert total == 1
+
+
+def test_no_gaussian_rationals_above_the_jet_ring():
+    # GaussianRational and Fraction stay at jetring's boundary, in dsl and in
+    # SampleGen.scalar; these layers read and build packed numerators
+    scalar = re.compile(r"GaussianRational|Fraction|\.coefficient\(|\bnumerators\(")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in SOURCES if path.name in ("supermatrix.py", "charts.py", "connect.py", "suites.py")
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if scalar.search(line)
+    ]
+    assert offenders == []

@@ -191,6 +191,17 @@ def test_det_even_helper():
 # summed one (k, l) term at a time.
 
 
+def body_matrix(m):
+    """Constant part of every entry, as a grid of GaussianRationals."""
+    return [[e.body() for e in row] for row in m.rows]
+
+
+def invert_scalar_grid(grid):
+    """``_invert_scalar_matrix`` on a grid of GaussianRationals, read and
+    returned as ``numerators``."""
+    return _invert_scalar_matrix([[numerators(x) for x in row] for row in grid])
+
+
 def reference_invert_scalar_matrix(grid):
     size = len(grid)
     work = [[grid[i][j] for j in range(size)] for i in range(size)]
@@ -250,7 +261,7 @@ def reference_mul(m, n):
 
 def reference_inverse(m):
     try:
-        body_inv = reference_invert_scalar_matrix(m.body_matrix())
+        body_inv = reference_invert_scalar_matrix(body_matrix(m))
     except ZeroDivisionError:
         raise NotAUnitError("body of the matrix is not invertible") from None
     b_inv = SuperMatrix(m.sig, m.p, m.q, [[JetSuperFunction.scalar(m.sig, x) for x in row]
@@ -328,8 +339,7 @@ def dot_product(m, n):
 def series_inverse(m):
     m._require_even("inversion")
     try:
-        body_inv = [[numerators(x) for x in row]
-                    for row in _invert_scalar_matrix(m.body_matrix())]
+        body_inv = invert_scalar_grid(body_matrix(m))
     except ZeroDivisionError:
         raise NotAUnitError("body of the matrix is not invertible") from None
     identity = SuperMatrix.identity(m.sig, m.p, m.q)
@@ -443,9 +453,10 @@ def _check_body_inverse(grid):
         expected = reference_invert_scalar_matrix(grid)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            _invert_scalar_matrix(grid)
+            invert_scalar_grid(grid)
         return
-    assert _invert_scalar_matrix(grid) == expected
+    # every entry in lowest terms, as ``numerators`` gives it
+    assert invert_scalar_grid(grid) == [[numerators(x) for x in row] for row in expected]
 
 
 class TestAgainstReference:

@@ -213,8 +213,28 @@ class Morphism:
             [image.conjugate() for image in self.pullbacks], self.source.dbar))
 
     def differential_inverse(self) -> SuperMatrix:
-        """Inverse of the graded Jacobian."""
-        return self._cached("differential_inverse", lambda: self.differential().inverse())
+        """Inverse of the graded Jacobian.
+
+        For a morphism built by ``invert``, the chain rule gives it exactly
+        as (dphi) o self, from the Jacobian dphi of the forward map that
+        ``_build_inverse`` stored: one ``apply_many`` over its entries, which
+        ``SuperMatrix.inverse`` takes in place of its series wherever that
+        gives the same entries.
+        """
+        return self._cached("differential_inverse", self._build_differential_inverse)
+
+    def _build_differential_inverse(self) -> SuperMatrix:
+        forward = self._memo.get("forward_differential")
+        if forward is None:
+            return self.differential().inverse()
+
+        def chained() -> SuperMatrix:
+            entries = iter(self.apply_many(e for row in forward.rows for e in row))
+            size = forward.size
+            return SuperMatrix(self.source.sig, forward.p, forward.q,
+                               [[next(entries) for _ in range(size)] for _ in range(size)])
+
+        return self.differential().inverse(chained)
 
     def _jacobian(self, images, derivative) -> SuperMatrix:
         dim = self.source.dim
@@ -253,7 +273,10 @@ class Morphism:
             pullbacks = self._fixpoint_inverse(rows, nonlinear)
         else:
             pullbacks = self._weight_inverse(rows, nonlinear)
-        return Morphism(self.target, self.source, pullbacks)
+        inverse = Morphism(self.target, self.source, pullbacks)
+        # the matrix, not self: a back-reference would make a reference cycle
+        inverse._memo["forward_differential"] = self.differential()
+        return inverse
 
     def _linear_split(self):
         """``(rows, nonlinear)``: L^-1 as one row per coordinate of

@@ -17,7 +17,6 @@ from .charts import BerSection, Chart, Morphism
 from .grading import koszul
 from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, dot
 from .mvforms import MultiVectorForm, add_terms
-from .supermatrix import _invert_scalar_matrix
 
 
 class SampleGen:
@@ -325,10 +324,21 @@ class SampleGen:
 
 
 def _singular(grid) -> bool:
-    """Whether a square integer grid is singular, asked of the fraction-free
-    elimination in ``supermatrix._invert_scalar_matrix``."""
-    try:
-        _invert_scalar_matrix([[(c, 0, 1) for c in row] for row in grid])
-    except ZeroDivisionError:
-        return True
-    return False
+    """Whether a square integer grid has determinant zero, by Bareiss's
+    fraction-free elimination: step k replaces each entry x right of and
+    below the pivot p by (p*x - f*y) / p_prev, with f the row's entry in
+    column k, y the pivot row's and p_prev the previous pivot, an exact
+    division (Sylvester's identity).  A zero pivot is swapped with a row
+    below it; the last pivot is the determinant up to sign."""
+    rows, previous = [list(row) for row in grid], 1
+    for k in range(len(rows) - 1):
+        below = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if below is None:
+            return True
+        rows[k], rows[below] = rows[below], rows[k]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [(x * top[k] - row[k] * y) // previous
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        previous = top[k]
+    return bool(rows) and rows[-1][-1] == 0

@@ -10,6 +10,7 @@ entries anticommute.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from math import lcm
 
 from .grading import ODD, koszul, reorder_sign
@@ -129,7 +130,7 @@ class SuperMatrix:
             acc = acc + entry if koszul(self.index_parity(i)) > 0 else acc - entry
         return acc
 
-    def inverse(self) -> "SuperMatrix":
+    def inverse(self, exact: Callable[[], SuperMatrix] | None = None) -> "SuperMatrix":
         """Two-sided inverse up to the working precision.
 
         Splits off the constant body B and inverts it exactly, then sums the
@@ -141,23 +142,49 @@ class SuperMatrix:
         sums whose precision is the least of every added entry, zero entries
         included, as the fold of jet sums ``1 + R + R^2 + ...`` gives; the
         sums become jets only once the series has stopped.
+
+        ``exact``, when given, is a thunk returning an exact inverse T of
+        this matrix, valid through the precision of each of its entries, as
+        the chain rule gives for the Jacobian of an inverse map.  No running
+        precision can fall below the floor f, the least precision of R's
+        entries (or the cap), since every power's entry precision is a
+        minimum over precisions of R.  Precisions only fall, so when every
+        running precision already equals f after R and R^2 (see
+        ``_settled_floor``) the series ends with all of them at f.  Its
+        products then truncate no term at or below f, so the truncated
+        running sums equal (1 - R)^-1 = T B truncated at f, provided M and
+        T are known through f; and the result T B B^-1 is T truncated at f,
+        at precision f where a live pair of the final scaled sum exists and
+        at the cap where none does, as the series would give.  Otherwise,
+        or when T falls short of f, the series runs.  Errors are the
+        series' own: the body is inverted first, and the chain path is only
+        taken where the series cannot exceed its step limit.
         """
         self._require_even("inversion")
         sig, p, q, size = self.sig, self.p, self.q, self.size
+        body = [[(*e.terms.get(0, (0, 0)), e.den) for e in row] for row in self.rows]
         try:
-            body_inv = _invert_scalar_matrix([[(*e.terms.get(0, (0, 0)), e.den) for e in row]
-                                              for row in self.rows])
+            body_inv = _invert_scalar_matrix(body)
         except ZeroDivisionError:
             raise NotAUnitError("body of the matrix is not invertible") from None
         columns = list(zip(*self.rows))
         remainder = SuperMatrix.identity(sig, p, q) - SuperMatrix(sig, p, q, [
             [_scaled_sum(sig, zip(scalars, column)) for column in columns] for scalars in body_inv])
         index = _index_rows(sig, remainder.rows)
+        prec = min((e.prec for row in self.rows for e in row), default=sig.cap)
+        limit = prec + 2 * sig.m + 2
+        # the floor is never below the least precision of M; equal to it, M is
+        # known through the floor.  A nonzero term of R^k has weight at least
+        # k and at most the largest precision of R plus 2m, so within the
+        # step limit the series cannot fail
+        if exact is not None and _settled_floor(sig, remainder.rows, index) == prec \
+                and max(e.prec for row in remainder.rows for e in row) + 2 * sig.m <= limit:
+            chained = exact()
+            if all(e.prec >= prec for row in chained.rows for e in row):
+                return SuperMatrix(sig, p, q, _truncated_inverse(sig, chained.rows, prec, body, body_inv))
         # the running sums, entry by entry as [terms, den, prec], from the identity
         acc = [[[{0: (1, 0)} if i == j else {}, 1, sig.cap] for j in range(size)] for i in range(size)]
         power = remainder.rows
-        prec = min((e.prec for row in self.rows for e in row), default=sig.cap)
-        limit = prec + 2 * sig.m + 2
         steps = 0
         while any(e.terms for row in power for e in row):
             for acc_row, row in zip(acc, power):
@@ -248,9 +275,12 @@ def det_even(sig: RingSignature, grid) -> JetSuperFunction:
     times their last factors.  A head that vanished early is paired with
     one instead, so that, as in the fold ``zero + p1 - p2 + ...`` of the
     full products, the precisions of the factors after a zero do not bound
-    that of the result.
+    that of the result.  A 1x1 grid is its entry, as that ``dot`` would
+    give it.
     """
     size = len(grid)
+    if size == 1:
+        return grid[0][0]
     one = JetSuperFunction.one(sig)
     if size == 0:
         return one
@@ -328,6 +358,65 @@ def _row_product(sig: RingSignature, row, index) -> list:
         if (value[0] or value[1]) and key >> cut <= precs[j]:
             entries[j][key >> tag] = value
     return [_canonical(sig, terms, den * den_right, prec) for terms, prec in zip(entries, precs)]
+
+
+def _settled_floor(sig: RingSignature, rows, index) -> int | None:
+    """The floor of the inverse's series on R (``rows``, indexed by
+    ``_index_rows`` as ``index``): the least precision of R's entries, or
+    the cap, when every running precision of the series equals it after R
+    and R^2; None otherwise.  R^2's precisions follow from R's zero pattern
+    by ``_row_product``'s rule, and count only if R^2 has a nonzero entry;
+    its entries are formed up to the first nonzero one."""
+    if not any(e.terms for row in rows for e in row):
+        return None
+    floor = min(sig.cap, *(e.prec for row in rows for e in row))
+    if all(e.prec == floor for row in rows for e in row):
+        return floor
+    for row in rows:
+        precs = [e.prec for e in row]
+        for entry, (columns, *_) in zip(row, index[2]):
+            if entry.terms:
+                for j, prec in columns:
+                    precs[j] = min(precs[j], entry.prec, prec)
+        if any(prec != floor for prec in precs):
+            return None
+    # entry (i, j) of R^2 is the ``dot`` of row i and column j over their
+    # live pairs, as ``_row_product`` forms it
+    columns = list(zip(*rows))
+    for row in rows:
+        for column in columns:
+            if dot(sig, [(a, b) for a, b in zip(row, column) if a.terms and b.terms]).terms:
+                return floor
+    return None
+
+
+def _truncated_inverse(sig: RingSignature, exact, floor: int, body, body_inv) -> list:
+    """Rows of the series inverse where it settles at ``floor``, from the
+    rows of an exact inverse T known through it: each entry is T's,
+    truncated at ``floor``.  A zero entry (i, j) takes the cap where the
+    series' final scaled sum has no live pair, that is where row i of S =
+    T B, truncated at ``floor``, is zero at every k with a nonzero entry
+    (k, j) of B^-1.  ``body`` and ``body_inv`` are B and B^-1 as scalar
+    grids."""
+    body_columns = list(zip(*body))
+    zero = JetSuperFunction.zero(sig)
+    rows = []
+    for exact_row in exact:
+        row = [e.truncate(floor) for e in exact_row]
+        s_row: dict = {}  # k -> whether entry k of this row of S is nonzero, once asked
+        for j, e in enumerate(row):
+            if e.terms:
+                continue
+            for k, scalars in enumerate(body_inv):
+                if scalars[j][0] or scalars[j][1]:
+                    if k not in s_row:
+                        s_row[k] = bool(_scaled_sum(sig, zip(body_columns[k], row)).terms)
+                    if s_row[k]:
+                        break
+            else:
+                row[j] = zero
+        rows.append(row)
+    return rows
 
 
 def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:

@@ -1,10 +1,13 @@
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbv import charts
+from superbv import charts, supermatrix
 from superbv.charts import (
     BerSection,
     Chart,
@@ -13,7 +16,8 @@ from superbv.charts import (
     pull_ber,
     vector_apply,
 )
-from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
+from superbv.dsl import parse
+from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
 from test_jetring import NO_SHRINK
@@ -369,6 +373,122 @@ class TestWeightInverse:
         want = _outcome(lambda: fixpoint_inverse(phi))
         monkeypatch.setattr(Morphism, "_weight_inverse", None)
         assert _outcome(lambda: phi.invert().pullbacks) == want
+
+
+# -- the inverse Jacobian of an inverse map by the chain rule ------------------------
+
+# the map of ``bench/workloads.py`` (transform_cap6): ring 2|2 cap 6, dense inverse
+CAP6_MAP_SHAPE = (
+    "{}*z1 + {}*z2 + {}*z1^2 + {}*z2*th1*th2",
+    "{}*z2 + {}*z1*z2^2",
+    "{}*th1 + {}*z1*th1",
+    "{}*th2 + {}*th1 + {}*z2*th2",
+)
+# the bench probe: its inverse's Jacobian has a body that is not invertible
+TRANSFORM_PROBE = """\
+ring 2|2 cap 6;
+map phi { zeta1 = z1 + z1^2 + th1*th2; zeta2 = z2; zeta3 = th1; zeta4 = th2; }
+"""
+
+
+@st.composite
+def cap6_maps(draw):
+    """Maps of the transform_cap6 shape, with coefficients re + im*i whose
+    parts are drawn from -5..5 without 0."""
+    part = st.integers(1, 5).flatmap(lambda x: st.sampled_from((x, -x)))
+
+    def fill(shape):
+        return shape.format(*(f"({draw(part)} + ({draw(part)})*i)" for _ in range(shape.count("{}"))))
+
+    images = " ".join(f"zeta{k + 1} = {fill(shape)};" for k, shape in enumerate(CAP6_MAP_SHAPE))
+    return parse(f"ring 2|2 cap 6;\nmap phi {{ {images} }}\n").morphisms["phi"]
+
+
+@st.composite
+def sample_maps(draw):
+    """``SampleGen.invertible_morphism`` maps on 1|1 .. 3|3 at caps 1-6,
+    half of them with pullbacks truncated up to two below the cap."""
+    n, m = draw(st.sampled_from(((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 3))))
+    sig = RingSignature(n, m, draw(st.integers(1, 6)))
+    phi = SampleGen(draw(st.integers(0, 2 ** 16))).invertible_morphism(Chart(sig))
+    if not draw(st.booleans()):
+        return phi
+    precs = [draw(st.integers(max(0, sig.cap - 2), sig.cap)) for _ in phi.pullbacks]
+    return Morphism(phi.source, phi.target, [f.truncate(p) for f, p in zip(phi.pullbacks, precs)])
+
+
+def _matrix_outcome(thunk):
+    try:
+        return [[(e.prec, e.den, e.terms) for e in row] for row in thunk().rows]
+    except JetError as error:
+        return type(error).__name__, str(error)
+
+
+def _chain_and_series(phi, short=None):
+    """``(path, chain outcome, series outcome)`` of the inverse Jacobian of
+    the inverse of ``phi``, or None when ``phi`` has no inverse.  With
+    ``short``, a chain path is taken again with the exact inverse truncated
+    ``short`` below its floor, and its outcome must be the series'."""
+    try:
+        psi = phi.invert()
+    except JetError:
+        return None
+    with mock.patch.object(supermatrix, "_truncated_inverse",
+                           wraps=supermatrix._truncated_inverse) as chain:
+        got = _matrix_outcome(psi.differential_inverse)
+    matrix = psi.differential()
+    want = _matrix_outcome(matrix.inverse)
+    if short is not None and chain.called:
+        _, exact, floor, *_ = chain.call_args.args
+        cut = SuperMatrix(matrix.sig, matrix.p, matrix.q,
+                          [[e.truncate(floor - short) for e in row] for row in exact])
+        assert _matrix_outcome(lambda: matrix.inverse(lambda: cut)) == want
+    return "chain" if chain.called else "series", got, want
+
+
+class TestChainRuleInverse:
+    """``differential_inverse`` of an inverse map, (dphi) o psi where the
+    series settles, against ``SuperMatrix.inverse`` by its series."""
+
+    @pytest.mark.parametrize("maps, examples, want_paths", [
+        (cap6_maps(), 15, {"chain"}),
+        (sample_maps(), 400, {"chain", "series"}),
+    ], ids=["cap6", "samples"])
+    def test_equals_the_series(self, maps, examples, want_paths):
+        paths = Counter()
+
+        @given(maps, st.integers(1, 3))
+        @settings(max_examples=examples, deadline=None, derandomize=True, phases=NO_SHRINK)
+        def check(phi, short):
+            outcome = _chain_and_series(phi, short)
+            if outcome is not None:
+                path, got, want = outcome
+                paths[path] += 1
+                assert got == want
+
+        check()
+        assert set(paths) == want_paths
+
+    def test_probe_fails_as_the_series(self):
+        path, got, want = _chain_and_series(parse(TRANSFORM_PROBE).morphisms["phi"])
+        assert path == "series"
+        assert got == want == ("NotAUnitError", "body of the matrix is not invertible")
+
+    def test_inverse_holds_no_reference_to_the_map(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            drawn = SampleGen(5).invertible_morphism(Chart(SIG22))
+            # a subclass without __slots__ takes weak references
+            phi = type("Referable", (Morphism,), {})(drawn.source, drawn.target, drawn.pullbacks)
+            psi = phi.invert()
+            alive = weakref.ref(phi)
+            del phi
+            assert alive() is None
+            assert psi.differential_inverse().size == 4
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestVectorCalculus:

@@ -104,6 +104,59 @@ class TestInverse:
             assert (inv * m).agrees_with(ident)
 
 
+class TestInverseFromAnExactOne:
+    """``inverse(exact)`` gives the series' outcome, entries or error, also
+    where an exact inverse is at hand but the series does not settle on it."""
+
+    @staticmethod
+    def outcome(thunk):
+        try:
+            return [[(e.prec, e.den, e.terms) for e in row] for row in thunk().rows]
+        except JetError as error:
+            return type(error).__name__, str(error)
+
+    @staticmethod
+    def exact_pair(sig, rows, precs):
+        """The matrix of ``rows`` with entry precisions ``precs``, and the
+        inverse of the matrix of ``rows`` at the cap."""
+        exact = SuperMatrix(sig, 2, 0, rows).inverse()
+        cut = [[e.truncate(prec) for e, prec in zip(row, row_precs)]
+               for row, row_precs in zip(rows, precs)]
+        return SuperMatrix(sig, 2, 0, cut), exact
+
+    def test_settles_on_the_exact_inverse(self):
+        sig = RingSignature(n=2, m=0, cap=4)
+        g, one = gens(sig), JetSuperFunction.one(sig)
+        matrix, exact = self.exact_pair(sig, [[one + g["z1"], g["z2"]], [g["z1"] * g["z2"], one]],
+                                        [[3, 3], [3, 3]])
+        calls = []
+        got = self.outcome(lambda: matrix.inverse(lambda: calls.append(1) or exact))
+        assert calls and got == self.outcome(matrix.inverse)
+
+    def test_an_entry_known_below_the_floor_takes_the_series(self):
+        # a zero entry known through degree 1 takes no part in R, whose
+        # entries all settle at the cap 3; the exact inverse sees z1^2 there
+        sig = RingSignature(n=2, m=0, cap=3)
+        g, one = gens(sig), JetSuperFunction.one(sig)
+        matrix, exact = self.exact_pair(sig, [[one, g["z1"] * g["z1"]],
+                                              [JetSuperFunction.zero(sig), one - g["z1"]]],
+                                        [[3, 1], [3, 3]])
+        want = self.outcome(matrix.inverse)
+        assert self.outcome(lambda: matrix.inverse(lambda: exact)) == want
+        assert not want[0][1][2] and exact.rows[0][1].terms
+
+    def test_a_series_past_its_step_limit_fails_as_before(self):
+        # precisions 1 on the diagonal settle every running precision at 1
+        # after R^2, while z2^k lives on in the powers at precision 4
+        sig = RingSignature(n=2, m=0, cap=4)
+        g, one = gens(sig), JetSuperFunction.one(sig)
+        matrix, exact = self.exact_pair(sig, [[one, -g["z2"]], [-g["z2"], one - g["z2"]]],
+                                        [[1, 4], [4, 1]])
+        want = ("SuperMatrixError", "matrix geometric series failed to terminate")
+        assert self.outcome(matrix.inverse) == want
+        assert self.outcome(lambda: matrix.inverse(lambda: exact)) == want
+
+
 class TestSupertranspose:
     def test_identity(self):
         m = SuperMatrix.identity(SIG, 2, 1)

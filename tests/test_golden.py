@@ -39,7 +39,7 @@ from superbv.bvcalc import (
     partial_int,
     pull_intform,
 )
-from superbv.charts import BerSection, Chart
+from superbv.charts import BerSection, Chart, Morphism
 from superbv.connect import (
     IntegrabilityError,
     check_sdet_transport,
@@ -943,3 +943,138 @@ def _inverse_body_lines():
 
 def test_inverse_bodies():
     assert _digest(_inverse_body_lines()) == INVERSE_BODY_DIGEST
+
+
+# -- pullback, dbar and the BV peel on stored keys ------------------------------------
+# Recorded from a ``pull_mvform`` and a ``dbar`` that built one formal word per
+# choice of matrix entries (or per barred derivative) and normalised it through
+# ``normalise_word``, and from an ``extend_delta`` that sorted each key outside
+# normal form through ``normalise_word`` on a chart with a wider odd cap.  The
+# lines list every stored key in insertion order.
+
+STORED_SIGS = ((1, 1), (2, 1), (2, 2), (1, 3))
+
+# (n, m) -> first 16 hex digits of the sha256 of _pullback_lines(n, m)
+PULLBACK_DIGESTS = {
+    (1, 1): "d189dbc9e4dfdae9", (2, 1): "b66a086eb9a01c44",
+    (2, 2): "768e410ccde7a16c", (1, 3): "4157e0e211b9790d",
+}
+# (n, m) -> first 16 hex digits of the sha256 of _dbar_lines(n, m)
+DBAR_DIGESTS = {
+    (1, 1): "04bfd9288b941bff", (2, 1): "52ddc69c7074c200",
+    (2, 2): "b506863597d0f3cf", (1, 3): "c9b7900229790077",
+}
+# (n, m) -> first 16 hex digits of the sha256 of _off_normal_lines(n, m)
+OFF_NORMAL_DIGESTS = {
+    (1, 1): "507270334a81679c", (2, 1): "5f208d1f64a17a4c",
+    (2, 2): "34d5bbf653664664", (1, 3): "e082d9d4aed6a5c2",
+}
+
+
+def _stored_line(label, form):
+    """The section's ``prec``, then each key in insertion order with its
+    coefficient's ``prec``, ``den`` and rendering."""
+    terms = " ".join(f"{key}:{c.prec}/{c.den}/{c.render()}" for key, c in form.terms.items())
+    return f"{label} {form.prec} {terms}"
+
+
+def _stored_keys(chart):
+    """Two- and three-symbol keys with barred and vector indices: sorted,
+    unsorted, with an even index repeated and with the last (odd) index
+    repeated up to one past a cap of 2."""
+    n, last = chart.sig.n, chart.dim - 1
+    return [((), ()), ((0,), (last,)), ((last,), (0,)), ((), (0, last)), ((0, last), ()),
+            ((last, last), ()), ((), (last, last)), ((0,), (0,)), ((0, last), (last,)),
+            ((), (0, last, last)), ((last,), (last, last)), ((last, last), (0,)),
+            ((), (last, last, last)), ((last, 0), (last,)), ((), (last, 0)), ((), (0, 0)),
+            ((n - 1, 0), (last, n))]
+
+
+def _stored_coefficients(gen, sig):
+    """Mixed-parity, odd, holomorphic, truncated and unit coefficients; draws
+    that come out zero are drawn again."""
+
+    def nonzero(**shape):
+        for _ in range(50):
+            jet = gen.jet(sig, **shape)
+            if jet.terms:
+                return jet
+        raise AssertionError("no nonzero jet drawn")
+
+    return [nonzero(max_terms=4), nonzero(max_terms=3, parity=1),
+            nonzero(max_terms=3, holomorphic=True), nonzero(max_terms=4).truncate(2),
+            nonzero(max_terms=3).truncate(1), JetSuperFunction.one(sig),
+            JetSuperFunction.one(sig, 2)]
+
+
+def _stored_sections(chart, gen):
+    """One section per key and coefficient, then sections of several keys
+    below the cap."""
+    coefficients = _stored_coefficients(gen, chart.sig)
+    keys = _stored_keys(chart)
+    forms = [MultiVectorForm(chart, {key: coefficients[k % len(coefficients)]})
+             for k, key in enumerate(keys)]
+    for prec in (chart.sig.cap, 2):
+        terms = dict(zip(keys[1::3], _stored_coefficients(gen, chart.sig)))
+        forms.append(MultiVectorForm(chart, terms, prec))
+    return forms
+
+
+def _pullback_lines(n, m):
+    """``pull_mvform`` through a sampled map, the same map truncated and the
+    truncated map with its last image zero, whose barred column is then zero."""
+    sig = RingSignature(n, m, 4)
+    gen = SampleGen(9100 + 10 * n + m)
+    chart = Chart(sig, odd_wedge_cap=2)
+    phi = gen.invertible_morphism(chart)
+    cut = Morphism(phi.source, phi.target, [x.truncate(3 - k % 2) for k, x in enumerate(phi.pullbacks)])
+    flat = Morphism(phi.source, phi.target, cut.pullbacks[:-1] + (JetSuperFunction.zero(sig),))
+    lines = []
+    for label, psi in (("phi", phi), ("cut", cut)):
+        for k, a in enumerate(_stored_sections(psi.target, gen)):
+            lines.append(_stored_line(f"{label} {k}", pull_mvform(psi, a)))
+    for k, a in enumerate(_stored_sections(flat.target, gen)):
+        if not any(vecs for _, vecs in a.terms):
+            lines.append(_stored_line(f"flat {k}", pull_mvform(flat, a)))
+    return "\n".join(lines)
+
+
+def _dbar_lines(n, m):
+    sig = RingSignature(n, m, 4)
+    gen = SampleGen(9200 + 10 * n + m)
+    lines = []
+    for cap in (1, 2, 3):
+        chart = Chart(sig, odd_wedge_cap=cap)
+        lines += [_stored_line(f"{cap} {k}", dbar(a))
+                  for k, a in enumerate(_stored_sections(chart, gen))]
+    return "\n".join(lines)
+
+
+def _off_normal_lines(n, m):
+    """``extend_delta`` and ``extend_delta_right`` on sections whose keys
+    fall outside normal form, for each kind of table."""
+    sig = RingSignature(n, m, 4)
+    gen = SampleGen(9300 + 10 * n + m)
+    chart = Chart(sig, odd_wedge_cap=2)
+    forms = _stored_sections(chart, gen)
+    lines = []
+    for label, table in _delta_tables(chart, gen):
+        for k, a in enumerate(forms):
+            lines += [_stored_line(f"{label} {k} left", extend_delta(table, a)),
+                      _stored_line(f"{label} {k} right", extend_delta_right(table, a))]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n,m", STORED_SIGS)
+def test_pullbacks_on_stored_keys(n, m):
+    assert _digest(_pullback_lines(n, m)) == PULLBACK_DIGESTS[(n, m)]
+
+
+@pytest.mark.parametrize("n,m", STORED_SIGS)
+def test_dbar_on_stored_keys(n, m):
+    assert _digest(_dbar_lines(n, m)) == DBAR_DIGESTS[(n, m)]
+
+
+@pytest.mark.parametrize("n,m", STORED_SIGS)
+def test_extension_off_normal_form(n, m):
+    assert _digest(_off_normal_lines(n, m)) == OFF_NORMAL_DIGESTS[(n, m)]

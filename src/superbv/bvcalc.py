@@ -27,14 +27,11 @@ from functools import cache
 from .charts import BerSection, Chart, ChartError, Morphism, pull_ber
 from .grading import koszul
 from .mvforms import (
-    FUN,
-    VEC,
     MultiVectorForm,
     Section,
+    _merged,
     add_terms,
     dbar,
-    in_normal_form,
-    normalise_word,
     pull_mvform,
     schouten,
     wedge,
@@ -198,21 +195,25 @@ def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorFor
     chart = alpha.chart
     if delta.chart != chart:
         raise ChartError("operator and section live on different charts")
+    merged: dict = {}
     terms: dict = {}
     prec = alpha.prec - 1
     for key, coeff in alpha.terms.items():
-        if in_normal_form(chart, key):
-            image = _extend_term(delta, chart, *key, coeff)
-            add_terms(terms, image.terms.items())
-            prec = min(prec, image.prec)
-            continue
-        # outside normal form: sort the word once, with its sign, keeping odd
-        # indices past the cap, and drop the image's keys past the cap
-        wide = replace(chart, odd_wedge_cap=len(key[0]) + len(key[1]))
-        for (i_idx, j_idx), piece in normalise_word(wide, alpha.term_word(key)).items():
-            image = _extend_term(delta, chart, i_idx, j_idx, piece)
-            add_terms(terms, [(k, c) for k, c in image.terms.items() if in_normal_form(chart, k)])
-            prec = min(prec, image.prec)
+        bars, vecs = _merged(chart, key[0], merged), _merged(chart, key[1], merged)
+        normal = bars and vecs and (bars[0], vecs[0]) == key
+        if not normal:
+            # sort the key once, with its sign, keeping odd indices past the
+            # cap; the image's keys past the cap drop
+            wide = replace(chart, odd_wedge_cap=len(key[0]) + len(key[1]))
+            bars, vecs = _merged(wide, key[0], {}), _merged(wide, key[1], {})
+            if not (bars and vecs):
+                continue
+            coeff = coeff if koszul(bars[1] + vecs[1]) > 0 else -coeff
+        image = _extend_term(delta, chart, bars[0], vecs[0], coeff)
+        add_terms(terms, image.terms.items() if normal else [
+            (k, c) for k, c in image.terms.items()
+            if _merged(chart, k[0], merged) and _merged(chart, k[1], merged)])
+        prec = min(prec, image.prec)
     return MultiVectorForm(chart, terms, prec)
 
 
@@ -269,38 +270,49 @@ def extend_delta_right(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVec
     """Right-peeled variant of the recursion; oracle for order independence."""
     chart = alpha.chart
     out = MultiVectorForm.zero(chart, alpha.prec - 1)
-    for key in alpha.terms:
-        out = out + _extend_term_right(delta, chart, alpha.term_word(key))
+    for (i_idx, j_idx), coeff in alpha.terms.items():
+        out = out + _extend_term_right(delta, chart, i_idx, j_idx, coeff)
     return out
 
 
-def _extend_term_right(delta: DeltaOperator, chart: Chart, word) -> MultiVectorForm:
-    symbols = [item for item in word if item[0] != FUN]
-    funs = [item for item in word if item[0] == FUN]
-    if not symbols:
-        return MultiVectorForm.zero(chart, min((f.prec for _, f in funs), default=chart.sig.cap) - 1)
-    last = symbols[-1]
-    front = symbols[:-1]
-    if not front:
+def _extend_term_right(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
+    """D of d xibar^I (x) d/dxi^J . coeff, peeled at its last symbol w as
+    D(front . (w . coeff)), with the tail w . coeff one factor of degree 1."""
+    if not i_idx and not j_idx:
+        return MultiVectorForm.zero(chart, coeff.prec - 1)
+    last, front = ((), j_idx[-1:]), (i_idx, j_idx[:-1])
+    if not j_idx:
+        last, front = (i_idx[-1:], ()), (i_idx[:-1], ())
+    one = chart.one()
+    if not front[0] and not front[1]:
         # base case: D(w . f) = [[w, f]] + D(w) f
-        coeff_form = MultiVectorForm.from_words(chart, [(1, funs or [(FUN, chart.one())])])
-        out = schouten(MultiVectorForm.from_words(chart, [(1, [last])]), coeff_form)
-        kind, k = last
-        if kind == VEC and not delta.values[k].is_zero():
-            out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), coeff_form)
+        coeff_form = MultiVectorForm.from_function(chart, coeff)
+        out = schouten(_word_form(chart, *last, one), coeff_form)
+        if j_idx and not delta.values[j_idx[0]].is_zero():
+            table_form = MultiVectorForm.from_function(chart, delta.values[j_idx[0]])
+            out = out + wedge(table_form, coeff_form)
         return out
-    # D(front . (last . f)) with the tail treated as one factor of degree 1
-    tail_form = MultiVectorForm.from_words(chart, [(1, [last] + funs)])
-    front_form = MultiVectorForm.from_words(chart, [(1, front)])
-    sign = koszul(len(front))
+    tail_form = _word_form(chart, *last, coeff)
+    front_form = _word_form(chart, *front, one)
+    sign = koszul(len(front[0]) + len(front[1]))
     bracket = schouten(front_form, tail_form)
     if sign > 0:
         bracket = -bracket
-    first = wedge(_extend_term_right(delta, chart, front), tail_form)
-    second = wedge(front_form, _extend_term_right(delta, chart, [last] + funs))
+    first = wedge(_extend_term_right(delta, chart, *front, one), tail_form)
+    second = wedge(front_form, _extend_term_right(delta, chart, *last, coeff))
     if sign < 0:
         second = -second
     return bracket + first + second
+
+
+def _word_form(chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
+    """d xibar^I (x) d/dxi^J . coeff as a section: its key sorted by
+    ``_merged``, with the sign, or no term where the key drops."""
+    bars, vecs = _merged(chart, i_idx, {}), _merged(chart, j_idx, {})
+    if not (bars and vecs):
+        return MultiVectorForm.zero(chart, coeff.prec)
+    coeff = coeff if koszul(bars[1] + vecs[1]) > 0 else -coeff
+    return MultiVectorForm(chart, {(bars[0], vecs[0]): coeff})
 
 
 # -- strong-compatibility projection -----------------------------------------

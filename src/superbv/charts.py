@@ -340,21 +340,25 @@ class Morphism:
         generators, and a product of parts of weights u and v has weight
         u + v.  Every generator image has weight at least 1 and every
         monomial of N at least 2, so the weight-w part of N(psi) needs only
-        the parts of psi below w: psi_1 = L^-1 y, and for w = 2 .. cap + 2m
-        each prefix of N's words gets its weight-w part as one ``dot`` over
-        the pairs (prefix_u, image_(w-u)), and psi_w = -L^-1 N_w is one
-        ``dot`` per coordinate over its words' parts, each word scaled by
-        its coefficient in -L^-1 N.  Barred generators take the conjugates of
-        the same parts.  The result is the sum of the parts truncated at
-        ``_inverse_precisions``; truncation by even degree is a ring
-        homomorphism, so it equals the limit of ``_fixpoint_inverse``.
+        the parts of psi below w: psi_1 = L^-1 y, and for w = 2 .. top each
+        prefix of N's words gets its weight-w part as one ``dot`` over the
+        pairs (prefix_u, image_(w-u)), and psi_w = -L^-1 N_w is one ``dot``
+        per coordinate over its words' parts, each word scaled by its
+        coefficient in -L^-1 N.  A kept part has even degree at most its
+        precision and at most m distinct odd generators, or 2m once N uses a
+        barred generator, so the top weight is the largest precision plus
+        that many.  Barred generators take the conjugates of the same parts.  The result is the
+        sum of the parts truncated at ``_inverse_precisions``; truncation by
+        even degree is a ring homomorphism, so it equals the limit of
+        ``_fixpoint_inverse``.
         """
         source, target = self.source, self.target
         sig = target.sig
-        top = sig.cap + sig.odd_count
         words = [monomial_words(f) for f in nonlinear]
         precs = self._inverse_precisions(nonlinear, words)
         used = {gid for terms in words for word, _, _ in terms for gid in word}
+        odd = sig.odd_count if used & {source.bar_gen_id(k) for k in range(source.dim)} else sig.m
+        top = max([1] + [prec + odd for prec in precs])
         # parts[prefix][w]: weight-w part of the image of the word prefix,
         # None when it is zero; a one-letter prefix is a generator image
         parts = {(gid,): [None] * (top + 1) for gid in range(sig.gen_count())}

@@ -13,89 +13,22 @@ map and its linear structure for multivector forms here and for integral
 forms and their parity-flipped images in ``bvcalc``; ``add_terms`` is the one
 place where coefficients are summed and cancelled keys dropped.
 
-``wedge`` and ``schouten`` work on stored terms: each pair of terms (and
-each piece of the bracket formulas) lands on the merge of the sorted index
-tuples, with a product of homogeneous coefficient parts and the one sign
-that normalising its formal word would give; tests/test_mvforms.py keeps
-their word-based versions as the oracle.  ``dbar``, ``pull_mvform``,
-``MultiVectorForm.from_words`` and ``bvcalc.extend_delta`` (on keys outside
-normal form) build formal words of the item kinds below and hand them to
-``normalise_word``, whose sign is grading.koszul of the summed exchange
-exponents of the pairs it inverts.  Explicit sign exponents become signs
-through grading.koszul; no sign is computed elsewhere.
-
-Item kinds: ("dbar", k) a barred coordinate differential; ("vec", k) a
-coordinate derivation; ("fun", f) a homogeneous coefficient.
+``wedge``, ``schouten``, ``dbar`` and ``pull_mvform`` work on stored terms:
+each product of terms, piece of the bracket formulas, barred derivative or
+choice of matrix entries lands on the merge of the index tuples it puts
+side by side, with a product of homogeneous coefficient parts and the sign
+of bringing that product into normal form.  Every sign is grading.koszul of
+an exponent: the sorting exponents of ``_merged`` plus explicit exchange
+exponents; no sign is computed elsewhere.  tests/test_mvforms.py keeps a
+normaliser of formal words, one word per product, piece, derivative or
+choice, as the oracle that these operations must match.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .charts import Chart, ChartError, Morphism
 from .grading import koszul
 from .jetring import JetSuperFunction
-
-DBAR, VEC, FUN = "dbar", "vec", "fun"
-
-
-def normalise_word(chart: Chart, items, prefactor: int = 1):
-    """Sort a formal word into normal order, with Koszul signs.
-
-    Returns a dict mapping (I, J) to a coefficient jet;  words that repeat an
-    even direction, or exceed the odd multiplicity cap, are dropped (the
-    former are zero, the latter fall outside the retained normal form).
-
-    The normal order is the stable sort that puts the differentials first,
-    then the derivations, each by direction, then the functions in their
-    written order.  Each item gets its degree (1 for a differential or a
-    derivation, 0 for a function) and its parity once.  A function item of
-    mixed parity stands for the sum of its two homogeneous parts, so the
-    word splits into one word per choice of parts.  The sign of a word is
-    ``koszul`` of deg*deg + parity*parity summed over the pairs of items
-    that the sort inverts, which is the product of the exchange signs of
-    the swaps of an insertion sort.  The coefficient is the product of the
-    function items from the first one on; a unit factor at full precision
-    is skipped, since it changes neither the terms nor ``prec``.
-    """
-    items = list(items)
-    ranks, degrees, choices = [], [], []
-    for kind, payload in items:
-        if kind == FUN:
-            choices.append(_parts(payload))
-            if not choices[-1]:
-                return {}  # a zero factor
-            ranks.append((2, 0))
-            degrees.append(0)
-        else:
-            choices.append(((chart.parity(payload), None),))
-            ranks.append((0 if kind == DBAR else 1, payload))
-            degrees.append(1)
-    form_idx = tuple(sorted(payload for kind, payload in items if kind == DBAR))
-    vec_idx = tuple(sorted(payload for kind, payload in items if kind == VEC))
-    if _drops(chart, form_idx) or _drops(chart, vec_idx):
-        return {}
-    size = len(items)
-    inverted = [(i, j) for i in range(size) for j in range(i + 1, size) if ranks[i] > ranks[j]]
-    degree_exponent = sum(degrees[i] * degrees[j] for i, j in inverted)
-    pairs = []
-    for word in itertools.product(*choices):
-        exponent = degree_exponent + sum(word[i][0] * word[j][0] for i, j in inverted)
-        coeff = None
-        for _, f in word:
-            if f is None or _is_full_unit(f):
-                continue
-            coeff = f if coeff is None else coeff * f
-            if not coeff.terms:
-                break
-        if coeff is None:
-            coeff = chart.one()
-        elif not coeff.terms:
-            continue
-        if koszul(exponent) * prefactor < 0:
-            coeff = -coeff
-        pairs.append(((form_idx, vec_idx), coeff))
-    return add_terms({}, pairs)
 
 
 def _is_full_unit(f: JetSuperFunction) -> bool:
@@ -103,8 +36,8 @@ def _is_full_unit(f: JetSuperFunction) -> bool:
 
 
 def _parts(f: JetSuperFunction):
-    """(parity, part) per nonzero homogeneous part, even first: the choices
-    ``normalise_word`` splits a function item into."""
+    """(parity, part) per nonzero homogeneous part, even first: a coefficient
+    of mixed parity stands for the sum of its parts, each signed on its own."""
     parity = f.parity()
     if parity is None:
         return tuple(enumerate(f.homogeneous_parts()))
@@ -112,7 +45,8 @@ def _parts(f: JetSuperFunction):
 
 
 def _times(f: JetSuperFunction, g: JetSuperFunction) -> JetSuperFunction:
-    """``f * g``, skipping a factor one at full precision as ``normalise_word`` does."""
+    """``f * g``, skipping a factor one at full precision, which changes
+    neither the terms nor ``prec``."""
     return g if _is_full_unit(f) else f if _is_full_unit(g) else f * g
 
 
@@ -125,12 +59,6 @@ def _drops(chart: Chart, indices) -> bool:
         if (run > 1 and chart.parity(k) == 0) or run > chart.odd_wedge_cap:
             return True
     return False
-
-
-def in_normal_form(chart: Chart, key) -> bool:
-    """Whether the stored key (I, J) is one ``normalise_word`` keeps as it
-    is: both tuples sorted, and neither dropped by ``_drops``."""
-    return all(tuple(sorted(idx)) == idx and not _drops(chart, idx) for idx in key)
 
 
 def add_terms(terms: dict, pairs) -> dict:
@@ -268,22 +196,6 @@ class MultiVectorForm(Section):
     def dbar_basis(chart: Chart, k: int) -> "MultiVectorForm":
         return MultiVectorForm(chart, {((k,), ()): chart.one()})
 
-    @staticmethod
-    def from_words(chart: Chart, words, prec: int | None = None) -> "MultiVectorForm":
-        acc: dict = {}
-        floor = chart.sig.cap if prec is None else prec
-        for prefactor, items in words:
-            floor = min([floor] + [payload.prec for kind, payload in items if kind == FUN])
-            add_terms(acc, normalise_word(chart, items, prefactor).items())
-        return MultiVectorForm(chart, acc, floor)
-
-    def term_word(self, key):
-        """The formal word of one stored term (in normal order)."""
-        form_idx, vec_idx = key
-        items = [(DBAR, k) for k in form_idx] + [(VEC, k) for k in vec_idx]
-        items.append((FUN, self.terms[key]))
-        return items
-
     # -- structure ---------------------------------------------------------
 
     def bidegrees(self):
@@ -316,14 +228,14 @@ class MultiVectorForm(Section):
 
 def _merged(chart: Chart, indices: tuple, cache: dict):
     """``(sorted indices, exponent)``, or False where ``_drops`` drops them,
-    kept in ``cache``.  The exponent is what sorting these symbols adds to
-    ``normalise_word``'s: x before y with x > y exchange with 1 + |x||y|,
-    odd exactly when the smaller y is even."""
+    kept in ``cache``.  The exponent is that of sorting these symbols: x
+    before y with x > y exchange with 1 + |x||y|, odd exactly when the
+    smaller y is even."""
     got = cache.get(indices)
     if got is None:
         key, parity = tuple(sorted(indices)), chart.parity
-        exponent = sum(1 for pos, y in enumerate(indices) if not parity(y)
-                       for x in indices[:pos] if x > y)
+        exponent = 0 if key == indices else sum(
+            1 for pos, y in enumerate(indices) if not parity(y) for x in indices[:pos] if x > y)
         got = cache[indices] = not _drops(chart, key) and (key, exponent)
     return got
 
@@ -335,8 +247,7 @@ def wedge(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
     (sort(I + I'), sort(J + J')) with coefficient f_s * g_t for each pair of
     homogeneous parts, and sign ``koszul`` of the sorting exponents
     (``_merged``) + |J||I'| + |J|_odd |I'|_odd + |f_s| (|I'|_odd + |J'|_odd).
-    The pair's choices are summed before they are added to the result, as
-    ``from_words`` sums a word.
+    The pair's choices are summed before they are added to the result.
     """
     a._check_chart(b)
     chart = a.chart
@@ -372,19 +283,29 @@ def dbar(a: MultiVectorForm) -> MultiVectorForm:
     On a stored term d xibar^I (x) d/dxi^J . f this is
 
         sum_k (-1)^(|k| (|I| + |J|))  d xibar^k ^ d xibar^I (x) d/dxi^J . df/dxibar^k
+
+    and each piece lands on (sort(k + I), sort(J)), or drops, with the sorting
+    exponents of ``_merged`` added to its sign's.  Every nonzero derivative's
+    ``prec`` bounds the result's, also where its piece drops.
     """
     chart = a.chart
-    words = []
+    parity = chart.parity
+    merged: dict = {}
+    terms: dict = {}
+    prec = a.prec
     for (i, j), coeff in a.terms.items():
-        index_parity = sum(chart.parity(k) for k in i + j) % 2
+        index_parity = sum(map(parity, i + j))
+        vecs = _merged(chart, j, merged)
         for k in range(chart.dim):
             df = chart.dbar(coeff, k)
-            if df.is_zero():
+            if not df.terms:
                 continue
-            sign = koszul(chart.parity(k) * index_parity)
-            items = [(DBAR, k)] + [(DBAR, x) for x in i] + [(VEC, x) for x in j] + [(FUN, df)]
-            words.append((sign, items))
-    return MultiVectorForm.from_words(chart, words, a.prec)
+            prec = min(prec, df.prec)
+            bars = vecs and _merged(chart, (k,) + i, merged)
+            if bars:
+                exponent = parity(k) * index_parity + bars[1] + vecs[1]
+                add_terms(terms, (((bars[0], vecs[0]), df if koszul(exponent) > 0 else -df),))
+    return MultiVectorForm(chart, terms, prec)
 
 
 # -- the Schouten bracket -------------------------------------------------------
@@ -488,33 +409,85 @@ def schouten(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
 # -- pullback --------------------------------------------------------------------
 
 
+def _columns(chart: Chart, matrix) -> list:
+    """Per column: (row, its parity, the entry's parts) for each nonzero
+    entry, and the least ``prec`` among those entries."""
+    out = []
+    for k in range(chart.dim):
+        live = [(row, matrix.rows[row][k]) for row in range(chart.dim) if matrix.rows[row][k].terms]
+        out.append(([(row, chart.parity(row), _parts(e)) for row, e in live],
+                    min((e.prec for _, e in live), default=None)))
+    return out
+
+
 def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
     """Transport a section through a holomorphic invertible coordinate change.
 
     Coefficients pull back through phi#, vector indices through the inverse
     differential, barred form indices through the mirrored (conjugate)
-    differential supertranspose; each of the two matrices is built only
-    when some term has an index of its kind.
+    differential supertranspose; each matrix is built only when some term
+    has an index of its kind.  A term (I, J, f) with pulled coefficient F
+    expands into one word per choice of a nonzero entry e_b, in row r_b, of
+    each index's column: barred indices first, rows ascending.  The word
+    lands on (sort(rows of I), sort(rows of J)), or drops, by ``_merged``;
+    each choice of homogeneous parts gives e_1 ... e_t F, prefix products
+    shared between words, with sign ``koszul`` of the sorting exponents plus
+    sum_a |e_a| (|r_(a+1)| + ... + |r_t|).  A word's choices are summed
+    before it is added.  The result's ``prec`` is one below the section's,
+    as the entries cost one derivative, and at most that of F and of every
+    nonzero entry in the columns of each term that has a word.
     """
     if not phi.is_holomorphic():
         raise ChartError("multivector forms only pull back through holomorphic morphisms")
     if a.chart != phi.target:
         raise ChartError("section lives on the wrong chart")
     source = phi.source
-    d_inv = d_bar_st = None
+    bar_columns = vec_columns = None
     if any(j_idx for _, j_idx in a.terms):
-        d_inv = phi.differential_inverse()
+        vec_columns = _columns(source, phi.differential_inverse())
     if any(i_idx for i_idx, _ in a.terms):
-        d_bar_st = phi.differential_bar().supertranspose()
-    pulled = phi.apply_many(a.terms.values())
-    out_words = []
-    for (i_idx, j_idx), pulled_coeff in zip(a.terms, pulled):
-        words = [[]]  # one word per choice of a nonzero matrix entry for each index
-        symbols = [(DBAR, d_bar_st, k) for k in i_idx] + [(VEC, d_inv, k) for k in j_idx]
-        for kind, matrix, k in symbols:
-            column = [(row, matrix.rows[row][k]) for row in range(source.dim)]
-            words = [items + [(kind, row), (FUN, entry)]
-                     for items in words for row, entry in column if not entry.is_zero()]
-        out_words.extend((1, items + [(FUN, pulled_coeff)]) for items in words)
-    # differential entries cost one even derivative of the pullbacks
-    return MultiVectorForm.from_words(source, out_words, a.prec - 1)
+        bar_columns = _columns(source, phi.differential_bar().supertranspose())
+    merged: dict = {}
+    terms: dict = {}
+    prec = a.prec - 1
+    for (i_idx, j_idx), pulled in zip(a.terms, phi.apply_many(a.terms.values())):
+        symbols = [bar_columns[k] for k in i_idx] + [vec_columns[k] for k in j_idx]
+        if not all(live for live, _ in symbols):
+            continue  # an index with no nonzero entry leaves no word
+        prec = min([prec, pulled.prec] + [low for _, low in symbols])
+        q = len(i_idx)
+        # per word: its rows, and per choice of parts (product, parity, exponent)
+        words = [((), [(source.one(), 0, 0)])]
+        for b, (live, _) in enumerate(symbols):
+            grown = []
+            for rows, choices in words:
+                for row, row_parity, parts in live:
+                    picked = rows + (row,)
+                    if not _merged(source, picked[:q] if b < q else picked[q:], merged):
+                        continue  # the word drops, so no product is formed
+                    branch = []
+                    for product, odd, exponent in choices:
+                        exponent += row_parity * odd
+                        for part_parity, part in parts:
+                            value = _times(product, part)
+                            if value.terms:
+                                branch.append((value, odd + part_parity, exponent))
+                    if branch:
+                        grown.append((picked, branch))
+            words = grown
+        last = _parts(pulled)
+        for rows, choices in words:
+            bars, vecs = _merged(source, rows[:q], merged), _merged(source, rows[q:], merged)
+            total = None
+            for product, _, exponent in choices:
+                positive = koszul(bars[1] + vecs[1] + exponent) > 0
+                for _, part in last:
+                    value = _times(product, part)
+                    if value.terms:
+                        value = value if positive else -value
+                        total = value if total is None else total + value
+                        total = total if total.terms else None
+            if total is not None:
+                add_terms(terms, (((bars[0], vecs[0]), total),))
+    return MultiVectorForm(source, terms, prec)
+

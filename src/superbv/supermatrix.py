@@ -157,8 +157,9 @@ class SuperMatrix:
         at precision f where a live pair of the final scaled sum exists and
         at the cap where none does, as the series would give.  Otherwise,
         or when T falls short of f, the series runs.  Errors are the
-        series' own: the body is inverted first, and the chain path is only
-        taken where the series cannot exceed its step limit.
+        series' own: the body is inverted first.  The series stops within its
+        step limit, the largest precision of R plus 2m, on every matrix with
+        an invertible body.
         """
         self._require_even("inversion")
         sig, p, q, size = self.sig, self.p, self.q, self.size
@@ -172,13 +173,12 @@ class SuperMatrix:
             [_scaled_sum(sig, zip(scalars, column)) for column in columns] for scalars in body_inv])
         index = _index_rows(sig, remainder.rows)
         prec = min((e.prec for row in self.rows for e in row), default=sig.cap)
-        limit = prec + 2 * sig.m + 2
+        # a nonzero term of R^k has weight at least k and at most the largest
+        # precision of R plus 2m, so R^(limit + 1) is zero
+        limit = max((e.prec for row in remainder.rows for e in row), default=sig.cap) + 2 * sig.m
         # the floor is never below the least precision of M; equal to it, M is
-        # known through the floor.  A nonzero term of R^k has weight at least
-        # k and at most the largest precision of R plus 2m, so within the
-        # step limit the series cannot fail
-        if exact is not None and _settled_floor(sig, remainder.rows, index) == prec \
-                and max(e.prec for row in remainder.rows for e in row) + 2 * sig.m <= limit:
+        # known through the floor
+        if exact is not None and _settled_floor(sig, remainder.rows, index) == prec:
             chained = exact()
             if all(e.prec >= prec for row in chained.rows for e in row):
                 return SuperMatrix(sig, p, q, _truncated_inverse(sig, chained.rows, prec, body, body_inv))

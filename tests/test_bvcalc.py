@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
@@ -24,10 +26,23 @@ from superbv.bvcalc import (
     pull_delta_table,
 )
 from superbv.charts import BerSection, Chart, ChartError, pull_ber
+from superbv.grading import koszul
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
-from superbv.mvforms import FUN, VEC, MultiVectorForm, pull_mvform, schouten, wedge
+from superbv.mvforms import MultiVectorForm, add_terms, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from test_jetring import NO_SHRINK
+from test_mvforms import (
+    BRACKET_SIGS,
+    FUN,
+    VEC,
+    _packed_form,
+    from_words,
+    in_normal_form,
+    normalise_word,
+    reversed_keys,
+    sections,
+    term_word,
+)
 
 SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)
@@ -297,7 +312,7 @@ class TestExtendDelta:
 
         monkeypatch.setattr(bvcalc, "schouten", forbidden)
         monkeypatch.setattr(bvcalc, "wedge", forbidden)
-        monkeypatch.setattr(MultiVectorForm, "from_words", forbidden)
+        monkeypatch.setattr(MultiVectorForm, "from_words", forbidden, raising=False)
         assert any(not image.is_zero() for *_, image in cases)
         for table, alpha, image in cases:
             assert extend_delta(table, alpha) == image
@@ -314,7 +329,7 @@ def word_extend_delta(delta, alpha):
     ``Section.__add__``.  Oracle for ``extend_delta``."""
     out = MultiVectorForm.zero(alpha.chart, alpha.prec - 1)
     for key in alpha.terms:
-        out = out + _word_extend_term(delta, alpha.chart, alpha.term_word(key))
+        out = out + _word_extend_term(delta, alpha.chart, term_word(alpha, key))
     return out
 
 
@@ -324,13 +339,87 @@ def _word_extend_term(delta, chart, word):
     if not symbols:
         return MultiVectorForm.zero(chart, min(f.prec for _, f in funs) - 1)
     head, rest = symbols[0], symbols[1:] + funs
-    head_form = MultiVectorForm.from_words(chart, [(1, [head])])
-    rest_form = MultiVectorForm.from_words(chart, [(1, rest)])
+    head_form = from_words(chart, [(1, [head])])
+    rest_form = from_words(chart, [(1, rest)])
     out = schouten(head_form, rest_form) - wedge(head_form, _word_extend_term(delta, chart, rest))
     kind, k = head
     if kind == VEC and not delta.values[k].is_zero():
         out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), rest_form)
     return out
+
+
+def word_sorted_extend_delta(delta, alpha):
+    """``extend_delta`` with each key outside normal form sorted by
+    ``normalise_word`` on a chart whose odd cap keeps every index, and the
+    image's keys past the chart's cap dropped."""
+    chart = alpha.chart
+    terms = {}
+    prec = alpha.prec - 1
+    for key, coeff in alpha.terms.items():
+        if in_normal_form(chart, key):
+            pieces = [(key, coeff)]
+        else:
+            wide = replace(chart, odd_wedge_cap=len(key[0]) + len(key[1]))
+            pieces = normalise_word(wide, term_word(alpha, key)).items()
+        for (i_idx, j_idx), piece in pieces:
+            image = bvcalc._extend_term(delta, chart, i_idx, j_idx, piece)
+            add_terms(terms, [(k, c) for k, c in image.terms.items() if in_normal_form(chart, k)])
+            prec = min(prec, image.prec)
+    return MultiVectorForm(chart, terms, prec)
+
+
+def word_extend_delta_right(delta, alpha):
+    """``extend_delta_right`` on formal words: every front, tail and
+    coefficient form is normalised through ``from_words``."""
+    chart = alpha.chart
+    out = MultiVectorForm.zero(chart, alpha.prec - 1)
+    for key in alpha.terms:
+        out = out + _word_extend_term_right(delta, chart, term_word(alpha, key))
+    return out
+
+
+def _word_extend_term_right(delta, chart, word):
+    symbols = [item for item in word if item[0] != FUN]
+    funs = [item for item in word if item[0] == FUN]
+    if not symbols:
+        return MultiVectorForm.zero(chart, min((f.prec for _, f in funs), default=chart.sig.cap) - 1)
+    last = symbols[-1]
+    front = symbols[:-1]
+    if not front:
+        coeff_form = from_words(chart, [(1, funs or [(FUN, chart.one())])])
+        out = schouten(from_words(chart, [(1, [last])]), coeff_form)
+        kind, k = last
+        if kind == VEC and not delta.values[k].is_zero():
+            out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), coeff_form)
+        return out
+    tail_form = from_words(chart, [(1, [last] + funs)])
+    front_form = from_words(chart, [(1, front)])
+    sign = koszul(len(front))
+    bracket = schouten(front_form, tail_form)
+    if sign > 0:
+        bracket = -bracket
+    first = wedge(_word_extend_term_right(delta, chart, front), tail_form)
+    second = wedge(front_form, _word_extend_term_right(delta, chart, [last] + funs))
+    if sign < 0:
+        second = -second
+    return bracket + first + second
+
+
+@st.composite
+def stored_extension_cases(draw):
+    """A table (of a sampled section, or free) on a chart with odd cap 1-3,
+    and a section of the ``sections`` strategy, its keys reversed in one
+    draw of two."""
+    sig = draw(st.sampled_from(BRACKET_SIGS))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    if draw(st.booleans()):
+        table = DeltaOperator.from_section(gen.trivialising_section(chart))
+    else:
+        table = DeltaOperator(chart, tuple(
+            gen.jet(sig, max_terms=2, max_even_degree=1, parity=chart.parity(k))
+            for k in range(chart.dim)))
+    return table, reversed_keys(draw, draw(sections(chart)))
 
 
 @st.composite
@@ -360,6 +449,20 @@ def extension_cases(draw):
 
 
 class TestExtendDeltaProperties:
+    @given(stored_extension_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_left_peel_matches_sorted_words(self, case):
+        table, alpha = case
+        assert _packed_form(extend_delta(table, alpha)) == \
+            _packed_form(word_sorted_extend_delta(table, alpha))
+
+    @given(stored_extension_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_right_peel_matches_words(self, case):
+        table, alpha = case
+        assert _packed_form(extend_delta_right(table, alpha)) == \
+            _packed_form(word_extend_delta_right(table, alpha))
+
     @given(extension_cases())
     @settings(max_examples=120, deadline=None, derandomize=True, phases=NO_SHRINK)
     def test_equals_the_word_recursion(self, case):

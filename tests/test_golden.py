@@ -573,7 +573,7 @@ def test_sampled_morphisms(n, m):
 
 def _crafted_words():
     """(chart, prefactor, items) cases for ``normalise_word``."""
-    from superbv.mvforms import DBAR, FUN, VEC
+    from test_mvforms import DBAR, FUN, VEC
 
     sig = RingSignature(2, 2, 4)
     chart, tight = Chart(sig), Chart(sig, odd_wedge_cap=2)
@@ -620,7 +620,7 @@ def _crafted_words():
 
 
 def _word_lines():
-    from superbv.mvforms import normalise_word
+    from test_mvforms import normalise_word
 
     lines = []
     for k, (chart, prefactor, items) in enumerate(_crafted_words()):

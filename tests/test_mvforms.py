@@ -1,21 +1,21 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbv.charts import Chart, ChartError
+from superbv.charts import Chart, ChartError, Morphism
 from superbv import mvforms
 from superbv.grading import BiDegree, commute_sign, koszul
-from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
+from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
 from superbv.mvforms import (
-    DBAR,
-    FUN,
-    VEC,
     MultiVectorForm,
+    _drops,
+    _is_full_unit,
+    _parts,
     add_terms,
     dbar,
-    normalise_word,
     pull_mvform,
     schouten,
     wedge,
@@ -306,6 +306,142 @@ class TestPullback:
                     schouten(pull_mvform(phi, a), pull_mvform(phi, b)))
 
 
+# -- the formal-word oracle ------------------------------------------------------
+# The package once built a formal word for every product, bracket piece,
+# barred derivative and choice of pullback matrix entries, and normalised it
+# here.  ``normalise_word`` and the word versions of the operations below
+# are the oracle that the stored-term versions must match term for term, in
+# ``den`` and ``prec`` and in the section's ``prec``; ``WORD_DIGEST`` in
+# tests/test_golden.py gates ``normalise_word`` itself.
+#
+# Item kinds: (DBAR, k) a barred coordinate differential; (VEC, k) a
+# coordinate derivation; (FUN, f) a homogeneous coefficient.
+
+DBAR, VEC, FUN = "dbar", "vec", "fun"
+
+
+def normalise_word(chart, items, prefactor=1):
+    """Sort a formal word into normal order, with Koszul signs.
+
+    Returns a dict mapping (I, J) to a coefficient jet;  words that repeat an
+    even direction, or exceed the odd multiplicity cap, are dropped (the
+    former are zero, the latter fall outside the retained normal form).
+
+    The normal order is the stable sort that puts the differentials first,
+    then the derivations, each by direction, then the functions in their
+    written order.  Each item gets its degree (1 for a differential or a
+    derivation, 0 for a function) and its parity once.  A function item of
+    mixed parity stands for the sum of its two homogeneous parts, so the
+    word splits into one word per choice of parts.  The sign of a word is
+    ``koszul`` of deg*deg + parity*parity summed over the pairs of items
+    that the sort inverts, which is the product of the exchange signs of
+    the swaps of an insertion sort.  The coefficient is the product of the
+    function items from the first one on; a unit factor at full precision
+    is skipped, since it changes neither the terms nor ``prec``.
+    """
+    items = list(items)
+    ranks, degrees, choices = [], [], []
+    for kind, payload in items:
+        if kind == FUN:
+            choices.append(_parts(payload))
+            if not choices[-1]:
+                return {}  # a zero factor
+            ranks.append((2, 0))
+            degrees.append(0)
+        else:
+            choices.append(((chart.parity(payload), None),))
+            ranks.append((0 if kind == DBAR else 1, payload))
+            degrees.append(1)
+    form_idx = tuple(sorted(payload for kind, payload in items if kind == DBAR))
+    vec_idx = tuple(sorted(payload for kind, payload in items if kind == VEC))
+    if _drops(chart, form_idx) or _drops(chart, vec_idx):
+        return {}
+    size = len(items)
+    inverted = [(i, j) for i in range(size) for j in range(i + 1, size) if ranks[i] > ranks[j]]
+    degree_exponent = sum(degrees[i] * degrees[j] for i, j in inverted)
+    pairs = []
+    for word in itertools.product(*choices):
+        exponent = degree_exponent + sum(word[i][0] * word[j][0] for i, j in inverted)
+        coeff = None
+        for _, f in word:
+            if f is None or _is_full_unit(f):
+                continue
+            coeff = f if coeff is None else coeff * f
+            if not coeff.terms:
+                break
+        if coeff is None:
+            coeff = chart.one()
+        elif not coeff.terms:
+            continue
+        if koszul(exponent) * prefactor < 0:
+            coeff = -coeff
+        pairs.append(((form_idx, vec_idx), coeff))
+    return add_terms({}, pairs)
+
+
+def in_normal_form(chart, key):
+    """Whether the stored key (I, J) is one ``normalise_word`` keeps as it
+    is: both tuples sorted, and neither dropped by ``_drops``."""
+    return all(tuple(sorted(idx)) == idx and not _drops(chart, idx) for idx in key)
+
+
+def from_words(chart, words, prec=None):
+    """The section of (prefactor, items) words, normalised and summed word by
+    word; its ``prec`` is at most every function item's, dropped words' too."""
+    acc: dict = {}
+    floor = chart.sig.cap if prec is None else prec
+    for prefactor, items in words:
+        floor = min([floor] + [payload.prec for kind, payload in items if kind == FUN])
+        add_terms(acc, normalise_word(chart, items, prefactor).items())
+    return MultiVectorForm(chart, acc, floor)
+
+
+def term_word(form, key):
+    """The formal word of one stored term (in normal order)."""
+    form_idx, vec_idx = key
+    items = [(DBAR, k) for k in form_idx] + [(VEC, k) for k in vec_idx]
+    items.append((FUN, form.terms[key]))
+    return items
+
+
+def word_dbar(a):
+    """``dbar`` through one word per barred derivative."""
+    chart = a.chart
+    words = []
+    for (i, j), coeff in a.terms.items():
+        index_parity = sum(chart.parity(k) for k in i + j) % 2
+        for k in range(chart.dim):
+            df = chart.dbar(coeff, k)
+            if df.is_zero():
+                continue
+            sign = koszul(chart.parity(k) * index_parity)
+            items = [(DBAR, k)] + [(DBAR, x) for x in i] + [(VEC, x) for x in j] + [(FUN, df)]
+            words.append((sign, items))
+    return from_words(chart, words, a.prec)
+
+
+def word_pull_mvform(phi, a):
+    """``pull_mvform`` through one word per choice of a nonzero matrix entry
+    for each index, each entry followed by its coefficient item."""
+    source = phi.source
+    d_inv = d_bar_st = None
+    if any(j_idx for _, j_idx in a.terms):
+        d_inv = phi.differential_inverse()
+    if any(i_idx for i_idx, _ in a.terms):
+        d_bar_st = phi.differential_bar().supertranspose()
+    pulled = phi.apply_many(a.terms.values())
+    out_words = []
+    for (i_idx, j_idx), pulled_coeff in zip(a.terms, pulled):
+        words = [[]]
+        symbols = [(DBAR, d_bar_st, k) for k in i_idx] + [(VEC, d_inv, k) for k in j_idx]
+        for kind, matrix, k in symbols:
+            column = [(row, matrix.rows[row][k]) for row in range(source.dim)]
+            words = [items + [(kind, row), (FUN, entry)]
+                     for items in words for row, entry in column if not entry.is_zero()]
+        out_words.extend((1, items + [(FUN, pulled_coeff)]) for items in words)
+    return from_words(source, out_words, a.prec - 1)
+
+
 # -- the insertion-sort normaliser ------------------------------------------------
 # ``normalise_word`` as it was before it took its sign from one inversion
 # count: mixed-parity function items split into every homogeneous choice up
@@ -470,10 +606,10 @@ def word_wedge(a, b):
     a._check_chart(b)
     words = []
     for ka in a.terms:
-        wa = a.term_word(ka)
+        wa = term_word(a, ka)
         for kb in b.terms:
-            words.append((1, wa + b.term_word(kb)))
-    return MultiVectorForm.from_words(a.chart, words, min(a.prec, b.prec))
+            words.append((1, wa + term_word(b, kb)))
+    return from_words(a.chart, words, min(a.prec, b.prec))
 
 
 class _Vec:
@@ -621,7 +757,7 @@ def word_schouten(a, b):
                     lead = [(DBAR, k) for k in ia] + [(DBAR, k) for k in ib]
                     for s, word in inner:
                         words.append((sign * s, lead + word))
-    return MultiVectorForm.from_words(chart, words, min(a.prec, b.prec) - 1)
+    return from_words(chart, words, min(a.prec, b.prec) - 1)
 
 
 def _packed_form(form):
@@ -679,6 +815,73 @@ def section_pairs(draw):
     return draw(sections(chart)), draw(sections(chart))
 
 
+def reversed_keys(draw, form):
+    """``form``, or in one draw of two the same terms under reversed index
+    tuples, which are then unsorted (colliding keys keep the last term)."""
+    if not draw(st.booleans()):
+        return form
+    return MultiVectorForm(form.chart, {(i[::-1], j[::-1]): c for (i, j), c in form.terms.items()},
+                           form.prec)
+
+
+@st.composite
+def single_sections(draw):
+    sig = draw(st.sampled_from(BRACKET_SIGS))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    return reversed_keys(draw, draw(sections(chart)))
+
+
+@st.composite
+def pullback_cases(draw):
+    """A sampled holomorphic map: as drawn, inverted (which takes the chain
+    rule for its inverse differential), with its images truncated at drawn
+    precisions, linear and truncated (so that columns are sparse and words
+    that repeat an index drop, at entry precisions below the section's), or
+    truncated with one image zero (a zero column, and no inverse); and a
+    section on its target."""
+    sig = draw(st.sampled_from(BRACKET_SIGS))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    shape = draw(st.sampled_from(("drawn", "inverted", "truncated", "linear", "flat")))
+    phi = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6))).invertible_morphism(
+        chart, nonlinear=shape != "linear")
+    if shape == "inverted":
+        phi = phi.invert()
+    elif shape != "drawn":
+        images = [x.truncate(draw(st.integers(min_value=1, max_value=sig.cap))) for x in phi.pullbacks]
+        if shape == "flat":
+            images[draw(st.integers(min_value=0, max_value=chart.dim - 1))] = JetSuperFunction.zero(sig)
+        phi = Morphism(phi.source, phi.target, images)
+    a = draw(sections(phi.target))
+    if draw(st.booleans()):  # trusted as far as its coefficients are
+        a = MultiVectorForm(a.chart, a.terms)
+    return phi, reversed_keys(draw, a)
+
+
+def _outcome(thunk):
+    """The packed section ``thunk`` returns, or the type and text of its error."""
+    try:
+        return _packed_form(thunk())
+    except JetError as error:
+        return type(error).__name__, str(error)
+
+
+class TestWordFreeOperations:
+    """``dbar`` and ``pull_mvform`` against their word versions, on sections
+    with unsorted keys, repeated indices, mixed-parity and truncated
+    coefficients, at odd caps 1-3."""
+
+    @given(single_sections())
+    @settings(max_examples=400, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_dbar_matches_words(self, a):
+        assert _packed_form(dbar(a)) == _packed_form(word_dbar(a))
+
+    @given(pullback_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_pull_mvform_matches_words(self, case):
+        phi, a = case
+        assert _outcome(lambda: pull_mvform(phi, a)) == _outcome(lambda: word_pull_mvform(phi, a))
+
+
 class TestStoredTerms:
     @given(section_pairs())
     @settings(max_examples=400, deadline=None, derandomize=True, phases=NO_SHRINK)
@@ -723,8 +926,8 @@ class TestStoredTerms:
         def forbidden(*args, **kwargs):
             raise AssertionError("wedge or schouten built a formal word")
 
-        monkeypatch.setattr(mvforms, "normalise_word", forbidden)
-        monkeypatch.setattr(MultiVectorForm, "from_words", forbidden)
+        monkeypatch.setattr(mvforms, "normalise_word", forbidden, raising=False)
+        monkeypatch.setattr(MultiVectorForm, "from_words", forbidden, raising=False)
         assert any(not product.is_zero() for _, _, product, _ in cases)
         assert any(not bracket.is_zero() for *_, bracket in cases)
         for a, b, product, bracket in cases:

@@ -97,3 +97,16 @@ def test_no_gaussian_rationals_above_the_jet_ring():
         if scalar.search(line)
     ]
     assert offenders == []
+
+
+def test_no_formal_words_in_the_package():
+    # the operations work on stored terms; the formal-word normaliser and its
+    # item kinds live in tests/test_mvforms.py as their oracle
+    words = re.compile(r"\b(normalise_word|from_words|term_word|in_normal_form|DBAR|VEC|FUN)\b")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if words.search(line)
+    ]
+    assert offenders == []

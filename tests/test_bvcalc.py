@@ -457,7 +457,7 @@ class TestExtendDeltaProperties:
             _packed_form(word_sorted_extend_delta(table, alpha))
 
     @given(stored_extension_cases())
-    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
     def test_right_peel_matches_words(self, case):
         table, alpha = case
         assert _packed_form(extend_delta_right(table, alpha)) == \

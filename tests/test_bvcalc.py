@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -480,6 +481,127 @@ class TestExtendDeltaProperties:
         out = schouten(MultiVectorForm.dbar_basis(chart, k), alpha)
         assert out.is_zero() and out.prec == max(0, alpha.prec - 1)
         assert out == MultiVectorForm.zero(chart, alpha.prec - 1)
+
+
+def recursive_extend_term(delta, chart, i_idx, j_idx, coeff):
+    """D of the stored term d xibar^I (x) d/dxi^J . coeff, peeled at its first
+    symbol w, one section per peel: the recursion that ``_extend_term``
+    unrolls, and its reference.
+
+    * A barred w = d xibar^i brackets to zero and D(w) = 0, so the image is
+      D(rest) with i in front of each barred tuple and each coefficient negated.
+    * A vector w = d/dxi^j over the rest J' = J[1:], with
+      s = koszul(|j| * (|J'[0]| + |J'[1]| + ...)), gives on ((), J') the bracket
+      s * d_j(coeff), then minus D(rest) with j in front of each vector tuple,
+      then s * D(d/dxi^j) * coeff.
+    """
+    prec = max(0, coeff.prec - 1)
+    if not i_idx and not j_idx:
+        return MultiVectorForm.zero(chart, prec)
+    if i_idx:
+        inner = recursive_extend_term(delta, chart, i_idx[1:], j_idx, coeff)
+        terms = {(i_idx[:1] + bars, vecs): -c for (bars, vecs), c in inner.terms.items()}
+        return MultiVectorForm(chart, terms, min(prec, inner.prec))
+    j, rest = j_idx[0], j_idx[1:]
+    sign = koszul(chart.parity(j) * sum(chart.parity(x) for x in rest))
+    terms = {}
+    bracket = chart.d(coeff, j)
+    if not bracket.is_zero():
+        terms[((), rest)] = bracket if sign > 0 else -bracket
+    inner = recursive_extend_term(delta, chart, (), rest, coeff)
+    add_terms(terms, [(((), j_idx[:1] + vecs), -c) for (_, vecs), c in inner.terms.items()])
+    prec = min(prec, inner.prec)
+    value = delta.values[j]
+    if not value.is_zero():
+        first = value * coeff
+        if not first.is_zero():
+            add_terms(terms, [(((), rest), first if sign > 0 else -first)])
+        prec = min(prec, value.prec, coeff.prec)
+    return MultiVectorForm(chart, terms, prec)
+
+
+def stored_order(form):
+    """The form's ``prec`` and, key by key in stored order, each
+    coefficient's terms in stored order, ``den`` and ``prec``."""
+    return form.prec, [(key, tuple(c.terms.items()), c.den, c.prec) for key, c in form.terms.items()]
+
+
+# 0|2 and 2|0 have no even or no odd direction, 3|3 the most of both
+DIVERGENCE_SHAPES = ((1, 1), (2, 1), (1, 3), (2, 2), (3, 3), (0, 2), (2, 0))
+
+
+@st.composite
+def divergence_cases(draw):
+    """A table and a section for the divergence formula.  The table is a
+    sampled section's, of a unit drawn at the cap or truncated below it, or
+    free, its entries truncated at drawn precisions.  The section's keys draw
+    repeated odd indices (up to ``odd_wedge_cap``) and barred ones; its
+    coefficients are truncated at drawn precisions, and its keys are reversed
+    in one draw of four."""
+    n, m = draw(st.sampled_from(DIVERGENCE_SHAPES))
+    sig = RingSignature(n, m, draw(st.integers(min_value=0, max_value=6)))
+    chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
+    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    degree = 2 if n else 0  # with no even direction only degree 0 can be drawn
+    cap = sig.cap
+    table = draw(st.sampled_from(("section", "truncated", "free")))
+    if table == "free" or not m % 2 and not n:
+        table = DeltaOperator(chart, tuple(
+            gen.jet(sig, max_terms=2, max_even_degree=min(degree, 1),
+                    parity=chart.parity(k)).truncate(draw(st.integers(min_value=0, max_value=cap)))
+            for k in range(chart.dim)))
+    else:
+        h = gen.unit(sig).truncate(cap if table == "section" else
+                                   draw(st.integers(min_value=0, max_value=cap)))
+        table = DeltaOperator.from_section(BerSection(chart, h))
+    return table, draw(drawn_sections(chart, gen))
+
+
+@st.composite
+def drawn_sections(draw, chart, gen):
+    sig, degree = chart.sig, 2 if chart.sig.n else 0
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        try:
+            key = (gen.index_multiset(chart, draw(st.integers(min_value=0, max_value=2)), True),
+                   gen.index_multiset(chart, draw(st.integers(min_value=0, max_value=4)), True))
+        except RuntimeError:
+            continue  # the chart has no index multiset of that size
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            key = (key[0][::-1], key[1][::-1])
+        coeff = gen.jet(sig, max_terms=4, max_even_degree=degree)
+        terms[key] = coeff.truncate(draw(st.integers(min_value=0, max_value=sig.cap)))
+    prec = draw(st.integers(min_value=0, max_value=sig.cap))
+    return MultiVectorForm(chart, terms, prec)
+
+
+class TestDivergenceFormula:
+    """``_extend_term`` in closed form against the peel recursion."""
+
+    @given(divergence_cases())
+    @settings(max_examples=500, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_matches_the_recursion(self, case):
+        table, alpha = case
+        got = extend_delta(table, alpha)
+        with mock.patch.object(bvcalc, "_extend_term", recursive_extend_term):
+            want = extend_delta(table, alpha)
+        assert stored_order(got) == stored_order(want)
+
+    @pytest.mark.parametrize("key", [((), (1, 1, 1)), ((1,), (0, 1, 1)), ((0, 1), (1, 1, 2))])
+    def test_a_run_of_a_repeated_odd_index(self, key):
+        # the pieces of a run of j share one key, and the free table's entry
+        # for j sits below the coefficient's precision
+        chart = Chart(SIG13)
+        gen = SampleGen(11)
+        table = DeltaOperator(chart, tuple(
+            gen.jet(SIG13, max_terms=2, max_even_degree=1, parity=chart.parity(k)).truncate(2)
+            for k in range(chart.dim)))
+        alpha = MultiVectorForm(chart, {key: gen.jet(SIG13, max_terms=4)})
+        got = extend_delta(table, alpha)
+        with mock.patch.object(bvcalc, "_extend_term", recursive_extend_term):
+            want = extend_delta(table, alpha)
+        assert not got.is_zero() and got.prec == 2
+        assert stored_order(got) == stored_order(want)
 
 
 class TestTianTodorov:

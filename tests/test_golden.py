@@ -67,6 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_HASHES = {
     "cap_edge_1x2": "3c3bfdc68394628a4305b22965032cb47a85510ef598b9431f2d2d8e833583c5",
     "bv_1x3": "61a5d2be1a29fbdd4dc36834581f7460b052a84572dfd4e76a2063ff4c59cbad",
+    "bv_3x3": "e99ac6b478ce7360f596c7804ee77a5fc9c696069c3e9deb5e7b66850fbc6f83",
     "default": "399b01be921f725c06afbcb1d32ab12f106abf899a31c5df8a7f6ad5471c4e8f",
     "two_one": "9c14ba17d9c1cc8ad3fc3e64243dd714a4d289ea002e34784fd9187301649c34",
     "two_two": "cb088cb1482a07337dcdf65fd1d441b47318a4ef948ad7c860769e416077a3f6",

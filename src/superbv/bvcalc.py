@@ -182,88 +182,89 @@ class DeltaOperator:
 def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorForm:
     """Evaluate a generator table on an arbitrary section.
 
-    Peels the leftmost symbol w of each monomial and recurses through
+    The table extends by the bracket recursion
 
         D(w . rest) = [[w, rest]] + D(w) ^ rest - w ^ D(rest)
 
-    which is the bracket-compatibility condition specialised to deg(w) = 1.
-    Each piece is built as stored terms with a sign (see ``_extend_term``),
-    and the images of the terms of ``alpha`` are summed into one dict.  The
-    result does not depend on the peeling order; the right-peeled variant
+    which is the bracket-compatibility condition specialised to deg(w) = 1;
+    ``_extend_term`` evaluates it on one stored term in closed form.  A key
+    outside normal form is sorted first, with its sign, and the keys of its
+    image past the chart's ``odd_wedge_cap`` drop.  Each term's image is
+    summed on its own, then added into one dict in the order of the terms.
+    The result does not depend on the peeling order; the right-peeled variant
     below exists to test exactly that.
     """
     chart = alpha.chart
     if delta.chart != chart:
         raise ChartError("operator and section live on different charts")
-    merged: dict = {}
     terms: dict = {}
-    prec = alpha.prec - 1
+    prec = max(0, alpha.prec - 1)
     for key, coeff in alpha.terms.items():
-        bars, vecs = _merged(chart, key[0], merged), _merged(chart, key[1], merged)
+        bars, vecs = _merged(chart, key[0]), _merged(chart, key[1])
         normal = bars and vecs and (bars[0], vecs[0]) == key
         if not normal:
             # sort the key once, with its sign, keeping odd indices past the
             # cap; the image's keys past the cap drop
             wide = replace(chart, odd_wedge_cap=len(key[0]) + len(key[1]))
-            bars, vecs = _merged(wide, key[0], {}), _merged(wide, key[1], {})
+            bars, vecs = _merged(wide, key[0]), _merged(wide, key[1])
             if not (bars and vecs):
                 continue
             coeff = coeff if koszul(bars[1] + vecs[1]) > 0 else -coeff
         image = _extend_term(delta, chart, bars[0], vecs[0], coeff)
         add_terms(terms, image.terms.items() if normal else [
-            (k, c) for k, c in image.terms.items()
-            if _merged(chart, k[0], merged) and _merged(chart, k[1], merged)])
+            (k, c) for k, c in image.terms.items() if _merged(chart, k[0]) and _merged(chart, k[1])])
         prec = min(prec, image.prec)
-    return MultiVectorForm(chart, terms, prec)
+    return MultiVectorForm._clean(chart, terms, prec)
 
 
 def _extend_term(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
-    """D of the stored term d xibar^I (x) d/dxi^J . coeff, peeled at its first symbol.
+    """D of the stored term d xibar^I (x) d/dxi^J . f, in closed form.
 
-    The term is in normal form: no even index repeats and no odd one passes
-    the chart's ``odd_wedge_cap``.  Each piece of a peel is then a stored term
-    with a sign: the first symbol w is at most every index of a key of
-    D(rest), so putting it back in front costs no sign and drops nothing.
+    The term is in normal form: I and J sorted, no even index repeated and
+    no odd one past the chart's ``odd_wedge_cap``.  Barred symbols bracket
+    to zero and have D = 0, and peeling the vectors j_0, j_1, ... of J one
+    at a time unrolls the bracket recursion into the divergence formula
 
-    * A barred w = d xibar^i brackets to zero and D(w) = 0, so the image is
-      D(rest) with i in front of each barred tuple and each coefficient negated.
-    * A vector w = d/dxi^j over the rest J' = J[1:], with
-      s = koszul(|j| * (|J'[0]| + |J'[1]| + ...)), gives on ((), J') the bracket
-      s * d_j(coeff), then minus D(rest) with j in front of each vector tuple,
-      then s * D(d/dxi^j) * coeff.
+        D(I, J, f) = sum_a e_a (d_(j_a) f + D(d/dxi^(j_a)) f)  on (I, J - j_a)
 
-    The pieces are summed in that order, the order of the word recursion.
-    Two of them share a key only when J starts with a repeated odd index j.
-    Every piece on that key is an integer combination of d_j(coeff), of
-    precision coeff.prec, and D(d/dxi^j) * coeff, of precision at most that,
-    so the terms and ``prec`` left there do not depend on the order, even
-    when a partial sum cancels in ``add_terms``.  The form's ``prec`` is the
-    least of max(0, coeff.prec - 1), D(rest)'s and, with a nonzero table
-    entry, that entry's.
+    with e_a = (-1)^(|I| + a) koszul(|j_a| (|j_(a+1)| + |j_(a+2)| + ...)):
+    every symbol before j_a, put back in front of the inner image, costs a
+    minus sign, and d/dxi^(j_a) passes the vectors after it.  Removing one
+    index from a sorted key keeps it sorted and in normal form.
+
+    The pieces are added in the recursion's order: the bracket term of each
+    a ascending, then the table term of each a descending, each where it is
+    nonzero.  Two of them share a key only inside a run of a repeated odd
+    index j.  Every piece there is an integer multiple of d_j f, of
+    precision f.prec, or of D(d/dxi^j) f, of precision at most that, and a
+    table piece comes last, so the terms and ``prec`` left on the key do not
+    depend on how the recursion grouped the sum, even when a partial sum
+    cancels in ``add_terms``.  The form's ``prec`` is the least of
+    max(0, f.prec - 1) and, for each a with a nonzero table entry, that
+    entry's ``prec`` and f.prec; it bounds every coefficient's.
     """
+    parity = chart.parity
     prec = max(0, coeff.prec - 1)
-    if not i_idx and not j_idx:
-        return MultiVectorForm.zero(chart, prec)
-    if i_idx:
-        inner = _extend_term(delta, chart, i_idx[1:], j_idx, coeff)
-        terms = {(i_idx[:1] + bars, vecs): -c for (bars, vecs), c in inner.terms.items()}
-        return MultiVectorForm(chart, terms, min(prec, inner.prec))
-    j, rest = j_idx[0], j_idx[1:]
-    sign = koszul(chart.parity(j) * sum(chart.parity(x) for x in rest))
-    terms = {}
-    bracket = chart.d(coeff, j)
-    if not bracket.is_zero():
-        terms[((), rest)] = bracket if sign > 0 else -bracket
-    inner = _extend_term(delta, chart, (), rest, coeff)
-    add_terms(terms, [(((), j_idx[:1] + vecs), -c) for (_, vecs), c in inner.terms.items()])
-    prec = min(prec, inner.prec)
-    value = delta.values[j]
-    if not value.is_zero():
+    terms: dict = {}
+    tables = []
+    after = sum(map(parity, j_idx))  # |j_(a+1)| + ... once j_a is taken off
+    for a, j in enumerate(j_idx):
+        pj = parity(j)
+        after -= pj
+        positive = koszul(len(i_idx) + a + pj * after) > 0
+        key = (i_idx, j_idx[:a] + j_idx[a + 1:])
+        bracket = chart.d(coeff, j)
+        if bracket.terms:
+            add_terms(terms, ((key, bracket if positive else -bracket),))
+        value = delta.values[j]
+        if value.terms:
+            prec = min(prec, value.prec, coeff.prec)
+            tables.append((key, positive, value))
+    for key, positive, value in reversed(tables):
         first = value * coeff
-        if not first.is_zero():
-            add_terms(terms, [(((), rest), first if sign > 0 else -first)])
-        prec = min(prec, value.prec, coeff.prec)
-    return MultiVectorForm(chart, terms, prec)
+        if first.terms:
+            add_terms(terms, ((key, first if positive else -first),))
+    return MultiVectorForm._clean(chart, terms, prec)
 
 
 def extend_delta_right(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorForm:
@@ -308,7 +309,7 @@ def _extend_term_right(delta: DeltaOperator, chart: Chart, i_idx, j_idx, coeff) 
 def _word_form(chart: Chart, i_idx, j_idx, coeff) -> MultiVectorForm:
     """d xibar^I (x) d/dxi^J . coeff as a section: its key sorted by
     ``_merged``, with the sign, or no term where the key drops."""
-    bars, vecs = _merged(chart, i_idx, {}), _merged(chart, j_idx, {})
+    bars, vecs = _merged(chart, i_idx), _merged(chart, j_idx)
     if not (bars and vecs):
         return MultiVectorForm.zero(chart, coeff.prec)
     coeff = coeff if koszul(bars[1] + vecs[1]) > 0 else -coeff

@@ -59,6 +59,8 @@ class Chart:
         if len(labels) != self.dim or len(set(labels)) != self.dim:
             raise ChartError("need one unique label per coordinate direction")
         object.__setattr__(self, "_parities", (0,) * self.sig.n + (1,) * self.sig.m)
+        # index tuple -> its verdict under mvforms._merged, filled on first use
+        object.__setattr__(self, "_merges", {})
 
     @property
     def dim(self) -> int:
@@ -217,9 +219,12 @@ class Morphism:
 
         For a morphism built by ``invert``, the chain rule gives it exactly
         as (dphi) o self, from the Jacobian dphi of the forward map that
-        ``_build_inverse`` stored: one ``apply_many`` over its entries, which
+        ``_build_inverse`` stored: one substitution over its entries, which
         ``SuperMatrix.inverse`` takes in place of its series wherever that
-        gives the same entries.
+        gives the same entries.  The series keeps them only through its
+        floor, so this map's images are truncated there first: truncation is
+        a ring homomorphism, and the substituted terms up to the floor stay
+        the same.
         """
         return self._cached("differential_inverse", self._build_differential_inverse)
 
@@ -228,8 +233,10 @@ class Morphism:
         if forward is None:
             return self.differential().inverse()
 
-        def chained() -> SuperMatrix:
-            entries = iter(self.apply_many(e for row in forward.rows for e in row))
+        def chained(floor: int) -> SuperMatrix:
+            images = [image.truncate(floor) for image in self._images()]
+            entries = iter(substitute_many([e for row in forward.rows for e in row], images,
+                                           self.source.sig))
             size = forward.size
             return SuperMatrix(self.source.sig, forward.p, forward.q,
                                [[next(entries) for _ in range(size)] for _ in range(size)])

@@ -87,6 +87,14 @@ class Section:
     precisions of all coefficients that entered its computation, including
     ones that cancelled away.  Comparisons truncate both sides to the smaller
     ``prec``.  Operations return the class of their left operand.
+
+    The constructor drops zero coefficients, clamps ``prec`` to 0..cap and
+    lowers it to every coefficient's ``prec``.  Results that hold all of that
+    by construction skip those checks through ``_clean``: ``__add__``,
+    ``__neg__``, ``wedge``, ``schouten``, ``bvcalc.extend_delta`` and its
+    ``_extend_term``, and ``SampleGen.mvform``.  They sum their terms with
+    ``add_terms``, which keeps no zero, and take ``prec`` as a least
+    precision of the inputs that bounds every coefficient they form.
     """
 
     __slots__ = ("chart", "terms", "prec")
@@ -104,6 +112,17 @@ class Section:
         self.prec = floor
 
     @classmethod
+    def _clean(cls, chart: Chart, terms: dict, prec: int):
+        """A section that owns ``terms``, with no coefficient zero and each
+        known through ``prec``, and ``0 <= prec <= cap``: what the
+        constructor would store, without its checks."""
+        section = object.__new__(cls)
+        section.chart = chart
+        section.terms = terms
+        section.prec = prec
+        return section
+
+    @classmethod
     def zero(cls, chart: Chart, prec: int | None = None):
         return cls(chart, {}, prec)
 
@@ -115,10 +134,10 @@ class Section:
     def __add__(self, other):
         self._check_chart(other)
         terms = add_terms(dict(self.terms), other.terms.items())
-        return type(self)(self.chart, terms, min(self.prec, other.prec))
+        return type(self)._clean(self.chart, terms, min(self.prec, other.prec))
 
     def __neg__(self):
-        return type(self)(self.chart, {k: -c for k, c in self.terms.items()}, self.prec)
+        return type(self)._clean(self.chart, {k: -c for k, c in self.terms.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -226,11 +245,12 @@ class MultiVectorForm(Section):
 # -- operations ----------------------------------------------------------------
 
 
-def _merged(chart: Chart, indices: tuple, cache: dict):
+def _merged(chart: Chart, indices: tuple):
     """``(sorted indices, exponent)``, or False where ``_drops`` drops them,
-    kept in ``cache``.  The exponent is that of sorting these symbols: x
-    before y with x > y exchange with 1 + |x||y|, odd exactly when the
-    smaller y is even."""
+    kept on the chart for every later call.  The exponent is that of sorting
+    these symbols: x before y with x > y exchange with 1 + |x||y|, odd
+    exactly when the smaller y is even."""
+    cache = chart._merges
     got = cache.get(indices)
     if got is None:
         key, parity = tuple(sorted(indices)), chart.parity
@@ -252,15 +272,14 @@ def wedge(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
     a._check_chart(b)
     chart = a.chart
     parity = chart.parity
-    merged: dict = {}
     right = [(ib, jb, sum(map(parity, ib)), sum(map(parity, ib + jb)), _parts(g))
              for (ib, jb), g in b.terms.items()]
     terms: dict = {}
     for (ia, ja), f in a.terms.items():
         odd_ja, f_parts = sum(map(parity, ja)), _parts(f)
         for ib, jb, odd_ib, odd_b, g_parts in right:
-            bars = _merged(chart, ia + ib, merged)
-            vecs = bars and _merged(chart, ja + jb, merged)
+            bars = _merged(chart, ia + ib)
+            vecs = bars and _merged(chart, ja + jb)
             if not vecs:
                 continue
             exponent = bars[1] + vecs[1] + len(ja) * len(ib) + odd_ja * odd_ib
@@ -274,7 +293,7 @@ def wedge(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
                         total = total if total.terms else None
             if total is not None:
                 add_terms(terms, (((bars[0], vecs[0]), total),))
-    return MultiVectorForm(chart, terms, min(a.prec, b.prec))
+    return MultiVectorForm._clean(chart, terms, min(a.prec, b.prec))
 
 
 def dbar(a: MultiVectorForm) -> MultiVectorForm:
@@ -290,18 +309,17 @@ def dbar(a: MultiVectorForm) -> MultiVectorForm:
     """
     chart = a.chart
     parity = chart.parity
-    merged: dict = {}
     terms: dict = {}
     prec = a.prec
     for (i, j), coeff in a.terms.items():
         index_parity = sum(map(parity, i + j))
-        vecs = _merged(chart, j, merged)
+        vecs = _merged(chart, j)
         for k in range(chart.dim):
             df = chart.dbar(coeff, k)
             if not df.terms:
                 continue
             prec = min(prec, df.prec)
-            bars = vecs and _merged(chart, (k,) + i, merged)
+            bars = vecs and _merged(chart, (k,) + i)
             if bars:
                 exponent = parity(k) * index_parity + bars[1] + vecs[1]
                 add_terms(terms, (((bars[0], vecs[0]), df if koszul(exponent) > 0 else -df),))
@@ -378,7 +396,6 @@ def schouten(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
     a._check_chart(b)
     chart = a.chart
     parity = chart.parity
-    merged: dict = {}
     right = [(ib, jb, sum(map(parity, ib)), sum(map(parity, jb)), _parts(g))
              for (ib, jb), g in b.terms.items()]
     terms: dict = {}
@@ -386,7 +403,7 @@ def schouten(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
         odd_ja = sum(map(parity, ja))
         for fp, f_part in _parts(f):
             for ib, jb, odd_ib, odd_jb, g_parts in right:
-                bars = (ja or jb) and _merged(chart, ia + ib, merged)
+                bars = (ja or jb) and _merged(chart, ia + ib)
                 for gp, g_part in g_parts if bars else ():
                     outer = (bars[1] + fp * odd_ja + gp * odd_jb + len(ib) * (len(ja) + 1)
                              + odd_ib * (odd_ja + fp))
@@ -398,12 +415,12 @@ def schouten(a: MultiVectorForm, b: MultiVectorForm) -> MultiVectorForm:
                     else:
                         pieces = _vector_pieces(chart, f_part, fp, ja, g_part, gp, jb)
                     for exponent, vec_idx, piece in pieces:
-                        vecs = piece.terms and _merged(chart, vec_idx, merged)
+                        vecs = piece.terms and _merged(chart, vec_idx)
                         if vecs:
                             piece = piece if koszul(outer + exponent + vecs[1]) > 0 else -piece
                             add_terms(terms, (((bars[0], vecs[0]), piece),))
     # a bracket differentiates coefficients once, even directions included
-    return MultiVectorForm(chart, terms, min(a.prec, b.prec) - 1)
+    return MultiVectorForm._clean(chart, terms, max(0, min(a.prec, b.prec) - 1))
 
 
 # -- pullback --------------------------------------------------------------------
@@ -447,7 +464,6 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
         vec_columns = _columns(source, phi.differential_inverse())
     if any(i_idx for i_idx, _ in a.terms):
         bar_columns = _columns(source, phi.differential_bar().supertranspose())
-    merged: dict = {}
     terms: dict = {}
     prec = a.prec - 1
     for (i_idx, j_idx), pulled in zip(a.terms, phi.apply_many(a.terms.values())):
@@ -463,7 +479,7 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
             for rows, choices in words:
                 for row, row_parity, parts in live:
                     picked = rows + (row,)
-                    if not _merged(source, picked[:q] if b < q else picked[q:], merged):
+                    if not _merged(source, picked[:q] if b < q else picked[q:]):
                         continue  # the word drops, so no product is formed
                     branch = []
                     for product, odd, exponent in choices:
@@ -477,7 +493,7 @@ def pull_mvform(phi: Morphism, a: MultiVectorForm) -> MultiVectorForm:
             words = grown
         last = _parts(pulled)
         for rows, choices in words:
-            bars, vecs = _merged(source, rows[:q], merged), _merged(source, rows[q:], merged)
+            bars, vecs = _merged(source, rows[:q]), _merged(source, rows[q:])
             total = None
             for product, _, exponent in choices:
                 positive = koszul(bars[1] + vecs[1] + exponent) > 0

@@ -15,7 +15,7 @@ import random
 
 from .charts import BerSection, Chart, Morphism
 from .grading import koszul
-from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, dot
+from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, _jet
 from .mvforms import MultiVectorForm, add_terms
 
 
@@ -56,11 +56,15 @@ class SampleGen:
 
     def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
         """Real part in -2..2, imaginary part in -1..1 (drawn unless real)."""
+        return GaussianRational.of(*self._numerators(allow_zero, complex_part))
+
+    def _numerators(self, allow_zero=True, complex_part=True) -> tuple:
+        """The integer parts ``(re, im)`` of a ``scalar`` draw."""
         while True:
             re = self._below(5) - 2
             im = self._below(3) - 1 if complex_part else 0
             if allow_zero or re or im:
-                return GaussianRational.of(re, im)
+                return re, im
 
     # -- superfunctions ---------------------------------------------------
 
@@ -167,7 +171,8 @@ class SampleGen:
             coeff = self.jet(chart.sig, max_terms=2, max_even_degree=2,
                              holomorphic=holomorphic_coeff, parity=coeff_parity)
             pairs.append(((i_idx, j_idx), coeff))
-        return MultiVectorForm(chart, add_terms({}, pairs))
+        # jet() draws every coefficient at the cap, and add_terms keeps no zero
+        return MultiVectorForm._clean(chart, add_terms({}, pairs), chart.sig.cap)
 
     def homogeneous_mvform(self, chart, max_p=2, max_q=2, allow_repeats=False):
         """Random homogeneous section with random bidegree and parity."""
@@ -187,7 +192,12 @@ class SampleGen:
         """Random holomorphic invertible coordinate change on the chart.
 
         Even images avoid terms of even degree zero so that pullback does not
-        lower jet precision.
+        lower jet precision.  Each image is summed from packed keys in the
+        order of the random stream: linear terms z_k or th_k, then in an even
+        image up to two z_a z_b and the mixed odd pair z_a th_j th_k (j < k,
+        so no sign), in an odd image up to two z_a th_k.  Keys past the cap
+        and sums that cancel drop; the terms, their order and ``prec`` are
+        those of ``jetring.dot`` over the monomials and their coefficients.
         """
         sig = chart.sig
         n, m = sig.n, sig.m
@@ -196,39 +206,39 @@ class SampleGen:
             odd_lin = [[self._below(3) - 1 + (i == k) for k in range(m)] for i in range(m)]
             if not (_singular(even_lin) or _singular(odd_lin)):
                 break
-        coords = [chart.coordinate(k) for k in range(chart.dim)]
+        layout = sig._layout
+        shift, steps, cap = layout.shift, layout.steps, sig.cap
 
-        def linear_terms(row, offset):
-            return [(coords[offset + k], JetSuperFunction.integer(sig, c))
-                    for k, c in enumerate(row) if c]
+        def image(pieces):
+            terms: dict = {}
+            for key, re, im in pieces:
+                if key >> shift <= cap:
+                    prev = terms.get(key)
+                    terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+            return _jet(sig, {key: c for key, c in terms.items() if c[0] or c[1]}, 1, cap)
 
-        def scaled(monomial):
-            return monomial, JetSuperFunction.scalar(sig, self.scalar(allow_zero=False))
-
-        # each image is one dot over its terms, drawn in the order of the
-        # random stream: linear, quadratic, then the mixed odd-pair term
         pullbacks = []
         for i in range(n):
-            pairs = linear_terms(even_lin[i], 0)
+            pieces = [(steps[k], c, 0) for k, c in enumerate(even_lin[i]) if c]
             if nonlinear:
                 for _ in range(self._below(3)):
                     a, b = self._below(n), self._below(n)
-                    pairs.append(scaled(coords[a] * coords[b]))
+                    pieces.append((steps[a] + steps[b], *self._numerators(allow_zero=False)))
                 if m >= 2 and self.rng.random() < 0.7:
                     a = self._below(n)
                     j, k = sorted(self._sample(m, 2))
-                    pairs.append(scaled(coords[a] * coords[n + j] * coords[n + k]))
-            pullbacks.append(dot(sig, pairs))
+                    pieces.append((steps[a] + (1 << j) + (1 << k),
+                                   *self._numerators(allow_zero=False)))
+            pullbacks.append(image(pieces))
         for j in range(m):
-            pairs = linear_terms(odd_lin[j], n)
+            pieces = [(1 << k, c, 0) for k, c in enumerate(odd_lin[j]) if c]
             if nonlinear:
                 for _ in range(self._below(3)):
                     a = self._below(n)
                     k = self._below(m)
-                    pairs.append(scaled(coords[a] * coords[n + k]))
-            pullbacks.append(dot(sig, pairs))
+                    pieces.append((steps[a] + (1 << k), *self._numerators(allow_zero=False)))
+            pullbacks.append(image(pieces))
         return Morphism(chart, Chart(sig, name="zeta", odd_wedge_cap=chart.odd_wedge_cap), pullbacks)
-
 
     # -- connection data -----------------------------------------------------
 

@@ -130,7 +130,7 @@ class SuperMatrix:
             acc = acc + entry if koszul(self.index_parity(i)) > 0 else acc - entry
         return acc
 
-    def inverse(self, exact: Callable[[], SuperMatrix] | None = None) -> "SuperMatrix":
+    def inverse(self, exact: Callable[[int], SuperMatrix] | None = None) -> "SuperMatrix":
         """Two-sided inverse up to the working precision.
 
         Splits off the constant body B and inverts it exactly, then sums the
@@ -143,9 +143,10 @@ class SuperMatrix:
         included, as the fold of jet sums ``1 + R + R^2 + ...`` gives; the
         sums become jets only once the series has stopped.
 
-        ``exact``, when given, is a thunk returning an exact inverse T of
-        this matrix, valid through the precision of each of its entries, as
-        the chain rule gives for the Jacobian of an inverse map.  No running
+        ``exact``, when given, takes the floor f below and returns an exact
+        inverse T of this matrix, valid through the precision of each of its
+        entries, as the chain rule gives for the Jacobian of an inverse map;
+        only T's terms through f are read.  No running
         precision can fall below the floor f, the least precision of R's
         entries (or the cap), since every power's entry precision is a
         minimum over precisions of R.  Precisions only fall, so when every
@@ -179,7 +180,7 @@ class SuperMatrix:
         # the floor is never below the least precision of M; equal to it, M is
         # known through the floor
         if exact is not None and _settled_floor(sig, remainder.rows, index) == prec:
-            chained = exact()
+            chained = exact(prec)
             if all(e.prec >= prec for row in chained.rows for e in row):
                 return SuperMatrix(sig, p, q, _truncated_inverse(sig, chained.rows, prec, body, body_inv))
         # the running sums, entry by entry as [terms, den, prec], from the identity

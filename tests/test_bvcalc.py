@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -29,7 +31,7 @@ from superbv.bvcalc import (
 from superbv.charts import BerSection, Chart, ChartError, pull_ber
 from superbv.grading import koszul
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
-from superbv.mvforms import MultiVectorForm, add_terms, pull_mvform, schouten, wedge
+from superbv.mvforms import MultiVectorForm, Section, add_terms, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from test_jetring import NO_SHRINK
 from test_mvforms import (
@@ -545,7 +547,7 @@ def divergence_cases(draw):
     degree = 2 if n else 0  # with no even direction only degree 0 can be drawn
     cap = sig.cap
     table = draw(st.sampled_from(("section", "truncated", "free")))
-    if table == "free" or not m % 2 and not n:
+    if table == "free" or not n:  # SampleGen.unit draws even degrees up to 2
         table = DeltaOperator(chart, tuple(
             gen.jet(sig, max_terms=2, max_even_degree=min(degree, 1),
                     parity=chart.parity(k)).truncate(draw(st.integers(min_value=0, max_value=cap)))
@@ -559,6 +561,8 @@ def divergence_cases(draw):
 
 @st.composite
 def drawn_sections(draw, chart, gen):
+    """Up to three terms on drawn normal keys, reversed in one draw of four,
+    with coefficients truncated at drawn precisions, at a drawn ``prec``."""
     sig, degree = chart.sig, 2 if chart.sig.n else 0
     terms = {}
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -602,6 +606,38 @@ class TestDivergenceFormula:
             want = extend_delta(table, alpha)
         assert not got.is_zero() and got.prec == 2
         assert stored_order(got) == stored_order(want)
+
+
+def test_clean_sections_are_what_the_constructor_builds(monkeypatch):
+    # every call of Section._clean is checked against the constructor
+    original = Section._clean.__func__
+    callers = Counter()
+
+    def clean(cls, chart, terms, prec):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        built = cls(chart, dict(terms), prec)
+        assert list(built.terms.items()) == list(terms.items())
+        assert built.prec == prec
+        return original(cls, chart, terms, prec)
+
+    monkeypatch.setattr(Section, "_clean", classmethod(clean))
+
+    @given(divergence_cases(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def check(case, data):
+        table, alpha = case
+        chart = alpha.chart
+        gen = SampleGen(data.draw(st.integers(min_value=0, max_value=10 ** 6)))
+        beta = data.draw(drawn_sections(chart, gen))
+        for form in (alpha, beta, wedge(alpha, beta), schouten(beta, alpha),
+                     extend_delta(table, alpha)):
+            assert (form - form).is_zero() and (-form + form).is_zero()
+        if chart.sig.n:  # SampleGen.mvform draws coefficients of even degree up to 2
+            gen.mvform(chart, gen._below(3), gen._below(3), max_terms=3, allow_repeats=True)
+
+    check()
+    assert set(callers) == {"__add__", "__neg__", "wedge", "schouten", "extend_delta",
+                            "_extend_term", "mvform"}
 
 
 class TestTianTodorov:

@@ -442,7 +442,7 @@ def _chain_and_series(phi, short=None):
         _, exact, floor, *_ = chain.call_args.args
         cut = SuperMatrix(matrix.sig, matrix.p, matrix.q,
                           [[e.truncate(floor - short) for e in row] for row in exact])
-        assert _matrix_outcome(lambda: matrix.inverse(lambda: cut)) == want
+        assert _matrix_outcome(lambda: matrix.inverse(lambda floor: cut)) == want
     return "chain" if chain.called else "series", got, want
 
 

@@ -130,8 +130,8 @@ class TestInverseFromAnExactOne:
         matrix, exact = self.exact_pair(sig, [[one + g["z1"], g["z2"]], [g["z1"] * g["z2"], one]],
                                         [[3, 3], [3, 3]])
         calls = []
-        got = self.outcome(lambda: matrix.inverse(lambda: calls.append(1) or exact))
-        assert calls and got == self.outcome(matrix.inverse)
+        got = self.outcome(lambda: matrix.inverse(lambda floor: calls.append(floor) or exact))
+        assert calls == [3] and got == self.outcome(matrix.inverse)
 
     def test_an_entry_known_below_the_floor_takes_the_series(self):
         # a zero entry known through degree 1 takes no part in R, whose
@@ -142,7 +142,7 @@ class TestInverseFromAnExactOne:
                                               [JetSuperFunction.zero(sig), one - g["z1"]]],
                                         [[3, 1], [3, 3]])
         want = self.outcome(matrix.inverse)
-        assert self.outcome(lambda: matrix.inverse(lambda: exact)) == want
+        assert self.outcome(lambda: matrix.inverse(lambda floor: exact)) == want
         assert not want[0][1][2] and exact.rows[0][1].terms
 
     def test_a_series_past_the_least_precision_of_m_terminates(self):
@@ -156,7 +156,7 @@ class TestInverseFromAnExactOne:
                                         [[1, 4], [4, 1]])
         want = self.outcome(matrix.inverse)
         assert isinstance(want, list)
-        assert self.outcome(lambda: matrix.inverse(lambda: exact)) == want
+        assert self.outcome(lambda: matrix.inverse(lambda floor: exact)) == want
         product = matrix * matrix.inverse()
         assert product.agrees_with(SuperMatrix.identity(sig, 2, 0))
 

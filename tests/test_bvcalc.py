@@ -591,22 +591,6 @@ class TestDivergenceFormula:
             want = extend_delta(table, alpha)
         assert stored_order(got) == stored_order(want)
 
-    @pytest.mark.parametrize("key", [((), (1, 1, 1)), ((1,), (0, 1, 1)), ((0, 1), (1, 1, 2))])
-    def test_a_run_of_a_repeated_odd_index(self, key):
-        # the pieces of a run of j share one key, and the free table's entry
-        # for j sits below the coefficient's precision
-        chart = Chart(SIG13)
-        gen = SampleGen(11)
-        table = DeltaOperator(chart, tuple(
-            gen.jet(SIG13, max_terms=2, max_even_degree=1, parity=chart.parity(k)).truncate(2)
-            for k in range(chart.dim)))
-        alpha = MultiVectorForm(chart, {key: gen.jet(SIG13, max_terms=4)})
-        got = extend_delta(table, alpha)
-        with mock.patch.object(bvcalc, "_extend_term", recursive_extend_term):
-            want = extend_delta(table, alpha)
-        assert not got.is_zero() and got.prec == 2
-        assert stored_order(got) == stored_order(want)
-
 
 def test_clean_sections_are_what_the_constructor_builds(monkeypatch):
     # every call of Section._clean is checked against the constructor

@@ -381,51 +381,6 @@ class TestDeterminant:
             assert _singular(upper[::-1][:10] + [upper[-1]])
 
 
-class DotSampleGen(SampleGen):
-    """``SampleGen`` with ``invertible_morphism`` building each image as it
-    did before it summed packed keys: coordinate jets, their products, one
-    ``JetSuperFunction.scalar`` per nonlinear term and one ``dot`` per image."""
-
-    def invertible_morphism(self, chart, nonlinear=True):
-        sig = chart.sig
-        n, m = sig.n, sig.m
-        while True:
-            even_lin = [[self._below(3) - 1 + (i == k) for k in range(n)] for i in range(n)]
-            odd_lin = [[self._below(3) - 1 + (i == k) for k in range(m)] for i in range(m)]
-            if not (_singular(even_lin) or _singular(odd_lin)):
-                break
-        coords = [chart.coordinate(k) for k in range(chart.dim)]
-
-        def linear_terms(row, offset):
-            return [(coords[offset + k], JetSuperFunction.integer(sig, c))
-                    for k, c in enumerate(row) if c]
-
-        def scaled(monomial):
-            return monomial, JetSuperFunction.scalar(sig, self.scalar(allow_zero=False))
-
-        pullbacks = []
-        for i in range(n):
-            pairs = linear_terms(even_lin[i], 0)
-            if nonlinear:
-                for _ in range(self._below(3)):
-                    a, b = self._below(n), self._below(n)
-                    pairs.append(scaled(coords[a] * coords[b]))
-                if m >= 2 and self.rng.random() < 0.7:
-                    a = self._below(n)
-                    j, k = sorted(self._sample(m, 2))
-                    pairs.append(scaled(coords[a] * coords[n + j] * coords[n + k]))
-            pullbacks.append(dot(sig, pairs))
-        for j in range(m):
-            pairs = linear_terms(odd_lin[j], n)
-            if nonlinear:
-                for _ in range(self._below(3)):
-                    a = self._below(n)
-                    k = self._below(m)
-                    pairs.append(scaled(coords[a] * coords[n + k]))
-            pullbacks.append(dot(sig, pairs))
-        return Morphism(chart, Chart(sig, name="zeta", odd_wedge_cap=chart.odd_wedge_cap), pullbacks)
-
-
 def _drawn_map(gen, chart, nonlinear):
     """Each pullback's terms in stored order, ``den`` and ``prec``, the
     target chart, and the generator's state after the draw."""
@@ -435,8 +390,9 @@ def _drawn_map(gen, chart, nonlinear):
 
 
 class TestPackedMorphism:
-    """``invertible_morphism`` sums packed keys; ``DotSampleGen`` forms the
-    same images from jet products and ``dot``."""
+    """``invertible_morphism`` sums packed keys; ``RandomPySampleGen`` forms
+    the same images from jet products and one ``dot`` each, as the sampler
+    did before."""
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (0, 1, 2, 3)])
     def test_matches_the_dot_builder(self, n, m):
@@ -445,7 +401,7 @@ class TestPackedMorphism:
             for seed in range(40):
                 for nonlinear in (True, False):
                     got = _drawn_map(SampleGen(seed), chart, nonlinear)
-                    assert got == _drawn_map(DotSampleGen(seed), chart, nonlinear)
+                    assert got == _drawn_map(RandomPySampleGen(seed), chart, nonlinear)
 
 
 class TestPrimitive:

@@ -26,6 +26,7 @@ from functools import cache
 
 from .charts import BerSection, Chart, ChartError, Morphism, pull_ber
 from .grading import koszul
+from .jetring import _parts
 from .mvforms import (
     MultiVectorForm,
     Section,
@@ -88,10 +89,7 @@ def partial_int(sigma: IntegralForm, drop_form_sign: bool = False) -> IntegralFo
     for (i_idx, j_idx), coeff in sigma.terms.items():
         q = len(i_idx)
         pj_total = sum(chart.parity(k) for k in j_idx) % 2
-        for part in coeff.homogeneous_parts():
-            if part.is_zero():
-                continue
-            pg = part.parity()
+        for pg, part in _parts(coeff):
             prefix = 0
             for pos, direction in enumerate(j_idx):
                 pk = chart.parity(direction)
@@ -504,10 +502,9 @@ def _gamma_terms(form: Section) -> dict:
     chart = form.chart
     pairs = []
     for key, coeff in form.terms.items():
-        for part in coeff.homogeneous_parts():
-            if not part.is_zero():
-                sign = _gamma_sign(chart, key[1], part.parity())
-                pairs.append((key, part if sign > 0 else -part))
+        for parity, part in _parts(coeff):
+            sign = _gamma_sign(chart, key[1], parity)
+            pairs.append((key, part if sign > 0 else -part))
     return add_terms({}, pairs)
 
 
@@ -531,10 +528,7 @@ def manin_delta(tau: SymTensorForm, drop_form_sign: bool = False) -> SymTensorFo
     pairs = []
     for (i_idx, j_idx), coeff in tau.terms.items():
         q = len(i_idx)
-        for part in coeff.homogeneous_parts():
-            if part.is_zero():
-                continue
-            pf = part.parity()
+        for pf, part in _parts(coeff):
             prefix = 0
             for pos, direction in enumerate(j_idx, start=1):
                 pk = chart.parity(direction)

@@ -18,13 +18,14 @@ Covector fields are coefficient rows against the basis (d xi^k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grading import koszul
 from .jetring import (
     JetError,
     JetSuperFunction,
     RingSignature,
+    _parts,
     dot,
     monomial_words,
     substitute_many,
@@ -46,18 +47,8 @@ class Chart:
     sig: RingSignature
     name: str = "xi"
     odd_wedge_cap: int = DEFAULT_ODD_WEDGE_CAP
-    labels: tuple = field(default=None)
 
     def __post_init__(self) -> None:
-        labels = self.labels
-        if labels is None:
-            labels = tuple(
-                [f"z{i + 1}" for i in range(self.sig.n)]
-                + [f"th{j + 1}" for j in range(self.sig.m)]
-            )
-            object.__setattr__(self, "labels", labels)
-        if len(labels) != self.dim or len(set(labels)) != self.dim:
-            raise ChartError("need one unique label per coordinate direction")
         object.__setattr__(self, "_parities", (0,) * self.sig.n + (1,) * self.sig.m)
         # index tuple -> its verdict under mvforms._merged, filled on first use
         object.__setattr__(self, "_merges", {})
@@ -503,11 +494,9 @@ def vector_apply(chart: Chart, column, f: JetSuperFunction) -> JetSuperFunction:
             continue
         pk = chart.parity(k)
         df = chart.d(f, k)
-        for part in comp.homogeneous_parts():
-            if part.is_zero():
-                continue
+        for pc, part in _parts(comp):
             term = part * df
-            if koszul(pk * part.parity()) < 0:
+            if koszul(pk * pc) < 0:
                 term = -term
             acc = acc + term
     return acc

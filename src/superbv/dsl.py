@@ -1,5 +1,5 @@
 """Scenario language: a small expression DSL for superfunctions, sections,
-morphisms, connections and paths, plus the deterministic renderer.
+Berezinian sections and coordinate changes, plus the deterministic renderer.
 
 Grammar sketch::
 
@@ -9,10 +9,9 @@ Grammar sketch::
     section a = dzb1 * dv(z1) * (1 + th1*thb1);
     let w = (1 + z1) [dxi];
     map phi { zeta1 = z1 + z1^2; zeta2 = z2; zeta3 = (1 + z1)*th1; }
-    connection gam { Gamma[1][1][1] = 1 + z1; }
-    path p { z1 = t; th1 = eta1*t; }
-    order 4;
     suite tian_todorov;
+
+A ``ring`` without ``cap`` truncates at ``jetring.DEFAULT_CAP``.
 
 Expressions use +, -, *, / (scalars only), ^ (integer power, or wedge
 between sections), the imaginary unit i, ring generators z1, zb1, th1,
@@ -27,14 +26,7 @@ import re
 from dataclasses import dataclass, field
 
 from .charts import BerSection, Chart, Morphism
-from .connect import Christoffel, FormalPath, path_ring
-from .jetring import (
-    GR_I,
-    GaussianRational,
-    JetSuperFunction,
-    RingSignature,
-    default_cap,
-)
+from .jetring import DEFAULT_CAP, GR_I, GaussianRational, JetSuperFunction, RingSignature
 from .mvforms import MultiVectorForm, wedge
 
 
@@ -57,7 +49,7 @@ class ScenarioError(Exception):
 TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
-  | (?P<gen>(?:dzb|dthb|zb|thb|z|th|eta)\^?\d+)
+  | (?P<gen>(?:dzb|dthb|zb|thb|z|th)\^?\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<int>\d+)
   | (?P<punct>\(|\)|\{|\}|\[|\]|;|\||\^|\+|-|\*|/|=)
@@ -105,27 +97,15 @@ class Scenario:
     sections: dict = field(default_factory=dict)
     ber_sections: dict = field(default_factory=dict)
     morphisms: dict = field(default_factory=dict)
-    connections: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
     suites: list = field(default_factory=list)
     seed: int = 0
     trials: int = 25
-    order: int = 4
-    odd_params: int = 2
 
     def lookup(self, name: str):
-        for table in (self.functions, self.sections, self.ber_sections,
-                      self.morphisms, self.connections, self.paths):
+        for table in (self.functions, self.sections, self.ber_sections, self.morphisms):
             if name in table:
                 return table[name]
         return None
-
-
-class _BerBasis:
-    """Marker value for the [dxi] literal."""
-
-
-BER_BASIS = _BerBasis()
 
 
 class Parser:
@@ -175,14 +155,10 @@ class Parser:
         n = self.expect_int()
         self.expect("|")
         m = self.expect_int()
+        cap = DEFAULT_CAP
         if self.peek().text == "cap":
             self.advance()
             cap = self.expect_int()
-        else:
-            try:
-                cap = default_cap()
-            except ValueError as error:
-                raise ScenarioError(str(error)) from None
         self.expect(";")
         sig = RingSignature(n=n, m=m, cap=cap)
         self.scenario = Scenario(signature=sig, chart=Chart(sig))
@@ -196,13 +172,9 @@ class Parser:
             "let": self.let_stmt,
             "section": self.section_stmt,
             "map": self.map_stmt,
-            "connection": self.connection_stmt,
-            "path": self.path_stmt,
             "suite": self.suite_stmt,
             "seed": self.seed_stmt,
             "trials": self.trials_stmt,
-            "order": self.order_stmt,
-            "oddparams": self.oddparams_stmt,
         }
         handler = handlers.get(token.text)
         if handler is None:
@@ -211,21 +183,11 @@ class Parser:
         handler()
 
     def _fresh_name(self, name: str, token: Token) -> None:
+        # an expression reads i as the imaginary unit and dv as dv(...)
+        if name in ("i", "dv"):
+            raise ScenarioError(f"name {name!r} is reserved", token.line, token.column)
         if self.scenario.lookup(name) is not None:
             raise ScenarioError(f"name {name!r} is already defined", token.line, token.column)
-
-    def _optional_name(self, default: str) -> str:
-        """Blocks may be anonymous; anonymous ones get numbered default names."""
-        if self.peek().kind == "name":
-            token = self.peek()
-            name = self.advance().text
-            self._fresh_name(name, token)
-            return name
-        for counter in range(1, 1000):
-            candidate = f"{default}{counter}"
-            if self.scenario.lookup(candidate) is None:
-                return candidate
-        raise ScenarioError("too many anonymous blocks")
 
     def _optional_equals(self) -> None:
         if self.peek().text == "=":
@@ -296,72 +258,6 @@ class Parser:
         target = Chart(self.scenario.signature, name="zeta", odd_wedge_cap=chart.odd_wedge_cap)
         self.scenario.morphisms[name] = Morphism(chart, target, images)
 
-    def connection_stmt(self) -> None:
-        name = self._optional_name("gamma")
-        self.expect("{")
-        chart = self.scenario.chart
-        symbols = {}
-        while self.peek().text != "}":
-            head = self.peek()
-            if self.expect_name() != "Gamma":
-                raise ScenarioError("connection entries are Gamma[q][k][l] = ...",
-                                    head.line, head.column)
-            indices = []
-            for _ in range(3):
-                self.expect("[")
-                indices.append(self.expect_int() - 1)
-                self.expect("]")
-            q, k, l = indices
-            for idx in indices:
-                if not 0 <= idx < chart.dim:
-                    raise ScenarioError(f"coordinate index {idx + 1} out of range",
-                                        head.line, head.column)
-            self.expect("=")
-            value = _as_function(self.scenario.signature, self.eval_expr(self.expr()), head)
-            self.expect(";")
-            want = (chart.parity(q) + chart.parity(k) + chart.parity(l)) % 2
-            if not value.is_zero() and value.parity() != want:
-                raise ScenarioError(f"Gamma[{q + 1}][{k + 1}][{l + 1}] needs parity {want}",
-                                    head.line, head.column)
-            if not value.is_holomorphic():
-                raise ScenarioError("Christoffel symbols must be holomorphic",
-                                    head.line, head.column)
-            symbols[(q, k, l)] = value
-        self.expect("}")
-        self.scenario.connections[name] = Christoffel(chart, symbols)
-
-    def path_stmt(self) -> None:
-        name = self._optional_name("path")
-        self.expect("{")
-        chart = self.scenario.chart
-        ring = path_ring(self.scenario.odd_params, self.scenario.order)
-        components = [JetSuperFunction.zero(ring) for _ in range(chart.dim)]
-        while self.peek().text != "}":
-            head = self.peek()
-            if head.kind != "gen":
-                raise ScenarioError("path components are named after coordinates",
-                                    head.line, head.column)
-            self.advance()
-            kind, index = _split_gen(head.text)
-            if kind == "z":
-                direction = index
-                ok = 0 <= index < chart.sig.n
-            elif kind == "th":
-                direction = chart.sig.n + index
-                ok = 0 <= index < chart.sig.m
-            else:
-                ok = False
-            if not ok:
-                raise ScenarioError(f"unknown path coordinate {head.text!r}",
-                                    head.line, head.column)
-            self.expect("=")
-            value = self.eval_expr(self.expr(), env="path")
-            self.expect(";")
-            value = _as_function(ring, value, head)
-            components[direction] = value
-        self.expect("}")
-        self.scenario.paths[name] = FormalPath(chart, ring, tuple(components))
-
     def suite_stmt(self) -> None:
         token = self.peek()
         name = self.expect_name()
@@ -385,16 +281,6 @@ class Parser:
         if trials < 1:
             raise ScenarioError("trials must be at least 1", token.line, token.column)
         self.scenario.trials = trials
-        self.expect(";")
-
-    def order_stmt(self) -> None:
-        self._optional_equals()
-        self.scenario.order = self.expect_int()
-        self.expect(";")
-
-    def oddparams_stmt(self) -> None:
-        self._optional_equals()
-        self.scenario.odd_params = self.expect_int()
         self.expect(";")
 
     # -- expressions -----------------------------------------------------------
@@ -478,7 +364,7 @@ class Parser:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def eval_expr(self, node, env: str = "ring"):
+    def eval_expr(self, node):
         sig = self.scenario.signature
         chart = self.scenario.chart
         kind = node[0]
@@ -487,16 +373,11 @@ class Parser:
         if kind == "imag":
             return GR_I
         if kind == "ber":
-            token = node[1]
-            if env != "ring":
-                raise ScenarioError("[dxi] is not allowed here", token.line, token.column)
             return BerSection(chart, chart.one())
         if kind == "gen":
-            return self._generator_value(node[1], node[2], env)
+            return self._generator_value(node[1], node[2])
         if kind == "dv":
             token = node[2]
-            if env != "ring":
-                raise ScenarioError("dv(...) is not allowed here", token.line, token.column)
             gen_kind, index = _split_gen(node[1])
             if gen_kind == "z" and 0 <= index < sig.n:
                 return MultiVectorForm.vector(chart, index)
@@ -506,33 +387,25 @@ class Parser:
                                 token.line, token.column)
         if kind == "ref":
             name, token = node[1], node[2]
-            if env == "path":
-                if name == "t":
-                    ring = path_ring(self.scenario.odd_params, self.scenario.order)
-                    return JetSuperFunction.gen(ring, ring.z(0))
-                raise ScenarioError("path expressions use t, etaK and scalars only",
-                                    token.line, token.column)
-            if env != "ring":
-                raise ScenarioError("names cannot be referenced here", token.line, token.column)
             value = self.scenario.lookup(name)
             if value is None:
                 raise ScenarioError(f"unknown name {name!r}", token.line, token.column)
-            if isinstance(value, (Morphism, Christoffel, FormalPath)):
+            if isinstance(value, Morphism):
                 raise ScenarioError(f"{name!r} cannot appear inside an expression",
                                     token.line, token.column)
             return value
         if kind == "neg":
-            return _apply_neg(self.eval_expr(node[1], env), node[2])
+            return _apply_neg(self.eval_expr(node[1]), node[2])
         op, left_node, right_node = node
-        left = self.eval_expr(left_node, env)
-        right = self.eval_expr(right_node, env)
+        left = self.eval_expr(left_node)
+        right = self.eval_expr(right_node)
         token = _leftmost_token(right_node)
         if op == "+":
-            return _apply_add(self.scenario, left, right, token, env)
+            return _apply_add(self.scenario, left, right, token)
         if op == "-":
-            return _apply_add(self.scenario, left, _apply_neg(right, token), token, env)
+            return _apply_add(self.scenario, left, _apply_neg(right, token), token)
         if op == "*":
-            return _apply_mul(self.scenario, left, right, token, env)
+            return _apply_mul(self.scenario, left, right, token)
         if op == "/":
             if isinstance(left, GaussianRational) and isinstance(right, GaussianRational):
                 if not right:
@@ -544,22 +417,17 @@ class Parser:
                 if right.im != 0 or right.re.denominator != 1 or right.re < 0:
                     raise ScenarioError("exponents must be non-negative integers",
                                         token.line, token.column)
-                return _apply_power(self.scenario, left, int(right.re), token, env)
+                return _apply_power(self.scenario, left, int(right.re), token)
             if isinstance(left, MultiVectorForm) and isinstance(right, MultiVectorForm):
                 return wedge(left, right)
             raise ScenarioError("^ needs an integer exponent or two sections",
                                 token.line, token.column)
         raise ScenarioError(f"unknown operator {op!r}", token.line, token.column)
 
-    def _generator_value(self, text: str, token: Token, env: str):
+    def _generator_value(self, text: str, token: Token):
         sig = self.scenario.signature
         chart = self.scenario.chart
         kind, index = _split_gen(text)
-        if env == "path":
-            ring = path_ring(self.scenario.odd_params, self.scenario.order)
-            if kind == "eta" and 0 <= index < self.scenario.odd_params:
-                return JetSuperFunction.gen(ring, ring.th(index))
-            raise ScenarioError(f"unknown path generator {text!r}", token.line, token.column)
         table = {
             "z": (sig.n, sig.z),
             "zb": (sig.n, sig.zb),
@@ -572,18 +440,16 @@ class Parser:
                 raise ScenarioError(f"generator {text!r} not in ring {sig.n}|{sig.m}",
                                     token.line, token.column)
             return JetSuperFunction.gen(sig, getter(index))
-        if kind in ("dzb", "dthb"):
-            if kind == "dzb" and 0 <= index < sig.n:
-                return MultiVectorForm.dbar_basis(chart, index)
-            if kind == "dthb" and 0 <= index < sig.m:
-                return MultiVectorForm.dbar_basis(chart, sig.n + index)
-            raise ScenarioError(f"form generator {text!r} not in ring {sig.n}|{sig.m}",
-                                token.line, token.column)
-        raise ScenarioError(f"unknown generator {text!r}", token.line, token.column)
+        if kind == "dzb" and 0 <= index < sig.n:
+            return MultiVectorForm.dbar_basis(chart, index)
+        if kind == "dthb" and 0 <= index < sig.m:
+            return MultiVectorForm.dbar_basis(chart, sig.n + index)
+        raise ScenarioError(f"form generator {text!r} not in ring {sig.n}|{sig.m}",
+                            token.line, token.column)
 
 
 def _split_gen(text: str):
-    match = re.fullmatch(r"(dzb|dthb|zb|thb|z|th|eta)\^?(\d+)", text)
+    match = re.fullmatch(r"(dzb|dthb|zb|thb|z|th)\^?(\d+)", text)
     return match.group(1), int(match.group(2)) - 1
 
 
@@ -606,20 +472,17 @@ def _apply_neg(value, token):
     raise ScenarioError("cannot negate this value", token.line, token.column)
 
 
-def _lift(scenario, value, env):
+def _lift(scenario, value):
     """Promote scalars to ring elements when mixing with symbolic values."""
     if isinstance(value, GaussianRational):
-        if env == "path":
-            ring = path_ring(scenario.odd_params, scenario.order)
-            return JetSuperFunction.scalar(ring, value)
         return JetSuperFunction.scalar(scenario.signature, value)
     return value
 
 
-def _apply_add(scenario, left, right, token, env):
+def _apply_add(scenario, left, right, token):
     if isinstance(left, GaussianRational) and isinstance(right, GaussianRational):
         return left + right
-    left, right = _lift(scenario, left, env), _lift(scenario, right, env)
+    left, right = _lift(scenario, left), _lift(scenario, right)
     if isinstance(left, JetSuperFunction) and isinstance(right, JetSuperFunction):
         return left + right
     if isinstance(left, MultiVectorForm) or isinstance(right, MultiVectorForm):
@@ -632,7 +495,7 @@ def _apply_add(scenario, left, right, token, env):
     raise ScenarioError("cannot add these values", token.line, token.column)
 
 
-def _apply_mul(scenario, left, right, token, env):
+def _apply_mul(scenario, left, right, token):
     if isinstance(left, GaussianRational) and isinstance(right, GaussianRational):
         return left * right
     if isinstance(left, GaussianRational):
@@ -655,12 +518,10 @@ def _apply_mul(scenario, left, right, token, env):
                 f"literal product exceeds the ring degree cap {cap}", token.line, token.column)
         return left * right
     chart = scenario.chart
-    if env != "ring":
-        raise ScenarioError("sections are not allowed here", token.line, token.column)
     return wedge(_as_section(chart, left, token), _as_section(chart, right, token))
 
 
-def _apply_power(scenario, base, exponent, token, env):
+def _apply_power(scenario, base, exponent, token):
     if exponent > MAX_EXPONENT:
         raise ScenarioError(f"exponents above {MAX_EXPONENT} are not supported",
                             token.line, token.column)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-EVEN = 0
 ODD = 1
 
 

@@ -27,7 +27,6 @@ and ``scale``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,20 +35,6 @@ from math import gcd, lcm
 from .grading import ODD, reorder_sign
 
 DEFAULT_CAP = 6
-CAP_ENV_VAR = "SUPERBV_DEFAULT_CAP"
-
-
-def default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"{CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
-    return cap
 
 
 class JetError(Exception):
@@ -771,6 +756,15 @@ class JetSuperFunction:
 
     def __repr__(self) -> str:
         return f"<jet {self.render()} (prec {self.prec})>"
+
+
+def _parts(f: JetSuperFunction):
+    """(parity, part) per nonzero homogeneous part, even first: a coefficient
+    of mixed parity stands for the sum of its parts, each signed on its own."""
+    parity = f.parity()
+    if parity is None:
+        return tuple(enumerate(f.homogeneous_parts()))
+    return ((parity, f),) if f.terms else ()
 
 
 def dot(sig: RingSignature, pairs) -> JetSuperFunction:

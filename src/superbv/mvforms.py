@@ -28,20 +28,11 @@ from __future__ import annotations
 
 from .charts import Chart, ChartError, Morphism
 from .grading import koszul
-from .jetring import JetSuperFunction
+from .jetring import JetSuperFunction, _parts
 
 
 def _is_full_unit(f: JetSuperFunction) -> bool:
     return f.prec == f.sig.cap and f.den == 1 and f.terms == {0: (1, 0)}
-
-
-def _parts(f: JetSuperFunction):
-    """(parity, part) per nonzero homogeneous part, even first: a coefficient
-    of mixed parity stands for the sum of its parts, each signed on its own."""
-    parity = f.parity()
-    if parity is None:
-        return tuple(enumerate(f.homogeneous_parts()))
-    return ((parity, f),) if f.terms else ()
 
 
 def _times(f: JetSuperFunction, g: JetSuperFunction) -> JetSuperFunction:

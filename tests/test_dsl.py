@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from superbv.suites import run_suites
 
 
 BASE = "ring 2|2 cap 4;\n"
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.sbv"))
 
 
 def scenario(extra=""):
@@ -46,19 +48,9 @@ class TestParseStatements:
         assert isinstance(w, BerSection)
         assert w.coefficient.render() == "1 + z1"
 
-    def test_map_connection_path(self):
-        sc = scenario(
-            "map phi { zeta1 = z1 + z1^2; zeta2 = z2; zeta3 = th1; zeta4 = th2; }\n"
-            "connection gam { Gamma[1][1][1] = 1 + z1; }\n"
-            "order 3;\n"
-            "path p { z1 = t; th1 = eta1*t; }\n"
-        )
+    def test_map(self):
+        sc = scenario("map phi { zeta1 = z1 + z1^2; zeta2 = z2; zeta3 = th1; zeta4 = th2; }\n")
         assert "phi" in sc.morphisms
-        assert (0, 0, 0) in sc.connections["gam"].symbols
-        assert not sc.paths["p"].components[0].is_zero()
-        # th1 is the first odd direction, after the two even ones
-        assert not sc.paths["p"].components[2].is_zero()
-        assert sc.paths["p"].components[1].is_zero()
 
     def test_suite_seed_trials(self):
         sc = scenario("seed 9; trials 7; suite tian_todorov; suite covariance;\n")
@@ -106,6 +98,53 @@ class TestParseErrors:
     def test_division_restricted_to_scalars(self):
         with pytest.raises(ScenarioError):
             scenario("let f = z1 / z1;\n")
+
+    @pytest.mark.parametrize("statement,error", [
+        ("let i = 3;", "2:5: name 'i' is reserved"),
+        ("let dv = z1;", "2:5: name 'dv' is reserved"),
+        ("section i = dv(z1);", "2:9: name 'i' is reserved"),
+        ("map dv { zeta1 = z1; zeta2 = th1; }", "2:5: name 'dv' is reserved"),
+    ])
+    def test_names_an_expression_cannot_reach(self, tmp_path, capsys, statement, error):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text(f"ring 1|1 cap 2;\n{statement}\n", encoding="utf-8")
+        assert main(["eval", str(scenario_file), "--expr", "1"]) == 2
+        assert f"s.sbv:{error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statement", [
+        "connection gam { Gamma[1][1][1] = 1 + z1; }",
+        "path p { z1 = t; th1 = eta1*t; }",
+        "order 4;",
+        "oddparams 2;",
+    ])
+    def test_removed_statements_are_unknown(self, tmp_path, capsys, statement):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text(f"ring 1|1 cap 4;\nlet h = 1 + z1;\n  {statement}\n",
+                                 encoding="utf-8")
+        assert main(["verify", str(scenario_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"s.sbv:3:3: unknown statement {statement.split()[0]!r}" in err
+        assert "Traceback" not in err
+
+    def test_eta_is_not_a_generator(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\n", encoding="utf-8")
+        assert main(["eval", str(scenario_file), "--expr", "eta1*z1"]) == 2
+        assert "1:1: unknown name 'eta1'" in capsys.readouterr().err
+        scenario_file.write_text("ring 1|1 cap 4;\nlet x = eta1;\n", encoding="utf-8")
+        assert main(["eval", str(scenario_file), "--expr", "x"]) == 2
+        assert "s.sbv:2:9: unknown name 'eta1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
+def test_shipped_scenario_parses(path):
+    parse(path.read_text(encoding="utf-8"))
 
 
 class TestRenderRoundTrip:
@@ -291,25 +330,21 @@ class TestCLI:
 
 
 class TestDefaultCap:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SUPERBV_DEFAULT_CAP", "3")
-        sc = parse("ring 1|1;\n")
-        assert sc.signature.cap == 3
-
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv("SUPERBV_DEFAULT_CAP", raising=False)
         sc = parse("ring 1|1;\n")
         assert sc.signature.cap == 6
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_invalid_env_exits_two(self, tmp_path, monkeypatch, capsys, value):
+    @pytest.mark.parametrize("value", ["3", "abc", "-1"])
+    def test_env_is_ignored(self, tmp_path, monkeypatch, value):
+        # the variable is not read: a ring without cap truncates at 6 whatever it holds
         from superbv.cli import main
 
         monkeypatch.setenv("SUPERBV_DEFAULT_CAP", value)
+        assert parse("ring 1|1;\n").signature.cap == 6
         scenario_file = tmp_path / "s.sbv"
         scenario_file.write_text("ring 1|1;\n", encoding="utf-8")
-        assert main(["verify", str(scenario_file)]) == 2
-        assert "SUPERBV_DEFAULT_CAP must be a non-negative integer" in capsys.readouterr().err
+        assert main(["verify", str(scenario_file)]) == 0
 
     def test_explicit_cap_ignores_the_environment(self, tmp_path, monkeypatch):
         from superbv.cli import main

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from superbv.charts import Chart, ChartError, Morphism
 from superbv import mvforms
 from superbv.grading import BiDegree, commute_sign, koszul
-from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
+from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, _parts
 from superbv.mvforms import (
     MultiVectorForm,
     _drops,
     _is_full_unit,
-    _parts,
     add_terms,
     dbar,
     pull_mvform,

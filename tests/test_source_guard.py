@@ -22,59 +22,14 @@ def test_sources_found():
 
 
 def test_signs_only_in_grading():
+    # a sign taken as ``if <exponent> % 2:`` or as the conditional
+    # ``x if <exponent> % 2 == 0 else -x`` rather than from ``koszul``
+    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
     offenders = [
         f"{path.name}:{number}"
         for path in SOURCES if path.name != "grading.py"
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if "% 2 else" in line
-    ]
-    assert offenders == []
-
-
-def test_no_parity_branch_signs_in_bvcalc_and_samples():
-    # a sign taken as ``if <exponent> % 2:`` rather than from ``koszul``
-    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
-    offenders = [
-        f"{path.name}:{number}"
-        for path in SOURCES if path.name in ("bvcalc.py", "samples.py")
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if branch.match(line)
-    ]
-    assert offenders == []
-
-
-def test_no_parity_branch_signs_in_charts_and_suites():
-    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
-    offenders = [
-        f"{path.name}:{number}"
-        for path in SOURCES if path.name in ("charts.py", "suites.py")
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if branch.match(line)
-    ]
-    assert offenders == []
-
-
-def test_no_parity_branch_signs_in_supermatrix_and_mvforms():
-    # the row kernel and the stored-term products take their signs from
-    # ``_Layout.merge_sign`` and ``koszul``
-    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
-    offenders = [
-        f"{path.name}:{number}"
-        for path in SOURCES if path.name in ("supermatrix.py", "mvforms.py")
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if branch.match(line)
-    ]
-    assert offenders == []
-
-
-def test_no_parity_signs_in_connect():
-    # the branch above, and the conditional ``x if <exponent> % 2 == 0 else -x``
-    branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
-    offenders = [
-        f"connect.py:{number}"
-        for path in SOURCES if path.name == "connect.py"
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if branch.match(line) or "% 2 == 0 else" in line
+        if branch.match(line) or "% 2 == 0 else" in line or "% 2 else" in line
     ]
     assert offenders == []
 

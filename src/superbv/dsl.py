@@ -240,6 +240,9 @@ class Parser:
             if not 0 <= index < chart.dim:
                 raise ScenarioError(f"no coordinate zeta{index + 1} in this ring",
                                     coord_token.line, coord_token.column)
+            if images[index] is not None:
+                raise ScenarioError(f"zeta{index + 1} given twice",
+                                    coord_token.line, coord_token.column)
             self.expect("=")
             value = self.eval_expr(self.expr())
             self.expect(";")

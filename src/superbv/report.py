@@ -3,6 +3,9 @@
 Identical (scenario, seed) inputs produce byte-identical reports up to the
 timing fields; the determinism hash is computed over the report with those
 fields removed, so it is stable across runs.
+
+``total_elapsed_ms`` is the sum of the per-check times, the work done: when
+``run_suites`` runs suites in parallel workers it exceeds the wall time.
 """
 
 from __future__ import annotations

@@ -687,10 +687,125 @@ SUITES = {
 }
 
 
+# The module's own runners, kept as a tuple: a tracer or test double that
+# rebinds the registry's entries leaves it as it is, so the two can be compared.
+_OWN_RUNNERS = tuple(SUITES.items())
+
+
 def run_suites(chart: Chart, suites, seed: int, trials: int):
-    """Run the named suites in declaration order; deterministic for fixed inputs."""
+    """Run the named suites; results come in declaration order and are
+    deterministic for fixed inputs.
+
+    Each suite draws from its own stream (``_gen``) and shares nothing with
+    the others but pure caches, so the suites are spread over the CPUs this
+    process may use (see ``_spread``).  They run in this process alone on one
+    CPU, without ``os.fork``, when a ``SUITES`` entry is not the module's own
+    runner, so that a tracer or test double sees every call, and while other
+    threads run, which a forked child would find holding their locks.
+    """
+    import os
+    import sys
+
+    names = list(suites)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(names), cpus)
+    threading = sys.modules.get("threading")
+    if (not hasattr(os, "fork") or tuple(SUITES.items()) != _OWN_RUNNERS
+            or threading is not None and threading.active_count() > 1):
+        workers = 1
+    return _spread(lambda index: SUITES[names[index]](chart, seed, trials), len(names), workers)
+
+
+def _spread(run, count: int, workers: int) -> list:
+    """``run(0) + run(1) + ... + run(count - 1)``, over ``workers`` processes.
+
+    With more than one worker this process forks ``workers - 1`` children and
+    works as well: the indices go into one pipe in order and every process
+    takes one at a time, which balances the load.  A child sends its results
+    back as JSON lines and leaves with ``os._exit``, so it never returns into
+    the caller's stack or flushes the stdio buffers it inherited.  Whatever no
+    worker returned (a worker died, or ``run`` raised) is run here afterwards,
+    in order, so errors are those of a run in this process.
+    """
+    import json
+    import os
+    import signal
+
+    done = {}
+    pids, pipes = [], []  # the children, and the read ends of their result pipes
+    tasks = None
+    try:
+        if workers > 1:
+            tasks, feed = os.pipe()
+            os.set_blocking(feed, False)
+            try:
+                for index in range(count):  # 4 bytes a write, so each write is atomic
+                    os.write(feed, index.to_bytes(4, "big"))
+            except BlockingIOError:  # the pipe is full: the rest runs below
+                pass
+            finally:
+                os.close(feed)
+        for _ in range(workers - 1):
+            result_pipe, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers
+                os.close(result_pipe)
+                os.close(out)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(result_pipe)
+                    lines = [json.dumps([index, [vars(r) for r in results]]) + "\n"
+                             for index, results in _take(run, tasks).items()]
+                    with open(out, "w", encoding="utf-8") as stream:
+                        stream.writelines(lines)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)
+            pids.append(pid)
+            pipes.append(result_pipe)
+        if tasks is not None:
+            done = _take(run, tasks)
+        while pipes:
+            with open(pipes.pop(0), encoding="utf-8") as lines:
+                for line in lines:
+                    try:
+                        index, fields = json.loads(line)
+                    except ValueError:  # cut short by the worker's death
+                        continue
+                    done[index] = [CheckResult(**f) for f in fields]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in [tasks, *pipes]:
+            if fd is not None:
+                os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
     results = []
-    for name in suites:
-        runner = SUITES[name]
-        results.extend(runner(chart, seed, trials))
+    for index in range(count):
+        results.extend(done[index] if index in done else run(index))
     return results
+
+
+def _take(run, tasks: int) -> dict:
+    """Run the indices read from the pipe ``tasks`` until it is empty; an
+    index whose run raises is left out for ``_spread`` to run again."""
+    import os
+
+    done = {}
+    while record := os.read(tasks, 4):
+        index = int.from_bytes(record, "big")
+        try:
+            done[index] = run(index)
+        except Exception:
+            pass
+    return done

@@ -130,6 +130,18 @@ class TestParseErrors:
         assert f"s.sbv:3:3: unknown statement {statement.split()[0]!r}" in err
         assert "Traceback" not in err
 
+    def test_map_component_given_twice(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\n"
+                                 "map phi { zeta1 = z1; zeta2 = th1;\n"
+                                 "          zeta1 = 2*z1; }\n", encoding="utf-8")
+        assert main(["eval", str(scenario_file), "--expr", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "s.sbv:3:11: zeta1 given twice" in err
+        assert "Traceback" not in err
+
     def test_eta_is_not_a_generator(self, tmp_path, capsys):
         from superbv.cli import main
 

@@ -4,9 +4,12 @@
 draws from its own stream and shares nothing with the others but pure
 caches.  These tests check that independence, that the worker path and the
 in-process path give the same reports, that no child outlives a run, and
-that work a worker did not return is done in the calling process.
+that work a worker did not return is done in the calling process.  A
+digest over a grid of rings, seeds and trial counts pins each suite's
+reports, failures and errors included.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -72,6 +75,45 @@ def test_each_suite_alone_is_its_slice_of_a_full_run(name, no_fork):
         assert [without_time(r) for r in alone] == \
             [without_time(r) for r in full if r.suite == suite]
     assert len(full) == 34
+
+
+# Every suite run directly, in this process, on each ring at seeds 0 and 7 and
+# 1, 2 and 3 trials: 1,598 checks, of which 1,085 pass, 18 fail and 495 err.
+# No shipped scenario fails or errs, so these digests are what pins the
+# counterexample and error texts.  They also record the known false failures
+# (ROADMAP items 2 and 11: stored terms past a section's precision, and the
+# negative control's verdict at few trials); a mend of either re-records the
+# digests it moves.
+GRID_RINGS = ("1|1 cap 4", "2|1 cap 2", "2|1 cap 4", "2|2 cap 3", "1|3 cap 3", "1|0 cap 3",
+              "0|1 cap 2", "0|2 cap 2")
+GRID_DIGESTS = {
+    "schouten_symmetry": "c33f9cba5eb6ec5148e9ae83345706116e68b7c81e5da593fad1f3bdbfb58f41",
+    "schouten_derivation": "0923da8ef9549bc493d0122ef202cc099b08ff1b792cb8dc11e52451a199ac81",
+    "tian_todorov": "1c87294d810bdca0b011a8a789ace0c28471cc5ebe500603022b0b66701502a0",
+    "gbv_compat": "b9c3c0d2ad4584299e99f9ebe3c765e915865d6a6119fe2312bd31caea912da0",
+    "partial_dbar": "572bfe7a5de9627e859c147b35368158b2e9c52e0d530ef489d4fb5afd8257f3",
+    "jacobi_sum": "4b5a50fcd6ca623d578d44c9a597cb3c68a71ee25d9e985a7dd8ec13316e1f3e",
+    "bv_flat": "f9a4031234527ff70471d8ea353fb7b67015bd55260ca2a20b270c363d6e3e2c",
+    "sdet_transport": "c6040cf5e17bffd336383af8291406d0d0889dff3a884ed993c9f0e5a988af15",
+    "cy_consistency": "20751bd7f59be513a975d4a1f1b43694597d9e55b66fa1439a05e4afc51dc804",
+    "manin_comparison": "ed8a3c17154eef8eacd5f653aab2296e75e6967cc4ec8eb37c7a7d1b33691c65",
+    "delta_projection": "c2d0e85d91ccd37133d00f0169e9dfad4430097f23e4ff9cd716ca1c02efe7c0",
+    "covariance": "4744afa6f50a054c42c61eb5e53a2ef6b7c3a0b0fbdd4d1baa5e622fcf142213",
+}
+
+
+def test_grid_reports_are_recorded():
+    lines = {name: [] for name in SUITES}
+    for ring in GRID_RINGS:
+        chart = parse(f"ring {ring};\n").chart
+        for seed in (0, 7):
+            for trials in (1, 2, 3):
+                for name, run in SUITES.items():
+                    lines[name] += [json.dumps(_strip_timing(vars(r)), sort_keys=True)
+                                    for r in run(chart, seed, trials)]
+    digests = {name: hashlib.sha256("\n".join(text).encode()).hexdigest()
+               for name, text in lines.items()}
+    assert digests == GRID_DIGESTS
 
 
 def verify(argv, capsys):

@@ -5,6 +5,16 @@ and checks one family of identities exactly, in the precision-tracked ring.
 Suites report one record per check with the first counterexample rendered;
 negative controls (deliberately broken signs) are part of the shipped set
 and pass exactly when the sabotaged identity fails somewhere.
+
+A check is one row ``(check, law, count, trial)`` of its suite's table: a
+trial draws one instance and returns a residue, the rendered witness of a
+failure or ``None``.  ``_run`` runs ``count`` trials, stops at the first
+residue and decides pass, fail and error for every check.  A suite's checks
+share one stream, ``_gen(seed, suite)``, in declaration order, so giving
+each check its own stream would change every report.  A report's ``trials``
+is the scenario's count; checks run ``trials``, ``max(10, trials)``,
+``max(10, trials // 2)``, ``max(5, trials // 2)``, ``max(5, trials // 3)``
+or ``max(5, trials // 4)`` trials.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from .bvcalc import (
     pull_intform,
     pull_delta_table,
 )
-from .charts import BerSection, Chart, pull_ber
+from .charts import BerSection, Chart, pull_ber, vector_apply
 from .connect import (
     bv_connection,
     ber_from_tangent,
@@ -75,29 +85,60 @@ class CheckResult:
         return out
 
 
-class _Recorder:
-    def __init__(self, suite: str, trials: int):
-        self.suite = suite
-        self.trials = trials
-        self.results: list[CheckResult] = []
-
-    def run(self, check: str, law: str, body) -> None:
+def _run(suite: str, trials: int, rows) -> list[CheckResult]:
+    """One ``CheckResult`` per row ``(check, law, count, trial)``, in order."""
+    results = []
+    for check, law, count, trial in rows:
         start = time.perf_counter()
-        failure = None
         try:
-            failure = body()
+            residue = _first_residue(count, trial)
+            status = "pass" if residue is None else "fail"
         except Exception as error:  # surfaced as a scenario-level error, not a math failure
-            elapsed = (time.perf_counter() - start) * 1000
-            self.results.append(CheckResult(self.suite, check, law, self.trials,
-                                            "error", repr(error), elapsed))
-            return
-        elapsed = (time.perf_counter() - start) * 1000
-        if failure is None:
-            self.results.append(CheckResult(self.suite, check, law, self.trials,
-                                            "pass", None, elapsed))
-        else:
-            self.results.append(CheckResult(self.suite, check, law, self.trials,
-                                            "fail", failure, elapsed))
+            status, residue = "error", repr(error)
+        results.append(CheckResult(suite, check, law, trials, status, residue,
+                                   (time.perf_counter() - start) * 1000))
+    return results
+
+
+def _first_residue(count: int, trial):
+    """The first of ``trial(0)``, ..., ``trial(count - 1)`` that is not ``None``."""
+    for index in range(count):
+        residue = trial(index)
+        if residue is not None:
+            return residue
+    return None
+
+
+def _differ(lhs, rhs, witness=None):
+    """``None`` if ``lhs`` agrees with ``rhs``, else ``witness`` or ``lhs - rhs`` rendered."""
+    if lhs.agrees_with(rhs):
+        return None
+    return (lhs - rhs if witness is None else witness).render()
+
+
+def _nonzero(value, witness=None):
+    """``None`` if ``value`` is zero, else ``witness`` or ``value`` rendered."""
+    if value.is_zero():
+        return None
+    return (value if witness is None else witness).render()
+
+
+def _once(make):
+    """``make`` as a thunk that runs it once; later calls return the same
+    value or raise the same error, without drawing anew."""
+    outcome = []
+
+    def thunk():
+        if not outcome:
+            try:
+                outcome.append(make())
+            except Exception as error:
+                outcome.append(error)
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        return outcome[0]
+
+    return thunk
 
 
 def _gen(seed: int, suite: str) -> SampleGen:
@@ -108,107 +149,93 @@ def _gen(seed: int, suite: str) -> SampleGen:
 
 
 def suite_schouten_symmetry(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("schouten_symmetry", trials)
     gen = _gen(seed, "schouten_symmetry")
 
-    def body():
-        for _ in range(trials):
-            alpha, p, q, pa = gen.homogeneous_mvform(chart)
-            beta, r, s, pb = gen.homogeneous_mvform(chart)
-            rhs = schouten(beta, alpha)
-            if koszul(((p + q) + 1) * ((r + s) + 1) + pa * pb) > 0:
-                rhs = -rhs
-            lhs = schouten(alpha, beta)
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def symmetry(_):
+        alpha, p, q, pa = gen.homogeneous_mvform(chart)
+        beta, r, s, pb = gen.homogeneous_mvform(chart)
+        rhs = schouten(beta, alpha)
+        if koszul(((p + q) + 1) * ((r + s) + 1) + pa * pb) > 0:
+            rhs = -rhs
+        return _differ(schouten(alpha, beta), rhs)
 
-    rec.run("graded_symmetry",
-            "the bracket of multivector forms flips with the sign "
-            "(-1)^((deg a + 1)(deg b + 1) + |a||b|)", body)
-    return rec.results
+    return _run("schouten_symmetry", trials, [
+        ("graded_symmetry",
+         "the bracket of multivector forms flips with the sign "
+         "(-1)^((deg a + 1)(deg b + 1) + |a||b|)", trials, symmetry),
+    ])
 
 
 def suite_schouten_derivation(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("schouten_derivation", trials)
     gen = _gen(seed, "schouten_derivation")
 
-    def derivation():
-        for _ in range(trials):
-            alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
-            beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
-            gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
-            lhs = schouten(alpha, wedge(beta, gamma))
-            second = wedge(beta, schouten(alpha, gamma))
-            if koszul(((p + q) + 1) * (r + s) + pa * pb) < 0:
-                second = -second
-            rhs = wedge(schouten(alpha, beta), gamma) + second
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def derivation(_):
+        alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+        beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+        gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+        lhs = schouten(alpha, wedge(beta, gamma))
+        second = wedge(beta, schouten(alpha, gamma))
+        if koszul(((p + q) + 1) * (r + s) + pa * pb) < 0:
+            second = -second
+        return _differ(lhs, wedge(schouten(alpha, beta), gamma) + second)
 
-    def vector_bracket():
-        from .charts import vector_apply
+    def col(form):
+        return [form.terms.get(((), (k,)), chart.zero()) for k in range(chart.dim)]
 
-        for _ in range(trials):
-            v = gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1))
-            w = gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1))
-            if v.is_zero() or w.is_zero():
-                continue
-            f = gen.jet(chart.sig)
-            col = lambda form: [form.terms.get(((), (k,)), chart.zero())
-                                for k in range(chart.dim)]
-            lhs = vector_apply(chart, col(schouten(v, w)), f)
-            second = vector_apply(chart, col(w), vector_apply(chart, col(v), f))
-            if koszul(v.parity() * w.parity()) < 0:
-                second = -second
-            rhs = vector_apply(chart, col(v), vector_apply(chart, col(w), f)) - second
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def vector_bracket(_):
+        v = gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1))
+        w = gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1))
+        if v.is_zero() or w.is_zero():
+            return None
+        f = gen.jet(chart.sig)
+        lhs = vector_apply(chart, col(schouten(v, w)), f)
+        second = vector_apply(chart, col(w), vector_apply(chart, col(v), f))
+        if koszul(v.parity() * w.parity()) < 0:
+            second = -second
+        return _differ(lhs, vector_apply(chart, col(v), vector_apply(chart, col(w), f)) - second)
 
-    rec.run("wedge_derivation",
-            "bracketing with a fixed section is a derivation of the exterior product", derivation)
-    rec.run("extends_vector_bracket",
-            "on vector fields the bracket is the supercommutator of derivations", vector_bracket)
-    return rec.results
+    return _run("schouten_derivation", trials, [
+        ("wedge_derivation",
+         "bracketing with a fixed section is a derivation of the exterior product",
+         trials, derivation),
+        ("extends_vector_bracket",
+         "on vector fields the bracket is the supercommutator of derivations",
+         trials, vector_bracket),
+    ])
 
 
 # -- BV operator suites ------------------------------------------------------------
 
 
-def _omega_family(gen: SampleGen, chart: Chart):
-    sections = [BerSection(chart, chart.one())]
-    z1 = chart.coordinate(0)
-    sections.append(BerSection(chart, chart.one() + z1))
-    sections.append(BerSection(chart, gen.unit(chart.sig, holomorphic=True)))
-    return sections
+def _integral_form(gen: SampleGen, chart: Chart):
+    alpha, *_ = gen.homogeneous_mvform(chart)
+    return eta(gen.trivialising_section(chart), alpha)
 
 
 def suite_tian_todorov(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("tian_todorov", trials)
     gen = _gen(seed, "tian_todorov")
 
-    def body():
-        deltas = [DeltaOperator.from_section(omega) for omega in _omega_family(gen, chart)]
-        for index in range(trials):
-            delta = deltas[index % len(deltas)]
-            alpha, p, q, _ = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
-            beta, *_ = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
-            lhs = -schouten(alpha, beta)
-            rhs = bv_bracket(lambda x: extend_delta(delta, x), alpha, beta, p + q)
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def bracket(deltas, index):
+        delta = deltas[index % len(deltas)]
+        alpha, p, q, _ = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+        beta, *_ = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+        lhs = -schouten(alpha, beta)
+        return _differ(lhs, bv_bracket(lambda x: extend_delta(delta, x), alpha, beta, p + q))
 
-    rec.run("bracket_from_bv_operator",
-            "the failure of the BV operator to be a derivation is minus the bracket",
-            body)
-    return rec.results
+    def todorov(_):
+        omegas = [BerSection(chart, chart.one()),
+                  BerSection(chart, chart.one() + chart.coordinate(0)),
+                  BerSection(chart, gen.unit(chart.sig, holomorphic=True))]
+        deltas = [DeltaOperator.from_section(omega) for omega in omegas]
+        return _first_residue(trials, lambda index: bracket(deltas, index))
+
+    return _run("tian_todorov", trials, [
+        ("bracket_from_bv_operator",
+         "the failure of the BV operator to be a derivation is minus the bracket", 1, todorov),
+    ])
 
 
 def suite_gbv_compat(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("gbv_compat", trials)
     gen = _gen(seed, "gbv_compat")
     laws = {
         "bv_derivation": "the bracket operator attached to a section is a graded derivation",
@@ -217,280 +244,229 @@ def suite_gbv_compat(chart: Chart, seed: int, trials: int):
         "dbar_anticommute": "the BV operator anticommutes with dbar",
         "gbv_bracket_identity": "the BV operator is a graded derivation of the bracket",
     }
-    start = time.perf_counter()
-    try:
-        omega = gen.trivialising_section(chart)
-        delta = DeltaOperator.from_section(omega)
-        samples = []
-        for index in range(trials):
-            alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
-            beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
-            gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
-            samples.append({
-                "alpha": alpha, "beta": beta, "gamma": gamma,
+
+    def sample(index):
+        alpha, p, q, pa = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+        beta, r, s, pb = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+        gamma, *_ = gen.homogeneous_mvform(chart, max_p=1, max_q=1)
+        return {"alpha": alpha, "beta": beta, "gamma": gamma,
                 "alpha_deg": p + q, "alpha_parity": pa,
                 "beta_deg": r + s, "beta_parity": pb,
-                "seed": index,
-            })
+                "seed": index}
+
+    @_once
+    def setup():
+        omega = gen.trivialising_section(chart)
+        delta = DeltaOperator.from_section(omega)
+        samples = [sample(index) for index in range(trials)]
         report = check_bv_axioms(chart, lambda x: extend_delta(delta, x), samples)
-    except Exception as error:  # an error, as in _Recorder.run; the checks below need delta
-        elapsed = (time.perf_counter() - start) * 1000 / len(laws)
-        return [CheckResult("gbv_compat", check, law, trials, "error", repr(error), elapsed)
-                for check, law in laws.items()]
-    for item in report:
-        rec.results.append(CheckResult("gbv_compat", item["check"], laws[item["check"]], trials,
-                                       item["status"], item.get("counterexample"),
-                                       item["elapsed_ms"]))
+        return omega, delta, {item["check"]: item for item in report}
 
-    def order_independence():
-        for _ in range(max(5, trials // 4)):
-            alpha, *_ = gen.homogeneous_mvform(chart)
-            left = extend_delta(delta, alpha)
-            right = extend_delta_right(delta, alpha)
-            if not left.agrees_with(right):
-                return (left - right).render()
-        return None
+    def axiom(check):
+        return lambda _: setup()[2][check].get("counterexample")
 
-    rec.run("extension_order_independent",
-            "extending the generator table peels factors from either side alike",
-            order_independence)
+    results = _run("gbv_compat", trials, [(check, law, 1, axiom(check))
+                                          for check, law in laws.items()])
+    if results[0].status == "error":
+        return results
+    for result in results:  # check_bv_axioms times each of its checks itself
+        result.elapsed_ms = setup()[2][result.check]["elapsed_ms"]
 
-    def two_paths():
-        for _ in range(max(5, trials // 2)):
-            alpha, *_ = gen.homogeneous_mvform(chart)
-            via_table = extend_delta(delta, alpha)
-            composite = delta_omega(omega, alpha)
-            if not via_table.agrees_with(composite):
-                return (via_table - composite).render()
-        return None
+    def order_independence(_):
+        _, delta, _ = setup()
+        alpha, *_ = gen.homogeneous_mvform(chart)
+        return _differ(extend_delta(delta, alpha), extend_delta_right(delta, alpha))
 
-    rec.run("generator_table_determines_operator",
-            "the bracket recursion reproduces the conjugated divergence operator",
-            two_paths)
-    return rec.results
+    def two_paths(_):
+        omega, delta, _ = setup()
+        alpha, *_ = gen.homogeneous_mvform(chart)
+        return _differ(extend_delta(delta, alpha), delta_omega(omega, alpha))
+
+    return results + _run("gbv_compat", trials, [
+        ("extension_order_independent",
+         "extending the generator table peels factors from either side alike",
+         max(5, trials // 4), order_independence),
+        ("generator_table_determines_operator",
+         "the bracket recursion reproduces the conjugated divergence operator",
+         max(5, trials // 2), two_paths),
+    ])
 
 
 def suite_partial_dbar(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("partial_dbar", trials)
     gen = _gen(seed, "partial_dbar")
 
-    def make_sigma():
-        alpha, *_ = gen.homogeneous_mvform(chart)
-        return eta(gen.trivialising_section(chart), alpha)
+    def square(_):
+        return _nonzero(partial_int(partial_int(_integral_form(gen, chart))))
 
-    def square():
-        for _ in range(trials):
-            sigma = make_sigma()
-            out = partial_int(partial_int(sigma))
-            if not out.is_zero():
-                return out.render()
-        return None
+    def anticommute(_):
+        sigma = _integral_form(gen, chart)
+        return _nonzero(partial_int(dbar_int(sigma)) + dbar_int(partial_int(sigma)))
 
-    def anticommute():
-        for _ in range(trials):
-            sigma = make_sigma()
-            out = partial_int(dbar_int(sigma)) + dbar_int(partial_int(sigma))
-            if not out.is_zero():
-                return out.render()
-        return None
+    def sign_dropped(_):
+        """A residue, left unrendered, where the sabotaged operators do not anticommute."""
+        sigma = _integral_form(gen, chart)
+        out = partial_int(dbar_int(sigma), drop_form_sign=True) \
+            + dbar_int(partial_int(sigma, drop_form_sign=True))
+        return None if out.is_zero() else "sign dropped"
 
-    def negative_control():
-        for _ in range(trials):
-            sigma = make_sigma()
-            out = partial_int(dbar_int(sigma), drop_form_sign=True) \
-                + dbar_int(partial_int(sigma, drop_form_sign=True))
-            if not out.is_zero():
-                return None  # the sabotaged operator fails, as it must
+    def negative_control(_):
+        if _first_residue(trials, sign_dropped) is not None:
+            return None  # the sabotaged operator fails, as it must
         return "dropping the form-degree sign never broke the anticommutation"
 
-    def covariance():
-        for _ in range(max(10, trials // 2)):
-            phi = gen.invertible_morphism(chart)
-            alpha, *_ = gen.homogeneous_mvform(phi.target, max_p=2, max_q=1)
-            sigma = eta(BerSection(phi.target, phi.target.one()), alpha)
-            lhs = pull_intform(phi, partial_int(sigma))
-            rhs = partial_int(pull_intform(phi, sigma))
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def covariance(_):
+        phi = gen.invertible_morphism(chart)
+        alpha, *_ = gen.homogeneous_mvform(phi.target, max_p=2, max_q=1)
+        sigma = eta(BerSection(phi.target, phi.target.one()), alpha)
+        return _differ(pull_intform(phi, partial_int(sigma)),
+                       partial_int(pull_intform(phi, sigma)))
 
-    rec.run("divergence_squared",
-            "the divergence operator on integral forms squares to zero", square)
-    rec.run("divergence_dbar_anticommute",
-            "the divergence operator anticommutes with dbar", anticommute)
-    rec.run("negative_control_form_sign",
-            "omitting the form-degree sign must break the anticommutation", negative_control)
-    rec.run("divergence_covariance",
-            "the divergence operator is independent of holomorphic coordinates", covariance)
-    return rec.results
+    return _run("partial_dbar", trials, [
+        ("divergence_squared",
+         "the divergence operator on integral forms squares to zero", trials, square),
+        ("divergence_dbar_anticommute",
+         "the divergence operator anticommutes with dbar", trials, anticommute),
+        ("negative_control_form_sign",
+         "omitting the form-degree sign must break the anticommutation", 1, negative_control),
+        ("divergence_covariance",
+         "the divergence operator is independent of holomorphic coordinates",
+         max(10, trials // 2), covariance),
+    ])
 
 
 # -- graded matrix suite -------------------------------------------------------------
 
 
 def suite_jacobi_sum(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("jacobi_sum", trials)
     gen = _gen(seed, "jacobi_sum")
 
-    def multiplicative():
-        for _ in range(trials):
-            phi = gen.invertible_morphism(chart)
-            psi = gen.invertible_morphism(chart)
-            m = phi.differential()
-            n = psi.differential()
-            lhs = (m * n).sdet()
-            rhs = m.sdet() * n.sdet()
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def multiplicative(_):
+        m = gen.invertible_morphism(chart).differential()
+        n = gen.invertible_morphism(chart).differential()
+        return _differ((m * n).sdet(), m.sdet() * n.sdet())
 
-    def supertranspose():
-        for _ in range(trials):
-            m = gen.invertible_morphism(chart).differential()
-            if not m.supertranspose().sdet().agrees_with(m.sdet()):
-                return m.render()
-        return None
+    def supertranspose(_):
+        m = gen.invertible_morphism(chart).differential()
+        return _differ(m.supertranspose().sdet(), m.sdet(), m)
 
-    def jacobi():
-        for _ in range(max(5, trials // 3)):
-            phi = gen.invertible_morphism(chart)
-            d = phi.differential()
-            sdet = d.sdet()
-            d_inv = d.inverse()
-            weighted = [[sdet * entry for entry in row] for row in d_inv.rows]
-            for k in range(chart.dim):
-                px = chart.parity(k)
-                lhs = chart.d(sdet, k)
-                pairs = []
-                for mrow in range(chart.dim):
-                    for nrow in range(chart.dim):
-                        pm, pn = chart.parity(mrow), chart.parity(nrow)
-                        factor = weighted[mrow][nrow]
-                        if koszul(pm + px * (pm + pn)) < 0:
-                            factor = -factor
-                        pairs.append((factor, chart.d(d.rows[nrow][mrow], k)))
-                rhs = dot(chart.sig, pairs)
-                if not lhs.agrees_with(rhs):
-                    return (lhs - rhs).render()
-        return None
+    def jacobi(_):
+        d = gen.invertible_morphism(chart).differential()
+        sdet = d.sdet()
+        d_inv = d.inverse()
+        weighted = [[sdet * entry for entry in row] for row in d_inv.rows]
 
-    def divergence_sum():
-        for _ in range(max(5, trials // 3)):
-            phi = gen.invertible_morphism(chart)
-            d = phi.differential()
-            sdet = d.sdet()
-            d_inv = d.inverse()
-            for k in range(chart.dim):
-                acc = chart.zero()
-                for j in range(chart.dim):
-                    acc = acc + chart.d(sdet * d_inv.rows[j][k], j)
-                if not acc.is_zero():
-                    return acc.render()
-        return None
+        def direction(k):
+            px = chart.parity(k)
+            lhs = chart.d(sdet, k)
+            pairs = []
+            for mrow in range(chart.dim):
+                for nrow in range(chart.dim):
+                    pm, pn = chart.parity(mrow), chart.parity(nrow)
+                    factor = weighted[mrow][nrow]
+                    if koszul(pm + px * (pm + pn)) < 0:
+                        factor = -factor
+                    pairs.append((factor, chart.d(d.rows[nrow][mrow], k)))
+            return _differ(lhs, dot(chart.sig, pairs))
 
-    def commutator_trace():
-        for _ in range(trials):
-            m = gen.invertible_morphism(chart).differential()
-            n = gen.invertible_morphism(chart).differential()
-            out = (m * n - n * m).str_()
-            if not out.is_zero():
-                return out.render()
-        return None
+        return _first_residue(chart.dim, direction)
 
-    rec.run("sdet_multiplicative", "the superdeterminant is multiplicative", multiplicative)
-    rec.run("sdet_supertranspose", "the superdeterminant is supertranspose invariant",
-            supertranspose)
-    rec.run("jacobi_formula",
-            "derivatives of the superdeterminant expand through the inverse matrix", jacobi)
-    rec.run("jacobi_divergence_sum",
-            "the weighted divergence of the inverse differential vanishes", divergence_sum)
-    rec.run("supertrace_commutator", "the supertrace kills commutators", commutator_trace)
-    return rec.results
+    def divergence_sum(_):
+        d = gen.invertible_morphism(chart).differential()
+        sdet = d.sdet()
+        d_inv = d.inverse()
+
+        def direction(k):
+            return _nonzero(sum((chart.d(sdet * d_inv.rows[j][k], j) for j in range(chart.dim)),
+                                chart.zero()))
+
+        return _first_residue(chart.dim, direction)
+
+    def commutator_trace(_):
+        m = gen.invertible_morphism(chart).differential()
+        n = gen.invertible_morphism(chart).differential()
+        return _nonzero((m * n - n * m).str_())
+
+    return _run("jacobi_sum", trials, [
+        ("sdet_multiplicative", "the superdeterminant is multiplicative", trials, multiplicative),
+        ("sdet_supertranspose", "the superdeterminant is supertranspose invariant",
+         trials, supertranspose),
+        ("jacobi_formula",
+         "derivatives of the superdeterminant expand through the inverse matrix",
+         max(5, trials // 3), jacobi),
+        ("jacobi_divergence_sum",
+         "the weighted divergence of the inverse differential vanishes",
+         max(5, trials // 3), divergence_sum),
+        ("supertrace_commutator", "the supertrace kills commutators", trials, commutator_trace),
+    ])
 
 
 # -- connection suites ------------------------------------------------------------------
 
 
 def suite_bv_flat(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("bv_flat", trials)
     gen = _gen(seed, "bv_flat")
 
-    def flatness():
-        for _ in range(max(10, trials)):
-            omega = gen.trivialising_section(chart)
-            conn = bv_connection(DeltaOperator.from_section(omega))
-            if not is_flat(conn):
-                return omega.render()
-        return None
+    def flatness(_):
+        omega = gen.trivialising_section(chart)
+        if is_flat(bv_connection(DeltaOperator.from_section(omega))):
+            return None
+        return omega.render()
 
-    def parallel_equivalence():
-        for _ in range(trials):
-            omega = gen.trivialising_section(chart)
-            h = omega.coefficient
-            table = DeltaOperator.from_section(omega)
-            conn = bv_connection(table)
-            for k in range(chart.dim):
-                residual = chart.d(h, k) + h * conn.coefficients[k]
-                if not residual.is_zero():
-                    return residual.render()
-                if not (h * table.values[k]).agrees_with(chart.d(h, k)):
-                    return h.render()
-        return None
+    def parallel_equivalence(_):
+        omega = gen.trivialising_section(chart)
+        h = omega.coefficient
+        table = DeltaOperator.from_section(omega)
+        conn = bv_connection(table)
+        return _first_residue(chart.dim, lambda k: (
+            _nonzero(chart.d(h, k) + h * conn.coefficients[k])
+            or _differ(h * table.values[k], chart.d(h, k), h)))
 
-    def round_trip():
-        for _ in range(max(5, trials // 3)):
-            omega = gen.trivialising_section(chart)
-            table = DeltaOperator.from_section(omega)
-            h = solve_delta_formula(table)
-            recovered = DeltaOperator.from_section(BerSection(chart, h))
-            for a, b in zip(recovered.values, table.values):
-                if not a.agrees_with(b):
-                    return (a - b).render()
-            scaled = h.scale_numerators(5, 0, 1)
-            factor = scaled * h.invert()
-            f_inv = factor.invert()
-            for k in range(chart.dim):
-                if not (f_inv * chart.d(factor, k)).is_zero():
-                    return factor.render()
-        return None
+    def round_trip(_):
+        omega = gen.trivialising_section(chart)
+        table = DeltaOperator.from_section(omega)
+        h = solve_delta_formula(table)
+        recovered = DeltaOperator.from_section(BerSection(chart, h))
+        residue = _first_residue(chart.dim,
+                                 lambda k: _differ(recovered.values[k], table.values[k]))
+        if residue is not None:
+            return residue
+        factor = h.scale_numerators(5, 0, 1) * h.invert()
+        f_inv = factor.invert()
+        return _first_residue(chart.dim, lambda k: _nonzero(f_inv * chart.d(factor, k), factor))
 
-    def covariance():
-        for _ in range(max(10, trials // 2)):
-            phi = gen.invertible_morphism(chart)
-            omega = gen.trivialising_section(phi.target)
-            conn_target = bv_connection(DeltaOperator.from_section(omega))
-            conn_source = bv_connection(pull_delta_table(phi, omega))
-            witness = _connection_covariance_witness(chart, phi, conn_target, conn_source)
-            if witness is not None:
-                return witness
-        return None
+    def covariance(_):
+        phi = gen.invertible_morphism(chart)
+        omega = gen.trivialising_section(phi.target)
+        conn_target = bv_connection(DeltaOperator.from_section(omega))
+        conn_source = bv_connection(pull_delta_table(phi, omega))
+        return _connection_covariance_witness(chart, phi, conn_target, conn_source)
 
-    def tangent_covariance():
-        for _ in range(max(10, trials // 2)):
-            phi = gen.invertible_morphism(chart)
-            gamma_src = gen.christoffel(chart)
-            # ber_from_tangent reads only the diagonal symbols (q, l, q)
-            diagonal = [(q, l, q) for l in range(chart.dim) for q in range(chart.dim)]
-            gamma_tgt = transform_christoffel(phi, gamma_src, diagonal)
-            witness = _connection_covariance_witness(
-                chart, phi, ber_from_tangent(gamma_tgt), ber_from_tangent(gamma_src))
-            if witness is not None:
-                return witness
-        return None
+    def tangent_covariance(_):
+        phi = gen.invertible_morphism(chart)
+        gamma_src = gen.christoffel(chart)
+        # ber_from_tangent reads only the diagonal symbols (q, l, q)
+        diagonal = [(q, l, q) for l in range(chart.dim) for q in range(chart.dim)]
+        gamma_tgt = transform_christoffel(phi, gamma_src, diagonal)
+        return _connection_covariance_witness(
+            chart, phi, ber_from_tangent(gamma_tgt), ber_from_tangent(gamma_src))
 
-    rec.run("bv_connection_flat",
-            "the connection built from a BV generator table has zero curvature", flatness)
-    rec.run("parallel_section_equation",
-            "parallelness of h [dxi] is the local equation h Delta(d_k) = d_k(h)",
-            parallel_equivalence)
-    rec.run("delta_table_round_trip",
-            "solving the local equation recovers the table, up to one constant", round_trip)
-    rec.run("bv_connection_covariance",
-            "the BV connection transforms correctly under coordinate changes", covariance)
-    rec.run("tangent_connection_covariance",
-            "the induced Berezinian connection transforms with the Christoffel law",
-            tangent_covariance)
-    return rec.results
+    return _run("bv_flat", trials, [
+        ("bv_connection_flat",
+         "the connection built from a BV generator table has zero curvature",
+         max(10, trials), flatness),
+        ("parallel_section_equation",
+         "parallelness of h [dxi] is the local equation h Delta(d_k) = d_k(h)",
+         trials, parallel_equivalence),
+        ("delta_table_round_trip",
+         "solving the local equation recovers the table, up to one constant",
+         max(5, trials // 3), round_trip),
+        ("bv_connection_covariance",
+         "the BV connection transforms correctly under coordinate changes",
+         max(10, trials // 2), covariance),
+        ("tangent_connection_covariance",
+         "the induced Berezinian connection transforms with the Christoffel law",
+         max(10, trials // 2), tangent_covariance),
+    ])
 
 
 def _connection_covariance_witness(chart, phi, conn_target, conn_source):
@@ -498,8 +474,8 @@ def _connection_covariance_witness(chart, phi, conn_target, conn_source):
     d_inv = phi.differential_inverse()
     pulled = phi.apply_many(conn_target.coefficients)
     d_sdet = [chart.d(sdet, mrow) for mrow in range(chart.dim)]
-    for k in range(chart.dim):
-        lhs = pulled[k] * sdet
+
+    def direction(k):
         pairs = []
         for mrow in range(chart.dim):
             pm = chart.parity(mrow)
@@ -508,93 +484,69 @@ def _connection_covariance_witness(chart, phi, conn_target, conn_source):
                     part = -part
                 pairs.append((part, d_sdet[mrow]))
                 pairs.append((part * conn_source.coefficients[mrow], sdet))
-        rhs = dot(chart.sig, pairs)
-        if not lhs.agrees_with(rhs):
-            return (lhs - rhs).render()
-    return None
+        return _differ(pulled[k] * sdet, dot(chart.sig, pairs))
+
+    return _first_residue(chart.dim, direction)
 
 
 def suite_sdet_transport(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("sdet_transport", trials)
     gen = _gen(seed, "sdet_transport")
 
-    def body():
-        for index in range(max(10, trials // 2)):
-            gamma = gen.christoffel(chart)
-            path = gen.formal_path(chart, with_odd_direction=(index % 2 == 0))
-            report = check_sdet_transport(gamma, path, order=4)
-            if report["status"] != "pass":
-                return report["counterexample"]
-        return None
+    def transport(index):
+        gamma = gen.christoffel(chart)
+        path = gen.formal_path(chart, with_odd_direction=(index % 2 == 0))
+        report = check_sdet_transport(gamma, path, order=4)
+        return None if report["status"] == "pass" else report["counterexample"]
 
-    rec.run("ber_transport_is_inverse_sdet",
-            "Berezinian transport equals the inverse superdeterminant of frame transport",
-            body)
-    return rec.results
+    return _run("sdet_transport", trials, [
+        ("ber_transport_is_inverse_sdet",
+         "Berezinian transport equals the inverse superdeterminant of frame transport",
+         max(10, trials // 2), transport),
+    ])
 
 
 def suite_cy_consistency(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("cy_consistency", trials)
     gen = _gen(seed, "cy_consistency")
 
-    def body():
-        for _ in range(max(10, trials // 2)):
-            h, gamma, _ = gen.cy_scenario(chart)
-            report = check_cy_consistency(h, gamma)
-            if report["status"] != "pass":
-                return report["counterexample"] or report["status"]
-        return None
+    def agree(_):
+        h, gamma, _ = gen.cy_scenario(chart)
+        report = check_cy_consistency(h, gamma)
+        return None if report["status"] == "pass" else report["counterexample"] or report["status"]
 
-    rec.run("two_connections_agree",
-            "under the supertrace constraint the BV and tangent-induced connections agree",
-            body)
-    return rec.results
+    return _run("cy_consistency", trials, [
+        ("two_connections_agree",
+         "under the supertrace constraint the BV and tangent-induced connections agree",
+         max(10, trials // 2), agree),
+    ])
 
 
 def suite_manin_comparison(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("manin_comparison", trials)
     gen = _gen(seed, "manin_comparison")
 
-    def make_sigma():
-        alpha, *_ = gen.homogeneous_mvform(chart)
-        return eta(gen.trivialising_section(chart), alpha)
+    def round_trip(_):
+        sigma = _integral_form(gen, chart)
+        return _differ(manin_gamma_inverse(manin_gamma(sigma)), sigma, sigma)
 
-    def round_trip():
-        for _ in range(trials):
-            sigma = make_sigma()
-            if not manin_gamma_inverse(manin_gamma(sigma)).agrees_with(sigma):
-                return sigma.render()
-        return None
+    def anticommute(_):
+        sigma = _integral_form(gen, chart)
+        return _differ(manin_delta(manin_gamma(sigma)), -manin_gamma(partial_int(sigma)), sigma)
 
-    def anticommute():
-        for _ in range(trials):
-            sigma = make_sigma()
-            lhs = manin_delta(manin_gamma(sigma))
-            rhs = -manin_gamma(partial_int(sigma))
-            if not lhs.agrees_with(rhs):
-                return sigma.render()
-        return None
+    def squared(_):
+        return _nonzero(manin_delta(manin_delta(manin_gamma(_integral_form(gen, chart)))))
 
-    def squared():
-        for _ in range(trials):
-            tau = manin_gamma(make_sigma())
-            out = manin_delta(manin_delta(tau))
-            if not out.is_zero():
-                return out.render()
-        return None
-
-    rec.run("parity_flip_bijective", "the parity-flip comparison map is a bijection", round_trip)
-    rec.run("flip_anticommutes_divergence",
-            "the flipped divergence anticommutes with the comparison map", anticommute)
-    rec.run("flipped_divergence_squared", "the flipped divergence squares to zero", squared)
-    return rec.results
+    return _run("manin_comparison", trials, [
+        ("parity_flip_bijective", "the parity-flip comparison map is a bijection",
+         trials, round_trip),
+        ("flip_anticommutes_divergence",
+         "the flipped divergence anticommutes with the comparison map", trials, anticommute),
+        ("flipped_divergence_squared", "the flipped divergence squares to zero", trials, squared),
+    ])
 
 
 def suite_delta_projection(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("delta_projection", trials)
     gen = _gen(seed, "delta_projection")
 
-    def body():
+    def projection(_):
         omega = gen.trivialising_section(chart)
         delta = DeltaOperator.from_section(omega)
         if chart.dim < 2:
@@ -604,71 +556,59 @@ def suite_delta_projection(chart: Chart, seed: int, trials: int):
         def perturbed(x):
             return extend_delta(delta, x) + schouten(alpha0, x)
 
-        projected = project_strong(perturbed, chart)
-        for got, want in zip(projected.delta.values, delta.values):
-            if not got.agrees_with(want):
-                return (got - want).render()
-        for _ in range(trials):
-            x, *_ = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
-            via_table = extend_delta(projected.delta, x)
-            if not extend_delta(projected.delta, via_table).is_zero():
-                return via_table.render()
-            direct = projected_apply(perturbed, x)
-            if not via_table.agrees_with(direct):
-                return (via_table - direct).render()
-        return None
+        projected = project_strong(perturbed, chart).delta
 
-    rec.run("projection_restores_strong_compatibility",
-            "projecting a compatible operator onto its degree-lowering part is "
-            "strongly compatible and squares to zero", body)
-    return rec.results
+        def strong(_):
+            x, *_ = gen.homogeneous_mvform(chart, max_p=2, max_q=1)
+            via_table = extend_delta(projected, x)
+            return (_nonzero(extend_delta(projected, via_table), via_table)
+                    or _differ(via_table, projected_apply(perturbed, x)))
+
+        residue = _first_residue(chart.dim,
+                                 lambda k: _differ(projected.values[k], delta.values[k]))
+        return _first_residue(trials, strong) if residue is None else residue
+
+    return _run("delta_projection", trials, [
+        ("projection_restores_strong_compatibility",
+         "projecting a compatible operator onto its degree-lowering part is "
+         "strongly compatible and squares to zero", 1, projection),
+    ])
 
 
 def suite_covariance(chart: Chart, seed: int, trials: int):
-    rec = _Recorder("covariance", trials)
     gen = _gen(seed, "covariance")
 
-    def bracket_equivariance():
-        for _ in range(max(10, trials // 2)):
-            phi = gen.invertible_morphism(chart)
-            a, *_ = gen.homogeneous_mvform(phi.target, max_p=2, max_q=1)
-            b, *_ = gen.homogeneous_mvform(phi.target, max_p=1, max_q=1)
-            lhs = pull_mvform(phi, schouten(a, b))
-            rhs = schouten(pull_mvform(phi, a), pull_mvform(phi, b))
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def bracket_equivariance(_):
+        phi = gen.invertible_morphism(chart)
+        a, *_ = gen.homogeneous_mvform(phi.target, max_p=2, max_q=1)
+        b, *_ = gen.homogeneous_mvform(phi.target, max_p=1, max_q=1)
+        return _differ(pull_mvform(phi, schouten(a, b)),
+                       schouten(pull_mvform(phi, a), pull_mvform(phi, b)))
 
-    def functoriality():
-        for _ in range(max(5, trials // 4)):
-            phi = gen.invertible_morphism(chart)
-            psi = gen.invertible_morphism(phi.target)
-            alpha, *_ = gen.homogeneous_mvform(psi.target, max_p=1, max_q=1)
-            once = pull_mvform(psi.compose(phi), alpha)
-            twice = pull_mvform(phi, pull_mvform(psi, alpha))
-            if not once.agrees_with(twice):
-                return (once - twice).render()
-        return None
+    def functoriality(_):
+        phi = gen.invertible_morphism(chart)
+        psi = gen.invertible_morphism(phi.target)
+        alpha, *_ = gen.homogeneous_mvform(psi.target, max_p=1, max_q=1)
+        return _differ(pull_mvform(psi.compose(phi), alpha),
+                       pull_mvform(phi, pull_mvform(psi, alpha)))
 
-    def bv_covariance():
-        for _ in range(max(5, trials // 4)):
-            phi = gen.invertible_morphism(chart)
-            omega = gen.trivialising_section(phi.target)
-            alpha, *_ = gen.homogeneous_mvform(phi.target, max_p=2, max_q=1)
-            lhs = pull_mvform(phi, delta_omega(omega, alpha))
-            rhs = delta_omega(pull_ber(phi, omega), pull_mvform(phi, alpha))
-            if not lhs.agrees_with(rhs):
-                return (lhs - rhs).render()
-        return None
+    def bv_covariance(_):
+        phi = gen.invertible_morphism(chart)
+        omega = gen.trivialising_section(phi.target)
+        alpha, *_ = gen.homogeneous_mvform(phi.target, max_p=2, max_q=1)
+        return _differ(pull_mvform(phi, delta_omega(omega, alpha)),
+                       delta_omega(pull_ber(phi, omega), pull_mvform(phi, alpha)))
 
-    rec.run("schouten_equivariance",
-            "the bracket commutes with holomorphic coordinate changes", bracket_equivariance)
-    rec.run("pullback_functorial", "pullback respects composition of coordinate changes",
-            functoriality)
-    rec.run("bv_operator_covariance",
-            "the BV operator of a transported section is the transported operator",
-            bv_covariance)
-    return rec.results
+    return _run("covariance", trials, [
+        ("schouten_equivariance",
+         "the bracket commutes with holomorphic coordinate changes",
+         max(10, trials // 2), bracket_equivariance),
+        ("pullback_functorial", "pullback respects composition of coordinate changes",
+         max(5, trials // 4), functoriality),
+        ("bv_operator_covariance",
+         "the BV operator of a transported section is the transported operator",
+         max(5, trials // 4), bv_covariance),
+    ])
 
 
 SUITES = {

@@ -265,13 +265,6 @@ def suite_gbv_compat(chart: Chart, seed: int, trials: int):
     def axiom(check):
         return lambda _: setup()[2][check].get("counterexample")
 
-    results = _run("gbv_compat", trials, [(check, law, 1, axiom(check))
-                                          for check, law in laws.items()])
-    if results[0].status == "error":
-        return results
-    for result in results:  # check_bv_axioms times each of its checks itself
-        result.elapsed_ms = setup()[2][result.check]["elapsed_ms"]
-
     def order_independence(_):
         _, delta, _ = setup()
         alpha, *_ = gen.homogeneous_mvform(chart)
@@ -282,7 +275,9 @@ def suite_gbv_compat(chart: Chart, seed: int, trials: int):
         alpha, *_ = gen.homogeneous_mvform(chart)
         return _differ(extend_delta(delta, alpha), delta_omega(omega, alpha))
 
-    return results + _run("gbv_compat", trials, [
+    # if the set-up raises, every check that needs it reports its error
+    results = _run("gbv_compat", trials, [(check, law, 1, axiom(check))
+                                          for check, law in laws.items()] + [
         ("extension_order_independent",
          "extending the generator table peels factors from either side alike",
          max(5, trials // 4), order_independence),
@@ -290,6 +285,10 @@ def suite_gbv_compat(chart: Chart, seed: int, trials: int):
          "the bracket recursion reproduces the conjugated divergence operator",
          max(5, trials // 2), two_paths),
     ])
+    if results[0].status != "error":  # check_bv_axioms times each of its checks itself
+        for result in results[:len(laws)]:
+            result.elapsed_ms = setup()[2][result.check]["elapsed_ms"]
+    return results
 
 
 def suite_partial_dbar(chart: Chart, seed: int, trials: int):

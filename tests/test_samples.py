@@ -441,7 +441,7 @@ class TestPrimitive:
 
 
 def test_ring_without_even_generator_exits_2(tmp_path, capsys):
-    """gbv_compat cannot draw its section on 0|1; its five checks err."""
+    """gbv_compat cannot draw its section on 0|1; all seven of its checks err."""
     scenario_file = tmp_path / "s.sbv"
     scenario_file.write_text("ring 0|1 cap 2;\ntrials 2;\nsuite gbv_compat;\n", encoding="utf-8")
     report_file = tmp_path / "report.json"
@@ -450,7 +450,7 @@ def test_ring_without_even_generator_exits_2(tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     checks = json.loads(report_file.read_text(encoding="utf-8"))["checks"]
-    assert [c["status"] for c in checks] == ["error"] * 5
+    assert [c["status"] for c in checks] == ["error"] * 7
     assert {c["error"] for c in checks} == {"IndexError('Cannot choose from an empty sequence')"}
 
 
@@ -465,7 +465,7 @@ def test_error_lines_carry_their_reason(tmp_path, capsys):
     assert code == 2
     lines = capsys.readouterr().out.splitlines()
     errors = [c["error"] for c in json.loads(report_file.read_text(encoding="utf-8"))["checks"]]
-    assert len(errors) == 9
+    assert len(errors) == 11
     reasons = [lines[pos + 1].strip() for pos, line in enumerate(lines) if line.startswith("[ERR ]")]
     assert reasons == errors
     assert "IndexError('Cannot choose from an empty sequence')" in reasons

@@ -223,10 +223,9 @@ def suite_tian_todorov(chart: Chart, seed: int, trials: int):
         return _differ(lhs, bv_bracket(lambda x: extend_delta(delta, x), alpha, beta, p + q))
 
     def todorov(_):
-        omegas = [BerSection(chart, chart.one()),
-                  BerSection(chart, chart.one() + chart.coordinate(0)),
-                  BerSection(chart, gen.unit(chart.sig, holomorphic=True))]
-        deltas = [DeltaOperator.from_section(omega) for omega in omegas]
+        units = (chart.one(), chart.one() + chart.coordinate(0),
+                 gen.unit(chart.sig, holomorphic=True))
+        deltas = [DeltaOperator.from_section(BerSection(chart, h)) for h in units]
         return _first_residue(trials, lambda index: bracket(deltas, index))
 
     return _run("tian_todorov", trials, [
@@ -510,7 +509,9 @@ def suite_cy_consistency(chart: Chart, seed: int, trials: int):
     def agree(_):
         h, gamma, _ = gen.cy_scenario(chart)
         report = check_cy_consistency(h, gamma)
-        return None if report["status"] == "pass" else report["counterexample"] or report["status"]
+        if report["status"] == "pass":
+            return None
+        return report["counterexample"] or report["status"]
 
     return _run("cy_consistency", trials, [
         ("two_connections_agree",

@@ -11,10 +11,12 @@ trial draws one instance and returns a residue, the rendered witness of a
 failure or ``None``.  ``_run`` runs ``count`` trials, stops at the first
 residue and decides pass, fail and error for every check.  A suite's checks
 share one stream, ``_gen(seed, suite)``, in declaration order, so giving
-each check its own stream would change every report.  A report's ``trials``
+each check its own stream would move every recorded hash.  A report's ``trials``
 is the scenario's count; checks run ``trials``, ``max(10, trials)``,
 ``max(10, trials // 2)``, ``max(5, trials // 2)``, ``max(5, trials // 3)``
-or ``max(5, trials // 4)`` trials.
+or ``max(5, trials // 4)`` trials.  A check with set-up before its draws,
+or one that needs all its draws for a verdict, is a one-trial row that runs
+its own trials through ``_first_residue``.
 """
 
 from __future__ import annotations
@@ -493,8 +495,7 @@ def suite_sdet_transport(chart: Chart, seed: int, trials: int):
     def transport(index):
         gamma = gen.christoffel(chart)
         path = gen.formal_path(chart, with_odd_direction=(index % 2 == 0))
-        report = check_sdet_transport(gamma, path, order=4)
-        return None if report["status"] == "pass" else report["counterexample"]
+        return check_sdet_transport(gamma, path, order=4)["counterexample"]  # None on a pass
 
     return _run("sdet_transport", trials, [
         ("ber_transport_is_inverse_sdet",
@@ -508,10 +509,7 @@ def suite_cy_consistency(chart: Chart, seed: int, trials: int):
 
     def agree(_):
         h, gamma, _ = gen.cy_scenario(chart)
-        report = check_cy_consistency(h, gamma)
-        if report["status"] == "pass":
-            return None
-        return report["counterexample"] or report["status"]
+        return check_cy_consistency(h, gamma)["counterexample"]  # None on a pass
 
     return _run("cy_consistency", trials, [
         ("two_connections_agree",

@@ -116,6 +116,19 @@ def test_grid_reports_are_recorded():
     assert digests == GRID_DIGESTS
 
 
+def test_a_residue_is_the_rendered_difference_or_the_witness():
+    """No check of the grid fails through these two, so their texts are pinned here."""
+    chart = parse("ring 1|1 cap 4;\n").chart
+    one, z = chart.one(), chart.coordinate(0)
+    assert suites._differ(one + z, one + z) is None
+    assert suites._differ(one + z, one) == z.render()
+    assert suites._differ(one, one + z) == (-z).render()
+    assert suites._differ(one + z, one, one) == one.render()
+    assert suites._nonzero(chart.zero()) is None
+    assert suites._nonzero(z) == z.render()
+    assert suites._nonzero(z, one) == one.render()
+
+
 def test_a_suite_reports_the_same_checks_whatever_its_outcome(no_fork):
     """On 0|1 nearly every check errs; each suite still reports all its checks."""
     def names(scenario):

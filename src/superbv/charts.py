@@ -258,20 +258,17 @@ class Morphism:
         """Formal inverse morphism psi, from psi = L^-1 (y - N(psi)).
 
         Each pullback is split as L x + N(x), its linear part plus the rest.
-        Requires vanishing constant terms and an invertible linear part.
-        ``_weight_inverse`` solves for psi in one pass by total weight; maps
-        that it does not cover keep ``_fixpoint_inverse`` (see
-        ``_needs_fixpoint``).
+        Requires a holomorphic map (a barred term would make psi depend on
+        its own conjugate), vanishing constant terms and an invertible
+        linear part.  ``_weight_inverse`` solves for psi in one pass by
+        total weight.
         """
         return self._cached("invert", self._build_inverse)
 
     def _build_inverse(self) -> "Morphism":
-        rows, nonlinear = self._linear_split()
-        if self._needs_fixpoint(nonlinear):
-            pullbacks = self._fixpoint_inverse(rows, nonlinear)
-        else:
-            pullbacks = self._weight_inverse(rows, nonlinear)
-        inverse = Morphism(self.target, self.source, pullbacks)
+        if not self.is_holomorphic():
+            raise ChartError("only holomorphic morphisms can be inverted")
+        inverse = Morphism(self.target, self.source, self._weight_inverse(*self._linear_split()))
         # the matrix, not self: a back-reference would make a reference cycle
         inverse._memo["forward_differential"] = self.differential()
         return inverse
@@ -314,23 +311,6 @@ class Morphism:
             nonlinear.append(image - acc)
         return rows, nonlinear
 
-    def _needs_fixpoint(self, nonlinear) -> bool:
-        """Whether the weight solve does not apply to this map.
-
-        It needs every monomial of N to have weight at least 2, which fails
-        for a barred linear term such as ``zb1`` in an even image, and no
-        even image with a term of even degree 0, such as ``th1*th2``: through
-        such a term ``substitute`` charges a precision deficit that depends
-        on the iterates, so only the fixpoint reproduces it.
-        """
-        layout = self.source.sig._layout
-        shift, odd_mask = layout.shift, layout.odd_mask
-        if any(key >> shift == 0 for k in range(self.source.sig.n)
-               for key in self.pullbacks[k].terms):
-            return True
-        return any((key >> shift) + (key & odd_mask).bit_count() < 2
-                   for f in nonlinear for key in f.terms)
-
     def _weight_inverse(self, rows, nonlinear) -> list:
         """Pullbacks of the inverse, solved order by order in total weight.
 
@@ -343,23 +323,25 @@ class Morphism:
         pairs (prefix_u, image_(w-u)), and psi_w = -L^-1 N_w is one ``dot``
         per coordinate over its words' parts, each word scaled by its
         coefficient in -L^-1 N.  A kept part has even degree at most its
-        precision and at most m distinct odd generators, or 2m once N uses a
-        barred generator, so the top weight is the largest precision plus
-        that many.  Barred generators take the conjugates of the same parts.  The result is the
-        sum of the parts truncated at ``_inverse_precisions``; truncation by
-        even degree is a ring homomorphism, so it equals the limit of
-        ``_fixpoint_inverse``.
+        precision and at most m odd generators, so the top weight is the
+        largest precision plus m.
+
+        The parts are kept through the precisions of ``_inverse_precisions``
+        with no deficit.  When the sum for an even coordinate has a term of
+        even degree 0, the sums are then truncated at the precisions with
+        the deficit m.  Truncation by even degree is a ring homomorphism and
+        keeps such a term, so this is the solve at the lower precisions, and
+        it equals the limit of the iteration psi <- L^-1 (y - N(psi)) under
+        ``substitute``'s precision rule.
         """
         source, target = self.source, self.target
         sig = target.sig
         words = [monomial_words(f) for f in nonlinear]
         precs = self._inverse_precisions(nonlinear, words)
-        used = {gid for terms in words for word, _, _ in terms for gid in word}
-        odd = sig.odd_count if used & {source.bar_gen_id(k) for k in range(source.dim)} else sig.m
-        top = max([1] + [prec + odd for prec in precs])
+        top = max([1] + [prec + sig.m for prec in precs])
         # parts[prefix][w]: weight-w part of the image of the word prefix,
         # None when it is zero; a one-letter prefix is a generator image
-        parts = {(gid,): [None] * (top + 1) for gid in range(sig.gen_count())}
+        parts = {(source.gen_id(k),): [None] * (top + 1) for k in range(source.dim)}
         for terms in words:
             for word, _, _ in terms:
                 for size in range(2, len(word) + 1):
@@ -381,12 +363,8 @@ class Morphism:
             for k, value in enumerate(values):
                 if value.prec > precs[k]:
                     value = value.truncate(precs[k])
-                if not value.terms:
-                    continue
-                parts[(source.gen_id(k),)][w] = value
-                bar = source.bar_gen_id(k)
-                if bar in used:
-                    parts[(bar,)][w] = value.conjugate()
+                if value.terms:
+                    parts[(source.gen_id(k),)][w] = value
 
         record(1, _linear_solve(sig, rows, [target.coordinate(k) for k in range(target.dim)]))
         for w in range(2, top + 1):
@@ -403,64 +381,38 @@ class Morphism:
             record(w, [dot(sig, [(c, parts[word][w]) for word, c in terms
                                  if parts[word][w] is not None])
                        for terms in coefficients])
-        pullbacks = []
-        for k in range(source.dim):
-            own = [part for part in parts[(source.gen_id(k),)] if part is not None]
-            pullbacks.append(sum(own, JetSuperFunction.zero(sig)).truncate(precs[k]))
-        return pullbacks
+        zero, shift = JetSuperFunction.zero(sig), sig._layout.shift
+        solved = [sum((part for part in parts[(source.gen_id(k),)] if part is not None), zero)
+                  for k in range(source.dim)]
+        if any(key >> shift == 0 for f in solved[:sig.n] for key in f.terms):
+            precs = self._inverse_precisions(nonlinear, words, sig.m)
+        return [f.truncate(prec) for f, prec in zip(solved, precs)]
 
-    def _inverse_precisions(self, nonlinear, words) -> list:
-        """``prec`` of each inverse pullback: the limit of the fixpoint's own
-        precision recurrence when ``substitute`` charges no deficit.
+    def _inverse_precisions(self, nonlinear, words, deficit=0) -> list:
+        """``prec`` of each inverse pullback: the limit of the precision
+        recurrence of psi <- L^-1 (y - N(psi)) under ``substitute``'s rule.
 
         Start every coordinate at the cap; set coordinate i to the least,
-        over the coordinates k of its parity, of the cap, ``N_k.prec`` and the
-        precisions of the coordinates whose generators (or conjugates) N_k
-        uses; repeat until stable.  No value of the iterates enters.
+        over the coordinates k of its parity, of the cap,
+        ``N_k.prec - deficit`` (at least 0) and the precisions of the
+        coordinates whose generators N_k uses; repeat until stable.  The
+        deficit is m when an even pullback has a term of even degree 0, else
+        0; no other value of the iterates enters.
         """
         source = self.source
-        cap = self.target.sig.cap
+        sig = source.sig
         dim = source.dim
-        coordinate = {}
-        for k in range(dim):
-            coordinate[source.gen_id(k)] = coordinate[source.bar_gen_id(k)] = k
+        coordinate = {source.gen_id(k): k for k in range(dim)}
         uses = [{coordinate[gid] for word, _, _ in terms for gid in word} for terms in words]
-        precs = [cap] * dim
+        precs = [sig.cap] * dim
         while True:
-            reach = [min([cap, f.prec] + [precs[j] for j in uses[k]])
+            reach = [min([sig.cap, max(0, f.prec - deficit)] + [precs[j] for j in uses[k]])
                      for k, f in enumerate(nonlinear)]
             new = [min(reach[k] for k in range(dim) if source.parity(k) == source.parity(i))
                    for i in range(dim)]
             if new == precs:
                 return precs
             precs = new
-
-    def _fixpoint_inverse(self, rows, nonlinear) -> list:
-        """Pullbacks of the inverse by iterating psi <- L^-1 (y - N(psi)).
-
-        The iteration terminates because every correction raises the total
-        order.  Kept for the maps ``_needs_fixpoint`` names, and as the
-        reference for ``_weight_inverse`` in the tests.
-        """
-        source, target = self.source, self.target
-        sig = source.sig
-        guesses = _linear_solve(target.sig, rows, [target.coordinate(k) for k in range(target.dim)])
-        limit = sig.cap + 2 * sig.m + 3
-        for _ in range(limit):
-            images = [None] * sig.gen_count()
-            for k in range(source.dim):
-                gid = source.gen_id(k)
-                images[gid] = guesses[k]
-                images[source.bar_gen_id(k)] = guesses[k].conjugate()
-            corrections = substitute_many(nonlinear, images, target.sig)
-            new_guesses = _linear_solve(
-                target.sig, rows, [target.coordinate(k) - corrections[k] for k in range(target.dim)])
-            if all(a == b for a, b in zip(new_guesses, guesses)):
-                break
-            guesses = new_guesses
-        else:
-            raise ChartError("morphism inversion did not stabilise")
-        return guesses
 
     def render(self, name: str = "phi") -> str:
         lines = [f"map {name} {{"]

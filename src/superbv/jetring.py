@@ -685,23 +685,28 @@ class JetSuperFunction:
 
         ``images[gid]`` is the replacement for generator ``gid`` in the
         target ring, of matching parity, or None when the generator does not
-        occur.  Images of even generators containing terms of even degree
-        zero (pure odd-pair terms) lower the trustworthy precision of the
-        result by m, since high even-degree truncation noise can land in low
-        even degree through them.
+        occur.  A term of even degree 0 in any supplied even image lowers
+        the result's precision by m, and a constant term lowers it to 0 (see
+        ``_image_deficit``).
         """
         return substitute_many([self], images, target_sig)[0]
 
-    def _substitution_prec(self, images: list, target_sig: RingSignature) -> int:
-        """Validate the images this element uses; return the result precision."""
+    def _substitution_prec(self, images: list, target_sig: RingSignature, deficit) -> int:
+        """Validate the images this element uses; return the result precision.
+
+        The result is known through the least precision of those images, and
+        through this element's own precision less ``deficit`` (see
+        ``_image_deficit``; None stands for every degree).  An image's own
+        unknown tail stays past the image's precision, whatever it is
+        multiplied by, so the deficit is not charged to the images.
+        """
         layout = self.sig._layout
         seen = 0
         for key in self.terms:
             seen |= key  # fields never carry, so a field of the union is nonzero iff used
         used = [e > 0 for e in layout.exponents(seen)]
         used.extend(seen >> j & 1 for j in range(layout.odd_bits))
-        deficit = 0
-        min_prec = self.prec
+        image_prec = self.prec
         for gid, flag in enumerate(used):
             if not flag:
                 continue
@@ -715,15 +720,9 @@ class JetSuperFunction:
                 raise JetError(
                     f"image of {self.sig.gen_name(gid)} must have parity {want}, got {image.parity()}"
                 )
-            min_prec = min(min_prec, image.prec)
-            if want == 0:
-                if 0 in image.terms:
-                    # truncation noise of the argument reaches arbitrarily low
-                    # even degree through a constant offset
-                    deficit = max(deficit, min_prec)
-                elif any(key >> image.sig._layout.shift == 0 for key in image.terms):
-                    deficit = max(deficit, self.sig.m)
-        return max(0, min_prec - deficit)
+            image_prec = min(image_prec, image.prec)
+        own = 0 if deficit is None else self.prec - deficit
+        return max(0, min(own, image_prec))
 
     # -- rendering -------------------------------------------------------
 
@@ -825,7 +824,8 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
     with ``scale_numerators``, with no ``GaussianRational``.  Every result equals
     ``f.substitute(images, target_sig)`` term for term and in ``prec``.
     """
-    precs = [f._substitution_prec(images, target_sig) for f in functions]
+    deficit = _image_deficit(functions[0].sig, images) if functions else 0
+    precs = [f._substitution_prec(images, target_sig, deficit) for f in functions]
     users: dict = {}
     for index, f in enumerate(functions):
         for word, re, im in monomial_words(f):
@@ -869,6 +869,28 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
                 value = _at_prec(path[-1], prec).scale_numerators(re, im, den) * images[word[-1]]
             dens[index] = _accumulate(sums[index], dens[index], value.terms, value.den)
     return [_canonical(target_sig, terms, den, prec) for terms, den, prec in zip(sums, dens, precs)]
+
+
+def _image_deficit(sig: RingSignature, images: list):
+    """How far the image of a monomial can fall below its even degree.
+
+    A monomial past a function's ``prec`` has even degree at least
+    ``prec + 1`` and may use any generator, so every supplied even image
+    counts, not only those of the stored terms.  Through a term of even
+    degree 0 in an even image (an odd pair such as ``th1*th2``) the image
+    falls by up to m, and through a constant term it falls to every degree:
+    the deficit is then m, or None.
+    """
+    deficit = 0
+    for image in images[:sig.even_count]:
+        if image is None:
+            continue
+        if 0 in image.terms:
+            return None
+        shift = image.sig._layout.shift
+        if not deficit and any(key >> shift == 0 for key in image.terms):
+            deficit = sig.m
+    return deficit
 
 
 def _prefix_image(path, prefix, images, need):

@@ -264,6 +264,21 @@ class TestCLI:
         assert code == 0
         assert "dv(z1)" in out and "2" in out
 
+    def test_transform_rejects_a_map_that_is_not_holomorphic(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text(
+            "ring 1|0 cap 4;\n"
+            "section a = dv(z1) * z1;\n"
+            "map phi { zeta1 = z1 + (1/2)*zb1; }\n",
+            encoding="utf-8",
+        )
+        code = main(["transform", str(scenario_file), "--map", "phi", "--section", "a"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: only holomorphic morphisms can be inverted\n"
+
     def test_verify_pass_and_report(self, tmp_path, capsys):
         from superbv.cli import main
 

@@ -129,7 +129,8 @@ def test_batched_substitution_keeps_precision_deficit():
     images[sig.z(0)] = z + th1 * th2  # even degree zero term: precision drops by m
     batch = [z * z, th1 + z.truncate(3), JetSuperFunction.one(sig)]
     together = substitute_many(batch, images, sig)
-    assert [g.prec for g in together] == [2, 1, 4]
+    # the constant drops too: its unknown tail past prec 4 may use z
+    assert [g.prec for g in together] == [2, 1, 2]
     for f, g in zip(batch, together):
         assert g == _one_at_a_time(f, images, sig)
 

@@ -147,6 +147,35 @@ def test_transform_3x3(name, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_3X3_DIGESTS[name]
 
 
+# section -> sha256 of the standard output of
+# ``superbv transform scenarios/odd_pair_map.sbv --map phi --section <section>``,
+# recorded when the inverse first charged the odd-pair deficit to every
+# image (before, the inverse's precisions collapsed and the command exited 2)
+ODD_PAIR_DIGESTS = {
+    "f": "6769f1df7f536da87bf8f101adeb292f99e8e7cf65d2daa132d5f1642a4a23b5",
+    "v": "250530c6bf660df446c57cd41f302ab881ddbedf3af77bb77af04c15bafcdd88",
+    "w": "b75c6b95a2e1a620f207409f522aa61a676eeb6f9b59e1f80747593866281799",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_PAIR_DIGESTS))
+def test_odd_pair_transform(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv = ["transform", "scenarios/odd_pair_map.sbv", "--map", "phi", "--section", name]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ODD_PAIR_DIGESTS[name]
+    scenario = parse((ROOT / "scenarios" / "odd_pair_map.sbv").read_text(encoding="utf-8"))
+    section = scenario.sections.get(name)
+    if section is None:
+        section = MultiVectorForm.from_function(scenario.chart, scenario.functions[name])
+    phi = scenario.morphisms["phi"]
+    transported = pull_mvform(phi.invert(), section)
+    assert out == transported.render() + "\n"
+    back = pull_mvform(phi, transported)
+    assert back.prec >= 1 and back.agrees_with(section)
+
+
 def _line(label, x):
     return f"{label} {x.prec} {x.render()}"
 

@@ -274,6 +274,143 @@ class TestSubstitute:
         assert out.prec == SIG.cap - SIG.m
 
 
+# -- soundness of the substitution precision ------------------------------------------
+# An input at cap c stands for every series that agrees with it through its
+# ``prec``.  The same inputs at cap c + 2, with random terms past each
+# ``prec``, are one such series, so both substitutions must agree through
+# the precision claimed at cap c.  Where the deficit exceeds the function's
+# precision nothing of the result is known, but the precision is clamped
+# at 0, which claims the terms of even degree 0; those cases are counted
+# and left out of the comparison (TestClampedDeficit pins one).
+
+# the images of the transform probe, ring 2|2 cap 6:
+# zeta1 = z1 + z1^2 + th1*th2, zeta2 = z2, zeta3 = th1, zeta4 = th2
+PROBE_IMAGES = (2, 2, 6, [
+    {((1, 0, 0, 0), ()): 1, ((2, 0, 0, 0), ()): 1, ((0, 0, 0, 0), (0, 1)): 1},
+    {((0, 1, 0, 0), ()): 1},
+    {((0, 0, 0, 0), (0,)): 1},
+    {((0, 0, 0, 0), (1,)): 1},
+])
+
+
+def _holomorphic_terms(draw, n, m, parity, degrees, count):
+    """Up to ``count`` holomorphic monomials of the given parity with even
+    degree drawn from ``degrees``, as ``{(exps, odd): int}``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, count))):
+        exps = [0] * (2 * n)
+        for _ in range(draw(st.sampled_from(degrees))):
+            exps[draw(st.integers(0, n - 1))] += 1
+        odd = tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=3))))
+        if len(odd) % 2 == parity and (sum(exps) or odd):
+            terms[(tuple(exps), odd)] = draw(st.integers(-3, 3).filter(bool))
+    return terms
+
+
+@st.composite
+def substitution_cases(draw, fixed_images=None):
+    """``(low, high)``: a holomorphic function and the images of its
+    generators at cap c, and the same at cap c + 2 with random terms past
+    each precision.  Even images have no constant term, and often an odd
+    pair such as ``th1*th2``; precisions go up to two below the cap."""
+    if fixed_images is None:
+        n, m = draw(st.sampled_from(((1, 1), (1, 2), (2, 2), (1, 3), (2, 3))))
+        cap = draw(st.integers(1, 5))
+        images = []
+        for k in range(n + m):
+            parity = int(k >= n)
+            terms = _holomorphic_terms(draw, n, m, parity, range(cap + 1), 3)
+            if parity == 0:
+                terms[tuple(int(g == k) for g in range(2 * n)), ()] = draw(st.integers(1, 2))
+            else:
+                terms[(0,) * (2 * n), (k - n,)] = draw(st.integers(1, 2))
+            if parity == 0:
+                if m >= 2 and draw(st.booleans()):
+                    pair = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=2,
+                                                     max_size=2))))
+                    terms[(0,) * (2 * n), pair] = draw(st.integers(-2, 2).filter(bool))
+            images.append((terms, draw(st.integers(max(0, cap - 2), cap))))
+    else:
+        n, m, cap, fixed = fixed_images
+        images = [(terms, cap) for terms in fixed]
+    parity = draw(st.integers(0, 1))
+    function = (_holomorphic_terms(draw, n, m, parity, range(cap + 1), 4),
+                draw(st.integers(max(0, cap - 2), cap)), parity)
+
+    def build(sig, tails):
+        def jet_of(terms, prec, parity):
+            terms = dict(terms)
+            if tails and prec < sig.cap:
+                terms.update(_holomorphic_terms(draw, n, m, parity,
+                                                range(prec + 1, sig.cap + 1), 3))
+            gaussian = {key: GaussianRational.of(c) for key, c in terms.items()}
+            return JetSuperFunction(sig, gaussian, sig.cap if tails else prec)
+
+        f = jet_of(*function)
+        table = [None] * sig.gen_count()
+        for k, (terms, prec) in enumerate(images):
+            gid = sig.z(k) if k < n else sig.th(k - n)
+            table[gid] = jet_of(terms, prec, int(k >= n))
+        return f, table, sig
+
+    return build(RingSignature(n, m, cap), False), build(RingSignature(n, m, cap + 2), True)
+
+
+def _through(f, prec):
+    return {(exps, odd): c for exps, odd, c in f.items() if sum(exps) <= prec}
+
+
+def clamped(f, images) -> bool:
+    """Whether the precision of ``f.substitute(images, ...)`` is a clamp at 0."""
+    deficit = jetring._image_deficit(f.sig, images)
+    return deficit is None or f.prec < deficit
+
+
+def compared_soundly(case) -> bool:
+    """Whether both substitutions agree through the claimed precision; False
+    when the claim is a clamp and nothing is compared."""
+    (f, images, sig), (f_high, images_high, sig_high) = case
+    if clamped(f, images):
+        return False
+    low = f.substitute(images, sig)
+    high = f_high.substitute(images_high, sig_high)
+    assert _through(high, low.prec) == _through(low, low.prec)
+    return True
+
+
+class TestSubstitutionSoundness:
+    @pytest.mark.parametrize("cases, examples, least", [
+        (substitution_cases(), 300, 200),
+        (substitution_cases(PROBE_IMAGES), 30, 30),
+    ], ids=["drawn", "probe"])
+    def test_agrees_through_the_claimed_precision(self, cases, examples, least):
+        compared = []
+
+        @given(cases)
+        @settings(max_examples=examples, deadline=None, derandomize=True, phases=NO_SHRINK)
+        def check(case):
+            compared.append(compared_soundly(case))
+
+        check()
+        assert sum(compared) >= least
+
+
+class TestClampedDeficit:
+    def test_a_deficit_past_the_precision_claims_degree_0(self):
+        # f = 0 at prec 0 through z1 -> th1*th2 + 2*z1 at 2|2: the deficit 2
+        # exceeds the precision, so nothing is known, yet the result claims
+        # prec 0; the tail 3*z1 gives the degree-0 term 3*th1*th2
+        sig = RingSignature(2, 2, 1)
+        g = gens(sig)
+        images = [None] * sig.gen_count()
+        images[sig.z(0)] = g["th1"] * g["th2"] + g["z1"].scale(GaussianRational.of(2))
+        images[sig.z(1)], images[sig.th(0)], images[sig.th(1)] = g["z2"], g["th1"], g["th2"]
+        assert clamped(JetSuperFunction.zero(sig, 0), images)
+        assert JetSuperFunction.zero(sig, 0).substitute(images, sig).prec == 0
+        tail = g["z1"].scale(GaussianRational.of(3)).substitute(images, sig)
+        assert _through(tail, 0) == {((0, 0, 0, 0), (0, 1)): GaussianRational.of(3)}
+
+
 class TestRender:
     def test_polynomial(self):
         g = gens(SIG)

@@ -97,8 +97,8 @@ JET_DIGESTS = {
     (2, 1, 4): "632429fe3998dad4", (2, 1, 6): "a1a111d245cdd7be",
     (2, 2, 0): "3c8ae6d75ff69496", (2, 2, 1): "5eddb0e12cb98cee",
     (2, 2, 4): "eeb558059eba2558", (2, 2, 6): "6466197672e3923d",
-    (3, 3, 0): "f7e2594e795ec0fc", (3, 3, 1): "eab110c1e8fc02aa",
-    (3, 3, 4): "1cbd4c5535a4c0cd", (3, 3, 6): "c631983872ccf92d",
+    (3, 3, 0): "f7e2594e795ec0fc", (3, 3, 1): "04e58d7073c60c35",
+    (3, 3, 4): "b19ddd22f4c81ce5", (3, 3, 6): "c631983872ccf92d",
 }
 
 MIXED_DIGEST = "5435080f1e508f03"

@@ -175,10 +175,14 @@ class SampleGen:
         return MultiVectorForm._clean(chart, add_terms({}, pairs), chart.sig.cap)
 
     def homogeneous_mvform(self, chart, max_p=2, max_q=2, allow_repeats=False):
-        """Random homogeneous section with random bidegree and parity."""
-        p = self._below(max_p + 1)
-        q = self._below(max_q + 1)
-        parity = self._below(2)
+        """Random homogeneous section with a random bidegree and parity that
+        the chart can hold: at most n + m indices of each kind (n + m times
+        ``odd_wedge_cap`` with repeats), and parity 0 with no odd direction."""
+        sig = chart.sig
+        room = sig.n + sig.m * (chart.odd_wedge_cap if allow_repeats else 1)
+        p = self._below(min(max_p, room) + 1)
+        q = self._below(min(max_q, room) + 1)
+        parity = self._below(2) if sig.m else 0
         return self.mvform(chart, p, q, parity=parity, allow_repeats=allow_repeats), p, q, parity
 
     # -- Berezinian sections ----------------------------------------------

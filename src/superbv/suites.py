@@ -185,8 +185,9 @@ def suite_schouten_derivation(chart: Chart, seed: int, trials: int):
         return [form.terms.get(((), (k,)), chart.zero()) for k in range(chart.dim)]
 
     def vector_bracket(_):
-        v = gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1))
-        w = gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1))
+        # an odd vector field needs an odd direction
+        v, w = (gen.mvform(chart, 1, 0, parity=gen.rng.randint(0, 1) if chart.sig.m else 0)
+                for _ in range(2))
         if v.is_zero() or w.is_zero():
             return None
         f = gen.jet(chart.sig)

@@ -113,9 +113,10 @@ class RandomPySampleGen:
         return MultiVectorForm(chart, add_terms({}, pairs))
 
     def homogeneous_mvform(self, chart, max_p=2, max_q=2, allow_repeats=False):
-        p = self.rng.randint(0, max_p)
-        q = self.rng.randint(0, max_q)
-        parity = self.rng.randint(0, 1)
+        room = chart.sig.n + chart.sig.m * (chart.odd_wedge_cap if allow_repeats else 1)
+        p = self.rng.randint(0, min(max_p, room))
+        q = self.rng.randint(0, min(max_q, room))
+        parity = self.rng.randint(0, 1) if chart.sig.m else 0
         return self.mvform(chart, p, q, parity=parity, allow_repeats=allow_repeats), p, q, parity
 
     def invertible_morphism(self, chart, nonlinear=True):
@@ -469,3 +470,32 @@ def test_error_lines_carry_their_reason(tmp_path, capsys):
     reasons = [lines[pos + 1].strip() for pos, line in enumerate(lines) if line.startswith("[ERR ]")]
     assert reasons == errors
     assert "IndexError('Cannot choose from an empty sequence')" in reasons
+
+
+def test_purely_even_ring_checks_the_bracket_suites(tmp_path, capsys):
+    """On 1|0 a section has at most one index of each kind and is even, so
+    the bracket suites draw what the chart holds and check it."""
+    scenario_file = tmp_path / "s.sbv"
+    scenario_file.write_text("ring 1|0 cap 3;\ntrials 2;\nsuite schouten_symmetry;\n"
+                             "suite gbv_compat;\n", encoding="utf-8")
+    report_file = tmp_path / "report.json"
+    with _deadline(30):
+        code = cli.main(["verify", str(scenario_file), "--json", str(report_file)])
+    assert code == 0
+    capsys.readouterr()
+    checks = json.loads(report_file.read_text(encoding="utf-8"))["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 8
+
+
+# rings with an even generator: without one no coefficient can be drawn
+@pytest.mark.parametrize("n,m", [(1, 0), (2, 0), (1, 1), (1, 2)])
+@pytest.mark.parametrize("allow_repeats", [False, True])
+def test_homogeneous_mvform_draws_what_the_chart_holds(n, m, allow_repeats):
+    chart = Chart(RingSignature(n, m, 2), odd_wedge_cap=2)
+    room = n + m * (2 if allow_repeats else 1)
+    gen = SampleGen(n + 10 * m)
+    for _ in range(20):
+        form, p, q, parity = gen.homogeneous_mvform(chart, max_p=3, max_q=3,
+                                                    allow_repeats=allow_repeats)
+        assert p <= room and q <= room and (m or parity == 0)
+        assert form.is_zero() or form.bidegrees() == {(p, q)}

@@ -25,6 +25,7 @@ from .jetring import (
     JetError,
     JetSuperFunction,
     RingSignature,
+    _image_deficit,
     _parts,
     dot,
     monomial_words,
@@ -327,12 +328,12 @@ class Morphism:
         largest precision plus m.
 
         The parts are kept through the precisions of ``_inverse_precisions``
-        with no deficit.  When the sum for an even coordinate has a term of
-        even degree 0, the sums are then truncated at the precisions with
-        the deficit m.  Truncation by even degree is a ring homomorphism and
-        keeps such a term, so this is the solve at the lower precisions, and
-        it equals the limit of the iteration psi <- L^-1 (y - N(psi)) under
-        ``substitute``'s precision rule.
+        with no deficit; the sums are then truncated at the precisions with
+        the deficit that the even sums charge to ``substitute`` (m when one
+        has a term of even degree 0).  Truncation by even degree is a ring
+        homomorphism and keeps such a term, so this is the solve at the
+        lower precisions, and it equals the limit of the iteration
+        psi <- L^-1 (y - N(psi)) under ``substitute``'s precision rule.
         """
         source, target = self.source, self.target
         sig = target.sig
@@ -381,11 +382,10 @@ class Morphism:
             record(w, [dot(sig, [(c, parts[word][w]) for word, c in terms
                                  if parts[word][w] is not None])
                        for terms in coefficients])
-        zero, shift = JetSuperFunction.zero(sig), sig._layout.shift
+        zero = JetSuperFunction.zero(sig)
         solved = [sum((part for part in parts[(source.gen_id(k),)] if part is not None), zero)
                   for k in range(source.dim)]
-        if any(key >> shift == 0 for f in solved[:sig.n] for key in f.terms):
-            precs = self._inverse_precisions(nonlinear, words, sig.m)
+        precs = self._inverse_precisions(nonlinear, words, _image_deficit(sig, solved[:sig.n]))
         return [f.truncate(prec) for f, prec in zip(solved, precs)]
 
     def _inverse_precisions(self, nonlinear, words, deficit=0) -> list:
@@ -395,9 +395,8 @@ class Morphism:
         Start every coordinate at the cap; set coordinate i to the least,
         over the coordinates k of its parity, of the cap,
         ``N_k.prec - deficit`` (at least 0) and the precisions of the
-        coordinates whose generators N_k uses; repeat until stable.  The
-        deficit is m when an even pullback has a term of even degree 0, else
-        0; no other value of the iterates enters.
+        coordinates whose generators N_k uses; repeat until stable.  No
+        value of the iterates enters but the deficit.
         """
         source = self.source
         sig = source.sig

@@ -692,14 +692,11 @@ class JetSuperFunction:
         return substitute_many([self], images, target_sig)[0]
 
     def _substitution_prec(self, images: list, target_sig: RingSignature, deficit) -> int:
-        """Validate the images this element uses; return the result precision.
-
-        The result is known through the least precision of those images, and
-        through this element's own precision less ``deficit`` (see
-        ``_image_deficit``; None stands for every degree).  An image's own
-        unknown tail stays past the image's precision, whatever it is
-        multiplied by, so the deficit is not charged to the images.
-        """
+        """Validate the images this element uses; return the result precision:
+        the least of their precisions and of ``prec - deficit``, at least 0.
+        An image's own unknown tail stays past its precision, whatever it is
+        multiplied by, so the deficit of ``_image_deficit`` is not charged
+        to the images."""
         layout = self.sig._layout
         seen = 0
         for key in self.terms:
@@ -721,8 +718,7 @@ class JetSuperFunction:
                     f"image of {self.sig.gen_name(gid)} must have parity {want}, got {image.parity()}"
                 )
             image_prec = min(image_prec, image.prec)
-        own = 0 if deficit is None else self.prec - deficit
-        return max(0, min(own, image_prec))
+        return max(0, min(self.prec - deficit, image_prec))
 
     # -- rendering -------------------------------------------------------
 
@@ -879,14 +875,14 @@ def _image_deficit(sig: RingSignature, images: list):
     counts, not only those of the stored terms.  Through a term of even
     degree 0 in an even image (an odd pair such as ``th1*th2``) the image
     falls by up to m, and through a constant term it falls to every degree:
-    the deficit is then m, or None.
+    the deficit is then m, or the cap.
     """
     deficit = 0
     for image in images[:sig.even_count]:
         if image is None:
             continue
         if 0 in image.terms:
-            return None
+            return sig.cap
         shift = image.sig._layout.shift
         if not deficit and any(key >> shift == 0 for key in image.terms):
             deficit = sig.m

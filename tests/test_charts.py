@@ -26,7 +26,7 @@ from superbv.jetring import (
 )
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
-from test_jetring import NO_SHRINK, _holomorphic_terms
+from test_jetring import NO_SHRINK, _holomorphic_terms, _through
 
 SIG11 = RingSignature(n=1, m=1, cap=4)
 SIG21 = RingSignature(n=2, m=1, cap=4)
@@ -422,10 +422,6 @@ def lifted_inverse_cases(draw):
         terms.update((key, GaussianRational.of(c)) for key, c in tail.items())
         pullbacks.append(JetSuperFunction(high, terms, high.cap))
     return phi, Morphism(Chart(high), Chart(high, name="zeta"), pullbacks)
-
-
-def _through(f, prec):
-    return {(exps, odd): c for exps, odd, c in f.items() if sum(exps) <= prec}
 
 
 class TestInverseSoundness:

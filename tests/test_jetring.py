@@ -362,8 +362,7 @@ def _through(f, prec):
 
 def clamped(f, images) -> bool:
     """Whether the precision of ``f.substitute(images, ...)`` is a clamp at 0."""
-    deficit = jetring._image_deficit(f.sig, images)
-    return deficit is None or f.prec < deficit
+    return f.prec < jetring._image_deficit(f.sig, images)
 
 
 def compared_soundly(case) -> bool:

@@ -322,13 +322,12 @@ def substitution_cases(draw, fixed_images=None):
             terms = _holomorphic_terms(draw, n, m, parity, range(cap + 1), 3)
             if parity == 0:
                 terms[tuple(int(g == k) for g in range(2 * n)), ()] = draw(st.integers(1, 2))
-            else:
-                terms[(0,) * (2 * n), (k - n,)] = draw(st.integers(1, 2))
-            if parity == 0:
                 if m >= 2 and draw(st.booleans()):
                     pair = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=2,
                                                      max_size=2))))
                     terms[(0,) * (2 * n), pair] = draw(st.integers(-2, 2).filter(bool))
+            else:
+                terms[(0,) * (2 * n), (k - n,)] = draw(st.integers(1, 2))
             images.append((terms, draw(st.integers(max(0, cap - 2), cap))))
     else:
         n, m, cap, fixed = fixed_images
@@ -340,7 +339,7 @@ def substitution_cases(draw, fixed_images=None):
     def build(sig, tails):
         def jet_of(terms, prec, parity):
             terms = dict(terms)
-            if tails and prec < sig.cap:
+            if tails:
                 terms.update(_holomorphic_terms(draw, n, m, parity,
                                                 range(prec + 1, sig.cap + 1), 3))
             gaussian = {key: GaussianRational.of(c) for key, c in terms.items()}

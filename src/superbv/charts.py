@@ -28,6 +28,7 @@ from .jetring import (
     _image_deficit,
     _parts,
     dot,
+    jet_sum,
     monomial_words,
     substitute_many,
 )
@@ -306,10 +307,9 @@ class Morphism:
         nonlinear = []
         for i, image in enumerate(self.pullbacks):
             start = 0 if i < n else n
-            acc = JetSuperFunction.zero(sig)
-            for k, scalar in enumerate(blocks[i]):
-                acc = acc + source.coordinate(start + k).scale_numerators(*scalar)
-            nonlinear.append(image - acc)
+            linear = (source.coordinate(start + k).scale_numerators(*scalar)
+                      for k, scalar in enumerate(blocks[i]))
+            nonlinear.append(image - jet_sum(sig, linear))
         return rows, nonlinear
 
     def _weight_inverse(self, rows, nonlinear) -> list:
@@ -352,13 +352,14 @@ class Morphism:
         one = JetSuperFunction.one(sig)
         coefficients = []
         for row in rows:
-            sums: dict = {}
+            addends: dict = {}
             for k, scalar in row:
                 inverse = one.scale_numerators(*scalar)
                 for word, re, im in words[k]:
                     c = inverse.scale_numerators(-re, -im, nonlinear[k].den)
-                    sums[word] = sums[word] + c if word in sums else c
-            coefficients.append([(word, c) for word, c in sums.items() if c.terms])
+                    addends.setdefault(word, []).append(c)
+            sums = ((word, jet_sum(sig, cs)) for word, cs in addends.items())
+            coefficients.append([(word, c) for word, c in sums if c.terms])
 
         def record(w, values):
             for k, value in enumerate(values):
@@ -382,8 +383,7 @@ class Morphism:
             record(w, [dot(sig, [(c, parts[word][w]) for word, c in terms
                                  if parts[word][w] is not None])
                        for terms in coefficients])
-        zero = JetSuperFunction.zero(sig)
-        solved = [sum((part for part in parts[(source.gen_id(k),)] if part is not None), zero)
+        solved = [jet_sum(sig, (part for part in parts[(source.gen_id(k),)] if part is not None))
                   for k in range(source.dim)]
         precs = self._inverse_precisions(nonlinear, words, _image_deficit(sig, solved[:sig.n]))
         return [f.truncate(prec) for f, prec in zip(solved, precs)]
@@ -425,13 +425,8 @@ def _linear_solve(sig: RingSignature, rows, values) -> list:
     """L^-1 applied to a vector of jets, one ``_linear_split`` row at a time;
     every entry of a row is added, zeros included, so each result's ``prec``
     is the least over its parity block."""
-    out = []
-    for row in rows:
-        acc = JetSuperFunction.zero(sig)
-        for k, scalar in row:
-            acc = acc + values[k].scale_numerators(*scalar)
-        out.append(acc)
-    return out
+    return [jet_sum(sig, (values[k].scale_numerators(*scalar) for k, scalar in row))
+            for row in rows]
 
 
 # -- vector and covector component calculus -------------------------------
@@ -439,18 +434,15 @@ def _linear_solve(sig: RingSignature, rows, values) -> list:
 
 def vector_apply(chart: Chart, column, f: JetSuperFunction) -> JetSuperFunction:
     """Action of the coefficient column on a function, with the right-module twist."""
-    acc = chart.zero()
+    pairs = []
     for k, comp in enumerate(column):
         if comp.is_zero():
             continue
         pk = chart.parity(k)
         df = chart.d(f, k)
         for pc, part in _parts(comp):
-            term = part * df
-            if koszul(pk * pc) < 0:
-                term = -term
-            acc = acc + term
-    return acc
+            pairs.append((part if koszul(pk * pc) > 0 else -part, df))
+    return dot(chart.sig, pairs)
 
 
 def pull_ber(phi: Morphism, section: BerSection) -> BerSection:

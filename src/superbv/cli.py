@@ -2,7 +2,9 @@
 transform sections through coordinate changes.
 
 Exit codes: 0 all checks pass, 1 at least one mathematical check failed,
-2 usage or parse error, or standard output closed before all was written.
+2 usage or parse error, a scenario that cannot be read as UTF-8 text, a
+report that cannot be written, or standard output closed before all was
+written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ EXIT_USAGE = 2
 def load_scenario(path: str):
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         print(f"error: cannot read scenario: {error}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     try:
@@ -49,7 +51,11 @@ def cmd_verify(args) -> int:
     report = build_report(args.scenario, seed, trials, suites, results)
     print(human_summary(report))
     if args.json:
-        Path(args.json).write_text(to_json(report), encoding="utf-8")
+        try:
+            Path(args.json).write_text(to_json(report), encoding="utf-8")
+        except OSError as error:
+            print(f"error: cannot write report: {error}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"report written to {args.json}")
     if report["summary"]["errors"]:
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .bvcalc import DeltaOperator
 from .charts import Chart, ChartError, Morphism
 from .grading import koszul
-from .jetring import JetSuperFunction, RingSignature, _accumulate, _canonical, dot
+from .jetring import JetSuperFunction, RingSignature, _accumulate, _finish, dot, jet_sum
 from .supermatrix import SuperMatrix
 
 
@@ -98,14 +98,11 @@ def ber_from_tangent(gamma: Christoffel) -> BerConnection:
     coeffs = []
     for l in range(chart.dim):
         pl = chart.parity(l)
-        acc = chart.zero()
+        entries = []
         for q in range(chart.dim):
             entry = gamma.right(q, l, q)
-            if koszul(chart.parity(q) * (1 + pl)) < 0:
-                acc = acc - entry
-            else:
-                acc = acc + entry
-        coeffs.append(-acc)
+            entries.append(entry if koszul(chart.parity(q) * (1 + pl)) > 0 else -entry)
+        coeffs.append(-jet_sum(chart.sig, entries))
     return BerConnection(chart, tuple(coeffs))
 
 
@@ -289,7 +286,7 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
         parts: dict = {}
         for key, numerators in value.terms.items():
             parts.setdefault((key >> shift) + (key & odd_mask).bit_count(), {})[key] = numerators
-        table.append({w: _canonical(sig, terms, value.den, cap) for w, terms in parts.items()})
+        table.append({w: _finish(sig, terms, value.den, cap) for w, terms in parts.items()})
     coordinates = [chart.coordinate(k) for k in range(chart.dim)]
     h_parts = [JetSuperFunction.one(sig)]
     for w in range(1, cap + sig.m + 1):
@@ -300,7 +297,7 @@ def solve_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
             if inner:
                 pairs.append((coordinate, dot(sig, inner)))
         h_parts.append(dot(sig, pairs).scale_numerators(1, 0, w))
-    h = sum(h_parts[1:], h_parts[0])
+    h = jet_sum(sig, h_parts)
     for k in range(chart.dim):
         if not chart.d(h, k).agrees_with(h * delta.values[k]):
             raise IntegrabilityError("solution verification failed")
@@ -361,14 +358,12 @@ def t_integrate(f: JetSuperFunction) -> JetSuperFunction:
     moves one step up in t and is divided by its new exponent, over one
     denominator; terms past the new precision are dropped."""
     layout = f.sig._layout
-    step, offset, mask, shift = layout.steps[0], layout.offsets[0], layout.field_mask, layout.shift
-    prec = min(f.sig.cap, f.prec + 1)
+    step, offset, mask = layout.steps[0], layout.offsets[0], layout.field_mask
     terms, den = {}, 1
     for key, numerators in f.terms.items():
         key += step
-        if key >> shift <= prec:
-            den = _accumulate(terms, den, {key: numerators}, f.den * (key >> offset & mask))
-    return _canonical(f.sig, terms, den, prec)
+        den = _accumulate(terms, den, {key: numerators}, f.den * (key >> offset & mask))
+    return _finish(f.sig, terms, den, min(f.sig.cap, f.prec + 1))
 
 
 def transport_generator(gamma: Christoffel, path: FormalPath) -> SuperMatrix:
@@ -386,16 +381,13 @@ def transport_generator(gamma: Christoffel, path: FormalPath) -> SuperMatrix:
         pm = chart.parity(m_idx)
         for k_idx in range(dim):
             pk = chart.parity(k_idx)
-            acc = JetSuperFunction.zero(ring)
+            pairs = []
             for l_idx in range(dim):
                 sym = gamma.left(m_idx, l_idx, k_idx)
-                if sym.is_zero():
-                    continue
-                term = path.velocity(l_idx) * path.evaluate(sym)
-                if koszul(pm * (pk + 1)) < 0:
-                    term = -term
-                acc = acc - term
-            w_rows[m_idx][k_idx] = acc
+                if not sym.is_zero():
+                    pairs.append((path.velocity(l_idx), path.evaluate(sym)))
+            acc = dot(ring, pairs)
+            w_rows[m_idx][k_idx] = acc if koszul(pm * (pk + 1)) < 0 else -acc
     return SuperMatrix(ring, chart.sig.n, chart.sig.m, w_rows)
 
 
@@ -421,14 +413,15 @@ def transport_ber(conn: BerConnection, path: FormalPath, order: int) -> JetSuper
     """Parallel transport of the Berezinian frame along the path."""
     chart = conn.chart
     ring = path.ring
-    w = JetSuperFunction.zero(ring)
+    pairs = []
     for l in range(chart.dim):
         coeff = conn.coefficients[l]
         if coeff.is_zero():
             continue
         if not coeff.is_holomorphic():
             raise ConnectionError("transport needs holomorphic connection data")
-        w = w - path.velocity(l) * path.evaluate(coeff)
+        pairs.append((path.velocity(l), path.evaluate(coeff)))
+    w = -dot(ring, pairs)
     current = JetSuperFunction.one(ring)
     for _ in range(order + 1):
         current = JetSuperFunction.one(ring) + t_integrate(w * current)
@@ -440,7 +433,7 @@ def t_truncate(f: JetSuperFunction, order: int) -> JetSuperFunction:
     layout = f.sig._layout
     offset, mask = layout.offsets[0], layout.field_mask
     terms = {key: value for key, value in f.terms.items() if key >> offset & mask <= order}
-    return _canonical(f.sig, terms, f.den, f.prec)
+    return _finish(f.sig, terms, f.den, f.prec)
 
 
 def check_sdet_transport(gamma: Christoffel, path: FormalPath, order: int) -> dict:

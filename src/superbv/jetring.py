@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .grading import ODD, reorder_sign
+from .grading import ODD, koszul, reorder_sign
 
 DEFAULT_CAP = 6
 
@@ -235,6 +235,11 @@ class _Layout:
         return reorder_sign([ODD] * len(word), order)
 
 
+def _require_ring(sig: RingSignature, jet: "JetSuperFunction") -> None:
+    if jet.sig is not sig and jet.sig != sig:
+        raise JetError(f"signature mismatch: {sig} vs {jet.sig}")
+
+
 def _clamp(sig: RingSignature, prec: int | None) -> int:
     """A requested precision, defaulting to and capped at the signature's cap."""
     return sig.cap if prec is None else max(0, min(prec, sig.cap))
@@ -265,9 +270,23 @@ def _canonical(sig: RingSignature, terms: dict, den: int, prec: int) -> "JetSupe
     return _jet(sig, terms, den, prec)
 
 
+def _finish(sig: RingSignature, acc: dict, den: int, prec: int) -> "JetSuperFunction":
+    """The jet of the packed accumulator ``acc / den`` at ``prec``: keys whose
+    numerators cancelled to ``(0, 0)`` and keys past ``prec`` drop, then the
+    rest is brought to canonical form.  Every packed sum ends here, so a
+    cancelled key is removed in this one place.  ``acc`` may become the
+    jet's terms, so the caller must not change it afterwards."""
+    top = (prec + 1) << sig._layout.shift  # the least key past prec
+    # both tests scan in C; most sums have nothing to drop and skip the copy
+    if (0, 0) in acc.values() or acc and max(acc) >= top:
+        acc = {key: value for key, value in acc.items() if key < top and (value[0] or value[1])}
+    return _canonical(sig, acc, den, prec)
+
+
 def _accumulate(acc: dict, den: int, terms: dict, tden: int) -> int:
-    """Add ``terms / tden`` into ``acc / den`` in place, dropping keys that
-    cancel; return the new denominator of ``acc``."""
+    """Add ``terms / tden`` into ``acc / den`` in place; return the new
+    denominator of ``acc``.  Keys whose numerators cancel stay in ``acc``
+    with value ``(0, 0)`` until ``_finish``."""
     if tden != den:
         common = lcm(den, tden)
         if common != den:
@@ -277,17 +296,10 @@ def _accumulate(acc: dict, den: int, terms: dict, tden: int) -> int:
             den = common
         factor = common // tden
         terms = {key: (re * factor, im * factor) for key, (re, im) in terms.items()}
+    get = acc.get
     for key, (re, im) in terms.items():
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = (re, im)
-            continue
-        re += prev[0]
-        im += prev[1]
-        if re or im:
-            acc[key] = (re, im)
-        else:
-            del acc[key]
+        prev = get(key)
+        acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     return den
 
 
@@ -525,12 +537,7 @@ class JetSuperFunction:
         return max((key >> shift for key in self.terms), default=0)
 
     def truncate(self, prec: int) -> "JetSuperFunction":
-        prec = max(0, min(self.prec, prec))
-        shift = self.sig._layout.shift
-        if all(key >> shift <= prec for key in self.terms):
-            return _jet(self.sig, self.terms, self.den, prec)
-        terms = {key: value for key, value in self.terms.items() if key >> shift <= prec}
-        return _canonical(self.sig, terms, self.den, prec)
+        return _finish(self.sig, self.terms, self.den, max(0, min(self.prec, prec)))
 
     def same_terms(self, other: "JetSuperFunction") -> bool:
         """Equality of the coefficients, whatever the two precisions."""
@@ -538,19 +545,8 @@ class JetSuperFunction:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _require_same_ring(self, other: "JetSuperFunction") -> None:
-        if self.sig is not other.sig and self.sig != other.sig:
-            raise JetError(f"signature mismatch: {self.sig} vs {other.sig}")
-
     def __add__(self, other: "JetSuperFunction") -> "JetSuperFunction":
-        self._require_same_ring(other)
-        prec = min(self.prec, other.prec)
-        terms = dict(self.terms)
-        den = _accumulate(terms, self.den, other.terms, other.den)
-        if prec < max(self.prec, other.prec):
-            shift = self.sig._layout.shift
-            terms = {key: value for key, value in terms.items() if key >> shift <= prec}
-        return _canonical(self.sig, terms, den, prec)
+        return jet_sum(self.sig, (self, other))
 
     def __neg__(self) -> "JetSuperFunction":
         terms = {key: (-re, -im) for key, (re, im) in self.terms.items()}
@@ -571,14 +567,13 @@ class JetSuperFunction:
         return _canonical(self.sig, terms, self.den * den, self.prec)
 
     def __mul__(self, other: "JetSuperFunction") -> "JetSuperFunction":
-        self._require_same_ring(other)
+        _require_ring(self.sig, other)
         prec = min(self.prec, other.prec)
         if not (self.terms and other.terms):
             return _jet(self.sig, {}, 1, prec)
         acc: dict = {}
         _multiply_into(acc, self.sig._layout, self.terms, 1, other.terms, prec)
-        terms = {key: value for key, value in acc.items() if value[0] or value[1]}
-        return _canonical(self.sig, terms, self.den * other.den, prec)
+        return _finish(self.sig, acc, self.den * other.den, prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetSuperFunction):
@@ -590,7 +585,7 @@ class JetSuperFunction:
 
     def agrees_with(self, other: "JetSuperFunction") -> bool:
         """Equality of terms after truncating both sides to the common precision."""
-        self._require_same_ring(other)
+        _require_ring(self.sig, other)
         prec = min(self.prec, other.prec)
         return self.truncate(prec).same_terms(other.truncate(prec))
 
@@ -619,7 +614,8 @@ class JetSuperFunction:
         for key, (re, im) in self.terms.items():
             if key & bit:
                 # the generator moves to the front past the odd ones before it
-                terms[key ^ bit] = (-re, -im) if (key & below).bit_count() & 1 else (re, im)
+                sign = koszul((key & below).bit_count())
+                terms[key ^ bit] = (sign * re, sign * im)
         return _canonical(self.sig, terms, self.den, self.prec)
 
     def conjugate(self) -> "JetSuperFunction":
@@ -646,7 +642,8 @@ class JetSuperFunction:
             # crossings to reverse it, less p*q to keep the images of the p
             # unbarred generators after those of the q barred ones
             size = p + q
-            terms[new_key] = (-re, im) if (size * (size - 1) // 2 + p * q) & 1 else (re, -im)
+            sign = koszul(size * (size - 1) // 2 + p * q)
+            terms[new_key] = (sign * re, -sign * im)
         return _jet(self.sig, terms, self.den, self.prec)
 
     def invert(self) -> "JetSuperFunction":
@@ -666,17 +663,15 @@ class JetSuperFunction:
         inverse = _lowest(self.den * re, -self.den * im, re * re + im * im)
         one = JetSuperFunction.one(self.sig, self.prec)
         rest = one - self.scale_numerators(*inverse)
-        acc = one
+        powers = [one]
         power = rest
         limit = self.prec + self.sig.m + 1
-        steps = 0
         while not power.is_zero():
-            acc = acc + power
-            power = power * rest
-            steps += 1
-            if steps > limit:
+            powers.append(power)
+            if len(powers) > limit + 1:
                 raise JetError("geometric series failed to terminate (internal error)")
-        return acc.scale_numerators(*inverse)
+            power = power * rest
+        return jet_sum(self.sig, powers).scale_numerators(*inverse)
 
     # -- substitution ---------------------------------------------------
 
@@ -774,9 +769,8 @@ def dot(sig: RingSignature, pairs) -> JetSuperFunction:
     pairs = list(pairs)
     prec = sig.cap
     for a, b in pairs:
-        for factor in (a, b):
-            if factor.sig is not sig and factor.sig != sig:
-                raise JetError(f"signature mismatch: {sig} vs {factor.sig}")
+        _require_ring(sig, a)
+        _require_ring(sig, b)
         prec = min(prec, a.prec, b.prec)
     live = [(a, b) for a, b in pairs if a.terms and b.terms]
     den = lcm(*(a.den * b.den for a, b in live))
@@ -784,8 +778,29 @@ def dot(sig: RingSignature, pairs) -> JetSuperFunction:
     acc: dict = {}
     for a, b in live:
         _multiply_into(acc, layout, a.terms, den // (a.den * b.den), b.terms, prec)
-    terms = {key: value for key, value in acc.items() if value[0] or value[1]}
-    return _canonical(sig, terms, den, prec)
+    return _finish(sig, acc, den, prec)
+
+
+def jet_sum(sig: RingSignature, jets) -> JetSuperFunction:
+    """Sum of the jets, in one accumulator: the additive twin of ``dot``.
+
+    Equals the fold ``zero(sig) + j1 + j2 + ...`` term for term, in ``den``
+    and in ``prec`` (the least precision of any addend, or the cap when
+    there are none): the fold truncates at a running least precision that
+    is never below the final one, and the canonical form is unique.  Raises
+    ``JetError`` when an addend lives in another ring.
+    """
+    acc: dict = {}
+    den, prec = 1, sig.cap
+    for jet in jets:
+        _require_ring(sig, jet)
+        if jet.prec < prec:
+            prec = jet.prec
+        if acc:
+            den = _accumulate(acc, den, jet.terms, jet.den)
+        elif jet.terms:
+            acc, den = dict(jet.terms), jet.den
+    return _finish(sig, acc, den, prec)
 
 
 def monomial_words(f: JetSuperFunction) -> list:
@@ -864,7 +879,7 @@ def substitute_many(functions, images: list, target_sig: RingSignature) -> list:
             else:
                 value = _at_prec(path[-1], prec).scale_numerators(re, im, den) * images[word[-1]]
             dens[index] = _accumulate(sums[index], dens[index], value.terms, value.den)
-    return [_canonical(target_sig, terms, den, prec) for terms, den, prec in zip(sums, dens, precs)]
+    return [_finish(target_sig, terms, den, prec) for terms, den, prec in zip(sums, dens, precs)]
 
 
 def _image_deficit(sig: RingSignature, images: list):

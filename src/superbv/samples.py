@@ -15,7 +15,7 @@ import random
 
 from .charts import BerSection, Chart, Morphism
 from .grading import koszul
-from .jetring import GaussianRational, JetSuperFunction, RingSignature, _canonical, _jet
+from .jetring import GaussianRational, JetSuperFunction, RingSignature, _finish
 from .mvforms import MultiVectorForm, add_terms
 
 
@@ -124,9 +124,7 @@ class SampleGen:
             re, im = re - 2, im - 1
             prev = terms.get(key)
             terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-        shift = layout.shift
-        kept = {key: c for key, c in terms.items() if (c[0] or c[1]) and key >> shift <= sig.cap}
-        return _canonical(sig, kept, 1, sig.cap)
+        return _finish(sig, terms, 1, sig.cap)
 
     def unit(self, sig: RingSignature, holomorphic=True) -> JetSuperFunction:
         """Even invertible superfunction with body 1."""
@@ -210,16 +208,14 @@ class SampleGen:
             odd_lin = [[self._below(3) - 1 + (i == k) for k in range(m)] for i in range(m)]
             if not (_singular(even_lin) or _singular(odd_lin)):
                 break
-        layout = sig._layout
-        shift, steps, cap = layout.shift, layout.steps, sig.cap
+        steps = sig._layout.steps
 
         def image(pieces):
             terms: dict = {}
             for key, re, im in pieces:
-                if key >> shift <= cap:
-                    prev = terms.get(key)
-                    terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-            return _jet(sig, {key: c for key, c in terms.items() if c[0] or c[1]}, 1, cap)
+                prev = terms.get(key)
+                terms[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+            return _finish(sig, terms, 1, sig.cap)
 
         pullbacks = []
         for i in range(n):

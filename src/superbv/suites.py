@@ -54,7 +54,7 @@ from .connect import (
     transform_christoffel,
 )
 from .grading import koszul
-from .jetring import _parts, dot
+from .jetring import _parts, dot, jet_sum
 from .mvforms import MultiVectorForm, pull_mvform, schouten, wedge
 from .samples import SampleGen
 
@@ -377,8 +377,8 @@ def suite_jacobi_sum(chart: Chart, seed: int, trials: int):
         d_inv = d.inverse()
 
         def direction(k):
-            return _nonzero(sum((chart.d(sdet * d_inv.rows[j][k], j) for j in range(chart.dim)),
-                                chart.zero()))
+            return _nonzero(jet_sum(chart.sig, (chart.d(sdet * d_inv.rows[j][k], j)
+                                                for j in range(chart.dim))))
 
         return _first_residue(chart.dim, direction)
 

@@ -21,10 +21,10 @@ from .jetring import (
     RingSignature,
     _accumulate,
     _bucket_products,
-    _canonical,
-    _jet,
+    _finish,
     _lowest,
     dot,
+    jet_sum,
 )
 
 
@@ -124,11 +124,8 @@ class SuperMatrix:
 
     def str_(self) -> JetSuperFunction:
         """Supertrace: trace of the even-even block minus trace of the odd-odd block."""
-        acc = JetSuperFunction.zero(self.sig)
-        for i in range(self.size):
-            entry = self.rows[i][i]
-            acc = acc + entry if koszul(self.index_parity(i)) > 0 else acc - entry
-        return acc
+        diagonal = ((self.rows[i][i], koszul(self.index_parity(i))) for i in range(self.size))
+        return jet_sum(self.sig, (entry if sign > 0 else -entry for entry, sign in diagonal))
 
     def inverse(self, exact: Callable[[int], SuperMatrix] | None = None) -> "SuperMatrix":
         """Two-sided inverse up to the working precision.
@@ -199,12 +196,12 @@ class SuperMatrix:
             if steps > limit:
                 raise SuperMatrixError("matrix geometric series failed to terminate")
         # truncating once at the final precision equals the fold's truncating at
-        # each step, as the precision only falls; ``_scaled_sum`` then reduces
-        shift, scalar_columns = sig._layout.shift, list(zip(*body_inv))
+        # each step, as the precision only falls; a cell whose sum cancelled
+        # is finished to the zero jet, so ``_scaled_sum`` does not count it
+        scalar_columns = list(zip(*body_inv))
         rows = []
         for acc_row in acc:
-            row = [_jet(sig, {key: value for key, value in terms.items() if key >> shift <= low}, den, low)
-                   for terms, den, low in acc_row]
+            row = [_finish(sig, terms, den, low) for terms, den, low in acc_row]
             rows.append([_scaled_sum(sig, zip(scalars, row)) for scalars in scalar_columns])
         return SuperMatrix(sig, p, q, rows)
 
@@ -338,7 +335,8 @@ def _row_product(sig: RingSignature, row, index) -> list:
     two factors are both nonzero: its precision is the least over those
     pairs, or the cap when there are none.  One pass over the row's terms
     sums the product row in one dict over one denominator, each key tagged
-    with its column; splitting it truncates each entry at its precision."""
+    with its column; split by column, ``_finish`` truncates each entry at
+    its precision."""
     den_right, tag, index = index
     layout = sig._layout
     precs = [sig.cap] * len(index)
@@ -353,12 +351,10 @@ def _row_product(sig: RingSignature, row, index) -> list:
     for entry, top, buckets, plans in live:
         _bucket_products(acc, layout, entry.terms, den // entry.den, buckets, plans, top, tag)
     entries = [{} for _ in precs]
-    cut, column = layout.shift + tag, (1 << tag) - 1
+    column = (1 << tag) - 1
     for key, value in acc.items():
-        j = key & column
-        if (value[0] or value[1]) and key >> cut <= precs[j]:
-            entries[j][key >> tag] = value
-    return [_canonical(sig, terms, den * den_right, prec) for terms, prec in zip(entries, precs)]
+        entries[key & column][key >> tag] = value
+    return [_finish(sig, terms, den * den_right, prec) for terms, prec in zip(entries, precs)]
 
 
 def _settled_floor(sig: RingSignature, rows, index) -> int | None:
@@ -438,10 +434,7 @@ def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
             re, im = re * p - im * q, re * q + im * p
             prev = get(key)
             acc[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    shift = sig._layout.shift
-    terms = {key: value for key, value in acc.items()
-             if (value[0] or value[1]) and key >> shift <= prec}
-    return _canonical(sig, terms, common, prec)
+    return _finish(sig, acc, common, prec)
 
 
 def _invert_scalar_matrix(grid):

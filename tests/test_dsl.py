@@ -318,6 +318,30 @@ class TestCLI:
 
         assert main(["verify", "/nonexistent/path.sbv"]) == 2
 
+    @pytest.mark.parametrize("argv", [["verify"], ["eval", "--expr", "1"],
+                                      ["transform", "--map", "phi", "--section", "a"]])
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys, argv):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "utf16.sbv"
+        scenario_file.write_bytes(b"\xff\xfe" + "ring 1|1 cap 2;\n".encode("utf-16-le"))
+        assert main([argv[0], str(scenario_file), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read scenario" in err and "Traceback" not in err
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 2;\ntrials 1;\nsuite schouten_symmetry;\n",
+                                 encoding="utf-8")
+        report_file = tmp_path / "missing" / "x.json"
+        assert main(["verify", str(scenario_file), "--json", str(report_file)]) == 2
+        captured = capsys.readouterr()
+        assert "passed" in captured.out and "report written" not in captured.out
+        assert "cannot write report" in captured.err and "Traceback" not in captured.err
+        assert not report_file.exists()
+
     def test_closed_stdout_exits_2_without_traceback(self, tmp_path, capsys):
         from superbv.cli import main
 

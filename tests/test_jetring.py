@@ -19,6 +19,7 @@ from superbv.jetring import (
     NotAUnitError,
     RingSignature,
     dot,
+    jet_sum,
 )
 from superbv.samples import SampleGen
 from test_samples import RandomPySampleGen
@@ -679,6 +680,61 @@ class TestReferenceKernel:
                 order = sorted(range(len(word)), key=word.__getitem__)
                 sign = reorder_sign([ODD] * len(word), order)
                 assert _terms(product) == {((), tuple(sorted(word))): GaussianRational.of(sign)}
+
+
+# -- the sum primitives ---------------------------------------------------------
+# ``jet_sum`` and ``+`` against the items summed as GaussianRationals and built
+# through the public constructor at the least precision, and against the fold
+# ``zero + j1 + j2 + ...``.  Some addends are negatives of others, so running
+# sums cancel partway through.
+
+
+def reference_sum(sig, jets):
+    terms = {}
+    for f in jets:
+        for exps, odd, coeff in f.items():
+            terms[(exps, odd)] = terms.get((exps, odd), GR_ZERO) + coeff
+    return _packed(JetSuperFunction(sig, terms, min([sig.cap] + [f.prec for f in jets])))
+
+
+@st.composite
+def sum_inputs(draw):
+    sig = draw(st.sampled_from(ORACLE_SIGS))
+    jets = draw(st.lists(rational_jets(sig), max_size=5))
+    for f in list(jets):
+        if draw(st.booleans()):
+            jets.insert(draw(st.integers(min_value=0, max_value=len(jets))), -f)
+    return sig, jets
+
+
+class TestSumPrimitives:
+    @given(sum_inputs())
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+    def test_sums_match_the_items_sum(self, case):
+        sig, jets = case
+        expected = reference_sum(sig, jets)
+        assert _packed(jet_sum(sig, jets)) == expected
+        assert _packed(jet_sum(sig, iter(jets))) == expected
+        fold = JetSuperFunction.zero(sig)
+        for f in jets:
+            fold = fold + f
+        assert _packed(fold) == expected
+        for f, g in zip(jets, jets[1:]):
+            assert _packed(f + g) == reference_sum(sig, [f, g])
+            assert _packed(f - f) == ({}, 1, f.prec)
+
+    @pytest.mark.parametrize("sig", ORACLE_SIGS)
+    def test_empty_sum_is_zero_at_the_cap(self, sig):
+        assert _packed(jet_sum(sig, [])) == ({}, 1, sig.cap)
+
+    def test_a_jet_of_another_ring_raises(self):
+        other = JetSuperFunction.one(SIG22)
+        with pytest.raises(JetError, match="signature mismatch"):
+            jet_sum(SIG, [JetSuperFunction.one(SIG), other])
+        with pytest.raises(JetError, match="signature mismatch"):
+            JetSuperFunction.one(SIG) + other
+        with pytest.raises(JetError, match="signature mismatch"):
+            jet_sum(SIG, [other])
 
 
 # -- the flat term-product loop ------------------------------------------------

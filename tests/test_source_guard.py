@@ -1,11 +1,15 @@
-"""Source guards for the one-sign-source, one-accumulator and packed-scalar
-rules.
+"""Source guards for the one-sign-source, one-accumulator, one-jet-sum and
+packed-scalar rules.
 
 Every Koszul sign is ``grading.koszul`` of an exponent (or one of the
 ``grading`` functions built on it), every sum of sparse section terms goes
-through ``mvforms.add_terms``, and the layers above the jet ring compute on
-packed integer numerators.  No linter enforces this, so these tests read the
-package source and fail when a hand-written copy reappears.
+through ``mvforms.add_terms``, every packed sum of jet terms becomes a jet
+through ``jetring._finish`` (so ``_canonical`` and ``_jet`` are named only in
+``jetring``), plain sums of jets are ``jetring.jet_sum`` or ``jetring.dot``
+rather than an ``acc = acc + x`` fold (the ``sdet_via_a_block`` oracle keeps
+its own), and the layers above the jet ring compute on packed integer
+numerators.  No linter enforces this, so these tests read the package source
+and fail when a hand-written copy reappears.
 """
 
 import inspect
@@ -13,6 +17,7 @@ import re
 from pathlib import Path
 
 from superbv import mvforms
+from superbv.supermatrix import SuperMatrix
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "superbv").glob("*.py"))
 
@@ -23,13 +28,14 @@ def test_sources_found():
 
 def _sign_offenders(keep):
     # a sign taken as ``if <exponent> % 2:`` or as the conditional
-    # ``x if <exponent> % 2 == 0 else -x`` rather than from ``koszul``
+    # ``x if <exponent> % 2 == 0 else -x`` (or ``-x if <exponent> & 1 else x``)
+    # rather than from ``koszul``
     branch = re.compile(r"^\s*(el)?if\b.*% 2:\s*$")
     return [
         f"{path.name}:{number}"
         for path in SOURCES if keep(path.name)
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if branch.match(line) or "% 2 == 0 else" in line or "% 2 else" in line
+        if branch.match(line) or any(form in line for form in ("% 2 == 0 else", "% 2 else", "& 1 else"))
     ]
 
 
@@ -64,6 +70,26 @@ def test_cancelling_sums_only_in_add_terms():
     total = sum(path.read_text().count(pattern) for path in SOURCES)
     assert inspect.getsource(mvforms.add_terms).count(pattern) == 1
     assert total == 1
+
+
+def test_packed_sums_become_jets_only_in_jetring():
+    # every other module finishes a packed accumulator with ``_finish``
+    offenders = [
+        f"{path.name}:{number}"
+        for path in SOURCES if path.name != "jetring.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "_canonical(" in line or "_jet(" in line
+    ]
+    assert offenders == []
+
+
+def test_no_hand_folded_jet_sums():
+    # a sum of jets is one ``jet_sum`` or ``dot``; the oracle keeps its fold
+    fold = re.compile(r"\bacc = acc [+-]")
+    total = sum(len(fold.findall(path.read_text())) for path in SOURCES)
+    kept = len(fold.findall(inspect.getsource(SuperMatrix.sdet_via_a_block)))
+    assert kept == 1
+    assert total == kept
 
 
 def test_no_gaussian_rationals_above_the_jet_ring():

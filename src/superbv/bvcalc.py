@@ -120,7 +120,7 @@ def pull_intform(phi: Morphism, sigma: IntegralForm) -> IntegralForm:
     contributes sdet of the differential.
     """
     pulled = pull_mvform(phi, sigma.mv_part())
-    sdet = phi.differential().sdet()
+    sdet = phi.differential_sdet()
     return IntegralForm(
         phi.source, {k: c * sdet for k, c in pulled.terms.items()}, pulled.prec
     )

@@ -130,9 +130,9 @@ class Morphism:
     coordinate pulls back to.  Barred target generators pull back to the
     conjugates of these images.
 
-    A morphism is immutable, so its image table, differentials, the inverse
-    differential and the inverse morphism are computed once, on first use,
-    and shared by every caller.  Shared matrices are values: never edit
+    A morphism is immutable, so its image table, differentials, the sdet of
+    its differential, the inverse differential and the inverse morphism are
+    computed once, on first use, and shared by every caller.  Shared matrices are values: never edit
     their rows in place.
     """
 
@@ -201,6 +201,10 @@ class Morphism:
         a matrix over the source ring.
         """
         return self._cached("differential", lambda: self._jacobian(self.pullbacks, self.source.d))
+
+    def differential_sdet(self) -> JetSuperFunction:
+        """sdet of the differential: the factor a Berezinian section picks up."""
+        return self._cached("differential_sdet", lambda: self.differential().sdet())
 
     def differential_bar(self) -> SuperMatrix:
         """Mirror Jacobian of the conjugated pullbacks along barred directions."""
@@ -449,5 +453,4 @@ def pull_ber(phi: Morphism, section: BerSection) -> BerSection:
     """Pullback of a Berezinian section: h [dxi] -> phi#(h) sdet(dphi) [dzeta]."""
     if section.chart != phi.target:
         raise ChartError("section lives on the wrong chart")
-    sdet = phi.differential().sdet()
-    return BerSection(phi.source, phi.apply(section.coefficient) * sdet)
+    return BerSection(phi.source, phi.apply(section.coefficient) * phi.differential_sdet())

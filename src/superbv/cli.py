@@ -100,14 +100,19 @@ def cmd_transform(args) -> int:
     return EXIT_PASS
 
 
-def _trial_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type for integers of at least ``low``, as the scenario
+    statements take them; anything else exits 2 with the reason."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -122,8 +127,8 @@ def build_argparser() -> argparse.ArgumentParser:
     verify.add_argument("scenario")
     verify.add_argument("--suite", action="append",
                         help="suite name (repeatable); defaults to the scenario's list")
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--trials", type=_trial_count, default=None)
+    verify.add_argument("--seed", type=_at_least(0), default=None)
+    verify.add_argument("--trials", type=_at_least(1), default=None)
     verify.add_argument("--json", help="write the JSON report to this path")
     verify.set_defaults(func=cmd_verify)
 

@@ -19,7 +19,7 @@ choice of matrix entries lands on the merge of the index tuples it puts
 side by side, with a product of homogeneous coefficient parts and the sign
 of bringing that product into normal form.  Every sign is grading.koszul of
 an exponent: the sorting exponents of ``_merged`` plus explicit exchange
-exponents; no sign is computed elsewhere.  tests/test_mvforms.py keeps a
+exponents; no sign is computed elsewhere.  tests/oracles.py keeps a
 normaliser of formal words, one word per product, piece, derivative or
 choice, as the oracle that these operations must match.
 """

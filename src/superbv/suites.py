@@ -471,7 +471,7 @@ def suite_bv_flat(chart: Chart, seed: int, trials: int):
 
 
 def _connection_covariance_witness(chart, phi, conn_target, conn_source):
-    sdet = phi.differential().sdet()
+    sdet = phi.differential_sdet()
     d_inv = phi.differential_inverse()
     pulled = phi.apply_many(conn_target.coefficients)
     d_sdet = [chart.d(sdet, mrow) for mrow in range(chart.dim)]

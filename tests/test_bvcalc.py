@@ -1,6 +1,5 @@
 import sys
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -29,29 +28,14 @@ from superbv.bvcalc import (
     pull_delta_table,
 )
 from superbv.charts import BerSection, Chart, ChartError, pull_ber
-from superbv.grading import koszul
 from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
-from superbv.mvforms import MultiVectorForm, Section, add_terms, pull_mvform, schouten, wedge
+from superbv.mvforms import MultiVectorForm, Section, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
-from test_jetring import NO_SHRINK
-from test_mvforms import (
-    BRACKET_SIGS,
-    FUN,
-    VEC,
-    _packed_form,
-    from_words,
-    in_normal_form,
-    normalise_word,
-    reversed_keys,
-    sections,
-    term_word,
+from oracles import (
+    BRACKET_SIGS, CHARTS, NO_SHRINK, SIG11, SIG13, SIG21, SIG22, _packed_form,
+    recursive_extend_term, reversed_keys, sections, word_extend_delta, word_extend_delta_right,
+    word_sorted_extend_delta,
 )
-
-SIG11 = RingSignature(n=1, m=1, cap=4)
-SIG21 = RingSignature(n=2, m=1, cap=4)
-SIG22 = RingSignature(n=2, m=2, cap=4)
-SIG13 = RingSignature(n=1, m=3, cap=4)
-CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
 
 
 def unit_section(chart):
@@ -326,88 +310,6 @@ def exact_terms(form):
     return {k: (c.terms, c.den, c.prec) for k, c in form.terms.items()}
 
 
-def word_extend_delta(delta, alpha):
-    """The bracket recursion on formal words: every head and rest form is
-    normalised through ``from_words``, and the terms are summed with
-    ``Section.__add__``.  Oracle for ``extend_delta``."""
-    out = MultiVectorForm.zero(alpha.chart, alpha.prec - 1)
-    for key in alpha.terms:
-        out = out + _word_extend_term(delta, alpha.chart, term_word(alpha, key))
-    return out
-
-
-def _word_extend_term(delta, chart, word):
-    symbols = [item for item in word if item[0] != FUN]
-    funs = [item for item in word if item[0] == FUN]
-    if not symbols:
-        return MultiVectorForm.zero(chart, min(f.prec for _, f in funs) - 1)
-    head, rest = symbols[0], symbols[1:] + funs
-    head_form = from_words(chart, [(1, [head])])
-    rest_form = from_words(chart, [(1, rest)])
-    out = schouten(head_form, rest_form) - wedge(head_form, _word_extend_term(delta, chart, rest))
-    kind, k = head
-    if kind == VEC and not delta.values[k].is_zero():
-        out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), rest_form)
-    return out
-
-
-def word_sorted_extend_delta(delta, alpha):
-    """``extend_delta`` with each key outside normal form sorted by
-    ``normalise_word`` on a chart whose odd cap keeps every index, and the
-    image's keys past the chart's cap dropped."""
-    chart = alpha.chart
-    terms = {}
-    prec = alpha.prec - 1
-    for key, coeff in alpha.terms.items():
-        if in_normal_form(chart, key):
-            pieces = [(key, coeff)]
-        else:
-            wide = replace(chart, odd_wedge_cap=len(key[0]) + len(key[1]))
-            pieces = normalise_word(wide, term_word(alpha, key)).items()
-        for (i_idx, j_idx), piece in pieces:
-            image = bvcalc._extend_term(delta, chart, i_idx, j_idx, piece)
-            add_terms(terms, [(k, c) for k, c in image.terms.items() if in_normal_form(chart, k)])
-            prec = min(prec, image.prec)
-    return MultiVectorForm(chart, terms, prec)
-
-
-def word_extend_delta_right(delta, alpha):
-    """``extend_delta_right`` on formal words: every front, tail and
-    coefficient form is normalised through ``from_words``."""
-    chart = alpha.chart
-    out = MultiVectorForm.zero(chart, alpha.prec - 1)
-    for key in alpha.terms:
-        out = out + _word_extend_term_right(delta, chart, term_word(alpha, key))
-    return out
-
-
-def _word_extend_term_right(delta, chart, word):
-    symbols = [item for item in word if item[0] != FUN]
-    funs = [item for item in word if item[0] == FUN]
-    if not symbols:
-        return MultiVectorForm.zero(chart, min((f.prec for _, f in funs), default=chart.sig.cap) - 1)
-    last = symbols[-1]
-    front = symbols[:-1]
-    if not front:
-        coeff_form = from_words(chart, [(1, funs or [(FUN, chart.one())])])
-        out = schouten(from_words(chart, [(1, [last])]), coeff_form)
-        kind, k = last
-        if kind == VEC and not delta.values[k].is_zero():
-            out = out + wedge(MultiVectorForm.from_function(chart, delta.values[k]), coeff_form)
-        return out
-    tail_form = from_words(chart, [(1, [last] + funs)])
-    front_form = from_words(chart, [(1, front)])
-    sign = koszul(len(front))
-    bracket = schouten(front_form, tail_form)
-    if sign > 0:
-        bracket = -bracket
-    first = wedge(_word_extend_term_right(delta, chart, front), tail_form)
-    second = wedge(front_form, _word_extend_term_right(delta, chart, [last] + funs))
-    if sign < 0:
-        second = -second
-    return bracket + first + second
-
-
 @st.composite
 def stored_extension_cases(draw):
     """A table (of a sampled section, or free) on a chart with odd cap 1-3,
@@ -483,43 +385,6 @@ class TestExtendDeltaProperties:
         out = schouten(MultiVectorForm.dbar_basis(chart, k), alpha)
         assert out.is_zero() and out.prec == max(0, alpha.prec - 1)
         assert out == MultiVectorForm.zero(chart, alpha.prec - 1)
-
-
-def recursive_extend_term(delta, chart, i_idx, j_idx, coeff):
-    """D of the stored term d xibar^I (x) d/dxi^J . coeff, peeled at its first
-    symbol w, one section per peel: the recursion that ``_extend_term``
-    unrolls, and its reference.
-
-    * A barred w = d xibar^i brackets to zero and D(w) = 0, so the image is
-      D(rest) with i in front of each barred tuple and each coefficient negated.
-    * A vector w = d/dxi^j over the rest J' = J[1:], with
-      s = koszul(|j| * (|J'[0]| + |J'[1]| + ...)), gives on ((), J') the bracket
-      s * d_j(coeff), then minus D(rest) with j in front of each vector tuple,
-      then s * D(d/dxi^j) * coeff.
-    """
-    prec = max(0, coeff.prec - 1)
-    if not i_idx and not j_idx:
-        return MultiVectorForm.zero(chart, prec)
-    if i_idx:
-        inner = recursive_extend_term(delta, chart, i_idx[1:], j_idx, coeff)
-        terms = {(i_idx[:1] + bars, vecs): -c for (bars, vecs), c in inner.terms.items()}
-        return MultiVectorForm(chart, terms, min(prec, inner.prec))
-    j, rest = j_idx[0], j_idx[1:]
-    sign = koszul(chart.parity(j) * sum(chart.parity(x) for x in rest))
-    terms = {}
-    bracket = chart.d(coeff, j)
-    if not bracket.is_zero():
-        terms[((), rest)] = bracket if sign > 0 else -bracket
-    inner = recursive_extend_term(delta, chart, (), rest, coeff)
-    add_terms(terms, [(((), j_idx[:1] + vecs), -c) for (_, vecs), c in inner.terms.items()])
-    prec = min(prec, inner.prec)
-    value = delta.values[j]
-    if not value.is_zero():
-        first = value * coeff
-        if not first.is_zero():
-            add_terms(terms, [(((), rest), first if sign > 0 else -first)])
-        prec = min(prec, value.prec, coeff.prec)
-    return MultiVectorForm(chart, terms, prec)
 
 
 def stored_order(form):

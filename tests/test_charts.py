@@ -22,52 +22,13 @@ from superbv.jetring import (
     JetError,
     JetSuperFunction,
     RingSignature,
-    substitute_many,
 )
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
-from test_jetring import NO_SHRINK, _holomorphic_terms, _through
-
-SIG11 = RingSignature(n=1, m=1, cap=4)
-SIG21 = RingSignature(n=2, m=1, cap=4)
-SIG22 = RingSignature(n=2, m=2, cap=4)
-CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
-
-
-# -- component transport ------------------------------------------------------------
-# Transport of coefficient columns and rows by the differential, and the
-# pairing of a row with a column, kept here as an oracle for the pullback
-# laws; the program pulls sections back through mvforms.pull_mvform instead.
-
-
-def pull_vector(phi: Morphism, column):
-    """Transport a coefficient column on the target chart to the source chart.
-
-    Components follow (phi* X)^m = sum_k (dphi^-1)^m_k phi#(X^k).
-    """
-    if len(column) != phi.target.dim:
-        raise ChartError("component column has the wrong length")
-    return _transport(phi, phi.differential_inverse(), column)
-
-
-def pull_covector(phi: Morphism, row):
-    """Transport a coefficient row via the supertranspose of the differential."""
-    if len(row) != phi.target.dim:
-        raise ChartError("component row has the wrong length")
-    return _transport(phi, phi.differential().supertranspose(), row)
-
-
-def _transport(phi: Morphism, matrix: SuperMatrix, components):
-    """Entries sum_k matrix[m][k] phi#(components[k]); each phi# is taken once."""
-    nonzero = [k for k, comp in enumerate(components) if not comp.is_zero()]
-    pulled = phi.apply_many(components[k] for k in nonzero)
-    out = []
-    for mrow in range(phi.source.dim):
-        acc = phi.source.zero()
-        for k, comp in zip(nonzero, pulled):
-            acc = acc + matrix.rows[mrow][k] * comp
-        out.append(acc)
-    return out
+from oracles import (
+    CHARTS, NO_SHRINK, SIG11, SIG21, SIG22, _holomorphic_terms, _through, fixpoint_inverse,
+    pull_covector, pull_vector,
+)
 
 
 def differential_of_function(chart: Chart, f: JetSuperFunction):
@@ -264,27 +225,6 @@ class TestInvertMorphism:
 
 
 # -- the weight solve against the fixpoint -------------------------------------------
-
-
-def fixpoint_inverse(phi: Morphism) -> list:
-    """Inverse pullbacks by iterating psi <- L^-1 (y - N(psi)), the reference
-    for ``invert``.  Every correction raises the total order, so the
-    iteration stops; the precisions are those ``substitute`` gives."""
-    rows, nonlinear = phi._linear_split()
-    source, target = phi.source, phi.target
-    sig = target.sig
-    coordinates = [target.coordinate(k) for k in range(target.dim)]
-    guesses = charts._linear_solve(sig, rows, coordinates)
-    for _ in range(sig.cap + 2 * sig.m + 3):
-        images = [None] * sig.gen_count()
-        for k, guess in enumerate(guesses):
-            images[source.gen_id(k)] = guess
-        corrections = substitute_many(nonlinear, images, sig)
-        new = charts._linear_solve(sig, rows, [y - c for y, c in zip(coordinates, corrections)])
-        if new == guesses:
-            return guesses
-        guesses = new
-    raise ChartError("morphism inversion did not stabilise")
 
 
 def has_odd_pair(even_images) -> bool:

@@ -1,12 +1,10 @@
-import itertools
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbv.bvcalc import DeltaOperator, pull_delta_table
-from superbv.charts import BerSection, Chart, Morphism, vector_apply
+from superbv.charts import BerSection, Chart, Morphism
 from superbv.connect import (
     BerConnection,
     Christoffel,
@@ -28,96 +26,14 @@ from superbv.connect import (
     transport_ber,
     transport_tangent,
 )
-from superbv.grading import koszul
-from superbv.jetring import GR_ONE, GR_ZERO, GaussianRational, JetSuperFunction, RingSignature
+from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
-from test_charts import pull_vector
-from test_jetring import NO_SHRINK
+from oracles import (
+    NO_SHRINK, SIG11, SIG21, covariant_derivative, items_t_integrate, items_t_truncate,
+    odd_pair_unit, pull_vector, t_evaluate, t_shift, walk_delta_formula,
+)
 
-
-def t_shift(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
-    """Exact substitution t -> a + t on a polynomial in the path ring."""
-    terms: dict = {}
-    for exps, odd, coeff in f.items():
-        d = exps[0]
-        for j in range(d + 1):
-            key = ((j,) + exps[1:], odd)
-            factor = GaussianRational.of(comb(d, j) * a ** (d - j))
-            terms[key] = terms.get(key, GR_ZERO) + coeff * factor
-    return JetSuperFunction(f.sig, terms, f.prec)
-
-
-def t_evaluate(f: JetSuperFunction, a: Fraction) -> JetSuperFunction:
-    """Exact evaluation t = a, keeping the odd parameters."""
-    terms: dict = {}
-    for exps, odd, coeff in f.items():
-        key = ((0,) + exps[1:], odd)
-        terms[key] = terms.get(key, GR_ZERO) + coeff * GaussianRational.of(a ** exps[0])
-    return JetSuperFunction(f.sig, terms, f.prec)
-
-
-# -- the Christoffel oracle ----------------------------------------------------------
-# The covariant derivative of one coefficient column along another, by the
-# Leibniz rule; the transformation law of the Christoffel symbols is checked
-# against it, and the program itself never calls it.
-
-
-def covariant_derivative(gamma: Christoffel, x_col, y_col):
-    """nabla_X Y for coefficient columns, via the Leibniz rule.
-
-    Columns use right components as everywhere else; internally both are
-    rewritten with left coefficients, where the covariant derivative reads
-
-        nabla_X (g . d_l) = X(g) . d_l + (-1)^(|X| |g|) g . nabla_X d_l
-    """
-    chart = gamma.chart
-    out_left = [chart.zero() for _ in range(chart.dim)]
-    for l in range(chart.dim):
-        comp = y_col[l]
-        if comp.is_zero():
-            continue
-        pl = chart.parity(l)
-        for part in comp.homogeneous_parts():
-            if part.is_zero():
-                continue
-            g = part if koszul(pl * part.parity()) > 0 else -part
-            # first Leibniz term
-            out_left[l] = out_left[l] + vector_apply(chart, x_col, g)
-            # second: g . nabla_X d_l with X expanded in left components
-            for k in range(chart.dim):
-                xk = x_col[k]
-                if xk.is_zero():
-                    continue
-                pk = chart.parity(k)
-                for xpart in xk.homogeneous_parts():
-                    if xpart.is_zero():
-                        continue
-                    xg = xpart if koszul(pk * xpart.parity()) > 0 else -xpart
-                    x_parity = (pk + xpart.parity()) % 2
-                    lead = g * xg
-                    if koszul(x_parity * part.parity()) < 0:
-                        lead = -lead
-                    for q in range(chart.dim):
-                        sym = gamma.left(q, k, l)
-                        if sym.is_zero():
-                            continue
-                        out_left[q] = out_left[q] + lead * sym
-    # back to right components
-    out = []
-    for q in range(chart.dim):
-        pq = chart.parity(q)
-        acc = chart.zero()
-        for part in out_left[q].homogeneous_parts():
-            if part.is_zero():
-                continue
-            acc = acc + (part if koszul(pq * part.parity()) > 0 else -part)
-        out.append(acc)
-    return out
-
-
-SIG11 = RingSignature(n=1, m=1, cap=4)
-SIG21 = RingSignature(n=2, m=1, cap=4)
 CHARTS = [Chart(SIG11), Chart(SIG21)]
 
 
@@ -254,116 +170,11 @@ class TestChristoffelKeys:
             {key: (x.terms, x.den, x.prec) for key, x in expected.items()}
 
 
-# -- oracles for the local BV formula and the path helpers ---------------------------
-# The coefficient walk that solved h . Delta(d/dxi^k) = d_k(h) one monomial at
-# a time, reading h * Delta(d/dxi^k) through ``coefficient()``, and
-# ``t_integrate`` and ``t_truncate`` on ``items()``: the package's code before
-# the weight solve and the packed-key helpers, kept as their oracles.
-
-
-def walk_delta_formula(delta: DeltaOperator) -> JetSuperFunction:
-    """``solve_delta_formula`` monomial by monomial: the coefficient of a
-    monomial with an even exponent comes from its first even direction i,
-    [h Delta_i] at the monomial without one z_i, over the exponent of z_i;
-    that of a pure odd monomial from its first odd generator."""
-    chart = delta.chart
-    sig = chart.sig
-    for value in delta.values:
-        if not value.is_holomorphic():
-            raise IntegrabilityError("table entries must be holomorphic")
-    for l in range(chart.dim):
-        for k in range(chart.dim):
-            lhs = chart.d(delta.values[k], l)
-            rhs = chart.d(delta.values[l], k)
-            if koszul(chart.parity(l) * chart.parity(k)) < 0:
-                rhs = -rhs
-            if not lhs.agrees_with(rhs):
-                raise IntegrabilityError("cross-derivative consistency fails; no local solution")
-
-    n, m, cap = sig.n, sig.m, sig.cap
-    coeffs = {((0,) * sig.even_count, ()): GR_ONE}
-
-    def even_vectors(degree, length):
-        if length == 0:
-            if degree == 0:
-                yield ()
-            return
-        for head in range(degree + 1):
-            for tail in even_vectors(degree - head, length - 1):
-                yield (head,) + tail
-
-    def monomials_of_degree(total):
-        """Holomorphic monomials with even degree + odd count = total."""
-        for even_degree in range(0, min(total, cap) + 1):
-            odd_count = total - even_degree
-            if odd_count > m:
-                continue
-            for zexp in even_vectors(even_degree, n):
-                for subset in itertools.combinations(range(m), odd_count):
-                    yield zexp + (0,) * n, subset
-
-    def product_coeff(target_key, u: JetSuperFunction):
-        """Coefficient of target_key in h * u, with h known so far."""
-        texp, todd = target_key
-        acc = GaussianRational.of(0)
-        for (hexp, hodd), hc in coeffs.items():
-            uexp = tuple(t - e for t, e in zip(texp, hexp))
-            if any(e < 0 for e in uexp) or not set(hodd).issubset(todd):
-                continue
-            uodd = tuple(sorted(set(todd) - set(hodd)))
-            uc = u.coefficient(uexp, uodd)
-            if not uc:
-                continue
-            # Koszul sign of merging h's odd part with u's odd part
-            value = hc * uc
-            acc = acc + (value if koszul(sum(a > b for a in hodd for b in uodd)) > 0 else -value)
-        return acc
-
-    for total in range(1, cap + m + 1):
-        for exps, odd in monomials_of_degree(total):
-            first_even = next((i for i in range(n) if exps[i] > 0), None)
-            if first_even is not None:
-                lower = exps[:first_even] + (exps[first_even] - 1,) + exps[first_even + 1:]
-                value = (product_coeff((lower, odd), delta.values[first_even])
-                         / GaussianRational.of(exps[first_even]))
-            else:
-                value = product_coeff((exps, odd[1:]), delta.values[n + odd[0]])
-            if value:
-                coeffs[(exps, odd)] = value
-
-    h = JetSuperFunction(sig, coeffs)
-    for k in range(chart.dim):
-        if not chart.d(h, k).agrees_with(h * delta.values[k]):
-            raise IntegrabilityError("solution verification failed")
-    return h
-
-
-def items_t_integrate(f: JetSuperFunction) -> JetSuperFunction:
-    terms = {}
-    for exps, odd, coeff in f.items():
-        new_exp = exps[0] + 1
-        terms[((new_exp,) + exps[1:], odd)] = coeff / GaussianRational.of(new_exp)
-    return JetSuperFunction(f.sig, terms, min(f.sig.cap, f.prec + 1))
-
-
-def items_t_truncate(f: JetSuperFunction, order: int) -> JetSuperFunction:
-    terms = {(exps, odd): c for exps, odd, c in f.items() if exps[0] <= order}
-    return JetSuperFunction(f.sig, terms, f.prec)
-
+# -- the local BV formula and the path helpers against their oracles -----------------
 
 # charts at the degree cap's edge, and charts without even directions
 FORMULA_SIGS = [RingSignature(*shape) for shape in
                 ((1, 1, 1), (1, 2, 2), (2, 2, 4), (0, 2, 2), (0, 3, 3), (2, 0, 3), (1, 3, 3))]
-
-
-def odd_pair_unit(chart: Chart, gen: SampleGen) -> JetSuperFunction:
-    """An even unit on a chart without even directions: 1 plus sampled
-    multiples of each th_a th_b."""
-    h = chart.one()
-    for a in range(chart.dim):
-        for b in range(a + 1, chart.dim):
-            h = h + (chart.coordinate(a) * chart.coordinate(b)).scale(gen.scalar(allow_zero=False))
-    return h
 
 
 @st.composite

@@ -11,7 +11,7 @@ from superbv.charts import BerSection
 from superbv.dsl import ScenarioError, parse, parse_expression, render_value
 from superbv.jetring import GaussianRational, JetSuperFunction
 from superbv.mvforms import MultiVectorForm
-from superbv.report import build_report, determinism_hash, to_json
+from superbv.report import _strip_timing, build_report, determinism_hash, to_json
 from superbv.samples import SampleGen
 from superbv.suites import run_suites
 
@@ -425,6 +425,33 @@ class TestTrialCount:
         scenario_file.write_text("ring 1|1 cap 4;\ntrials 0;\n", encoding="utf-8")
         assert main(["verify", str(scenario_file)]) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
+
+
+class TestSeedOption:
+    def test_cli_rejects_a_negative_seed(self, tmp_path, capsys):
+        from superbv.cli import main
+
+        scenario_file = tmp_path / "s.sbv"
+        scenario_file.write_text("ring 1|1 cap 4;\nsuite covariance;\n", encoding="utf-8")
+        assert main(["verify", str(scenario_file), "--seed", "-1"]) == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
+    def test_option_gives_the_report_of_the_statement(self, tmp_path):
+        # one scenario path for both runs, so the reports may differ in timings only
+        from superbv.cli import main
+
+        scenario_file, report_file = tmp_path / "s.sbv", tmp_path / "report.json"
+        runs = []
+        for statement, argv in (("seed 7;\n", []), ("", ["--seed", "7"])):
+            scenario_file.write_text(f"ring 1|1 cap 3;\ntrials 2;\n{statement}suite tian_todorov;\n",
+                                     encoding="utf-8")
+            code = main(["verify", str(scenario_file), "--json", str(report_file), *argv])
+            runs.append((code, json.loads(report_file.read_text(encoding="utf-8"))))
+        (code, report), (option_code, option_report) = runs
+        assert report["seed"] == option_report["seed"] == 7
+        assert code == option_code
+        assert _strip_timing(report) == _strip_timing(option_report)
+        assert report["determinism_hash"] == option_report["determinism_hash"]
 
 
 class TestPowers:

@@ -16,6 +16,7 @@ from superbv.connect import transform_christoffel
 from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, substitute_many
 from superbv.mvforms import pull_mvform
 from superbv.samples import SampleGen
+from oracles import _one_at_a_time
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2)]
 
@@ -83,21 +84,6 @@ def test_law_skips_vanishing_contractions(seed):
     symbols = transform_christoffel(phi, gamma).symbols
     text = "\n".join(f"{k} {symbols[k].prec} {symbols[k].render()}" for k in sorted(symbols))
     assert hashlib.sha256(text.encode()).hexdigest()[:12] == SPARSE_LAW[seed]
-
-
-def _one_at_a_time(f, images, sig):
-    """Reference substitution: one chain of products per monomial."""
-    prec = f.substitute(images, sig).prec
-    result = JetSuperFunction.zero(sig, prec)
-    for exps, odd, coeff in f.items():
-        factor = JetSuperFunction.scalar(sig, coeff, prec)
-        for gid, e in enumerate(exps):
-            for _ in range(e):
-                factor = factor * images[gid]
-        for o in odd:
-            factor = factor * images[f.sig.even_count + o]
-        result = result + factor
-    return result
 
 
 @pytest.mark.parametrize("n,m", SIGNATURES)

@@ -20,7 +20,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -60,18 +59,7 @@ from superbv.jetring import (
 from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
-from test_connect import odd_pair_unit
-
-ROOT = Path(__file__).resolve().parent.parent
-
-SCENARIO_HASHES = {
-    "cap_edge_1x2": "3c3bfdc68394628a4305b22965032cb47a85510ef598b9431f2d2d8e833583c5",
-    "bv_1x3": "61a5d2be1a29fbdd4dc36834581f7460b052a84572dfd4e76a2063ff4c59cbad",
-    "bv_3x3": "e99ac6b478ce7360f596c7804ee77a5fc9c696069c3e9deb5e7b66850fbc6f83",
-    "default": "399b01be921f725c06afbcb1d32ab12f106abf899a31c5df8a7f6ad5471c4e8f",
-    "two_one": "9c14ba17d9c1cc8ad3fc3e64243dd714a4d289ea002e34784fd9187301649c34",
-    "two_two": "cb088cb1482a07337dcdf65fd1d441b47318a4ef948ad7c860769e416077a3f6",
-}
+from oracles import DBAR, FUN, ROOT, SCENARIO_HASHES, VEC, normalise_word, odd_pair_unit
 
 TRANSFORM_A = (
     "dzb1 * dv(z1) * (1 + th1*thb1 - 2*zb1 - 3*zb1*th1*thb1 + 2*z1 + z1*th1*thb1"
@@ -603,8 +591,6 @@ def test_sampled_morphisms(n, m):
 
 def _crafted_words():
     """(chart, prefactor, items) cases for ``normalise_word``."""
-    from test_mvforms import DBAR, FUN, VEC
-
     sig = RingSignature(2, 2, 4)
     chart, tight = Chart(sig), Chart(sig, odd_wedge_cap=2)
     gen = SampleGen(99)
@@ -650,8 +636,6 @@ def _crafted_words():
 
 
 def _word_lines():
-    from test_mvforms import normalise_word
-
     lines = []
     for k, (chart, prefactor, items) in enumerate(_crafted_words()):
         out = normalise_word(chart, items, prefactor)

@@ -2,17 +2,16 @@ import contextlib
 import itertools
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from superbv import cli, jetring
 from superbv.grading import ODD, commute_sign, BiDegree, reorder_sign
 from superbv.jetring import (
     GR_I,
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     JetError,
     JetSuperFunction,
@@ -22,24 +21,12 @@ from superbv.jetring import (
     jet_sum,
 )
 from superbv.samples import SampleGen
-from test_samples import RandomPySampleGen
-
-SIG = RingSignature(n=1, m=2, cap=3)
-SIG22 = RingSignature(n=2, m=2, cap=4)
-
-# Phases of the derandomized oracle properties: all but shrinking (and the
-# explain phase that follows it).  A failing example is reported as drawn;
-# shrinking the large examples of these properties took minutes.
-NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
-
-
-def jet(sig=SIG, **monos):
-    """Build a jet from {rendered-monomial: int coefficient} style kwargs in tests."""
-    raise NotImplementedError
-
-
-def gens(sig):
-    return {sig.gen_name(g): JetSuperFunction.gen(sig, g) for g in range(sig.gen_count())}
+from oracles import (
+    NO_SHRINK, RandomPySampleGen, SIG, SIG22, _holomorphic_terms, _packed, _terms, _through,
+    flat_dot, flat_mul, gens, reference_add, reference_conjugate,
+    reference_jet_mul as reference_mul, reference_parity, reference_partial, reference_parts,
+    reference_render, reference_sum,
+)
 
 
 @st.composite
@@ -294,20 +281,6 @@ PROBE_IMAGES = (2, 2, 6, [
 ])
 
 
-def _holomorphic_terms(draw, n, m, parity, degrees, count):
-    """Up to ``count`` holomorphic monomials of the given parity with even
-    degree drawn from ``degrees``, as ``{(exps, odd): int}``."""
-    terms = {}
-    for _ in range(draw(st.integers(0, count))):
-        exps = [0] * (2 * n)
-        for _ in range(draw(st.sampled_from(degrees))):
-            exps[draw(st.integers(0, n - 1))] += 1
-        odd = tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=3))))
-        if len(odd) % 2 == parity and (sum(exps) or odd):
-            terms[(tuple(exps), odd)] = draw(st.integers(-3, 3).filter(bool))
-    return terms
-
-
 @st.composite
 def substitution_cases(draw, fixed_images=None):
     """``(low, high)``: a holomorphic function and the images of its
@@ -354,10 +327,6 @@ def substitution_cases(draw, fixed_images=None):
         return f, table, sig
 
     return build(RingSignature(n, m, cap), False), build(RingSignature(n, m, cap + 2), True)
-
-
-def _through(f, prec):
-    return {(exps, odd): c for exps, odd, c in f.items() if sum(exps) <= prec}
 
 
 def clamped(f, images) -> bool:
@@ -443,126 +412,7 @@ class TestRender:
         assert f.render() == reference_render(f)
 
 
-def reference_render(f):
-    """``render`` through ``items()``, one ``GaussianRational`` and two
-    ``Fraction``s per term: the path the packed-numerator render replaced."""
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for exps, odd, coeff in f.items():
-        factors = []
-        for gid, e in enumerate(exps):
-            if e:
-                name = f.sig.gen_name(gid)
-                factors.append(name if e == 1 else f"{name}^{e}")
-        factors.extend(f.sig.gen_name(f.sig.even_count + o) for o in odd)
-        monomial = "*".join(factors)
-        sign, body = _reference_scalar(coeff, bool(monomial))
-        if monomial:
-            text = monomial if body == "" else f"{body}*{monomial}"
-        else:
-            text = body if body else "1"
-        pieces.append((sign, text))
-    out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
-    for sign, text in pieces[1:]:
-        out += (" - " if sign < 0 else " + ") + text
-    return out
-
-
-def _reference_scalar(value, as_factor):
-    re, im = value.re, value.im
-    if re != 0 and im != 0:
-        if re < 0:
-            return -1, f"({-re} {'-' if im > 0 else '+'} {_reference_imag(abs(im))})"
-        return 1, f"({re} {'+' if im > 0 else '-'} {_reference_imag(abs(im))})"
-    if im == 0:
-        sign = -1 if re < 0 else 1
-        mag = abs(re)
-        if mag == 1 and as_factor:
-            return sign, ""
-        return sign, str(mag)
-    sign = -1 if im < 0 else 1
-    return sign, _reference_imag(abs(im))
-
-
-def _reference_imag(mag):
-    return "i" if mag == 1 else f"{mag}*i"
-
-
-# -- reference kernel ---------------------------------------------------------
-# The tuple-keyed kernel with one pair of Fractions per term, which the packed
-# kernel replaced; terms map (even_exponents, odd_subset) to GaussianRational.
-
-
-def _terms(f):
-    return {(exps, odd): coeff for exps, odd, coeff in f.items()}
-
-
-def _add_term(terms, key, coeff):
-    total = terms.get(key, GR_ZERO) + coeff
-    if total:
-        terms[key] = total
-    else:
-        terms.pop(key, None)
-
-
-def _merge_odd(s1, s2):
-    """Merged odd subset and the sign of sorting s1 s2, or None on a repeat."""
-    if set(s1) & set(s2):
-        return None
-    inversions = sum(1 for a in s1 for b in s2 if b < a)
-    return tuple(sorted(s1 + s2)), -1 if inversions % 2 else 1
-
-
-def reference_mul(f, g):
-    prec = min(f.prec, g.prec)
-    terms = {}
-    for (e1, s1), c1 in _terms(f).items():
-        for (e2, s2), c2 in _terms(g).items():
-            merged = _merge_odd(s1, s2)
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            if merged is None or sum(exps) > prec:
-                continue
-            odd, sign = merged
-            _add_term(terms, (exps, odd), c1 * c2 if sign > 0 else -(c1 * c2))
-    return terms, prec
-
-
-def reference_add(f, g):
-    prec = min(f.prec, g.prec)
-    terms = {}
-    for key, coeff in list(_terms(f).items()) + list(_terms(g).items()):
-        if sum(key[0]) <= prec:
-            _add_term(terms, key, coeff)
-    return terms, prec
-
-
-def reference_partial(f, gid):
-    sig = f.sig
-    terms = {}
-    if sig.gen_parity(gid) == 0:
-        for (exps, odd), coeff in _terms(f).items():
-            if exps[gid]:
-                lowered = exps[:gid] + (exps[gid] - 1,) + exps[gid + 1:]
-                _add_term(terms, (lowered, odd), coeff * GaussianRational.of(exps[gid]))
-        return terms, max(0, f.prec - 1)
-    local = gid - sig.even_count
-    for (exps, odd), coeff in _terms(f).items():
-        if local in odd:
-            pos = odd.index(local)
-            _add_term(terms, (exps, odd[:pos] + odd[pos + 1:]), -coeff if pos % 2 else coeff)
-    return terms, f.prec
-
-
-def reference_conjugate(f):
-    n, m = f.sig.n, f.sig.m
-    terms = {}
-    for (exps, odd), coeff in _terms(f).items():
-        mapped = [(o + m) % (2 * m) for o in reversed(odd)]
-        inversions = sum(1 for i, a in enumerate(mapped) for b in mapped[i + 1:] if a > b)
-        value = coeff.conjugate()
-        terms[(exps[n:] + exps[:n], tuple(sorted(mapped)))] = -value if inversions % 2 else value
-    return terms, f.prec
+# -- the reference kernel -----------------------------------------------------
 
 
 ORACLE_SIGS = [RingSignature(0, 1, 2), RingSignature(1, 0, 3), RingSignature(1, 1, 0),
@@ -593,24 +443,6 @@ def jet_pairs():
 
 def _observed(f):
     return _terms(f), f.prec
-
-
-def _packed(f):
-    return f.terms, f.den, f.prec
-
-
-def reference_parity(f):
-    """``parity`` from the set of the term parities."""
-    seen = {len(odd) % 2 for _, odd, _ in f.items()}
-    return seen.pop() if len(seen) == 1 else None if seen else 0
-
-
-def reference_parts(f):
-    """``homogeneous_parts`` as two jets built from the split terms."""
-    parts = ({}, {})
-    for exps, odd, coeff in f.items():
-        parts[len(odd) % 2][(exps, odd)] = coeff
-    return [JetSuperFunction(f.sig, part, f.prec) for part in parts]
 
 
 def odd_monomial(sig, subset):
@@ -683,18 +515,9 @@ class TestReferenceKernel:
 
 
 # -- the sum primitives ---------------------------------------------------------
-# ``jet_sum`` and ``+`` against the items summed as GaussianRationals and built
-# through the public constructor at the least precision, and against the fold
+# ``jet_sum`` and ``+`` against ``reference_sum``, and against the fold
 # ``zero + j1 + j2 + ...``.  Some addends are negatives of others, so running
 # sums cancel partway through.
-
-
-def reference_sum(sig, jets):
-    terms = {}
-    for f in jets:
-        for exps, odd, coeff in f.items():
-            terms[(exps, odd)] = terms.get((exps, odd), GR_ZERO) + coeff
-    return _packed(JetSuperFunction(sig, terms, min([sig.cap] + [f.prec for f in jets])))
 
 
 @st.composite
@@ -738,64 +561,8 @@ class TestSumPrimitives:
 
 
 # -- the flat term-product loop ------------------------------------------------
-# The loop that visits every pair of terms, as jetring._multiply_into ran it
-# on every product before it indexed the right operand (here without the
-# merge-sign cache).  The kernel must match it term for term, in ``den`` and
-# in ``prec``, on both sides of its size threshold.
-
-
-def flat_multiply_into(acc, layout, left, factor, right, prec):
-    shift = layout.shift
-    odd_mask = layout.odd_mask
-    pairs = [(k2, k2 & odd_mask, a2, b2) for k2, (a2, b2) in right.items()]
-    for k1, (a1, b1) in left.items():
-        if factor != 1:
-            a1 *= factor
-            b1 *= factor
-        s1 = k1 & odd_mask
-        for k2, s2, a2, b2 in pairs:
-            if s1 & s2:
-                continue
-            key = k1 + k2
-            if key >> shift > prec:
-                continue
-            if layout.merge_sign(s1, s2) > 0:
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-            else:
-                re = b1 * b2 - a1 * a2
-                im = -a1 * b2 - b1 * a2
-            prev = acc.get(key, (0, 0))
-            acc[key] = (prev[0] + re, prev[1] + im)
-
-
-def _reduced(acc, den, prec):
-    """``(terms, den, prec)`` in canonical form: cancelled keys dropped and
-    the common factor of ``den`` and every numerator divided out."""
-    terms = {key: value for key, value in acc.items() if value[0] or value[1]}
-    g = gcd(den, *(part for value in terms.values() for part in value))
-    return {key: (re // g, im // g) for key, (re, im) in terms.items()}, den // g, prec
-
-
-def flat_mul(f, g):
-    prec = min(f.prec, g.prec)
-    acc = {}
-    flat_multiply_into(acc, f.sig._layout, f.terms, 1, g.terms, prec)
-    return _reduced(acc, f.den * g.den, prec)
-
-
-def flat_dot(sig, pairs):
-    prec = min([sig.cap] + [x.prec for pair in pairs for x in pair])
-    live = [(a, b) for a, b in pairs if a.terms and b.terms]
-    den = lcm(*(a.den * b.den for a, b in live))
-    acc = {}
-    for a, b in live:
-        flat_multiply_into(acc, sig._layout, a.terms, den // (a.den * b.den), b.terms, prec)
-    return _reduced(acc, den, prec)
-
-
-def _packed(x):
-    return x.terms, x.den, x.prec
+# The kernel must match ``flat_mul`` and ``flat_dot`` term for term, in ``den``
+# and in ``prec``, on both sides of its size threshold.
 
 
 @contextlib.contextmanager
@@ -962,9 +729,6 @@ class TestSmallAndLargeSignatures:
 
 
 # -- sampled jets --------------------------------------------------------------
-# test_samples.RandomPySampleGen.jet draws through random.py and sums each
-# coefficient as a GaussianRational under a tuple key for the tuple-keyed
-# constructor.
 
 
 @st.composite

@@ -1,32 +1,16 @@
-import itertools
-from collections import Counter
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbv.charts import Chart, ChartError, Morphism
 from superbv import mvforms
-from superbv.grading import BiDegree, commute_sign, koszul
-from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, _parts
-from superbv.mvforms import (
-    MultiVectorForm,
-    _drops,
-    _is_full_unit,
-    add_terms,
-    dbar,
-    pull_mvform,
-    schouten,
-    wedge,
-)
+from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature
+from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
-from test_jetring import NO_SHRINK
-
-SIG11 = RingSignature(n=1, m=1, cap=4)
-SIG21 = RingSignature(n=2, m=1, cap=4)
-SIG22 = RingSignature(n=2, m=2, cap=4)
-SIG13 = RingSignature(n=1, m=3, cap=4)
-CHARTS = [Chart(SIG11), Chart(SIG21), Chart(SIG22)]
+from oracles import (
+    BRACKET_SIGS, CHARTS, DBAR, FUN, NO_SHRINK, SIG11, SIG13, SIG21, SIG22, VEC, _packed_form,
+    insertion_sort_word, normalise_word, reversed_keys, sections, word_dbar, word_functions,
+    word_pull_mvform, word_schouten, word_wedge,
+)
 
 
 def first_nonzero(draw, tries=50):
@@ -305,265 +289,10 @@ class TestPullback:
                     schouten(pull_mvform(phi, a), pull_mvform(phi, b)))
 
 
-# -- the formal-word oracle ------------------------------------------------------
-# The package once built a formal word for every product, bracket piece,
-# barred derivative and choice of pullback matrix entries, and normalised it
-# here.  ``normalise_word`` and the word versions of the operations below
-# are the oracle that the stored-term versions must match term for term, in
-# ``den`` and ``prec`` and in the section's ``prec``; ``WORD_DIGEST`` in
-# tests/test_golden.py gates ``normalise_word`` itself.
-#
-# Item kinds: (DBAR, k) a barred coordinate differential; (VEC, k) a
-# coordinate derivation; (FUN, f) a homogeneous coefficient.
-
-DBAR, VEC, FUN = "dbar", "vec", "fun"
-
-
-def normalise_word(chart, items, prefactor=1):
-    """Sort a formal word into normal order, with Koszul signs.
-
-    Returns a dict mapping (I, J) to a coefficient jet;  words that repeat an
-    even direction, or exceed the odd multiplicity cap, are dropped (the
-    former are zero, the latter fall outside the retained normal form).
-
-    The normal order is the stable sort that puts the differentials first,
-    then the derivations, each by direction, then the functions in their
-    written order.  Each item gets its degree (1 for a differential or a
-    derivation, 0 for a function) and its parity once.  A function item of
-    mixed parity stands for the sum of its two homogeneous parts, so the
-    word splits into one word per choice of parts.  The sign of a word is
-    ``koszul`` of deg*deg + parity*parity summed over the pairs of items
-    that the sort inverts, which is the product of the exchange signs of
-    the swaps of an insertion sort.  The coefficient is the product of the
-    function items from the first one on; a unit factor at full precision
-    is skipped, since it changes neither the terms nor ``prec``.
-    """
-    items = list(items)
-    ranks, degrees, choices = [], [], []
-    for kind, payload in items:
-        if kind == FUN:
-            choices.append(_parts(payload))
-            if not choices[-1]:
-                return {}  # a zero factor
-            ranks.append((2, 0))
-            degrees.append(0)
-        else:
-            choices.append(((chart.parity(payload), None),))
-            ranks.append((0 if kind == DBAR else 1, payload))
-            degrees.append(1)
-    form_idx = tuple(sorted(payload for kind, payload in items if kind == DBAR))
-    vec_idx = tuple(sorted(payload for kind, payload in items if kind == VEC))
-    if _drops(chart, form_idx) or _drops(chart, vec_idx):
-        return {}
-    size = len(items)
-    inverted = [(i, j) for i in range(size) for j in range(i + 1, size) if ranks[i] > ranks[j]]
-    degree_exponent = sum(degrees[i] * degrees[j] for i, j in inverted)
-    pairs = []
-    for word in itertools.product(*choices):
-        exponent = degree_exponent + sum(word[i][0] * word[j][0] for i, j in inverted)
-        coeff = None
-        for _, f in word:
-            if f is None or _is_full_unit(f):
-                continue
-            coeff = f if coeff is None else coeff * f
-            if not coeff.terms:
-                break
-        if coeff is None:
-            coeff = chart.one()
-        elif not coeff.terms:
-            continue
-        if koszul(exponent) * prefactor < 0:
-            coeff = -coeff
-        pairs.append(((form_idx, vec_idx), coeff))
-    return add_terms({}, pairs)
-
-
-def in_normal_form(chart, key):
-    """Whether the stored key (I, J) is one ``normalise_word`` keeps as it
-    is: both tuples sorted, and neither dropped by ``_drops``."""
-    return all(tuple(sorted(idx)) == idx and not _drops(chart, idx) for idx in key)
-
-
-def from_words(chart, words, prec=None):
-    """The section of (prefactor, items) words, normalised and summed word by
-    word; its ``prec`` is at most every function item's, dropped words' too."""
-    acc: dict = {}
-    floor = chart.sig.cap if prec is None else prec
-    for prefactor, items in words:
-        floor = min([floor] + [payload.prec for kind, payload in items if kind == FUN])
-        add_terms(acc, normalise_word(chart, items, prefactor).items())
-    return MultiVectorForm(chart, acc, floor)
-
-
-def term_word(form, key):
-    """The formal word of one stored term (in normal order)."""
-    form_idx, vec_idx = key
-    items = [(DBAR, k) for k in form_idx] + [(VEC, k) for k in vec_idx]
-    items.append((FUN, form.terms[key]))
-    return items
-
-
-def word_dbar(a):
-    """``dbar`` through one word per barred derivative."""
-    chart = a.chart
-    words = []
-    for (i, j), coeff in a.terms.items():
-        index_parity = sum(chart.parity(k) for k in i + j) % 2
-        for k in range(chart.dim):
-            df = chart.dbar(coeff, k)
-            if df.is_zero():
-                continue
-            sign = koszul(chart.parity(k) * index_parity)
-            items = [(DBAR, k)] + [(DBAR, x) for x in i] + [(VEC, x) for x in j] + [(FUN, df)]
-            words.append((sign, items))
-    return from_words(chart, words, a.prec)
-
-
-def word_pull_mvform(phi, a):
-    """``pull_mvform`` through one word per choice of a nonzero matrix entry
-    for each index, each entry followed by its coefficient item."""
-    source = phi.source
-    d_inv = d_bar_st = None
-    if any(j_idx for _, j_idx in a.terms):
-        d_inv = phi.differential_inverse()
-    if any(i_idx for i_idx, _ in a.terms):
-        d_bar_st = phi.differential_bar().supertranspose()
-    pulled = phi.apply_many(a.terms.values())
-    out_words = []
-    for (i_idx, j_idx), pulled_coeff in zip(a.terms, pulled):
-        words = [[]]
-        symbols = [(DBAR, d_bar_st, k) for k in i_idx] + [(VEC, d_inv, k) for k in j_idx]
-        for kind, matrix, k in symbols:
-            column = [(row, matrix.rows[row][k]) for row in range(source.dim)]
-            words = [items + [(kind, row), (FUN, entry)]
-                     for items in words for row, entry in column if not entry.is_zero()]
-        out_words.extend((1, items + [(FUN, pulled_coeff)]) for items in words)
-    return from_words(source, out_words, a.prec - 1)
-
-
-# -- the insertion-sort normaliser ------------------------------------------------
-# ``normalise_word`` as it was before it took its sign from one inversion
-# count: mixed-parity function items split into every homogeneous choice up
-# front, then a stable insertion sort that multiplies the sign by
-# ``commute_sign`` at every adjacent swap, and a coefficient product started
-# at ``chart.one()``.  ``normalise_word`` must match it term for term, in
-# ``den`` and in ``prec``.
-
-
-def _item_bidegree(chart, item):
-    kind, payload = item
-    if kind == FUN:
-        parity = payload.parity()
-        if parity is None:
-            raise ChartError("word items must be parity homogeneous")
-        return BiDegree(0, parity)
-    return BiDegree(1, chart.parity(payload))
-
-
-def _split_functions(items):
-    words = [([], 1)]
-    for item in items:
-        kind, payload = item
-        if kind != FUN:
-            for word, _ in words:
-                word.append(item)
-            continue
-        even, odd = payload.homogeneous_parts()
-        parts = [p for p in (even, odd) if not p.is_zero()]
-        if not parts:
-            return []
-        if len(parts) == 1:
-            for word, _ in words:
-                word.append((FUN, parts[0]))
-            continue
-        new_words = []
-        for word, sign in words:
-            for part in parts:
-                new_words.append((word + [(FUN, part)], sign))
-        words = new_words
-    return words
-
-
-def _counted_drops(chart, indices):
-    counts = Counter(indices)
-    for k, count in counts.items():
-        if chart.parity(k) == 0 and count > 1:
-            return True
-        if count > chart.odd_wedge_cap:
-            return True
-    return False
-
-
-def insertion_sort_word(chart, items, prefactor=1):
-    def rank(item):
-        kind, payload = item
-        if kind == DBAR:
-            return (0, payload)
-        if kind == VEC:
-            return (1, payload)
-        return (2, 0)
-
-    pairs = []
-    for word, base_sign in _split_functions(list(items)):
-        sign = base_sign
-        work = list(word)
-        for i in range(1, len(work)):
-            j = i
-            while j > 0 and rank(work[j - 1]) > rank(work[j]):
-                sign *= commute_sign(
-                    _item_bidegree(chart, work[j - 1]), _item_bidegree(chart, work[j])
-                )
-                work[j - 1], work[j] = work[j], work[j - 1]
-                j -= 1
-        form_idx, vec_idx, funs = [], [], []
-        for kind, payload in work:
-            if kind == DBAR:
-                form_idx.append(payload)
-            elif kind == VEC:
-                vec_idx.append(payload)
-            else:
-                funs.append(payload)
-        if _counted_drops(chart, form_idx) or _counted_drops(chart, vec_idx):
-            continue
-        coeff = chart.one()
-        for f in funs:
-            coeff = coeff * f
-            if coeff.is_zero():
-                break
-        if coeff.is_zero():
-            continue
-        if sign * prefactor < 0:
-            coeff = -coeff
-        pairs.append(((tuple(form_idx), tuple(vec_idx)), coeff))
-    return add_terms({}, pairs)
-
+# -- the formal-word normaliser against its insertion-sort form -----------------
 
 WORD_SIGS = [RingSignature(1, 1, 3), RingSignature(2, 1, 2), RingSignature(2, 2, 4),
              RingSignature(1, 3, 2)]
-
-
-@st.composite
-def word_functions(draw, sig):
-    """A function item: a few terms of any parity (so often of mixed parity),
-    a zero or a unit at a drawn precision, or the full-precision one."""
-    prec = draw(st.integers(min_value=0, max_value=sig.cap))
-    shape = draw(st.sampled_from(("terms",) * 6 + ("zero", "unit", "one")))
-    if shape == "zero":
-        return JetSuperFunction.zero(sig, prec)
-    if shape == "unit":
-        return JetSuperFunction.one(sig, prec)
-    if shape == "one":
-        return JetSuperFunction.one(sig)
-    terms = {}
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        exps = [0] * sig.even_count
-        for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            exps[draw(st.integers(min_value=0, max_value=sig.even_count - 1))] += 1
-        odd = draw(st.sets(st.integers(min_value=0, max_value=sig.odd_count - 1), max_size=2))
-        parts = [Fraction(draw(st.integers(min_value=-3, max_value=3)),
-                          draw(st.sampled_from((1, 2, 3)))) for _ in range(2)]
-        terms[(tuple(exps), tuple(sorted(odd)))] = GaussianRational.of(*parts)
-    return JetSuperFunction(sig, terms, draw(st.sampled_from((prec, sig.cap))))
 
 
 @st.composite
@@ -593,218 +322,7 @@ class TestNormaliseWord:
             _packed_terms(insertion_sort_word(chart, items, prefactor))
 
 
-# -- the word-based wedge and bracket ------------------------------------------------
-# ``wedge`` and ``schouten`` as they were before they worked on stored terms:
-# every pair of terms, and every summand of the bracket formulas on vector
-# fields with left coefficients, became a formal word that ``from_words``
-# normalised and summed.  The stored-term versions must match them term for
-# term, in ``den`` and ``prec`` and in the section's ``prec``.
-
-
-def word_wedge(a, b):
-    a._check_chart(b)
-    words = []
-    for ka in a.terms:
-        wa = term_word(a, ka)
-        for kb in b.terms:
-            words.append((1, wa + term_word(b, kb)))
-    return from_words(a.chart, words, min(a.prec, b.prec))
-
-
-class _Vec:
-    """A single vector field c * d/dxi^d with the coefficient on the left."""
-
-    __slots__ = ("coeff", "direction", "parity")
-
-    def __init__(self, chart, coeff, direction):
-        cp = coeff.parity()
-        if cp is None:
-            raise ChartError("internal: bracket vectors must be homogeneous")
-        self.coeff = coeff
-        self.direction = direction
-        self.parity = (cp + chart.parity(direction)) % 2
-
-    def apply(self, chart, f):
-        return self.coeff * chart.d(f, self.direction)
-
-    def word(self):
-        return [(FUN, self.coeff), (VEC, self.direction)]
-
-
-def _vectors_from(chart, coeff, directions):
-    """Left-coefficient factorisation of coeff * d/dxi^J, coeff absorbed first."""
-    vecs = [_Vec(chart, coeff, directions[0])]
-    one = chart.one()
-    for d in directions[1:]:
-        vecs.append(_Vec(chart, one, d))
-    return vecs
-
-
-def _base_bracket(chart, w, v):
-    """Vector-field bracket of two single vectors, as (prefactor, word) summands.
-
-    [[cw d_a, cv d_b]] = (cw d_a(cv)) d_b - (-1)^(|w||v|) (cv d_b(cw)) d_a.
-    """
-    out = []
-    first = w.apply(chart, v.coeff)
-    if not first.is_zero():
-        out.append((1, [(FUN, first), (VEC, v.direction)]))
-    second = v.apply(chart, w.coeff)
-    if not second.is_zero():
-        sign = -koszul(w.parity * v.parity)
-        out.append((sign, [(FUN, second), (VEC, w.direction)]))
-    return out
-
-
-def _bracket_function_with_vectors(chart, f, vecs):
-    """[[f, v_1 ^ ... ^ v_p]] as (prefactor, word) summands; f homogeneous."""
-    fp = f.parity()
-    out = []
-    prefix_parity = 0
-    for i, v in enumerate(vecs):
-        value = v.apply(chart, f)
-        if not value.is_zero():
-            # the leading minus of the defining formula
-            sign = -koszul(i + v.parity * (prefix_parity + fp))
-            word = [(FUN, value)]
-            for l, other in enumerate(vecs):
-                if l != i:
-                    word.extend(other.word())
-            out.append((sign, word))
-        prefix_parity = (prefix_parity + v.parity) % 2
-    return out
-
-
-def _bracket_vectors(chart, ws, vs):
-    """[[w_1 ^...^ w_p', v_1 ^...^ v_p]] as (prefactor, word) summands."""
-    out = []
-    w_total = sum(w.parity for w in ws) % 2
-    w_prefix = 0
-    for j, w in enumerate(ws, start=1):
-        v_prefix = 0
-        for i, v in enumerate(vs, start=1):
-            exponent = (
-                i + j
-                + w.parity * w_prefix
-                + v.parity * (v_prefix + w_total + w.parity)
-            )
-            sign = koszul(exponent)
-            rest = []
-            for l, other in enumerate(ws, start=1):
-                if l != j:
-                    rest.extend(other.word())
-            for l, other in enumerate(vs, start=1):
-                if l != i:
-                    rest.extend(other.word())
-            for base_sign, base_word in _base_bracket(chart, w, v):
-                out.append((sign * base_sign, base_word + rest))
-            v_prefix = (v_prefix + v.parity) % 2
-        w_prefix = (w_prefix + w.parity) % 2
-    return out
-
-
-def _bracket_multivectors(chart, f, j_idx, g, l_idx):
-    """Inner bracket [[f d/dxi^J, g d/dxi^L]] with left coefficients."""
-    p, p2 = len(j_idx), len(l_idx)
-    if p == 0 and p2 == 0:
-        return []
-    if p == 0:
-        return _bracket_function_with_vectors(chart, f, _vectors_from(chart, g, l_idx))
-    if p2 == 0:
-        ws = _vectors_from(chart, f, j_idx)
-        w_parity = sum(w.parity for w in ws) % 2
-        exponent = (p + 1) + g.parity() * w_parity
-        outer = -koszul(exponent)
-        return [
-            (outer * s, word)
-            for s, word in _bracket_function_with_vectors(chart, g, ws)
-        ]
-    return _bracket_vectors(
-        chart, _vectors_from(chart, f, j_idx), _vectors_from(chart, g, l_idx)
-    )
-
-
-def word_schouten(a, b):
-    a._check_chart(b)
-    chart = a.chart
-    words = []
-    for (ia, ja), fa in a.terms.items():
-        q = len(ia)
-        p = len(ja)
-        pi_a = sum(chart.parity(k) for k in ia) % 2
-        pj_a = sum(chart.parity(k) for k in ja) % 2
-        for fa_part in fa.homogeneous_parts():
-            if fa_part.is_zero():
-                continue
-            fpa = fa_part.parity()
-            for (ib, jb), gb in b.terms.items():
-                q_b = len(ib)
-                pi_b = sum(chart.parity(k) for k in ib) % 2
-                pj_b = sum(chart.parity(k) for k in jb) % 2
-                for gb_part in gb.homogeneous_parts():
-                    if gb_part.is_zero():
-                        continue
-                    gpb = gb_part.parity()
-                    # move both coefficients to the far left of their terms
-                    exponent = fpa * (pi_a + pj_a) + gpb * (pi_b + pj_b)
-                    # bidegree bookkeeping sign of the form-valued extension
-                    exponent += q_b * (p + 1) + fpa * pi_a + pi_b * (gpb + pj_a + fpa)
-                    sign = koszul(exponent)
-                    inner = _bracket_multivectors(chart, fa_part, ja, gb_part, jb)
-                    if not inner:
-                        continue
-                    lead = [(DBAR, k) for k in ia] + [(DBAR, k) for k in ib]
-                    for s, word in inner:
-                        words.append((sign * s, lead + word))
-    return from_words(chart, words, min(a.prec, b.prec) - 1)
-
-
-def _packed_form(form):
-    """The section's ``prec`` and each coefficient's terms, ``den`` and
-    ``prec``, by key in insertion order."""
-    return form.prec, [(key, c.terms, c.den, c.prec) for key, c in form.terms.items()]
-
-
-@st.composite
-def index_tuples(draw, chart, size):
-    """Sorted directions: distinct ones (at most ``chart.dim``), or any, so
-    that an even repeat or an odd one past the cap makes a key that
-    ``normalise_word`` drops, or the last (odd) direction repeated."""
-    shape = draw(st.sampled_from(("distinct", "distinct", "any", "last")))
-    if shape == "last":
-        return (chart.dim - 1,) * size
-    size = min(size, chart.dim) if shape == "distinct" else size
-    return tuple(sorted(draw(st.lists(st.integers(min_value=0, max_value=chart.dim - 1),
-                                      min_size=size, max_size=size,
-                                      unique=shape == "distinct"))))
-
-
-@st.composite
-def sampled_functions(draw, sig):
-    """A ``SampleGen`` jet of up to four terms, holomorphic in one draw of
-    two so that brackets often differentiate it, truncated in one of three."""
-    gen = SampleGen(draw(st.integers(min_value=0, max_value=10 ** 6)))
-    jet = gen.jet(sig, max_terms=4, holomorphic=draw(st.booleans()))
-    if draw(st.integers(min_value=0, max_value=2)):
-        return jet
-    return jet.truncate(draw(st.integers(min_value=0, max_value=sig.cap - 1)))
-
-
-@st.composite
-def sections(draw, chart):
-    """A section of up to three terms of drawn bidegrees (so possibly empty),
-    with coefficients of mixed parity, truncated below the cap or units, at
-    a drawn ``prec``."""
-    terms = {}
-    for _ in range(draw(st.sampled_from((0, 1, 2, 2, 3, 3, 3)))):
-        key = (draw(index_tuples(chart, draw(st.integers(min_value=0, max_value=2)))),
-               draw(index_tuples(chart, draw(st.sampled_from((0, 1, 2, 2, 3, 3))))))
-        terms[key] = draw(st.one_of(word_functions(chart.sig), sampled_functions(chart.sig)))
-    prec = draw(st.integers(min_value=0, max_value=chart.sig.cap))
-    return MultiVectorForm(chart, terms, prec)
-
-
-BRACKET_SIGS = [RingSignature(1, 1, 3), RingSignature(2, 2, 4), RingSignature(1, 3, 2)]
+# -- the stored-term operations against their word versions -------------------------
 
 
 @st.composite
@@ -812,15 +330,6 @@ def section_pairs(draw):
     sig = draw(st.sampled_from(BRACKET_SIGS))
     chart = Chart(sig, odd_wedge_cap=draw(st.integers(min_value=1, max_value=3)))
     return draw(sections(chart)), draw(sections(chart))
-
-
-def reversed_keys(draw, form):
-    """``form``, or in one draw of two the same terms under reversed index
-    tuples, which are then unsorted (colliding keys keep the last term)."""
-    if not draw(st.booleans()):
-        return form
-    return MultiVectorForm(form.chart, {(i[::-1], j[::-1]): c for (i, j), c in form.terms.items()},
-                           form.prec)
 
 
 @st.composite

@@ -1,16 +1,12 @@
 """SampleGen draws against random.py, word for word.
 
-``SampleGen`` takes its words from ``rng.getrandbits`` directly.
-``RandomPySampleGen`` below is the sampler as it drew through random.py's
-``randint``, ``randrange``, ``choice`` and ``sample``; its jets are summed
-as ``GaussianRational`` coefficients under tuple keys and handed to the
-tuple-keyed constructor, so it also checks the packed keys ``SampleGen.jet``
-builds during the draw.  Both must give the same instances and leave the
-generator in the same state, also when a draw raises.
+``SampleGen`` takes its words from ``rng.getrandbits`` directly, and
+``oracles.RandomPySampleGen`` draws through random.py's methods.  Both must
+give the same instances and leave the generator in the same state, also
+when a draw raises.
 """
 
 import contextlib
-import itertools
 import json
 import random
 import signal
@@ -21,211 +17,12 @@ from hypothesis import strategies as st
 
 from superbv import cli
 from superbv.charts import Chart, Morphism
-from superbv.connect import Christoffel, FormalPath, delta_from_tangent, path_ring
+from superbv.connect import Christoffel, FormalPath
 from superbv.bvcalc import DeltaOperator
-from superbv.grading import ODD, koszul, reorder_sign
-from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature, dot
-from superbv.mvforms import MultiVectorForm, add_terms
+from superbv.jetring import JetSuperFunction, RingSignature
+from superbv.mvforms import MultiVectorForm
 from superbv.samples import SampleGen, _singular
-
-
-class RandomPySampleGen:
-    """The draws of ``SampleGen`` through random.py's methods."""
-
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-
-    def _numerators(self, allow_zero=True, complex_part=True):
-        while True:
-            re = self.rng.randint(-2, 2)
-            im = self.rng.randint(-1, 1) if complex_part else 0
-            if allow_zero or re or im:
-                return re, im
-
-    def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
-        return GaussianRational.of(*self._numerators(allow_zero, complex_part))
-
-    def nonzero_scalar(self) -> GaussianRational:
-        return self.scalar(allow_zero=False)
-
-    def monomial_key(self, sig, max_even_degree=2, holomorphic=False, parity=None,
-                     allow_constant=True):
-        pool = list(range(sig.n if holomorphic else sig.even_count))
-        odd_pool = list(range(sig.m if holomorphic else sig.odd_count))
-        most_odd = min(2, len(odd_pool))
-        for _ in range(64):
-            degree = self.rng.randint(0, max_even_degree)
-            exps = [0] * sig.even_count
-            for _ in range(degree):
-                exps[self.rng.choice(pool)] += 1
-            size = self.rng.randint(0, most_odd)
-            odd = tuple(sorted(self.rng.sample(odd_pool, size))) if size else ()
-            if parity is not None and len(odd) % 2 != parity:
-                continue
-            if not allow_constant and sum(exps) == 0 and not odd:
-                continue
-            return tuple(exps), odd
-        raise RuntimeError("could not draw a monomial with the requested shape")
-
-    def jet(self, sig, max_terms=3, max_even_degree=2, holomorphic=False, parity=None,
-            allow_constant=True):
-        terms = {}
-        for _ in range(self.rng.randint(0 if allow_constant else 1, max_terms)):
-            key = self.monomial_key(sig, max_even_degree, holomorphic, parity, allow_constant)
-            terms[key] = terms.get(key, GaussianRational.of(0)) + self.scalar(allow_zero=False)
-        return JetSuperFunction(sig, terms)
-
-    def unit(self, sig, holomorphic=True):
-        rest = self.jet(sig, max_terms=2, max_even_degree=2, holomorphic=holomorphic,
-                        parity=0, allow_constant=False)
-        return JetSuperFunction.one(sig) + rest
-
-    def index_multiset(self, chart, size, allow_repeats=False):
-        picks = []
-        counts = {}
-        for _ in range(64):
-            if len(picks) == size:
-                break
-            k = self.rng.randrange(chart.dim)
-            if chart.parity(k) == 0 and counts.get(k):
-                continue
-            if counts.get(k) and not allow_repeats:
-                continue
-            if counts.get(k, 0) + 1 > chart.odd_wedge_cap:
-                continue
-            picks.append(k)
-            counts[k] = counts.get(k, 0) + 1
-        if len(picks) < size:
-            raise RuntimeError("could not draw an index multiset of the requested size")
-        return tuple(sorted(picks))
-
-    def mvform(self, chart, p, q, parity=None, max_terms=2, holomorphic_coeff=False,
-               allow_repeats=False):
-        pairs = []
-        for _ in range(self.rng.randint(1, max_terms)):
-            i_idx = self.index_multiset(chart, q, allow_repeats)
-            j_idx = self.index_multiset(chart, p, allow_repeats)
-            index_parity = sum(chart.parity(k) for k in i_idx + j_idx) % 2
-            coeff_parity = None if parity is None else (parity + index_parity) % 2
-            coeff = self.jet(chart.sig, max_terms=2, max_even_degree=2,
-                             holomorphic=holomorphic_coeff, parity=coeff_parity)
-            pairs.append(((i_idx, j_idx), coeff))
-        return MultiVectorForm(chart, add_terms({}, pairs))
-
-    def homogeneous_mvform(self, chart, max_p=2, max_q=2, allow_repeats=False):
-        room = chart.sig.n + chart.sig.m * (chart.odd_wedge_cap if allow_repeats else 1)
-        p = self.rng.randint(0, min(max_p, room))
-        q = self.rng.randint(0, min(max_q, room))
-        parity = self.rng.randint(0, 1) if chart.sig.m else 0
-        return self.mvform(chart, p, q, parity=parity, allow_repeats=allow_repeats), p, q, parity
-
-    def invertible_morphism(self, chart, nonlinear=True):
-        sig = chart.sig
-        n, m = sig.n, sig.m
-        while True:
-            even_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(n)] for i in range(n)]
-            odd_lin = [[self.rng.randint(-1, 1) + (i == k) for k in range(m)] for i in range(m)]
-            if not (_singular(even_lin) or _singular(odd_lin)):
-                break
-        coords = [chart.coordinate(k) for k in range(chart.dim)]
-
-        def linear_terms(row, offset):
-            return [(coords[offset + k], JetSuperFunction.integer(sig, c))
-                    for k, c in enumerate(row) if c]
-
-        def scaled(monomial):
-            return monomial, JetSuperFunction.scalar(sig, self.scalar(allow_zero=False))
-
-        pullbacks = []
-        for i in range(n):
-            pairs = linear_terms(even_lin[i], 0)
-            if nonlinear:
-                for _ in range(self.rng.randint(0, 2)):
-                    a, b = self.rng.randrange(n), self.rng.randrange(n)
-                    pairs.append(scaled(coords[a] * coords[b]))
-                if m >= 2 and self.rng.random() < 0.7:
-                    a = self.rng.randrange(n)
-                    j, k = sorted(self.rng.sample(range(m), 2))
-                    pairs.append(scaled(coords[a] * coords[n + j] * coords[n + k]))
-            pullbacks.append(dot(sig, pairs))
-        for j in range(m):
-            pairs = linear_terms(odd_lin[j], n)
-            if nonlinear:
-                for _ in range(self.rng.randint(0, 2)):
-                    a = self.rng.randrange(n)
-                    k = self.rng.randrange(m)
-                    pairs.append(scaled(coords[a] * coords[n + k]))
-            pullbacks.append(dot(sig, pairs))
-        return Morphism(chart, Chart(sig, name="zeta", odd_wedge_cap=chart.odd_wedge_cap), pullbacks)
-
-    def christoffel(self, chart, max_terms=1, nilpotent=False):
-        pairs = []
-        dim = chart.dim
-        m = chart.sig.m
-        count = self.rng.randint(1, dim * 2)
-        for _ in range(count):
-            q, k, l = (self.rng.randrange(dim) for _ in range(3))
-            parity = (chart.parity(q) + chart.parity(k) + chart.parity(l)) % 2
-            if nilpotent:
-                if parity == 1 and m >= 1:
-                    base = JetSuperFunction.gen(chart.sig, chart.sig.th(self.rng.randrange(m)))
-                elif parity == 0 and m >= 2:
-                    i, j = sorted(self.rng.sample(range(m), 2))
-                    base = JetSuperFunction.gen(chart.sig, chart.sig.th(i)) * \
-                        JetSuperFunction.gen(chart.sig, chart.sig.th(j))
-                else:
-                    continue
-                value = base.scale(self.nonzero_scalar())
-            else:
-                value = self.jet(chart.sig, max_terms=max_terms, max_even_degree=1,
-                                 holomorphic=True, parity=parity)
-            pairs.append(((q, k, l), value))
-        return Christoffel(chart, add_terms({}, pairs))
-
-    def formal_path(self, chart, odd_params=2, order=4, with_odd_direction=True):
-        ring = path_ring(odd_params, order)
-        t = JetSuperFunction.gen(ring, ring.z(0))
-        components = []
-        for k in range(chart.dim):
-            if chart.parity(k) == 0:
-                comp = t.scale(self.scalar(allow_zero=False, complex_part=False))
-                if self.rng.random() < 0.5:
-                    comp = comp + (t * t).scale(self.scalar(complex_part=False))
-            else:
-                comp = JetSuperFunction.zero(ring)
-                if with_odd_direction and odd_params:
-                    eta = JetSuperFunction.gen(ring, ring.th(self.rng.randrange(odd_params)))
-                    comp = (eta * t).scale(self.scalar(allow_zero=False, complex_part=False))
-            components.append(comp)
-        return FormalPath(chart, ring, tuple(components))
-
-    def cy_scenario(self, chart):
-        h = self.unit(chart.sig, holomorphic=True)
-        h_inv = h.invert()
-        dim = chart.dim
-        symbols = {}
-        for _ in range(self.rng.randint(0, dim)):
-            q, k, l = (self.rng.randrange(dim) for _ in range(3))
-            if q == l:
-                continue
-            parity = (chart.parity(q) + chart.parity(k) + chart.parity(l)) % 2
-            value = self.jet(chart.sig, max_terms=1, max_even_degree=1,
-                             holomorphic=True, parity=parity)
-            if not value.is_zero():
-                symbols[(q, k, l)] = value
-        free = Christoffel(chart, symbols)
-        adjusted = dict(symbols)
-        for k in range(dim):
-            target = chart.d(h, k) * h_inv
-            current = chart.zero()
-            for q in range(dim):
-                entry = free.right(q, k, q)
-                sign = koszul(chart.parity(q) * (1 + chart.parity(k)))
-                current = current + (entry if sign > 0 else -entry)
-            prev = adjusted.get((0, k, 0), chart.zero())
-            adjusted[(0, k, 0)] = prev + target - current
-        gamma = Christoffel(chart, {key: v for key, v in adjusted.items() if not v.is_zero()})
-        return h, gamma, delta_from_tangent(gamma)
+from oracles import RandomPySampleGen, leibniz_det
 
 
 def _shape(x):
@@ -332,18 +129,6 @@ class TestStream:
         with _deadline(5):
             got = _outcome(SampleGen(seed), method, chart, options)
         assert got == _outcome(RandomPySampleGen(seed), method, chart, options)
-
-
-def leibniz_det(grid) -> int:
-    """The determinant as a signed sum over all permutations: oracle for
-    ``_singular``, and what ``invertible_morphism`` used first (m! terms)."""
-    acc = 0
-    for perm in itertools.permutations(range(len(grid))):
-        prod = reorder_sign([ODD] * len(perm), perm)
-        for row, col in zip(grid, perm):
-            prod *= row[col]
-        acc += prod
-    return acc
 
 
 @st.composite

@@ -9,7 +9,8 @@ through ``jetring._finish`` (so ``_canonical`` and ``_jet`` are named only in
 rather than an ``acc = acc + x`` fold (the ``sdet_via_a_block`` oracle keeps
 its own), and the layers above the jet ring compute on packed integer
 numerators.  No linter enforces this, so these tests read the package source
-and fail when a hand-written copy reappears.
+and fail when a hand-written copy reappears.  The last guard reads the test
+modules: they share oracles and helpers through ``tests/oracles.py`` only.
 """
 
 import inspect
@@ -114,5 +115,15 @@ def test_no_formal_words_in_the_package():
         for path in SOURCES
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if words.search(line)
+    ]
+    assert offenders == []
+
+
+def test_test_modules_import_no_other_test_module():
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(__file__).resolve().parent.glob("test_*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.match(r"\s*(from|import)\s+test_", line)
     ]
     assert offenders == []

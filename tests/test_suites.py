@@ -22,9 +22,7 @@ from superbv import cli, suites
 from superbv.dsl import parse
 from superbv.report import _strip_timing
 from superbv.suites import SUITES, CheckResult, run_suites
-from test_golden import SCENARIO_HASHES
-
-ROOT = Path(__file__).resolve().parent.parent
+from oracles import ROOT, SCENARIO_HASHES
 
 # the error scenario of CI: no even generator, so nearly every check errs
 RING_0X1 = "ring 0|1 cap 2;\ntrials 2;\n" + "".join(f"suite {name};\n" for name in SUITES)

@@ -14,20 +14,12 @@ from superbv.jetring import (
     numerators,
 )
 from superbv.samples import SampleGen
-from superbv.supermatrix import (
-    SuperMatrix,
-    SuperMatrixError,
-    _invert_scalar_matrix,
-    _scaled_sum,
-    det_even,
+from superbv.supermatrix import SuperMatrix, SuperMatrixError, det_even
+from oracles import (
+    NO_SHRINK, SIG, dot_product, gens, invert_scalar_grid, reference_det_even, reference_dot,
+    reference_inverse, reference_invert_scalar_matrix, reference_matrix_mul as reference_mul,
+    reference_sdet, series_inverse, series_sdet,
 )
-from test_jetring import NO_SHRINK
-
-SIG = RingSignature(n=1, m=2, cap=3)
-
-
-def gens(sig):
-    return {sig.gen_name(g): JetSuperFunction.gen(sig, g) for g in range(sig.gen_count())}
 
 
 def random_even_invertible(gen: SampleGen, sig: RingSignature, p: int, q: int) -> SuperMatrix:
@@ -239,185 +231,6 @@ def test_det_even_helper():
     grid = [[one, g["z1"]], [g["z1"], one]]
     assert det_even(SIG, grid).agrees_with(one - g["z1"] * g["z1"])
 
-
-# -- reference implementations ---------------------------------------------
-#
-# The straightforward forms of the supermatrix kernels: Gauss-Jordan over
-# Fractions for the body, products folded as ``acc + a*b``, the body inverse
-# applied as a product with one-term scalar jets, and the Schur complement
-# summed one (k, l) term at a time.
-
-
-def body_matrix(m):
-    """Constant part of every entry, as a grid of GaussianRationals."""
-    return [[e.body() for e in row] for row in m.rows]
-
-
-def invert_scalar_grid(grid):
-    """``_invert_scalar_matrix`` on a grid of GaussianRationals, read and
-    returned as ``numerators``."""
-    return _invert_scalar_matrix([[numerators(x) for x in row] for row in grid])
-
-
-def reference_invert_scalar_matrix(grid):
-    size = len(grid)
-    work = [[grid[i][j] for j in range(size)] for i in range(size)]
-    result = [[GaussianRational.of(1 if i == j else 0) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        result[col], result[pivot_row] = result[pivot_row], result[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        result[col] = [x / pivot for x in result[col]]
-        for r in range(size):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if not factor:
-                continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            result[r] = [x - factor * y for x, y in zip(result[r], result[col])]
-    return result
-
-
-def reference_det_even(sig, grid):
-    """``det_even`` as the fold of its full Leibniz products, each formed
-    from one and stopped at its first zero."""
-    size = len(grid)
-    if size == 0:
-        return JetSuperFunction.one(sig)
-    acc = JetSuperFunction.zero(sig)
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
-        prod = JetSuperFunction.one(sig)
-        for i in range(size):
-            prod = prod * grid[i][perm[i]]
-            if prod.is_zero():
-                break
-        acc = acc - prod if inversions % 2 else acc + prod
-    return acc
-
-
-def reference_dot(sig, pairs):
-    acc = JetSuperFunction.zero(sig)
-    for a, b in pairs:
-        acc = acc + a * b
-    return acc
-
-
-def reference_mul(m, n):
-    size = m.size
-    rows = [[reference_dot(m.sig, [(m.rows[i][k], n.rows[k][j]) for k in range(size)
-                                   if not m.rows[i][k].is_zero() and not n.rows[k][j].is_zero()])
-             for j in range(size)] for i in range(size)]
-    return SuperMatrix(m.sig, m.p, m.q, rows)
-
-
-def reference_inverse(m):
-    try:
-        body_inv = reference_invert_scalar_matrix(body_matrix(m))
-    except ZeroDivisionError:
-        raise NotAUnitError("body of the matrix is not invertible") from None
-    b_inv = SuperMatrix(m.sig, m.p, m.q, [[JetSuperFunction.scalar(m.sig, x) for x in row]
-                                          for row in body_inv])
-    identity = SuperMatrix.identity(m.sig, m.p, m.q)
-    remainder = identity - reference_mul(b_inv, m)
-    acc, power = identity, remainder
-    while not all(e.is_zero() for row in power.rows for e in row):
-        acc = acc + power
-        power = reference_mul(power, remainder)
-    return reference_mul(acc, b_inv)
-
-
-def reference_sdet(m):
-    a, b, c, d = m.blocks()
-    if m.q == 0:
-        return reference_det_even(m.sig, a)
-    d_inv = reference_inverse(SuperMatrix(m.sig, 0, m.q, d))
-    det_d = reference_det_even(m.sig, d)
-    if m.p == 0:
-        return det_d.invert()
-    schur = []
-    for i in range(m.p):
-        row = []
-        for j in range(m.p):
-            acc = a[i][j]
-            for k in range(m.q):
-                for l in range(m.q):
-                    acc = acc - b[i][k] * d_inv.rows[k][l] * c[l][j]
-            row.append(acc)
-        schur.append(row)
-    return reference_det_even(m.sig, schur) * det_d.invert()
-
-
-# ``SuperMatrix.sdet`` as it was before it built D^-1 from the adjugate: D^-1
-# summed as the matrix geometric series of ``SuperMatrix.inverse``, then the
-# same fused Schur complement.  On every even matrix ``sdet`` must match it
-# term for term, in ``den`` and in ``prec``, and raise the same error kind.
-
-
-def series_sdet(m):
-    a, b, c, d = m.blocks()
-    if m.q == 0:
-        return reference_det_even(m.sig, a)
-    d_inv = SuperMatrix(m.sig, 0, m.q, d).inverse()
-    det_d = reference_det_even(m.sig, d)
-    if m.p == 0:
-        return det_d.invert()
-    d_columns = list(zip(*d_inv.rows))
-    c_columns = list(zip(*c))
-    schur = []
-    for a_row, b_row in zip(a, b):
-        bd_row = [dot(m.sig, zip(b_row, column)) for column in d_columns]
-        schur.append([entry - dot(m.sig, zip(bd_row, column))
-                      for entry, column in zip(a_row, c_columns)])
-    return reference_det_even(m.sig, schur) * det_d.invert()
-
-
-# ``SuperMatrix.__mul__`` and ``SuperMatrix.inverse`` as they were before both
-# ran on the row kernel: each product entry one ``dot`` of a row and a column
-# over the pairs whose two factors are nonzero, and the geometric series
-# summed as ``SuperMatrix`` values, ``acc + power`` then ``power * remainder``.
-# The kernel must match them term for term, in ``den`` and in ``prec``, and
-# raise the same error with the same message.
-
-
-def dot_product(m, n):
-    columns = list(zip(*n.rows))
-    rows = [[dot(m.sig, [(a, b) for a, b in zip(row, column) if a.terms and b.terms])
-             for column in columns]
-            for row in m.rows]
-    return SuperMatrix(m.sig, m.p, m.q, rows)
-
-
-def series_inverse(m):
-    m._require_even("inversion")
-    try:
-        body_inv = invert_scalar_grid(body_matrix(m))
-    except ZeroDivisionError:
-        raise NotAUnitError("body of the matrix is not invertible") from None
-    identity = SuperMatrix.identity(m.sig, m.p, m.q)
-    columns = list(zip(*m.rows))
-    remainder = identity - SuperMatrix(m.sig, m.p, m.q, [
-        [_scaled_sum(m.sig, zip(scalars, column)) for column in columns]
-        for scalars in body_inv])
-    acc = identity
-    power = remainder
-    limit = max((e.prec for row in remainder.rows for e in row), default=m.sig.cap) + 2 * m.sig.m
-    steps = 0
-    while not all(e.is_zero() for row in power.rows for e in row):
-        acc = acc + power
-        power = dot_product(power, remainder)
-        steps += 1
-        if steps > limit:
-            raise SuperMatrixError("matrix geometric series failed to terminate")
-    scalar_columns = list(zip(*body_inv))
-    return SuperMatrix(m.sig, m.p, m.q, [
-        [_scaled_sum(m.sig, zip(scalars, row)) for scalars in scalar_columns]
-        for row in acc.rows])
 
 # -- strategies ---------------------------------------------------------------
 

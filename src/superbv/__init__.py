@@ -18,7 +18,7 @@ The building blocks, bottom up:
   scenario language and the verification driver
 """
 
-from .grading import BiDegree, commute_sign, reorder_sign
+from .grading import reorder_sign
 from .jetring import GaussianRational, JetSuperFunction, RingSignature
 from .charts import BerSection, Chart, Morphism
 from .mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
@@ -26,7 +26,7 @@ from .bvcalc import DeltaOperator, IntegralForm, delta_omega, extend_delta
 from .supermatrix import SuperMatrix
 
 __all__ = [
-    "BiDegree", "commute_sign", "reorder_sign",
+    "reorder_sign",
     "GaussianRational", "JetSuperFunction", "RingSignature",
     "BerSection", "Chart", "Morphism",
     "MultiVectorForm", "dbar", "pull_mvform", "schouten", "wedge",

@@ -8,48 +8,17 @@ coordinates.  Two homogeneous elements supercommute with the sign
 
 and every Koszul sign used anywhere else in the package is obtained from the
 functions below, never recomputed ad hoc: ``koszul`` turns a sign exponent
-into a sign, ``commute_sign`` gives the exchange sign of two bidegrees and
-``reorder_sign`` the sign of a permutation of parities.
+into a sign and ``reorder_sign`` gives the sign of a permutation of parities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 ODD = 1
-
-
-def check_parity(value: int) -> int:
-    if value not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class BiDegree:
-    """Cohomological degree and parity of a homogeneous element.
-
-    The cohomological degree is stored as a genuine integer so that the
-    (p, q) decomposition stays recoverable; sign rules reduce it mod 2.
-    """
-
-    cohom: int
-    parity: int
-
-    def __post_init__(self) -> None:
-        if self.cohom < 0:
-            raise ValueError("cohomological degree must be >= 0")
-        check_parity(self.parity)
 
 
 def koszul(exponent: int) -> int:
     """The sign (-1)^exponent."""
     return -1 if exponent % 2 else 1
-
-
-def commute_sign(a: BiDegree, b: BiDegree) -> int:
-    """Sign picked up when two homogeneous elements change places."""
-    return koszul(a.cohom * b.cohom + a.parity * b.parity)
 
 
 def reorder_sign(parities, permutation) -> int:

@@ -462,10 +462,6 @@ class JetSuperFunction:
         return JetSuperFunction.scalar(sig, GR_ONE, prec)
 
     @staticmethod
-    def integer(sig: RingSignature, value: int) -> "JetSuperFunction":
-        return JetSuperFunction.scalar(sig, GaussianRational.of(value))
-
-    @staticmethod
     def gen(sig: RingSignature, gid: int) -> "JetSuperFunction":
         layout = sig._layout
         if sig.gen_parity(gid):

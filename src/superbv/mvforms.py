@@ -208,10 +208,6 @@ class MultiVectorForm(Section):
 
     # -- structure ---------------------------------------------------------
 
-    def bidegrees(self):
-        """All (p, q) bidegrees occurring among the stored terms."""
-        return {(len(j), len(i)) for (i, j) in self.terms}
-
     def parity(self):
         parities = set()
         for (i, j), coeff in self.terms.items():

@@ -15,7 +15,7 @@ import random
 
 from .charts import BerSection, Chart, Morphism
 from .grading import koszul
-from .jetring import GaussianRational, JetSuperFunction, RingSignature, _finish
+from .jetring import JetSuperFunction, RingSignature, _finish
 from .mvforms import MultiVectorForm, add_terms
 
 
@@ -54,12 +54,9 @@ class SampleGen:
 
     # -- scalars ---------------------------------------------------------
 
-    def scalar(self, allow_zero=True, complex_part=True) -> GaussianRational:
-        """Real part in -2..2, imaginary part in -1..1 (drawn unless real)."""
-        return GaussianRational.of(*self._numerators(allow_zero, complex_part))
-
     def _numerators(self, allow_zero=True, complex_part=True) -> tuple:
-        """The integer parts ``(re, im)`` of a ``scalar`` draw."""
+        """A Gaussian integer ``(re, im)``: real part in -2..2, imaginary part
+        in -1..1 (drawn unless real); scale by it with ``scale_numerators``."""
         while True:
             re = self._below(5) - 2
             im = self._below(3) - 1 if complex_part else 0
@@ -88,7 +85,7 @@ class SampleGen:
         lo = 0 if allow_constant else 1
         terms = {}
         # each draw below inlines _below: randint(0, max_even_degree), choice(steps),
-        # randint(0, most_odd), then randint(-2, 2) and randint(-1, 1) as in scalar
+        # randint(0, most_odd), then randint(-2, 2) and randint(-1, 1) as in _numerators
         for _ in range(lo + self._below(max_terms + 1 - lo)):
             for _ in range(64):
                 degree = bits(degree_bits)
@@ -266,7 +263,7 @@ class SampleGen:
                         JetSuperFunction.gen(chart.sig, chart.sig.th(j))
                 else:
                     continue
-                value = base.scale(self.scalar(allow_zero=False))
+                value = base.scale_numerators(*self._numerators(allow_zero=False), 1)
             else:
                 value = self.jet(chart.sig, max_terms=max_terms, max_even_degree=1,
                                  holomorphic=True, parity=parity)
@@ -282,14 +279,15 @@ class SampleGen:
         components = []
         for k in range(chart.dim):
             if chart.parity(k) == 0:
-                comp = t.scale(self.scalar(allow_zero=False, complex_part=False))
+                comp = t.scale_numerators(*self._numerators(allow_zero=False, complex_part=False), 1)
                 if self.rng.random() < 0.5:
-                    comp = comp + (t * t).scale(self.scalar(complex_part=False))
+                    comp = comp + (t * t).scale_numerators(*self._numerators(complex_part=False), 1)
             else:
                 comp = JetSuperFunction.zero(ring)
                 if with_odd_direction and odd_params:
                     eta = JetSuperFunction.gen(ring, ring.th(self._below(odd_params)))
-                    comp = (eta * t).scale(self.scalar(allow_zero=False, complex_part=False))
+                    comp = (eta * t).scale_numerators(
+                        *self._numerators(allow_zero=False, complex_part=False), 1)
             components.append(comp)
         return FormalPath(chart, ring, tuple(components))
 

@@ -133,12 +133,12 @@ class SuperMatrix:
         Splits off the constant body B and inverts it exactly, then sums the
         terminating geometric series of R = 1 - B^-1 M, whose entries are
         nilpotent or of positive even degree, and returns (1 + R + R^2 +
-        ...) B^-1.  Both products with B^-1 scale jets by scalars.  R is
-        indexed once, and R^k is formed from R^(k-1) row by row on
-        ``_row_product``.  Each power is added in place into packed running
-        sums whose precision is the least of every added entry, zero entries
-        included, as the fold of jet sums ``1 + R + R^2 + ...`` gives; the
-        sums become jets only once the series has stopped.
+        ...) B^-1.  Both products with B^-1 scale jets by scalars.  When the
+        series runs, R is indexed once, and R^k is formed from R^(k-1) row by
+        row on ``_row_product``.  Each power is added in place into packed
+        running sums whose precision is the least of every added entry, zero
+        entries included, as the fold of jet sums ``1 + R + R^2 + ...``
+        gives; the sums become jets only once the series has stopped.
 
         ``exact``, when given, takes the floor f below and returns an exact
         inverse T of this matrix, valid through the precision of each of its
@@ -169,17 +169,17 @@ class SuperMatrix:
         columns = list(zip(*self.rows))
         remainder = SuperMatrix.identity(sig, p, q) - SuperMatrix(sig, p, q, [
             [_scaled_sum(sig, zip(scalars, column)) for column in columns] for scalars in body_inv])
-        index = _index_rows(sig, remainder.rows)
         prec = min((e.prec for row in self.rows for e in row), default=sig.cap)
         # a nonzero term of R^k has weight at least k and at most the largest
         # precision of R plus 2m, so R^(limit + 1) is zero
         limit = max((e.prec for row in remainder.rows for e in row), default=sig.cap) + 2 * sig.m
         # the floor is never below the least precision of M; equal to it, M is
         # known through the floor
-        if exact is not None and _settled_floor(sig, remainder.rows, index) == prec:
+        if exact is not None and _settled_floor(sig, remainder.rows) == prec:
             chained = exact(prec)
             if all(e.prec >= prec for row in chained.rows for e in row):
                 return SuperMatrix(sig, p, q, _truncated_inverse(sig, chained.rows, prec, body, body_inv))
+        index = _index_rows(sig, remainder.rows)
         # the running sums, entry by entry as [terms, den, prec], from the identity
         acc = [[[{0: (1, 0)} if i == j else {}, 1, sig.cap] for j in range(size)] for i in range(size)]
         power = remainder.rows
@@ -357,13 +357,13 @@ def _row_product(sig: RingSignature, row, index) -> list:
     return [_finish(sig, terms, den * den_right, prec) for terms, prec in zip(entries, precs)]
 
 
-def _settled_floor(sig: RingSignature, rows, index) -> int | None:
-    """The floor of the inverse's series on R (``rows``, indexed by
-    ``_index_rows`` as ``index``): the least precision of R's entries, or
-    the cap, when every running precision of the series equals it after R
-    and R^2; None otherwise.  R^2's precisions follow from R's zero pattern
-    by ``_row_product``'s rule, and count only if R^2 has a nonzero entry;
-    its entries are formed up to the first nonzero one."""
+def _settled_floor(sig: RingSignature, rows) -> int | None:
+    """The floor of the inverse's series on R (``rows``): the least
+    precision of R's entries, or the cap, when every running precision of
+    the series equals it after R and R^2; None otherwise.  R^2's precisions
+    follow from R's zero pattern by ``_row_product``'s rule, and count only
+    if R^2 has a nonzero entry; its entries are formed up to the first
+    nonzero one."""
     if not any(e.terms for row in rows for e in row):
         return None
     floor = min(sig.cap, *(e.prec for row in rows for e in row))
@@ -371,10 +371,11 @@ def _settled_floor(sig: RingSignature, rows, index) -> int | None:
         return floor
     for row in rows:
         precs = [e.prec for e in row]
-        for entry, (columns, *_) in zip(row, index[2]):
+        for entry, right in zip(row, rows):
             if entry.terms:
-                for j, prec in columns:
-                    precs[j] = min(precs[j], entry.prec, prec)
+                for j, e in enumerate(right):
+                    if e.terms:
+                        precs[j] = min(precs[j], entry.prec, e.prec)
         if any(prec != floor for prec in precs):
             return None
     # entry (i, j) of R^2 is the ``dot`` of row i and column j over their

@@ -22,7 +22,9 @@ Below, oracle -> the function it checks: the tests that compare the two.
 - fixpoint_inverse -> Morphism.invert: test_charts.TestWeightInverse
 - pull_vector, pull_covector -> the pullback laws of pull_mvform and
   vector_apply: test_charts.TestVectorCalculus
-- insertion_sort_word -> normalise_word: test_mvforms.TestNormaliseWord
+- insertion_sort_word -> normalise_word: test_mvforms.TestNormaliseWord; its
+  exchange sign commute_sign of two BiDegrees -> koszul and reorder_sign:
+  test_grading, test_jetring's supercommutativity
 - word_dbar, word_pull_mvform, word_wedge, word_schouten -> dbar, pull_mvform,
   wedge, schouten: test_mvforms.TestWordFreeOperations, TestStoredTerms
 - word_extend_delta, word_sorted_extend_delta, word_extend_delta_right ->
@@ -36,7 +38,7 @@ Below, oracle -> the function it checks: the tests that compare the two.
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 from pathlib import Path
@@ -47,9 +49,10 @@ from superbv import bvcalc, charts
 from superbv.bvcalc import DeltaOperator
 from superbv.charts import Chart, ChartError, Morphism, vector_apply
 from superbv.connect import Christoffel, FormalPath, IntegrabilityError, delta_from_tangent, path_ring
-from superbv.grading import ODD, BiDegree, commute_sign, koszul, reorder_sign
-from superbv.jetring import (GR_ONE, GR_ZERO, GaussianRational, JetSuperFunction, NotAUnitError,
-                             RingSignature, _parts, dot, numerators, substitute_many)
+from superbv.grading import ODD, koszul, reorder_sign
+from superbv.jetring import (GR_ONE, GR_ZERO, GaussianRational, JetError, JetSuperFunction,
+                             NotAUnitError, RingSignature, _parts, dot, numerators,
+                             substitute_many)
 from superbv.mvforms import MultiVectorForm, _drops, _is_full_unit, add_terms, schouten, wedge
 from superbv.samples import SampleGen, _singular
 from superbv.supermatrix import SuperMatrix, SuperMatrixError, _invert_scalar_matrix, _scaled_sum
@@ -173,6 +176,11 @@ def reversed_keys(draw, form):
         return form
     return MultiVectorForm(form.chart, {(i[::-1], j[::-1]): c for (i, j), c in form.terms.items()},
                            form.prec)
+
+
+def form_bidegrees(form):
+    """All (p, q) bidegrees occurring among the stored terms of ``form``."""
+    return {(len(j), len(i)) for (i, j) in form.terms}
 
 
 # -- the jet kernel -------------------------------------------------------------
@@ -501,7 +509,7 @@ class RandomPySampleGen:
         coords = [chart.coordinate(k) for k in range(chart.dim)]
 
         def linear_terms(row, offset):
-            return [(coords[offset + k], JetSuperFunction.integer(sig, c))
+            return [(coords[offset + k], JetSuperFunction.scalar(sig, GaussianRational.of(c)))
                     for k, c in enumerate(row) if c]
 
         def scaled(monomial):
@@ -787,6 +795,15 @@ def series_inverse(m):
         for row in acc.rows])
 
 
+def matrix_outcome(thunk):
+    """The entries of the matrix ``thunk()`` returns, or the name and text of
+    the ``JetError`` it raises."""
+    try:
+        return [[(e.prec, e.den, e.terms) for e in row] for row in thunk().rows]
+    except JetError as error:
+        return type(error).__name__, str(error)
+
+
 # -- morphisms: component transport (the program uses pull_mvform) ---------------
 
 
@@ -981,7 +998,37 @@ def word_pull_mvform(phi, a):
 # count: mixed-parity function items split into every homogeneous choice up
 # front, then a stable insertion sort that multiplies the sign by
 # ``commute_sign`` at every adjacent swap, and a coefficient product started
-# at ``chart.one()``.
+# at ``chart.one()``.  ``BiDegree`` and ``commute_sign`` are the exchange sign
+# of two homogeneous elements, (-1)^(deg(a)*deg(b) + |a|*|b|), as in the
+# ``grading`` module docstring.
+
+
+def check_parity(value: int) -> int:
+    if value not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class BiDegree:
+    """Cohomological degree and parity of a homogeneous element.
+
+    The cohomological degree is stored as a genuine integer so that the
+    (p, q) decomposition stays recoverable; sign rules reduce it mod 2.
+    """
+
+    cohom: int
+    parity: int
+
+    def __post_init__(self) -> None:
+        if self.cohom < 0:
+            raise ValueError("cohomological degree must be >= 0")
+        check_parity(self.parity)
+
+
+def commute_sign(a: BiDegree, b: BiDegree) -> int:
+    """Sign picked up when two homogeneous elements change places."""
+    return koszul(a.cohom * b.cohom + a.parity * b.parity)
 
 
 def _item_bidegree(chart, item):
@@ -1541,5 +1588,6 @@ def odd_pair_unit(chart: Chart, gen: SampleGen) -> JetSuperFunction:
     h = chart.one()
     for a in range(chart.dim):
         for b in range(a + 1, chart.dim):
-            h = h + (chart.coordinate(a) * chart.coordinate(b)).scale(gen.scalar(allow_zero=False))
+            h = h + (chart.coordinate(a) * chart.coordinate(b)).scale_numerators(
+                *gen._numerators(allow_zero=False), 1)
     return h

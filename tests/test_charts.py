@@ -27,7 +27,7 @@ from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
 from oracles import (
     CHARTS, NO_SHRINK, SIG11, SIG21, SIG22, _holomorphic_terms, _through, fixpoint_inverse,
-    pull_covector, pull_vector,
+    matrix_outcome as _matrix_outcome, pull_covector, pull_vector,
 )
 
 
@@ -443,13 +443,6 @@ def sample_maps(draw):
         return phi
     precs = [draw(st.integers(max(0, sig.cap - 2), sig.cap)) for _ in phi.pullbacks]
     return Morphism(phi.source, phi.target, [f.truncate(p) for f, p in zip(phi.pullbacks, precs)])
-
-
-def _matrix_outcome(thunk):
-    try:
-        return [[(e.prec, e.den, e.terms) for e in row] for row in thunk().rows]
-    except JetError as error:
-        return type(error).__name__, str(error)
 
 
 def _chain_and_series(phi, short=None):

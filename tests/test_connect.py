@@ -55,7 +55,7 @@ class TestBerConnections:
     def test_ber_from_tangent_examples(self):
         chart = Chart(SIG11)
         assert all(c.is_zero() for c in ber_from_tangent(Christoffel(chart)).coefficients)
-        c = JetSuperFunction.integer(chart.sig, 3)
+        c = JetSuperFunction.scalar(chart.sig, GaussianRational.of(3))
         gamma = Christoffel(chart, {(0, 0, 0): c})
         conn = ber_from_tangent(gamma)
         assert conn.coefficients[0].agrees_with(-c)
@@ -63,7 +63,7 @@ class TestBerConnections:
     def test_ber_from_tangent_odd_diagonal(self):
         # an odd-odd diagonal symbol enters the supertrace with the opposite sign
         chart = Chart(SIG11)
-        c = JetSuperFunction.integer(chart.sig, 2)
+        c = JetSuperFunction.scalar(chart.sig, GaussianRational.of(2))
         gamma = Christoffel(chart, {(1, 0, 1): c})
         conn = ber_from_tangent(gamma)
         assert conn.coefficients[0].agrees_with(c)

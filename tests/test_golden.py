@@ -292,7 +292,7 @@ def _sampled_matrix(gen, sig, p, q):
             entry = gen.jet(sig, max_terms=2, max_even_degree=min(2, sig.cap), parity=parity,
                             allow_constant=False)
             if not parity:
-                body = gen.scalar()
+                body = GaussianRational.of(*gen._numerators())
                 if i == j:
                     body = body + GaussianRational.of(3)
                 entry = entry + JetSuperFunction.scalar(sig, body)

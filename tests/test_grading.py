@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from superbv.grading import BiDegree, commute_sign, reorder_sign
+from superbv.grading import reorder_sign
+from oracles import BiDegree, commute_sign
 
 
 def apply_permutation(sequence, permutation):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbv import cli, jetring
-from superbv.grading import ODD, commute_sign, BiDegree, reorder_sign
+from superbv.grading import ODD, reorder_sign
 from superbv.jetring import (
     GR_I,
     GR_ONE,
@@ -22,8 +22,8 @@ from superbv.jetring import (
 )
 from superbv.samples import SampleGen
 from oracles import (
-    NO_SHRINK, RandomPySampleGen, SIG, SIG22, _holomorphic_terms, _packed, _terms, _through,
-    flat_dot, flat_mul, gens, reference_add, reference_conjugate,
+    BiDegree, NO_SHRINK, RandomPySampleGen, SIG, SIG22, _holomorphic_terms, _packed, _terms,
+    _through, commute_sign, flat_dot, flat_mul, gens, reference_add, reference_conjugate,
     reference_jet_mul as reference_mul, reference_parity, reference_partial, reference_parts,
     reference_render, reference_sum,
 )
@@ -706,9 +706,9 @@ class TestSmallAndLargeSignatures:
         sig = RingSignature(3, 0, 0)
         z = [JetSuperFunction.gen(sig, gid) for gid in range(sig.gen_count())]
         assert all(x.is_zero() and x.prec == 0 for x in z)
-        two = JetSuperFunction.integer(sig, 2)
+        two = JetSuperFunction.scalar(sig, GaussianRational.of(2))
         f = two + z[0]
-        assert f * f == JetSuperFunction.integer(sig, 4)
+        assert f * f == JetSuperFunction.scalar(sig, GaussianRational.of(4))
         assert (f * z[1]).is_zero()
 
     def test_twelve_odd_pairs_stay_bounded(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from superbv.bvcalc import DeltaOperator
 from superbv.jetring import JetSuperFunction, RingSignature
 from superbv.mvforms import MultiVectorForm
 from superbv.samples import SampleGen, _singular
-from oracles import RandomPySampleGen, leibniz_det
+from oracles import RandomPySampleGen, form_bidegrees, leibniz_det
 
 
 def _shape(x):
@@ -283,4 +283,4 @@ def test_homogeneous_mvform_draws_what_the_chart_holds(n, m, allow_repeats):
         form, p, q, parity = gen.homogeneous_mvform(chart, max_p=3, max_q=3,
                                                     allow_repeats=allow_repeats)
         assert p <= room and q <= room and (m or parity == 0)
-        assert form.is_zero() or form.bidegrees() == {(p, q)}
+        assert form.is_zero() or form_bidegrees(form) == {(p, q)}

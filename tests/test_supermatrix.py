@@ -16,9 +16,9 @@ from superbv.jetring import (
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, SuperMatrixError, det_even
 from oracles import (
-    NO_SHRINK, SIG, dot_product, gens, invert_scalar_grid, reference_det_even, reference_dot,
-    reference_inverse, reference_invert_scalar_matrix, reference_matrix_mul as reference_mul,
-    reference_sdet, series_inverse, series_sdet,
+    NO_SHRINK, SIG, dot_product, gens, invert_scalar_grid, matrix_outcome, reference_det_even,
+    reference_dot, reference_inverse, reference_invert_scalar_matrix,
+    reference_matrix_mul as reference_mul, reference_sdet, series_inverse, series_sdet,
 )
 
 
@@ -42,7 +42,7 @@ class TestBasics:
 
     def test_identity_str(self):
         m = SuperMatrix.identity(SIG, 2, 1)
-        assert m.str_() == JetSuperFunction.integer(SIG, 1)
+        assert m.str_() == JetSuperFunction.scalar(SIG, GaussianRational.of(1))
 
     def test_diagonal_sdet(self):
         g = gens(SIG)
@@ -100,12 +100,7 @@ class TestInverseFromAnExactOne:
     """``inverse(exact)`` gives the series' outcome, entries or error, also
     where an exact inverse is at hand but the series does not settle on it."""
 
-    @staticmethod
-    def outcome(thunk):
-        try:
-            return [[(e.prec, e.den, e.terms) for e in row] for row in thunk().rows]
-        except JetError as error:
-            return type(error).__name__, str(error)
+    outcome = staticmethod(matrix_outcome)
 
     @staticmethod
     def exact_pair(sig, rows, precs):

@@ -22,7 +22,6 @@ from .grading import reorder_sign
 from .jetring import GaussianRational, JetSuperFunction, RingSignature
 from .charts import BerSection, Chart, Morphism
 from .mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
-from .bvcalc import DeltaOperator, IntegralForm, delta_omega, extend_delta
 from .supermatrix import SuperMatrix
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "GaussianRational", "JetSuperFunction", "RingSignature",
     "BerSection", "Chart", "Morphism",
     "MultiVectorForm", "dbar", "pull_mvform", "schouten", "wedge",
-    "DeltaOperator", "IntegralForm", "delta_omega", "extend_delta",
     "SuperMatrix",
 ]
 

@@ -161,10 +161,6 @@ class Morphism:
             value = self._memo[key] = build()
         return value
 
-    @staticmethod
-    def identity(chart: Chart) -> "Morphism":
-        return Morphism(chart, chart, [chart.coordinate(k) for k in range(chart.dim)])
-
     def is_holomorphic(self) -> bool:
         return all(image.is_holomorphic() for image in self.pullbacks)
 

@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .dsl import ScenarioError, parse, parse_expression, render_value
 from .mvforms import pull_mvform
-from .report import build_report, human_summary, to_json
-from .suites import SUITES, run_suites
 
 EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
@@ -39,6 +37,10 @@ def load_scenario(path: str):
 
 
 def cmd_verify(args) -> int:
+    # only verify runs the suites, so eval and transform never load them
+    from .report import build_report, human_summary, to_json
+    from .suites import SUITES, run_suites
+
     scenario = load_scenario(args.scenario)
     suites = args.suite if args.suite else scenario.suites
     unknown = [name for name in suites if name not in SUITES]

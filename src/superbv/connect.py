@@ -207,15 +207,13 @@ def curvature_ber(conn: BerConnection):
         for m in range(chart.dim):
             pm = chart.parity(m)
             a_l, a_m = conn.coefficients[l], conn.coefficients[m]
-            value = chart.d(a_m, l)
             second = chart.d(a_l, m)
             quad_one = a_m * a_l
             quad_two = a_l * a_m
             if koszul(pl * pm) < 0:
                 second = -second
                 quad_one = -quad_one
-            value = value - second + quad_one - quad_two
-            out[(l, m)] = value
+            out[(l, m)] = jet_sum(chart.sig, (chart.d(a_m, l), -second, quad_one, -quad_two))
     return out
 
 

@@ -496,11 +496,6 @@ class JetSuperFunction:
         numerators = self.terms.get(self.sig._layout.key(exps, odd))
         return GR_ZERO if numerators is None else self._gaussian(numerators)
 
-    def body(self) -> GaussianRational:
-        """Coefficient of the constant monomial."""
-        numerators = self.terms.get(0)
-        return GR_ZERO if numerators is None else self._gaussian(numerators)
-
     def parity(self) -> int | None:
         """0 or 1 if homogeneous, None if mixed or zero-ambiguous."""
         odd_mask = self.sig._layout.odd_mask

@@ -15,8 +15,9 @@ import random
 
 from .charts import BerSection, Chart, Morphism
 from .grading import koszul
-from .jetring import JetSuperFunction, RingSignature, _finish
+from .jetring import JetSuperFunction, RingSignature, _finish, jet_sum
 from .mvforms import MultiVectorForm, add_terms
+from .supermatrix import _invert_scalar_matrix
 
 
 class SampleGen:
@@ -279,9 +280,10 @@ class SampleGen:
         components = []
         for k in range(chart.dim):
             if chart.parity(k) == 0:
-                comp = t.scale_numerators(*self._numerators(allow_zero=False, complex_part=False), 1)
+                parts = [t.scale_numerators(*self._numerators(allow_zero=False, complex_part=False), 1)]
                 if self.rng.random() < 0.5:
-                    comp = comp + (t * t).scale_numerators(*self._numerators(complex_part=False), 1)
+                    parts.append((t * t).scale_numerators(*self._numerators(complex_part=False), 1))
+                comp = jet_sum(ring, parts)
             else:
                 comp = JetSuperFunction.zero(ring)
                 if with_odd_direction and odd_params:
@@ -316,11 +318,9 @@ class SampleGen:
         adjusted = dict(symbols)
         for k in range(dim):
             target = chart.d(h, k) * h_inv
-            current = chart.zero()
-            for q in range(dim):
-                entry = free.right(q, k, q)
-                sign = koszul(chart.parity(q) * (1 + chart.parity(k)))
-                current = current + (entry if sign > 0 else -entry)
+            entries = [(free.right(q, k, q), koszul(chart.parity(q) * (1 + chart.parity(k))))
+                       for q in range(dim)]
+            current = jet_sum(chart.sig, [entry if sign > 0 else -entry for entry, sign in entries])
             needed = target - current  # correction to the supertrace, parity |k|
             # place it on the q = 0 diagonal entry (even direction, right = left there
             # up to the parity twist, which is trivial for q even)
@@ -332,21 +332,10 @@ class SampleGen:
 
 
 def _singular(grid) -> bool:
-    """Whether a square integer grid has determinant zero, by Bareiss's
-    fraction-free elimination: step k replaces each entry x right of and
-    below the pivot p by (p*x - f*y) / p_prev, with f the row's entry in
-    column k, y the pivot row's and p_prev the previous pivot, an exact
-    division (Sylvester's identity).  A zero pivot is swapped with a row
-    below it; the last pivot is the determinant up to sign."""
-    rows, previous = [list(row) for row in grid], 1
-    for k in range(len(rows) - 1):
-        below = next((i for i in range(k, len(rows)) if rows[i][k]), None)
-        if below is None:
-            return True
-        rows[k], rows[below] = rows[below], rows[k]
-        top = rows[k]
-        for row in rows[k + 1:]:
-            row[k + 1:] = [(x * top[k] - row[k] * y) // previous
-                           for x, y in zip(row[k + 1:], top[k + 1:])]
-        previous = top[k]
-    return bool(rows) and rows[-1][-1] == 0
+    """Whether a square integer grid has determinant zero: exactly when the
+    Bareiss elimination of ``_invert_scalar_matrix`` runs out of pivots."""
+    try:
+        _invert_scalar_matrix([[(x, 0, 1) for x in row] for row in grid])
+    except ZeroDivisionError:
+        return True
+    return False

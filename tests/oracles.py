@@ -75,6 +75,16 @@ def gens(sig):
     return {sig.gen_name(g): JetSuperFunction.gen(sig, g) for g in range(sig.gen_count())}
 
 
+def identity_morphism(chart: Chart) -> Morphism:
+    return Morphism(chart, chart, [chart.coordinate(k) for k in range(chart.dim)])
+
+
+def jet_body(f: JetSuperFunction) -> GaussianRational:
+    """Coefficient of the constant monomial of ``f``."""
+    re, im = f.terms.get(0, (0, 0))
+    return GaussianRational(Fraction(re, f.den), Fraction(im, f.den))
+
+
 SCENARIO_HASHES = {
     "cap_edge_1x2": "3c3bfdc68394628a4305b22965032cb47a85510ef598b9431f2d2d8e833583c5",
     "bv_1x3": "61a5d2be1a29fbdd4dc36834581f7460b052a84572dfd4e76a2063ff4c59cbad",
@@ -628,7 +638,7 @@ def leibniz_det(grid) -> int:
 
 def body_matrix(m):
     """Constant part of every entry, as a grid of GaussianRationals."""
-    return [[e.body() for e in row] for row in m.rows]
+    return [[jet_body(e) for e in row] for row in m.rows]
 
 
 def invert_scalar_grid(grid):

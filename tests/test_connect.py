@@ -30,8 +30,9 @@ from superbv.jetring import GaussianRational, JetSuperFunction, RingSignature
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix
 from oracles import (
-    NO_SHRINK, SIG11, SIG21, covariant_derivative, items_t_integrate, items_t_truncate,
-    odd_pair_unit, pull_vector, t_evaluate, t_shift, walk_delta_formula,
+    NO_SHRINK, SIG11, SIG21, covariant_derivative, identity_morphism, items_t_integrate,
+    items_t_truncate, jet_body, odd_pair_unit, pull_vector, t_evaluate, t_shift,
+    walk_delta_formula,
 )
 
 CHARTS = [Chart(SIG11), Chart(SIG21)]
@@ -100,7 +101,7 @@ class TestChristoffelTransform:
         gen = SampleGen(11)
         chart = Chart(SIG11)
         gamma = gen.christoffel(chart)
-        out = transform_christoffel(Morphism.identity(chart), gamma)
+        out = transform_christoffel(identity_morphism(chart), gamma)
         for key in set(gamma.symbols) | set(out.symbols):
             assert out.left(*key).agrees_with(gamma.left(*key))
 
@@ -536,4 +537,4 @@ class TestPathValidation:
         shifted = t_shift(f, Fraction(1))
         expected = (t + JetSuperFunction.one(ring)) * (t + JetSuperFunction.one(ring))
         assert shifted.agrees_with(expected)
-        assert t_evaluate(f, Fraction(2)).body() == GaussianRational.of(4)
+        assert jet_body(t_evaluate(f, Fraction(2))) == GaussianRational.of(4)

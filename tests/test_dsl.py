@@ -296,7 +296,7 @@ class TestCLI:
         assert report["determinism_hash"] == determinism_hash(report)
 
     def test_verify_exit_code_on_failure(self, tmp_path, monkeypatch):
-        from superbv import cli
+        from superbv import cli, suites
         from superbv.suites import CheckResult
 
         scenario_file = tmp_path / "s.sbv"
@@ -304,7 +304,7 @@ class TestCLI:
                                  encoding="utf-8")
         fake = [CheckResult("schouten_symmetry", "graded_symmetry", "law", 1,
                             "fail", "witness")]
-        monkeypatch.setattr(cli, "run_suites", lambda *a, **k: fake)
+        monkeypatch.setattr(suites, "run_suites", lambda *a, **k: fake)
         assert cli.main(["verify", str(scenario_file)]) == 1
 
     def test_parse_error_exit_code(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from superbv.connect import transform_christoffel
 from superbv.jetring import GaussianRational, JetError, JetSuperFunction, RingSignature, substitute_many
 from superbv.mvforms import pull_mvform
 from superbv.samples import SampleGen
-from oracles import _one_at_a_time
+from oracles import _one_at_a_time, identity_morphism
 
 SIGNATURES = [(1, 1), (2, 1), (2, 2)]
 
@@ -149,6 +149,6 @@ def test_memoised_morphism_is_stable(n, m):
 
 def test_apply_many_rejects_wrong_ring():
     chart = Chart(RingSignature(1, 1, 3))
-    phi = Morphism.identity(chart)
+    phi = identity_morphism(chart)
     with pytest.raises(ChartError):
         phi.apply_many([JetSuperFunction.one(RingSignature(1, 1, 4))])

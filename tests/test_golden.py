@@ -59,7 +59,9 @@ from superbv.jetring import (
 from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
-from oracles import DBAR, FUN, ROOT, SCENARIO_HASHES, VEC, normalise_word, odd_pair_unit
+from oracles import (
+    DBAR, FUN, ROOT, SCENARIO_HASHES, VEC, jet_body, normalise_word, odd_pair_unit,
+)
 
 TRANSFORM_A = (
     "dzb1 * dv(z1) * (1 + th1*thb1 - 2*zb1 - 3*zb1*th1*thb1 + 2*z1 + z1*th1*thb1"
@@ -201,7 +203,7 @@ def _jet_lines(n, m, cap):
     lines.append(_line("conj", (f * h).conjugate()))
     even, odd = (f * g + h).homogeneous_parts()
     lines += [_line("even", even), _line("odd", odd)]
-    unit = even + JetSuperFunction.scalar(sig, GaussianRational.of(2, 1) - even.body())
+    unit = even + JetSuperFunction.scalar(sig, GaussianRational.of(2, 1) - jet_body(even))
     lines.append(_line("inv", unit.invert()))
     lines.append(_line("inv_t", unit.truncate(max(0, cap - 1)).invert()))
     lines.append(_line("subst", (f * g + h).substitute(_images(gen, sig), sig)))
@@ -317,7 +319,7 @@ def _matrix_lines(p, q, cap):
     lines = [_matrix_line("m", m), _matrix_line("n", n),
              _matrix_line("m*n", m * n), _matrix_line("n*m", n * m),
              _matrix_line("(m*n)*m", (m * n) * m)]
-    body = [[e.body() for e in row] for row in m.rows]
+    body = [[jet_body(e) for e in row] for row in m.rows]
     lines.append("body_inv " + _scalar_grid_text(body))
     for label, mat in (("m", m), ("n", n), ("m*n", m * n)):
         lines.append(_guarded(f"inv {label}", mat.inverse, _matrix_line))

@@ -25,7 +25,7 @@ from oracles import (
     BiDegree, NO_SHRINK, RandomPySampleGen, SIG, SIG22, _holomorphic_terms, _packed, _terms,
     _through, commute_sign, flat_dot, flat_mul, gens, reference_add, reference_conjugate,
     reference_jet_mul as reference_mul, reference_parity, reference_partial, reference_parts,
-    reference_render, reference_sum,
+    jet_body, reference_render, reference_sum,
 )
 
 
@@ -190,7 +190,7 @@ class TestInvert:
     @settings(max_examples=40, deadline=None)
     def test_two_sided_inverse(self, f):
         f = f + JetSuperFunction.one(SIG)
-        if not f.body():
+        if not jet_body(f):
             return
         inv = f.invert()
         one = JetSuperFunction.one(SIG)
@@ -697,7 +697,7 @@ class TestSmallAndLargeSignatures:
         sig = RingSignature(0, 0, 0)
         a = JetSuperFunction.scalar(sig, GaussianRational.of(Fraction(1, 3), Fraction(1, 6)))
         b = JetSuperFunction.scalar(sig, GaussianRational.of(Fraction(2, 5)))
-        assert (a * b).body() == GaussianRational.of(Fraction(2, 15), Fraction(1, 15))
+        assert jet_body(a * b) == GaussianRational.of(Fraction(2, 15), Fraction(1, 15))
         assert (a * b).render() == "(2/15 + 1/15*i)"
         assert (a * a.invert()) == JetSuperFunction.one(sig)
         assert _observed(a * b) == reference_mul(a, b)

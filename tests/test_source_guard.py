@@ -6,13 +6,14 @@ Every Koszul sign is ``grading.koszul`` of an exponent (or one of the
 through ``mvforms.add_terms``, every packed sum of jet terms becomes a jet
 through ``jetring._finish`` (so ``_canonical`` and ``_jet`` are named only in
 ``jetring``), plain sums of jets are ``jetring.jet_sum`` or ``jetring.dot``
-rather than an ``acc = acc + x`` fold (the ``sdet_via_a_block`` oracle keeps
-its own), and the layers above the jet ring compute on packed integer
-numerators.  No linter enforces this, so these tests read the package source
-and fail when a hand-written copy reappears.  One guard reads the package's
-syntax trees: every function, method and class it defines is named somewhere
-in the package outside its own definition, so that API reached only from the
-tests lives in ``tests/oracles.py``.  The last guard reads the test modules:
+rather than a ``name = name + x`` fold (the ``sdet_via_a_block`` oracle keeps
+its own, and the folds that add no jets are named), and the layers above the
+jet ring compute on packed integer numerators.  No linter enforces this, so
+these tests read the package source and fail when a hand-written copy
+reappears.  One guard reads the package's syntax trees: every function,
+method and class it defines is reached somewhere in the package outside its
+own definition, so that API reached only from the tests lives in
+``tests/oracles.py``.  The last guard reads the test modules:
 they share oracles and helpers through ``tests/oracles.py`` only.
 """
 
@@ -21,7 +22,7 @@ import inspect
 import re
 from pathlib import Path
 
-from superbv import mvforms
+from superbv import bvcalc, mvforms
 from superbv.supermatrix import SuperMatrix
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "superbv").glob("*.py"))
@@ -89,12 +90,17 @@ def test_packed_sums_become_jets_only_in_jetring():
 
 
 def test_no_hand_folded_jet_sums():
-    # a sum of jets is one ``jet_sum`` or ``dot``; the oracle keeps its fold
-    fold = re.compile(r"\bacc = acc [+-]")
+    # a sum of jets is one ``jet_sum`` or ``dot``, so a ``name = name +`` or
+    # ``name = name -`` assignment is one only where it adds no jets: the
+    # section folds of bvcalc, the run counter of ``mvforms._drops`` and the
+    # ``sdet_via_a_block`` oracle, which keeps its own fold
+    fold = re.compile(r"\b(\w+) = \1 [+-]")
     total = sum(len(fold.findall(path.read_text())) for path in SOURCES)
-    kept = len(fold.findall(inspect.getsource(SuperMatrix.sdet_via_a_block)))
-    assert kept == 1
-    assert total == kept
+    kept = {function.__name__: len(fold.findall(inspect.getsource(function)))
+            for function in (bvcalc.extend_delta_right, bvcalc._extend_term_right,
+                             bvcalc.projected_apply, mvforms._drops, SuperMatrix.sdet_via_a_block)}
+    assert all(kept.values()), kept
+    assert total == sum(kept.values())
 
 
 def test_no_gaussian_rationals_above_the_jet_ring():
@@ -139,29 +145,63 @@ def _annotations(tree):
     return {id(sub) for root in roots for sub in ast.walk(root)}
 
 
+def _scoped(node, owner=None):
+    """Each node below ``node`` with its parent and the name of the
+    innermost class whose body holds it (``None`` outside every class)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, node, owner
+        yield from _scoped(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
 def _unreached_definitions():
     """``module:name`` of each function, method and class defined in a
-    package module other than ``__init__`` whose name no name or attribute
-    of those modules spells outside the definition itself; names in
-    annotations do not count."""
-    definitions, uses = [], {}
+    package module other than ``__init__`` that no name or attribute of
+    those modules reaches outside the definition itself; names in
+    annotations do not count.  A bare name reaches the functions and
+    classes it spells but no method.  An attribute of ``self`` or ``cls``
+    is resolved to the class around it and an attribute of a package class
+    to that class, and reaches only a method of that class, of one of its
+    bases or of one of its subclasses; any other attribute reaches every
+    definition it spells."""
+    definitions, uses, bases = [], {}, {}
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         skip = _annotations(tree)
-        for node in ast.walk(tree):
+        for node, parent, owner in _scoped(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {base.id for base in node.bases if isinstance(base, ast.Name)}
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((path.name, node))
-            elif id(node) not in skip and isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                uses.setdefault(name, []).append((path.name, node.lineno))
+                method_of = parent.name if isinstance(parent, ast.ClassDef) else None
+                definitions.append((path.name, node, method_of))
+            elif id(node) in skip:
+                continue
+            elif isinstance(node, ast.Name):
+                # the scope ``ast.Name`` marks a bare name
+                uses.setdefault(node.id, []).append((path.name, node.lineno, ast.Name))
+            elif isinstance(node, ast.Attribute):
+                held = node.value.id if isinstance(node.value, ast.Name) else None
+                scope = owner if held in ("self", "cls") else held
+                uses.setdefault(node.attr, []).append((path.name, node.lineno, scope))
+
+    def related(one, other):
+        # one class is the other, or one of its bases, however remote
+        return one == other or any(related(base, other) for base in bases.get(one, ()))
+
+    def reaches(scope, method_of):
+        if scope is ast.Name:
+            return method_of is None
+        return scope not in bases or method_of is not None and (
+            related(method_of, scope) or related(scope, method_of))
+
     return sorted(
         f"{module}:{node.name}"
-        for module, node in definitions
+        for module, node, method_of in definitions
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and not any(used != module or not node.lineno <= line <= node.end_lineno
-                    for used, line in uses.get(node.name, ()))
+        and not any((used != module or not node.lineno <= line <= node.end_lineno)
+                    and reaches(scope, method_of)
+                    for used, line, scope in uses.get(node.name, ()))
     )
 
 

@@ -16,8 +16,8 @@ from superbv.jetring import (
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, SuperMatrixError, det_even
 from oracles import (
-    NO_SHRINK, SIG, dot_product, gens, invert_scalar_grid, matrix_outcome, reference_det_even,
-    reference_dot, reference_inverse, reference_invert_scalar_matrix,
+    NO_SHRINK, SIG, dot_product, gens, invert_scalar_grid, jet_body, matrix_outcome,
+    reference_det_even, reference_dot, reference_inverse, reference_invert_scalar_matrix,
     reference_matrix_mul as reference_mul, reference_sdet, series_inverse, series_sdet,
 )
 
@@ -420,7 +420,7 @@ def kernel_matrices(draw, sig=None, shape=None):
     m = draw(even_matrices(sig, shape, KERNEL_SHAPES, zero_share))
     rows = [row[:] for row in m.rows]
     if draw(st.integers(min_value=0, max_value=5)) == 0:
-        rows[0] = [e - JetSuperFunction.scalar(m.sig, e.body(), e.prec) for e in rows[0]]
+        rows[0] = [e - JetSuperFunction.scalar(m.sig, jet_body(e), e.prec) for e in rows[0]]
     else:
         for i, row in enumerate(rows):
             row[i] = row[i] + JetSuperFunction.scalar(m.sig, draw(scalars.filter(bool)), row[i].prec)

@@ -158,10 +158,6 @@ class DeltaOperator:
                 raise ChartError(f"table entry {k} must have parity {self.chart.parity(k)}")
 
     @staticmethod
-    def zero(chart: Chart) -> "DeltaOperator":
-        return DeltaOperator(chart, tuple(chart.zero() for _ in range(chart.dim)))
-
-    @staticmethod
     def from_section(omega: BerSection) -> "DeltaOperator":
         """Table of the BV operator of omega: d/dxi^k -> d_k(h) h^-1."""
         if not omega.is_trivialising():
@@ -172,9 +168,6 @@ class DeltaOperator:
         h = omega.coefficient
         h_inv = h.invert()
         return DeltaOperator(chart, tuple(chart.d(h, k) * h_inv for k in range(chart.dim)))
-
-    def __call__(self, alpha: MultiVectorForm) -> MultiVectorForm:
-        return extend_delta(self, alpha)
 
 
 def extend_delta(delta: DeltaOperator, alpha: MultiVectorForm) -> MultiVectorForm:

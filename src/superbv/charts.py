@@ -109,12 +109,6 @@ class BerSection:
         if self.coefficient.sig != self.chart.sig:
             raise ChartError("coefficient lives in the wrong ring")
 
-    def parity(self):
-        h = self.coefficient.parity()
-        if h is None:
-            return None
-        return (h + self.chart.sig.m) % 2
-
     def is_trivialising(self) -> bool:
         h = self.coefficient
         return h.parity() == 0 and 0 in h.terms
@@ -412,13 +406,6 @@ class Morphism:
             if new == precs:
                 return precs
             precs = new
-
-    def render(self, name: str = "phi") -> str:
-        lines = [f"map {name} {{"]
-        for i in range(self.target.dim):
-            lines.append(f"  zeta{i + 1} = {self.pullbacks[i].render()};")
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def _linear_solve(sig: RingSignature, rows, values) -> list:

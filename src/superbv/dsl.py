@@ -623,12 +623,6 @@ def parse_expression(scenario: Scenario, source: str):
 def render_value(value) -> str:
     if isinstance(value, GaussianRational):
         return JetSuperFunction.scalar(RingSignature(0, 0, 0), value).render()
-    if isinstance(value, JetSuperFunction):
-        return value.render()
-    if isinstance(value, MultiVectorForm):
-        return value.render()
-    if isinstance(value, BerSection):
-        return f"({value.coefficient.render()}) [dxi]"
-    if isinstance(value, Morphism):
+    if isinstance(value, (JetSuperFunction, MultiVectorForm, BerSection)):
         return value.render()
     raise TypeError(f"no rendering for {type(value).__name__}")

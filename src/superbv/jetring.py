@@ -21,8 +21,7 @@ Internally a monomial is one packed int (see ``_Layout``) and a coefficient
 is a pair of integer numerators over the one denominator of its jet, so a
 product of two terms is an integer addition of keys, a bit test for
 nilpotence and four integer products.  ``GaussianRational`` is the scalar
-type at the boundary: constructors, ``items``, ``coefficient``, ``body``
-and ``scale``.
+type at the boundary: ``scalar``, ``items`` and ``scale``.
 """
 
 from __future__ import annotations
@@ -128,9 +127,6 @@ class GaussianRational:
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
@@ -148,9 +144,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -205,14 +198,6 @@ class _Layout:
         # filled on first use: the full table would have 4^(2m) entries
         self.signs: dict = {}
         self.words: dict = {}  # odd mask -> increasing tuple of local ids
-
-    def key(self, exps, odd) -> int:
-        key = sum(exps) << self.shift
-        for offset, e in zip(self.offsets, exps):
-            key |= e << offset
-        for o in odd:
-            key |= 1 << o
-        return key
 
     def exponents(self, key: int) -> tuple:
         mask = self.field_mask
@@ -424,27 +409,15 @@ class JetSuperFunction:
     nonzero pair ``(re, im)`` of integer numerators; the coefficient is
     ``(re + im*i) / den``.  ``den`` is positive and shares no factor with
     every numerator at once, and the zero jet has ``den == 1``, so equal
-    jets have equal ``den`` and ``terms``.  ``items()`` and
-    ``coefficient()`` read terms by ``(even_exponents, odd_subset)``, where
-    ``even_exponents`` is a tuple of 2n non-negative integers and
-    ``odd_subset`` is a strictly increasing tuple of odd generator ids in
-    the range 0..2m-1 (local, i.e. already shifted by -2n); the constructor
-    takes a dict with those keys and ``GaussianRational`` values.
+    jets have equal ``den`` and ``terms``.  ``items()`` reads terms as
+    ``(even_exponents, odd_subset, coefficient)``, where ``even_exponents``
+    is a tuple of 2n non-negative integers and ``odd_subset`` is a strictly
+    increasing tuple of odd generator ids in the range 0..2m-1 (local, i.e.
+    already shifted by -2n).  Jets are made by the constructors below and
+    by the operations, never by calling the class.
     """
 
     __slots__ = ("sig", "terms", "den", "prec")
-
-    def __init__(self, sig: RingSignature, terms: dict, prec: int | None = None):
-        prec = _clamp(sig, prec)
-        kept = [(sig._layout.key(exps, odd), numerators(coeff))
-                for (exps, odd), coeff in terms.items() if coeff and sum(exps) <= prec]
-        den = lcm(*(d for _, (_, _, d) in kept))
-        packed = {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in kept}
-        canonical = _canonical(sig, packed, den, prec)
-        self.sig = sig
-        self.terms = canonical.terms
-        self.den = canonical.den
-        self.prec = prec
 
     # -- constructors ---------------------------------------------------
 
@@ -488,13 +461,6 @@ class JetSuperFunction:
         return [(layout.exponents(key), layout.odd_word(key & layout.odd_mask),
                  self._gaussian(self.terms[key]))
                 for key in sorted(self.terms, key=layout.sort_key)]
-
-    def coefficient(self, exps, odd) -> GaussianRational:
-        """Coefficient of the monomial ``(exps, odd)``; zero if it is absent."""
-        if sum(exps) > self.prec:
-            return GR_ZERO
-        numerators = self.terms.get(self.sig._layout.key(exps, odd))
-        return GR_ZERO if numerators is None else self._gaussian(numerators)
 
     def parity(self) -> int | None:
         """0 or 1 if homogeneous, None if mixed or zero-ambiguous."""
@@ -565,14 +531,6 @@ class JetSuperFunction:
         acc: dict = {}
         _multiply_into(acc, self.sig._layout, self.terms, 1, other.terms, prec)
         return _finish(self.sig, acc, self.den * other.den, prec)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JetSuperFunction):
-            return NotImplemented
-        return (self.sig == other.sig and self.prec == other.prec
-                and self.den == other.den and self.terms == other.terms)
-
-    __hash__ = None  # mutable-dict payload; jets are compared, never hashed
 
     def agrees_with(self, other: "JetSuperFunction") -> bool:
         """Equality of terms after truncating both sides to the common precision."""

@@ -140,13 +140,6 @@ class Section:
         if self.chart != other.chart:
             raise ChartError("chart mismatch")
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.chart == other.chart and self.prec == other.prec and self.terms == other.terms
-
-    __hash__ = None
-
     def agrees_with(self, other) -> bool:
         """Termwise equality after truncating to the common order of validity."""
         self._check_chart(other)

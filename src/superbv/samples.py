@@ -17,7 +17,7 @@ from .charts import BerSection, Chart, Morphism
 from .grading import koszul
 from .jetring import JetSuperFunction, RingSignature, _finish, jet_sum
 from .mvforms import MultiVectorForm, add_terms
-from .supermatrix import _invert_scalar_matrix
+from .supermatrix import _bareiss
 
 
 class SampleGen:
@@ -332,10 +332,10 @@ class SampleGen:
 
 
 def _singular(grid) -> bool:
-    """Whether a square integer grid has determinant zero: exactly when the
-    Bareiss elimination of ``_invert_scalar_matrix`` runs out of pivots."""
+    """Whether a square integer grid has determinant zero: exactly when
+    ``_bareiss`` runs out of pivots on it."""
     try:
-        _invert_scalar_matrix([[(x, 0, 1) for x in row] for row in grid])
+        _bareiss([[(x, 0) for x in row] for row in grid])
     except ZeroDivisionError:
         return True
     return False

@@ -93,10 +93,6 @@ class SuperMatrix:
         return SuperMatrix(self.sig, self.p, self.q,
                            [_row_product(self.sig, row, index) for row in self.rows])
 
-    def agrees_with(self, other: "SuperMatrix") -> bool:
-        self._check_shape(other)
-        return all(a.agrees_with(b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
-
     def blocks(self):
         """Return (A, B, C, D) entry grids."""
         p = self.p
@@ -257,12 +253,9 @@ class SuperMatrix:
             schur.append(row)
         return det_a * det_even(self.sig, schur).invert()
 
-    def render(self) -> str:
-        body = "; ".join("[" + ", ".join(e.render() for e in row) + "]" for row in self.rows)
-        return f"[{body}]"
-
     def __repr__(self) -> str:
-        return f"<supermatrix ({self.p}|{self.q}) {self.render()}>"
+        body = "; ".join("[" + ", ".join(e.render() for e in row) + "]" for row in self.rows)
+        return f"<supermatrix ({self.p}|{self.q}) [{body}]>"
 
 
 def det_even(sig: RingSignature, grid) -> JetSuperFunction:
@@ -438,26 +431,17 @@ def _scaled_sum(sig: RingSignature, pairs) -> JetSuperFunction:
     return _finish(sig, acc, common, prec)
 
 
-def _invert_scalar_matrix(grid):
-    """Exact inverse of a square grid of scalars, each ``(re, im, den)`` for
-    ``(re + im*i) / den``.
-
-    Writes the grid, each entry in lowest terms, as N / den with
-    Gaussian-integer N and one den, and runs Bareiss's
-    fraction-free Gauss-Jordan elimination on [N | 1]: step k replaces
-    every entry x of a row r != k by (p*x - f*y) / p_prev, where p is the
-    pivot, f = N[r][k], y the pivot row's entry and p_prev the previous
-    pivot, and the division is exact (Sylvester's identity).  The left
-    block ends as d * 1 with d = +-det N, so the inverse is den * right / d,
-    each entry returned as ``(re, im, den)`` in lowest terms.  Raises
-    ZeroDivisionError when the grid is singular.
+def _bareiss(work: list) -> tuple:
+    """Bareiss's fraction-free Gauss-Jordan elimination, in place, on rows of
+    Gaussian integers ``(re, im)``: one row per pivot column, each row as
+    wide as the caller needs.  Step k replaces every entry x of a row
+    r != k by (p*x - f*y) / p_prev, where p is the pivot, f = work[r][k], y
+    the pivot row's entry and p_prev the previous pivot, and the division is
+    exact (Sylvester's identity).  Returns the last pivot d, with the left
+    square block ending as d * 1 and d = +-det of it; raises
+    ZeroDivisionError when that block is singular.
     """
-    size = len(grid)
-    grid = [[_lowest(*x) for x in row] for row in grid]
-    den = lcm(*(d for row in grid for _, _, d in row))
-    work = [[(re * (den // d), im * (den // d)) for re, im, d in row]
-            + [(int(i == j), 0) for j in range(size)]
-            for i, row in enumerate(grid)]
+    size = len(work)
     prev = (1, 0)
     for col in range(size):
         pivot_row = next((r for r in range(col, size) if work[r][col] != (0, 0)), None)
@@ -480,8 +464,26 @@ def _invert_scalar_matrix(grid):
                 new.append(((zr * cr - zi * ci) // norm, (zr * ci + zi * cr) // norm))
             work[r] = new
         prev = (pr, pi)
-    # every diagonal entry of the left block is now prev; divide by it
-    dr, di = prev
+    return prev
+
+
+def _invert_scalar_matrix(grid):
+    """Exact inverse of a square grid of scalars, each ``(re, im, den)`` for
+    ``(re + im*i) / den``.
+
+    Writes the grid, each entry in lowest terms, as N / den with
+    Gaussian-integer N and one den, and runs ``_bareiss`` on [N | 1].  The
+    left block ends as d * 1 with d = +-det N, so the inverse is
+    den * right / d, each entry returned as ``(re, im, den)`` in lowest
+    terms.  Raises ZeroDivisionError when the grid is singular.
+    """
+    size = len(grid)
+    grid = [[_lowest(*x) for x in row] for row in grid]
+    den = lcm(*(d for row in grid for _, _, d in row))
+    work = [[(re * (den // d), im * (den // d)) for re, im, d in row]
+            + [(int(i == j), 0) for j in range(size)]
+            for i, row in enumerate(grid)]
+    dr, di = _bareiss(work)
     norm = dr * dr + di * di
     return [[_lowest(den * (xr * dr + xi * di), den * (xi * dr - xr * di), norm)
              for xr, xi in line[size:]]

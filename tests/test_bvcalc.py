@@ -34,7 +34,7 @@ from superbv.samples import SampleGen
 from oracles import (
     BRACKET_SIGS, CHARTS, NO_SHRINK, SIG11, SIG13, SIG21, SIG22, _packed_form, form_bidegrees,
     recursive_extend_term, reversed_keys, sections, word_extend_delta, word_extend_delta_right,
-    word_sorted_extend_delta,
+    word_sorted_extend_delta, same_section,
 )
 
 
@@ -60,15 +60,15 @@ class TestSection:
         a = cls(chart, {((), (0,)): chart.one(), ((0,), ()): chart.coordinate(0)})
         for out in (a + a, a - a, -a, a.scale(GaussianRational.of(2)), cls.zero(chart)):
             assert type(out) is cls
-        assert (a - a).is_zero() and a.agrees_with(a) and a == cls(chart, dict(a.terms))
+        assert (a - a).is_zero() and a.agrees_with(a)
+        assert same_section(a, cls(chart, dict(a.terms)))
 
 
-def test_section_classes_compare_by_exact_type():
+def test_section_classes_render_apart():
     chart = Chart(SIG11)
     terms = {((), (0,)): chart.one()}
     mv, sigma = MultiVectorForm(chart, terms), IntegralForm(chart, terms)
     assert mv.terms == sigma.terms
-    assert mv != sigma and sigma != mv
     assert mv.render() != sigma.render()
 
 
@@ -302,7 +302,7 @@ class TestExtendDelta:
         monkeypatch.setattr(MultiVectorForm, "from_words", forbidden, raising=False)
         assert any(not image.is_zero() for *_, image in cases)
         for table, alpha, image in cases:
-            assert extend_delta(table, alpha) == image
+            assert same_section(extend_delta(table, alpha), image)
 
 
 def exact_terms(form):
@@ -384,7 +384,7 @@ class TestExtendDeltaProperties:
         k = data.draw(st.integers(min_value=0, max_value=chart.dim - 1))
         out = schouten(MultiVectorForm.dbar_basis(chart, k), alpha)
         assert out.is_zero() and out.prec == max(0, alpha.prec - 1)
-        assert out == MultiVectorForm.zero(chart, alpha.prec - 1)
+        assert same_section(out, MultiVectorForm.zero(chart, alpha.prec - 1))
 
 
 def stored_order(form):

@@ -28,6 +28,7 @@ from superbv.supermatrix import SuperMatrix
 from oracles import (
     CHARTS, NO_SHRINK, SIG11, SIG21, SIG22, _holomorphic_terms, _through, fixpoint_inverse,
     identity_morphism, matrix_outcome as _matrix_outcome, pull_covector, pull_vector,
+    jet_from_terms, matrices_agree,
 )
 
 
@@ -78,7 +79,7 @@ class TestDifferential:
     def test_identity(self):
         for chart in CHARTS:
             d = identity_morphism(chart).differential()
-            assert d.agrees_with(SuperMatrix.identity(chart.sig, chart.sig.n, chart.sig.m))
+            assert matrices_agree(d, SuperMatrix.identity(chart.sig, chart.sig.n, chart.sig.m))
 
     def test_linear_parity_diagonal_map(self):
         chart = Chart(SIG22)
@@ -91,7 +92,7 @@ class TestDifferential:
         rows = [row[:] for row in expected.rows]
         rows[0][0] = rows[0][0].scale(a)
         rows[3][3] = rows[3][3].scale(a)
-        assert d.agrees_with(SuperMatrix(sig, 2, 2, rows))
+        assert matrices_agree(d, SuperMatrix(sig, 2, 2, rows))
 
     def test_explicit_1_1_example(self):
         chart = Chart(SIG11)
@@ -174,7 +175,7 @@ class TestApplyAndCompose:
             dphi = phi.differential()
             pulled = SuperMatrix(chart.sig, chart.sig.n, chart.sig.m,
                                  [[phi.apply(e) for e in row] for row in dpsi.rows])
-            assert lhs.agrees_with(pulled * dphi)
+            assert matrices_agree(lhs, pulled * dphi)
 
 
 class TestInvertMorphism:
@@ -215,7 +216,7 @@ class TestInvertMorphism:
             dpsi = phi.invert().differential()
             rhs_rows = [[phi.apply(phi_inv_entry) for phi_inv_entry in row] for row in dpsi.rows]
             rhs = SuperMatrix(chart.sig, chart.sig.n, chart.sig.m, rhs_rows)
-            assert lhs.agrees_with(rhs)
+            assert matrices_agree(lhs, rhs)
 
     def test_rejects_noninvertible_linear_part(self):
         chart = Chart(SIG11)
@@ -280,7 +281,7 @@ def inverse_cases(draw, pure_odd=False):
             odd = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=2))))
             terms[((0,) * sig.even_count, odd)] = draw(scalars.filter(bool))
         prec = draw(st.integers(max(1, sig.cap - 2), sig.cap)) if truncated else sig.cap
-        pullbacks.append(JetSuperFunction(sig, terms, prec))
+        pullbacks.append(jet_from_terms(sig, terms, prec))
     return Morphism(chart, Chart(sig, name="zeta"), pullbacks)
 
 
@@ -359,7 +360,7 @@ def lifted_inverse_cases(draw):
         tail = _holomorphic_terms(draw, sig.n, sig.m, phi.source.parity(k),
                                   range(f.prec + 1, high.cap + 1), 3)
         terms.update((key, GaussianRational.of(c)) for key, c in tail.items())
-        pullbacks.append(JetSuperFunction(high, terms, high.cap))
+        pullbacks.append(jet_from_terms(high, terms, high.cap))
     return phi, Morphism(Chart(high), Chart(high, name="zeta"), pullbacks)
 
 

@@ -60,7 +60,7 @@ from superbv.mvforms import MultiVectorForm, dbar, pull_mvform, schouten, wedge
 from superbv.samples import SampleGen
 from superbv.supermatrix import SuperMatrix, _invert_scalar_matrix, det_even
 from oracles import (
-    DBAR, FUN, ROOT, SCENARIO_HASHES, VEC, jet_body, normalise_word, odd_pair_unit,
+    DBAR, FUN, ROOT, SCENARIO_HASHES, VEC, jet_body, normalise_word, odd_pair_unit, render_matrix,
 )
 
 TRANSFORM_A = (
@@ -203,7 +203,7 @@ def _jet_lines(n, m, cap):
     lines.append(_line("conj", (f * h).conjugate()))
     even, odd = (f * g + h).homogeneous_parts()
     lines += [_line("even", even), _line("odd", odd)]
-    unit = even + JetSuperFunction.scalar(sig, GaussianRational.of(2, 1) - jet_body(even))
+    unit = even + JetSuperFunction.scalar(sig, GaussianRational.of(2, 1) + -jet_body(even))
     lines.append(_line("inv", unit.invert()))
     lines.append(_line("inv_t", unit.truncate(max(0, cap - 1)).invert()))
     lines.append(_line("subst", (f * g + h).substitute(_images(gen, sig), sig)))
@@ -271,7 +271,7 @@ BODY_INVERSE_DIGEST = "cb2c448deaa2f04b"
 def _matrix_line(label, mat):
     precs = " ".join(str(e.prec) for row in mat.rows for e in row)
     dens = " ".join(str(e.den) for row in mat.rows for e in row)
-    return f"{label} [{precs}] [{dens}] {mat.render()}"
+    return f"{label} [{precs}] [{dens}] {render_matrix(mat)}"
 
 
 def _jet_line(label, x):

